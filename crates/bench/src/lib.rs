@@ -127,13 +127,13 @@ impl BenchTimer {
     pub fn finish<T: Serialize>(self, results: &T) {
         let wall = self.elapsed_secs();
         let report = serde::Content::Map(vec![
-            ("fig".to_string(), serde::Content::Str(self.fig.clone())),
-            ("wall_clock_secs".to_string(), serde::Content::F64(wall)),
+            ("fig".into(), serde::Content::Str(self.fig.clone().into())),
+            ("wall_clock_secs".into(), serde::Content::F64(wall)),
             (
-                "workers".to_string(),
+                "workers".into(),
                 serde::Content::U64(m3_workloads::worker_threads() as u64),
             ),
-            ("results".to_string(), results.serialize()),
+            ("results".into(), results.serialize()),
         ]);
         println!("[{}] sweep finished in {wall:.2}s", self.fig);
         write_json(&format!("BENCH_{}", self.fig), &report);

@@ -551,12 +551,12 @@ mod tests {
 
     #[test]
     fn op_mix_and_negative_share() {
-        let mut gen = TraceGen::new(TraceWorkload {
+        let gen = TraceGen::new(TraceWorkload {
             total_ops: 300_000,
             ..TraceWorkload::smoke(TrafficPattern::Steady)
         });
         let (mut gets, mut sets, mut dels, mut negs) = (0u64, 0u64, 0u64, 0u64);
-        while let Some(op) = gen.next() {
+        for op in gen {
             match op.kind {
                 TraceOpKind::Get { negative } => {
                     gets += 1;
@@ -653,13 +653,13 @@ mod tests {
     fn trace_throughput_is_fast_enough_to_sweep() {
         // The tentpole's hot-path requirement: generating ops must be
         // O(1) each. 500k ops in well under a second even in debug CI.
-        let mut gen = TraceGen::new(TraceWorkload {
+        let gen = TraceGen::new(TraceWorkload {
             total_ops: 500_000,
             ..TraceWorkload::smoke(TrafficPattern::Diurnal)
         });
         let start = std::time::Instant::now();
         let mut acc = 0u64;
-        while let Some(op) = gen.next() {
+        for op in gen {
             acc ^= op.fp;
         }
         assert_ne!(acc, 0);

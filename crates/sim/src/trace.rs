@@ -12,6 +12,8 @@
 //! ([`TraceLog::of_kind`], [`TraceLog::happened_before`], ...) operate on
 //! those kinds, so existing string-based assertions keep working.
 
+use std::borrow::Cow;
+
 use crate::clock::SimTime;
 use serde::{map_field, Content, DeError, Deserialize, Serialize};
 
@@ -687,9 +689,9 @@ impl TraceData {
     }
 
     /// The payload's named fields, in declaration order.
-    fn fields(&self) -> Vec<(String, Content)> {
-        fn f(name: &str, v: Content) -> (String, Content) {
-            (name.to_string(), v)
+    fn fields(&self) -> Vec<(Cow<'static, str>, Content)> {
+        fn f(name: &'static str, v: Content) -> (Cow<'static, str>, Content) {
+            (name.into(), v)
         }
         match self {
             TraceData::ProcSpawn { name } | TraceData::ProcRespawn { name } => {
@@ -1034,7 +1036,7 @@ impl TraceData {
 
 impl Serialize for TraceData {
     fn serialize(&self) -> Content {
-        let mut m = vec![("kind".to_string(), Content::Str(self.kind().to_string()))];
+        let mut m = vec![("kind".into(), Content::Str(self.kind().into()))];
         m.extend(self.fields());
         Content::Map(m)
     }
@@ -1288,12 +1290,12 @@ impl TraceEvent {
 impl Serialize for TraceEvent {
     fn serialize(&self) -> Content {
         let mut m = vec![
-            ("t".to_string(), self.t.serialize()),
-            ("pid".to_string(), Content::U64(self.pid)),
+            ("t".into(), self.t.serialize()),
+            ("pid".into(), Content::U64(self.pid)),
         ];
         match self.data.serialize() {
             Content::Map(fields) => m.extend(fields),
-            other => m.push(("data".to_string(), other)),
+            other => m.push(("data".into(), other)),
         }
         Content::Map(m)
     }
@@ -1914,6 +1916,16 @@ mod tests {
         for (a, b) in log.events().iter().zip(back.events()) {
             assert_eq!(a, b);
         }
+
+        // Through JSON text: the parser owns every name it reads, while the
+        // serializer borrows its static ones. The trees must still compare
+        // and render alike.
+        let text = serde_json::to_string(&c).expect("render");
+        let parsed: Content = serde_json::from_str(&text).expect("parse");
+        assert_eq!(parsed, c);
+        assert_eq!(serde_json::to_string(&parsed).expect("re-render"), text);
+        let from_text = TraceLog::deserialize(&parsed).expect("round trip");
+        assert_eq!(from_text.events(), log.events());
     }
 
     #[test]
@@ -1927,7 +1939,7 @@ mod tests {
         let serde::Content::Map(entries) = &c else {
             panic!("expected map");
         };
-        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| &**k).collect();
         assert_eq!(keys, vec!["t", "pid", "kind", "bytes"]);
     }
 }

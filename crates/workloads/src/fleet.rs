@@ -1770,13 +1770,13 @@ pub fn fleet_cache_stats() -> CacheStats {
     FLEET_CACHE.stats()
 }
 
-/// Content-addressed [`run_fleet`]: the serialized `(scenario, setting,
-/// machine_cfg, fleet_cfg, fault_plan)` quintuple keys a process-wide
-/// cache, and an identical earlier fleet run is returned as a shared
-/// [`Arc`] without re-running the scheduler. The machine config is
-/// normalized through [`MachineConfig::with_setting`] before keying, like
-/// the node cache. The fault plan is part of the key so chaos runs never
-/// collide with clean cached results.
+/// Content-addressed [`run_fleet`]: the fingerprint of the `(scenario,
+/// setting, machine_cfg, fleet_cfg, fault_plan)` quintuple keys a
+/// process-wide cache ([`MemoCache`]), and an identical earlier fleet run
+/// is returned as a shared [`Arc`] without re-running the scheduler. The
+/// machine config is normalized through [`MachineConfig::with_setting`]
+/// before keying, like the node cache. The fault plan is part of the key
+/// so chaos runs never collide with clean cached results.
 pub fn run_fleet_cached(
     scenario: &Scenario,
     setting: &Setting,

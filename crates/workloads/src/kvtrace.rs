@@ -284,8 +284,9 @@ pub fn kvtrace_cache_stats() -> CacheStats {
     CACHE.stats()
 }
 
-/// [`run_cache_trace`], content-addressed on `(workload, policy)`: an
-/// identical earlier run is returned as a shared [`Arc`] without
+/// [`run_cache_trace`], content-addressed: the fingerprint of the
+/// `(workload, policy)` pair keys a process-wide cache ([`MemoCache`]), and
+/// an identical earlier run is returned as a shared [`Arc`] without
 /// re-simulating.
 pub fn run_cache_trace_cached(twl: TraceWorkload, policy: CachePolicy) -> Arc<CacheTraceOutcome> {
     CACHE.get_or_compute(&(&twl, policy), || run_cache_trace(twl, policy))

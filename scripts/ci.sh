@@ -5,7 +5,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# Every test of every workspace member: the root package's suites, the
+# member crates' unit tests and their doctests.
+cargo test -q --workspace
 # Chaos suite: fault injection, watchdog escalation, degradation accounting.
 cargo test -q --test chaos
 # Trace-oracle conformance: zero invariant violations on real runs, golden
@@ -57,5 +59,5 @@ M3_MIXED_CRIT_MAX_BATCH=4 M3_MIXED_CRIT_BUDGET_S=60 \
 M3_RECLAIM_PACKETS_SALTS=4 M3_RECLAIM_PACKETS_BUDGET_S=60 \
     M3_RESULTS_DIR=target/ci-results \
     cargo bench -p m3-bench --bench reclaim_packets
-cargo clippy -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
