@@ -19,6 +19,7 @@
 use m3_bench::{render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
+use m3_workloads::faults::FaultPlan;
 use m3_workloads::machine::{Machine, MachineConfig, RunResult};
 use m3_workloads::runner::run_scenario;
 use m3_workloads::scenario::Scenario;
@@ -67,7 +68,7 @@ fn run_containers(scenario: &Scenario, limits: Vec<u64>) -> (Option<f64>, Vec<Op
             (m3_workloads::app_name(kind.code(), i), start, bp)
         })
         .collect();
-    let res = Machine::new(cfg).run_with_containers(schedule, Some(limits));
+    let res = Machine::new(cfg).run_with(schedule, &FaultPlan::none(), &[], Some(limits));
     mean_runtime(&res)
 }
 

@@ -8,9 +8,9 @@
 //!    behaviour and the correctness reference;
 //! 2. **parallel** — the same fresh runs fanned out over the worker pool
 //!    with [`m3_workloads::parallel_map`];
-//! 3. **memoized** — [`m3_workloads::run_scenarios_parallel_with`] twice:
-//!    the first pass fills the content-addressed run cache, the second
-//!    replays it without simulating anything.
+//! 3. **memoized** — [`m3_workloads::run_scenario_cached`] fanned out the
+//!    same way, twice: the first pass fills the content-addressed run
+//!    cache, the second replays it without simulating anything.
 //!
 //! All three produce byte-identical outcomes (asserted here and pinned
 //! down in `tests/determinism.rs`); only the wall clock differs. The
@@ -26,7 +26,7 @@ use m3_workloads::machine::MachineConfig;
 use m3_workloads::runner::{run_scenario, ScenarioOutcome};
 use m3_workloads::scenario::{figure5_scenarios, Scenario};
 use m3_workloads::settings::Setting;
-use m3_workloads::{cache_stats, parallel_map, run_scenarios_parallel_with, worker_threads};
+use m3_workloads::{cache_stats, parallel_map, run_scenario_cached, worker_threads};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -100,12 +100,17 @@ fn main() {
 
     // 3. Memoized harness: first pass computes and fills the cache, the
     //    replay pass answers everything from it.
+    let memoized = || {
+        parallel_map(jobs.clone(), workers, |(s, set, cfg)| {
+            run_scenario_cached(&s, &set, cfg)
+        })
+    };
     let cache_before = cache_stats();
     let t = Instant::now();
-    let warm = run_scenarios_parallel_with(jobs.clone(), workers);
+    let warm = memoized();
     let memo_first_pass_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let replay = run_scenarios_parallel_with(jobs.clone(), workers);
+    let replay = memoized();
     let memo_replay_secs = t.elapsed().as_secs_f64();
     let cache_delta = cache_stats().since(&cache_before);
 

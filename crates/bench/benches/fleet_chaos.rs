@@ -20,7 +20,7 @@ use m3_sim::units::GIB;
 use m3_sim::SimRng;
 use m3_workloads::cluster::ClusterMean;
 use m3_workloads::faults::FleetFaultPlan;
-use m3_workloads::fleet::{run_fleet_with_faults, FleetConfig, NodeSpec};
+use m3_workloads::fleet::{run_fleet, FleetConfig, NodeSpec};
 use m3_workloads::machine::MachineConfig;
 use m3_workloads::scenario::fleet_scale_scenario;
 use m3_workloads::settings::Setting;
@@ -116,7 +116,7 @@ fn main() {
     let nodes = env_usize("M3_FLEET_CHAOS_NODES").unwrap_or(512);
     let budget_s = env_f64("M3_FLEET_CHAOS_BUDGET_S");
     let scenario = fleet_scale_scenario(nodes);
-    let fleet = quarter_small_fleet(nodes);
+    let mut fleet = quarter_small_fleet(nodes);
     let setting = Setting::m3(scenario.len());
     println!(
         "Fleet chaos — node MTBF sweep at {nodes} nodes, {} jobs\n",
@@ -125,9 +125,9 @@ fn main() {
 
     let mut rows = Vec::new();
     for mtbf_s in [0u64, 172_800, 43_200, 14_400] {
-        let plan = crash_plan(nodes, mtbf_s);
+        fleet.faults = crash_plan(nodes, mtbf_s);
         let started = std::time::Instant::now();
-        let res = run_fleet_with_faults(&scenario, &setting, machine(), &fleet, &plan);
+        let res = run_fleet(&scenario, &setting, machine(), &fleet);
         let wall_clock_s = started.elapsed().as_secs_f64();
         let ClusterMean {
             mean_secs,
@@ -143,7 +143,7 @@ fn main() {
             jobs: scenario.len(),
             workers: worker_threads(),
             wall_clock_s,
-            crashes_injected: plan.node_crashes.len(),
+            crashes_injected: fleet.faults.node_crashes.len(),
             nodes_lost: d.nodes_lost,
             jobs_lost: d.jobs_lost,
             jobs_rescheduled: d.jobs_rescheduled,

@@ -7,9 +7,10 @@
 //! heterogeneous fleet (every fourth node is 32 GiB). Reports per-point
 //! wall clock, scheduler activity, and the node-run cache's hit rate —
 //! the content-addressed sharing that makes a 10k-node fleet simulate
-//! only its few distinct node schedules. A passthrough (replicated) point
-//! and a memoized repeat of the largest point ride along as contrast and
-//! regression checks.
+//! only its few distinct node schedules. A replicated-worker point
+//! (`run_cluster`: every node runs the whole schedule) and a memoized
+//! repeat of the largest point ride along as contrast and regression
+//! checks.
 //!
 //! Knobs: `M3_FLEET_SCALE_MAX_NODES` caps the curve (CI smoke runs 512);
 //! `M3_FLEET_SCALE_BUDGET_S` asserts a per-point wall-clock budget;
@@ -18,8 +19,8 @@
 use m3_bench::{fmt_runtime, render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
-use m3_workloads::cluster::{ClusterMean, JobFailure};
-use m3_workloads::fleet::{fleet_cache_stats, run_fleet_cached, FleetConfig, NodeSpec};
+use m3_workloads::cluster::{run_cluster, ClusterMean, ClusterResult, JobFailure};
+use m3_workloads::fleet::{fleet_cache_stats, run_fleet_cached, FleetConfig, JobOutcome, NodeSpec};
 use m3_workloads::machine::MachineConfig;
 use m3_workloads::parallel::cache_stats;
 use m3_workloads::scenario::{fleet_canonical, fleet_scale_scenario, Scenario};
@@ -71,11 +72,28 @@ fn quarter_small_fleet(n: usize) -> FleetConfig {
     fleet
 }
 
-fn run_row(scenario: &Scenario, fleet: &FleetConfig) -> FleetRow {
+/// One point: `scenario` on `fleet`, or with no fleet on `nodes` replicated
+/// workers that each run the whole schedule — no placements, so no per-job
+/// outcomes and nothing for the fleet oracle to check.
+fn run_row(scenario: &Scenario, nodes: usize, fleet: Option<&FleetConfig>) -> FleetRow {
     let setting = Setting::m3(scenario.len());
     let cache_before = cache_stats();
     let started = std::time::Instant::now();
-    let res = run_fleet_cached(scenario, &setting, machine(), fleet);
+    let (scheduled, replicated);
+    let (cluster, jobs, violations): (&ClusterResult, &[JobOutcome], usize) = match fleet {
+        Some(fleet) => {
+            scheduled = run_fleet_cached(scenario, &setting, machine(), fleet);
+            (
+                &scheduled.cluster,
+                &scheduled.jobs,
+                scheduled.violations.len(),
+            )
+        }
+        None => {
+            replicated = run_cluster(scenario, &setting, machine(), nodes);
+            (&replicated, &[], 0)
+        }
+    };
     let wall_clock_s = started.elapsed().as_secs_f64();
     let cache = cache_stats().since(&cache_before);
     let ClusterMean {
@@ -83,24 +101,23 @@ fn run_row(scenario: &Scenario, fleet: &FleetConfig) -> FleetRow {
         completed_apps,
         failed_apps,
         ..
-    } = res.cluster.mean_runtime_secs();
+    } = cluster.mean_runtime_secs();
     FleetRow {
-        nodes: fleet.nodes.len(),
+        nodes,
         jobs: scenario.len(),
-        scheduler: fleet.scheduler,
+        scheduler: fleet.is_some(),
         wall_clock_s,
         workers: worker_threads(),
         mean_runtime_s: mean_secs,
         completed_apps,
         failed_apps,
-        deferrals: res.jobs.iter().map(|j| j.deferrals as u64).sum(),
-        migrations: res.jobs.iter().map(|j| j.migrations as u64).sum(),
-        gave_up: res
-            .jobs
+        deferrals: jobs.iter().map(|j| j.deferrals as u64).sum(),
+        migrations: jobs.iter().map(|j| j.migrations as u64).sum(),
+        gave_up: jobs
             .iter()
             .filter(|j| j.failure == Some(JobFailure::GaveUp))
             .count(),
-        violations: res.violations.len(),
+        violations,
         node_cache_hits: cache.hits,
         node_cache_misses: cache.misses,
         node_cache_hit_rate: cache.hit_rate(),
@@ -128,11 +145,11 @@ fn main() {
             continue;
         }
         let scenario = fleet_scale_scenario(nodes);
-        rows.push(run_row(&scenario, &quarter_small_fleet(nodes)));
+        rows.push(run_row(&scenario, nodes, Some(&quarter_small_fleet(nodes))));
     }
     // Contrast: the replicated-worker setup on the canonical mix (every
     // node runs the whole schedule; no placement decisions at all).
-    rows.push(run_row(&fleet_canonical(), &FleetConfig::passthrough(8)));
+    rows.push(run_row(&fleet_canonical(), 8, None));
     // Re-running the largest scheduled point must be a pure cache hit.
     let largest = rows
         .iter()
@@ -143,7 +160,8 @@ fn main() {
     let before = fleet_cache_stats();
     rows.push(run_row(
         &fleet_scale_scenario(largest),
-        &quarter_small_fleet(largest),
+        largest,
+        Some(&quarter_small_fleet(largest)),
     ));
     let delta = fleet_cache_stats().since(&before);
 

@@ -10,7 +10,7 @@ use m3_sim::trace::Criticality;
 use serde::{Deserialize, Serialize};
 
 use crate::fleet::JobOutcome;
-use crate::machine::{Machine, MachineConfig, RunResult};
+use crate::machine::{MachineConfig, RunResult};
 use crate::parallel::{run_scenario_cached, worker_threads};
 use crate::scenario::Scenario;
 use crate::settings::Setting;
@@ -69,8 +69,8 @@ pub struct ClusterMean {
     /// Of the failed apps, those the scheduler gave up placing.
     pub gave_up_apps: usize,
     /// Per-criticality-class slices (one entry per class that had jobs;
-    /// empty for passthrough/legacy paths, where no per-job class data
-    /// exists). Filled by [`ClusterMean::with_classes`].
+    /// empty for [`run_cluster`], where no per-job class data exists).
+    /// Filled by [`ClusterMean::with_classes`].
     pub classes: Vec<ClassSummary>,
 }
 
@@ -186,6 +186,7 @@ pub fn run_cluster(
     machine_cfg: MachineConfig,
     nodes: usize,
 ) -> ClusterResult {
+    assert!(nodes > 0, "need at least one node");
     // Nodes are independent simulations (only the salt differs), so they
     // fan out on the worker pool; results come back in node order.
     let node_cfgs: Vec<MachineConfig> = (0..nodes)
@@ -195,19 +196,6 @@ pub fn run_cluster(
             cfg
         })
         .collect();
-    run_cluster_nodes(scenario, setting, node_cfgs)
-}
-
-/// [`run_cluster`] over an explicit per-node configuration list (the fleet
-/// layer's passthrough path: heterogeneous node sizes, pre-salted configs).
-/// Aggregation is identical — per-app slowest node wins.
-pub fn run_cluster_nodes(
-    scenario: &Scenario,
-    setting: &Setting,
-    node_cfgs: Vec<MachineConfig>,
-) -> ClusterResult {
-    assert!(!node_cfgs.is_empty(), "need at least one node");
-    let nodes = node_cfgs.len();
     let napps = scenario.len();
     let outs = crate::parallel::parallel_map(node_cfgs, worker_threads(), |cfg| {
         run_scenario_cached(scenario, setting, cfg)
@@ -263,12 +251,6 @@ pub fn run_cluster_nodes(
         spread_s,
         failures,
     }
-}
-
-/// Convenience: the `Machine` type for a node of this cluster (salted).
-pub fn node_machine(mut cfg: MachineConfig, node: usize) -> Machine {
-    cfg.node_salt = node as u64 + 1;
-    Machine::new(cfg)
 }
 
 #[cfg(test)]
@@ -366,24 +348,6 @@ mod tests {
         assert_eq!(res.failures[0], None, "completed app carries no reason");
         assert!(res.failures[1].is_some());
         assert!(!mean.all_completed());
-    }
-
-    #[test]
-    fn run_cluster_nodes_matches_run_cluster_with_salted_cfgs() {
-        let scenario = Scenario::uniform("M", 0);
-        let setting = Setting::m3(1);
-        let via_cluster = run_cluster(&scenario, &setting, quick_cfg(), 2);
-        let cfgs: Vec<MachineConfig> = (0..2)
-            .map(|node| {
-                let mut cfg = quick_cfg();
-                cfg.node_salt = node as u64 + 1;
-                cfg
-            })
-            .collect();
-        let via_nodes = run_cluster_nodes(&scenario, &setting, cfgs);
-        assert_eq!(via_cluster.app_runtimes_s, via_nodes.app_runtimes_s);
-        assert_eq!(via_cluster.per_node_s, via_nodes.per_node_s);
-        assert_eq!(via_cluster.spread_s, via_nodes.spread_s);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Fault injection for world-loop experiments.
 //!
 //! A [`FaultPlan`] is a serializable description of everything that goes
-//! wrong during a run: scheduled crash-kills (the old
-//! `Machine::run_with_chaos` behaviour), seeded signal loss/delay on the
-//! bus, participants that handle signals but never return pages,
+//! wrong during a run: scheduled crash-kills, seeded signal loss/delay on
+//! the bus, participants that handle signals but never return pages,
 //! `/proc/meminfo` outages, per-app leaks, and stale-registration churn
 //! with pid reuse. Being serializable, the plan participates in the
 //! content-addressed memoization key (see [`crate::parallel`]), so a cached
@@ -11,8 +10,10 @@
 //!
 //! What the run *did* about the plan comes back in a
 //! [`DegradationReport`] inside [`crate::machine::RunResult`]: which events
-//! applied, which could not (and why), how many signals the bus lost, how
-//! the monitor's watchdog escalated, and how long recovery took.
+//! applied, which could not (and why), how many signals the bus lost, and
+//! how long recovery took. How the monitor coped — degraded polls,
+//! watchdog escalations, polls above top — is counted once, in the run's
+//! [`crate::machine::RunResult::monitor_stats`].
 
 use m3_os::SignalFaultConfig;
 use m3_sim::clock::{SimDuration, SimTime};
@@ -208,13 +209,6 @@ impl FaultPlan {
         self
     }
 
-    /// Converts the legacy `(t, idx)` crash-kill list.
-    pub fn from_kills(kills: Vec<(SimDuration, usize)>) -> Self {
-        kills
-            .into_iter()
-            .fold(FaultPlan::none(), |plan, (t, idx)| plan.with_crash(t, idx))
-    }
-
     /// Number of injectable items in the plan (app events + churn).
     pub fn injected_count(&self) -> u64 {
         (self.events.len() + self.churn.len()) as u64
@@ -234,8 +228,8 @@ pub enum UnappliedReason {
     RunEnded,
 }
 
-/// An app-targeted fault that could not be applied, and why. The old
-/// `run_with_chaos` silently dropped these; now they are accounted.
+/// An app-targeted fault that could not be applied, and why: unapplied
+/// chaos is accounted, never silently dropped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UnappliedFault {
     /// The event that could not be applied.
@@ -259,7 +253,8 @@ pub struct FaultRecovery {
     pub recovered_after_polls: Option<u64>,
 }
 
-/// What a run did about its fault plan, and how the monitor degraded.
+/// What a run did about its fault plan. The monitor's own degradation
+/// counters live in [`m3_core::monitor::MonitorStats`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DegradationReport {
     /// Injectable items in the plan (app events + churn).
@@ -272,16 +267,6 @@ pub struct DegradationReport {
     pub signals_dropped: u64,
     /// Pressure signals deferred by injected signal faults.
     pub signals_delayed: u64,
-    /// Monitor polls that ran in degraded mode (meminfo unreadable).
-    pub degraded_polls: u64,
-    /// Participants escalated by the reclamation watchdog.
-    pub watchdog_escalations: u64,
-    /// Backed-off re-signals to escalated participants.
-    pub watchdog_resignals: u64,
-    /// Monitor polls that observed usage above the top of memory.
-    pub polls_above_top: u64,
-    /// Simulated time spent above top (`polls_above_top × poll_period`).
-    pub time_above_top: SimDuration,
     /// Per-applied-fault recovery times, in polls.
     pub recoveries: Vec<FaultRecovery>,
 }
@@ -330,10 +315,10 @@ pub struct PlacementDelay {
 /// A serializable schedule of everything that goes wrong *around* the
 /// fleet scheduler: whole-node crashes, flapping probe endpoints, delayed
 /// placement decisions, and mid-horizon scheduler restarts that wipe the
-/// advisory candidate index. The cluster-level analogue of [`FaultPlan`],
-/// and like it part of the fleet memoization key (see
-/// [`crate::fleet::run_fleet_cached_faulted`]) so chaos runs never collide
-/// with clean cached results.
+/// advisory candidate index. The cluster-level analogue of [`FaultPlan`].
+/// A fleet carries its plan in [`crate::fleet::FleetConfig::faults`], since
+/// the plan indexes that fleet's nodes; it is therefore part of the fleet
+/// memoization key, and chaos runs never collide with clean cached results.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetFaultPlan {
     /// Whole-node crashes.
@@ -458,19 +443,6 @@ mod tests {
         assert!(FaultPlan::none().is_empty());
         assert_eq!(FaultPlan::none().injected_count(), 0);
         assert_eq!(FaultPlan::none(), FaultPlan::default());
-    }
-
-    #[test]
-    fn from_kills_matches_legacy_semantics() {
-        let plan = FaultPlan::from_kills(vec![
-            (SimDuration::from_secs(1), 0),
-            (SimDuration::from_secs(2), 1),
-        ]);
-        assert_eq!(plan.events.len(), 2);
-        assert!(plan
-            .events
-            .iter()
-            .all(|e| matches!(e.kind, FaultKind::Crash)));
     }
 
     #[test]

@@ -23,27 +23,27 @@
 //!   timeline lookup, not a re-simulation. Idle nodes never simulate at
 //!   all: a per-size summary precomputed at fleet construction answers
 //!   their probes.
-//! - **Content-addressed node runs.** In scheduler mode the per-node
-//!   machine config carries no node salt and the sub-scenario name carries
-//!   no node index, so two nodes with identical (size, schedule, faults)
-//!   share one entry in the process-wide run cache. Wave-shaped arrivals
+//! - **Content-addressed node runs.** The per-node machine config carries
+//!   no node salt and the sub-scenario name carries no node index, so two
+//!   nodes with identical (size, schedule, faults) share one entry in the
+//!   process-wide run cache. Wave-shaped arrivals
 //!   over homogeneous nodes collapse thousands of node simulations into a
 //!   handful of distinct ones.
 //! - **Sharded placement.** Nodes are partitioned into shards of
-//!   [`FleetConfig::shard_size`]; each shard keeps a `BTreeSet` candidate
-//!   index ordered by an *advisory* effective-load key. Placement k-way
-//!   merges the shard indexes into the globally least-estimated
-//!   [`FleetConfig::probe_budget`] nodes and probes those (stopping early
-//!   once [`FleetConfig::place_candidates`] feasible candidates are in
-//!   hand) instead of probing all N. The index only orders the scan — admission is
-//!   always decided by authoritative probes — and a job's *final* admission
-//!   attempt scans every node, so a job is never given up on while a
-//!   feasible node exists anywhere in the fleet.
+//!   `SHARD_SIZE` (64); each shard keeps a `BTreeSet` candidate index
+//!   ordered by an *advisory* effective-load key. Placement k-way merges
+//!   the shard indexes into the globally least-estimated `PROBE_BUDGET`
+//!   (16) nodes and probes those (stopping early once `PLACE_CANDIDATES`
+//!   (4) feasible candidates are in hand) instead of probing all N. The
+//!   index only orders the scan — admission is always decided by
+//!   authoritative probes — and a job's *final* admission attempt scans
+//!   every node, so a job is never given up on while a feasible node
+//!   exists anywhere in the fleet.
 //! - **Batched pressure refresh.** Each rebalance check refreshes
-//!   [`FleetConfig::refresh_shards`] shards round-robin rather than the
-//!   whole fleet, and pre-warms the dirty nodes' simulations on the
-//!   worker pool ([`crate::parallel::parallel_map`]) before reading them
-//!   serially in node order.
+//!   `REFRESH_SHARDS` (1) shard round-robin rather than the whole fleet,
+//!   and pre-warms the dirty nodes' simulations on the worker pool
+//!   ([`crate::parallel::parallel_map`]) before reading them serially in
+//!   node order.
 //!
 //! # Determinism
 //!
@@ -79,11 +79,11 @@ use m3_sim::units::GIB;
 use m3_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::{run_cluster_nodes, ClusterResult, JobFailure};
+use crate::cluster::{ClusterResult, JobFailure};
 use crate::faults::{FaultPlan, FleetDegradationReport, FleetFaultPlan, ProbeFlap};
 use crate::hibench;
 use crate::machine::MachineConfig;
-use crate::parallel::{run_scenario_cached_faulted, CacheStats, MemoCache};
+use crate::parallel::{run_scenario_cached_faulted, worker_threads, CacheStats, MemoCache};
 use crate::runner::ScenarioOutcome;
 use crate::scenario::{AppKind, Scenario};
 use crate::settings::Setting;
@@ -127,10 +127,10 @@ pub enum PlacementPolicy {
 pub struct FleetConfig {
     /// The worker nodes (heterogeneous sizes allowed).
     pub nodes: Vec<NodeSpec>,
-    /// `false` runs every node through the legacy [`run_cluster_nodes`]
-    /// path (each node runs the whole schedule; no placement decisions) —
-    /// the backward-compat mode the figure benches rely on.
-    pub scheduler: bool,
+    /// What goes wrong around the scheduler: node crashes, flapping probe
+    /// endpoints, delayed placements, scheduler restarts. The plan indexes
+    /// [`FleetConfig::nodes`]; empty for a clean run.
+    pub faults: FleetFaultPlan,
     /// How long a node must stay red before the rebalancer may migrate a
     /// job off it.
     pub grace: SimDuration,
@@ -138,37 +138,18 @@ pub struct FleetConfig {
     pub defer_interval: SimDuration,
     /// Admission retries before the scheduler gives up on a job.
     pub max_defers: u32,
-    /// Migrations allowed per job (a migration restarts the job).
-    pub max_migrations: u32,
     /// Cadence of the red-zone rebalance checks.
     pub rebalance_period: SimDuration,
     /// Number of rebalance checks scheduled (bounds the event horizon).
     pub rebalance_checks: u32,
     /// Placement preference among feasible nodes.
     pub policy: PlacementPolicy,
-    /// Nodes per placement shard. Each shard keeps a pressure-ordered
-    /// candidate index; fleets of at most one shard behave exactly like
-    /// the exhaustive scheduler.
-    pub shard_size: usize,
-    /// Feasible candidates a bounded placement scan collects before
-    /// picking (the scan's early-stop).
-    pub place_candidates: usize,
-    /// Upper bound on authoritative probes per bounded placement scan:
-    /// the scan order is the globally least-estimated `probe_budget`
-    /// nodes by the shard indexes.
-    pub probe_budget: usize,
-    /// Shards whose nodes get a fresh pressure probe per rebalance check
-    /// (round-robin across checks).
-    pub refresh_shards: usize,
     /// Times a job lost to node death may re-enter the arrival queue
     /// before the scheduler abandons it as orphaned.
     pub retry_budget: u32,
     /// Base delay of the node-loss retry backoff; retry `k` waits
     /// `base * 2^(k-1)` plus deterministic jitter in `[0, base)`.
     pub backoff_base: SimDuration,
-    /// Seed of the deterministic backoff jitter (part of the cache key:
-    /// different seeds are different schedules).
-    pub backoff_seed: u64,
     /// How old a flapping endpoint's stale summary may be before the
     /// scheduler refuses it and forces an authoritative re-read.
     pub stale_window: SimDuration,
@@ -192,21 +173,15 @@ impl FleetConfig {
     pub fn homogeneous(n: usize, phys_total: u64) -> Self {
         FleetConfig {
             nodes: vec![NodeSpec { phys_total }; n],
-            scheduler: true,
+            faults: FleetFaultPlan::none(),
             grace: SimDuration::from_secs(60),
             defer_interval: SimDuration::from_secs(120),
             max_defers: 30,
-            max_migrations: 1,
             rebalance_period: SimDuration::from_secs(60),
             rebalance_checks: 40,
             policy: PlacementPolicy::LeastPressured,
-            shard_size: 64,
-            place_candidates: 4,
-            probe_budget: 16,
-            refresh_shards: 1,
             retry_budget: 3,
             backoff_base: SimDuration::from_secs(30),
-            backoff_seed: 0xF1EE7,
             stale_window: SimDuration::from_secs(120),
             quarantine_after: 2,
             quarantine_healthy: 3,
@@ -214,28 +189,38 @@ impl FleetConfig {
         }
     }
 
-    /// The paper's eight 64-GB workers, scheduler on.
+    /// The paper's eight 64-GB workers.
     pub fn paper() -> Self {
         FleetConfig::homogeneous(crate::cluster::PAPER_NODES, 64 * GIB)
     }
-
-    /// `n` 64-GB nodes with the scheduler disabled: every node runs the full
-    /// schedule, exactly like [`crate::cluster::run_cluster`].
-    pub fn passthrough(n: usize) -> Self {
-        FleetConfig {
-            scheduler: false,
-            ..FleetConfig::homogeneous(n, 64 * GIB)
-        }
-    }
 }
+
+/// Migrations allowed per job (a migration restarts the job).
+const MAX_MIGRATIONS: u32 = 1;
+/// Nodes per placement shard. Each shard keeps a pressure-ordered candidate
+/// index; fleets of at most one shard behave exactly like the exhaustive
+/// scheduler.
+const SHARD_SIZE: usize = 64;
+/// Feasible candidates a bounded placement scan collects before picking
+/// (the scan's early-stop).
+const PLACE_CANDIDATES: usize = 4;
+/// Upper bound on authoritative probes per bounded placement scan (at least
+/// [`PLACE_CANDIDATES`]): the scan order is the globally least-estimated
+/// `PROBE_BUDGET` nodes by the shard indexes.
+const PROBE_BUDGET: usize = 16;
+/// Shards whose nodes get a fresh pressure probe per rebalance check
+/// (round-robin across checks).
+const REFRESH_SHARDS: usize = 1;
+/// Seed of the deterministic node-loss backoff jitter.
+const BACKOFF_SEED: u64 = 0xF1EE7;
 
 /// What happened to one submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JobOutcome {
     /// The job's index in the scenario.
     pub job: usize,
-    /// The node the job finally ran on (`None` if the scheduler gave up,
-    /// or in passthrough mode where every node runs every job).
+    /// The node the job finally ran on (`None` if the scheduler gave up or
+    /// the job was orphaned).
     pub node: Option<usize>,
     /// Admission deferrals before placement (or before giving up).
     pub deferrals: u32,
@@ -267,21 +252,19 @@ pub struct JobOutcome {
 /// fleet memoization cache hands out shared results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetResult {
-    /// Cluster-level aggregation (slowest-node semantics in passthrough
-    /// mode; final-node runtimes under the scheduler, where the quadratic
-    /// `per_node_s`/`spread_s` tables stay empty — at 10k nodes × 100k
-    /// jobs they would dwarf everything else).
+    /// Cluster-level aggregation: final-node runtimes measured from each
+    /// job's arrival. The quadratic `per_node_s`/`spread_s` tables stay
+    /// empty — at 10k nodes × 100k jobs they would dwarf everything else.
     pub cluster: ClusterResult,
-    /// Per-job scheduler outcomes (empty in passthrough mode).
+    /// Per-job scheduler outcomes.
     pub jobs: Vec<JobOutcome>,
-    /// The scheduler's placement log (`fleet.*` events; empty in
-    /// passthrough mode).
+    /// The scheduler's placement log (`fleet.*` events).
     pub trace: TraceLog,
     /// Cluster-invariant violations from [`FleetOracle`] plus any node-level
     /// conformance violations from the final node runs. Empty = conformant.
     pub violations: Vec<Violation>,
     /// What the injected fleet faults cost this run (all zeros for a clean
-    /// run or in passthrough mode).
+    /// run).
     pub degradation: FleetDegradationReport,
 }
 
@@ -307,21 +290,9 @@ pub fn demand_estimate(kind: AppKind) -> u64 {
     }
 }
 
-/// The per-node machine configuration of the *passthrough* path: the base
-/// config with this node's salt and size. A node whose size differs from
-/// the base keeps no stale monitor — [`MachineConfig::with_setting`]
-/// re-scales one to the node.
-fn node_machine_cfg(base: MachineConfig, node: usize, phys_total: u64) -> MachineConfig {
-    let mut cfg = base;
-    cfg.node_salt = node as u64 + 1;
-    if cfg.phys_total != phys_total {
-        cfg.phys_total = phys_total;
-        cfg.monitor = None;
-    }
-    cfg
-}
-
-/// The per-node machine configuration of the *scheduler* path. No node
+/// The per-node machine configuration: the base config at this node's
+/// size. A node whose size differs from the base keeps no stale monitor —
+/// [`MachineConfig::with_setting`] re-scales one to the node. No node
 /// salt: two nodes of the same size running the same schedule under the
 /// same faults are byte-identical simulations, so dropping the salt lets
 /// them share one content-addressed run-cache entry — the reason a 10k-node
@@ -444,7 +415,6 @@ struct Fleet<'a> {
     scenario: &'a Scenario,
     base_cfg: MachineConfig,
     fleet: &'a FleetConfig,
-    plan: &'a FleetFaultPlan,
     nodes: Vec<NodeState>,
     trace: TraceLog,
     /// Final `(node, slot in that node's app list)` per job.
@@ -478,13 +448,12 @@ impl<'a> Fleet<'a> {
         scenario: &'a Scenario,
         base_cfg: MachineConfig,
         fleet: &'a FleetConfig,
-        plan: &'a FleetFaultPlan,
         workers: usize,
     ) -> Fleet<'a> {
         let njobs = scenario.len();
         let mut degradation = FleetDegradationReport::default();
         let mut flaps: HashMap<usize, Vec<ProbeFlap>> = HashMap::new();
-        for f in &plan.flaps {
+        for f in &fleet.faults.flaps {
             if f.node < fleet.nodes.len() {
                 flaps.entry(f.node).or_default().push(*f);
             } else {
@@ -517,17 +486,15 @@ impl<'a> Fleet<'a> {
                 indexed: true,
             });
         }
-        let shard_size = fleet.shard_size.max(1);
-        let nshards = nodes.len().div_ceil(shard_size).max(1);
+        let nshards = nodes.len().div_ceil(SHARD_SIZE).max(1);
         let mut shards = vec![BTreeSet::new(); nshards];
         for n in 0..nodes.len() {
-            shards[n / shard_size].insert((0u64, n as u32));
+            shards[n / SHARD_SIZE].insert((0u64, n as u32));
         }
         Fleet {
             scenario,
             base_cfg,
             fleet,
-            plan,
             nodes,
             trace: TraceLog::new(),
             assignment: vec![None; njobs],
@@ -771,10 +738,6 @@ impl<'a> Fleet<'a> {
         view
     }
 
-    fn shard_size(&self) -> usize {
-        self.fleet.shard_size.max(1)
-    }
-
     /// Moves `node` to its new position in the shard index. Deindexed
     /// nodes (dead or quarantined) keep their key current without ever
     /// re-entering the index — only [`Fleet::set_indexed`] re-admits.
@@ -783,7 +746,7 @@ impl<'a> Fleet<'a> {
         let old = self.nodes[node].index_key;
         if key != old {
             if self.nodes[node].indexed {
-                let shard = node / self.shard_size();
+                let shard = node / SHARD_SIZE;
                 self.shards[shard].remove(&(old, node as u32));
                 self.shards[shard].insert((key, node as u32));
             }
@@ -797,7 +760,7 @@ impl<'a> Fleet<'a> {
         if self.nodes[node].indexed == on {
             return;
         }
-        let shard = node / self.shard_size();
+        let shard = node / SHARD_SIZE;
         let entry = (self.nodes[node].index_key, node as u32);
         if on {
             self.shards[shard].insert(entry);
@@ -808,14 +771,10 @@ impl<'a> Fleet<'a> {
     }
 
     /// The bounded placement scan order: the globally least-estimated
-    /// [`FleetConfig::probe_budget`] nodes, k-way-merged from the sorted
-    /// per-shard indexes (`O(shards + budget * log(shards))` per scan —
-    /// never a walk over all N nodes).
+    /// [`PROBE_BUDGET`] nodes, k-way-merged from the sorted per-shard
+    /// indexes (`O(shards + budget * log(shards))` per scan — never a walk
+    /// over all N nodes).
     fn candidate_order(&self) -> Vec<usize> {
-        let budget = self
-            .fleet
-            .probe_budget
-            .max(self.fleet.place_candidates.max(1));
         let mut iters: Vec<_> = self.shards.iter().map(|s| s.iter().copied()).collect();
         let mut heap: BinaryHeap<Reverse<((u64, u32), usize)>> =
             BinaryHeap::with_capacity(iters.len());
@@ -824,8 +783,8 @@ impl<'a> Fleet<'a> {
                 heap.push(Reverse((e, i)));
             }
         }
-        let mut out = Vec::with_capacity(budget);
-        while out.len() < budget {
+        let mut out = Vec::with_capacity(PROBE_BUDGET);
+        while out.len() < PROBE_BUDGET {
             let Some(Reverse((entry, shard))) = heap.pop() else {
                 break;
             };
@@ -1082,8 +1041,6 @@ impl<'a> Fleet<'a> {
         } else {
             self.candidate_order()
         };
-        let want = self.fleet.place_candidates.max(1);
-        let budget = self.fleet.probe_budget.max(want);
         let mut probed: Vec<NodeView> = Vec::new();
         let mut candidates: Vec<NodeView> = Vec::new();
         for node in order {
@@ -1105,7 +1062,8 @@ impl<'a> Fleet<'a> {
             if feasible {
                 candidates.push(v);
             }
-            if !exhaustive && (candidates.len() >= want || probed.len() >= budget) {
+            if !exhaustive && (candidates.len() >= PLACE_CANDIDATES || probed.len() >= PROBE_BUDGET)
+            {
                 break;
             }
         }
@@ -1203,16 +1161,15 @@ impl<'a> Fleet<'a> {
         if nshards == 0 {
             return;
         }
-        // Round-robin refresh: check k covers `refresh_shards` shards
+        // Round-robin refresh: check k covers `REFRESH_SHARDS` shards
         // starting where check k-1 left off.
-        let refresh = self.fleet.refresh_shards.clamp(1, nshards);
+        let refresh = REFRESH_SHARDS.min(nshards);
         let start = (check as usize - 1).wrapping_mul(refresh) % nshards;
-        let shard_size = self.shard_size();
         let mut due_nodes: Vec<usize> = Vec::new();
         for i in 0..refresh {
             let shard = (start + i) % nshards;
-            let lo = shard * shard_size;
-            due_nodes.extend(lo..(lo + shard_size).min(self.nodes.len()));
+            let lo = shard * SHARD_SIZE;
+            due_nodes.extend(lo..(lo + SHARD_SIZE).min(self.nodes.len()));
         }
         due_nodes.sort_unstable();
         due_nodes.dedup();
@@ -1266,7 +1223,7 @@ impl<'a> Fleet<'a> {
                 .enumerate()
                 .filter(|&(slot, &(job, _, _))| {
                     self.assignment[job] == Some((node, slot))
-                        && self.migrations[job] < self.fleet.max_migrations
+                        && self.migrations[job] < MAX_MIGRATIONS
                         && out.run.apps.get(slot).is_some_and(|a| {
                             a.started.as_millis() <= t_ms
                                 && a.ended.is_none_or(|e| e.as_millis() > t_ms)
@@ -1289,8 +1246,6 @@ impl<'a> Fleet<'a> {
             // found by the same bounded scan placement uses (views probed
             // this check are reused, not re-recorded).
             let demand = demand_estimate(kind);
-            let want = self.fleet.place_candidates.max(1);
-            let budget = self.fleet.probe_budget.max(want);
             let mut candidates: Vec<NodeView> = Vec::new();
             let mut scanned = 0usize;
             for cand in self.candidate_order() {
@@ -1312,7 +1267,7 @@ impl<'a> Fleet<'a> {
                 if Self::admits(&v, demand) {
                     candidates.push(v);
                 }
-                if candidates.len() >= want || scanned >= budget {
+                if candidates.len() >= PLACE_CANDIDATES || scanned >= PROBE_BUDGET {
                     break;
                 }
             }
@@ -1342,12 +1297,12 @@ impl<'a> Fleet<'a> {
     /// The deterministic retry backoff for a job's `retries`-th node-loss
     /// requeue, ms: exponential in the retry count with jitter in
     /// `[0, base)` drawn from a counter-keyed [`SimRng`] — pure in
-    /// `(backoff_seed, job, retries)`, so replays are byte-identical and
+    /// `(BACKOFF_SEED, job, retries)`, so replays are byte-identical and
     /// co-lost jobs do not thunder back in lockstep.
     fn backoff_ms(&self, job: usize, retries: u32) -> u64 {
         let base = self.fleet.backoff_base.as_millis().max(1);
         let exp = base.saturating_mul(1 << (retries.saturating_sub(1)).min(5));
-        let seed = self.fleet.backoff_seed
+        let seed = BACKOFF_SEED
             ^ (job as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (u64::from(retries) << 32);
         exp + SimRng::new(seed).gen_range(base)
@@ -1477,7 +1432,7 @@ impl<'a> Fleet<'a> {
             self.nodes[node].index_key = key;
             self.nodes[node].index_effective = effective;
             self.nodes[node].indexed = true;
-            let shard = node / self.shard_size();
+            let shard = node / SHARD_SIZE;
             self.shards[shard].insert((key, node as u32));
             self.degradation.index_rebuild_nodes += 1;
         }
@@ -1489,7 +1444,7 @@ impl<'a> Fleet<'a> {
         let mut queue: EventQueue = BTreeMap::new();
         let njobs = self.scenario.len();
         let mut delay_ms = vec![0u64; njobs];
-        for d in &self.plan.placement_delays {
+        for d in &self.fleet.faults.placement_delays {
             if d.job < njobs {
                 delay_ms[d.job] += d.delay.as_millis();
             } else {
@@ -1521,7 +1476,7 @@ impl<'a> Fleet<'a> {
                 Event::Place { job, attempt: 0 },
             );
         }
-        for (i, c) in self.plan.node_crashes.iter().enumerate() {
+        for (i, c) in self.fleet.faults.node_crashes.iter().enumerate() {
             if c.node < self.nodes.len() {
                 queue.insert(
                     (c.at.as_millis(), CLASS_CRASH, i as u64),
@@ -1531,7 +1486,7 @@ impl<'a> Fleet<'a> {
                 self.degradation.faults_unapplied += 1;
             }
         }
-        for (i, at) in self.plan.scheduler_restarts.iter().enumerate() {
+        for (i, at) in self.fleet.faults.scheduler_restarts.iter().enumerate() {
             queue.insert((at.as_millis(), CLASS_RESTART, i as u64), Event::Restart);
         }
         for k in 1..=self.fleet.rebalance_checks {
@@ -1559,50 +1514,22 @@ impl<'a> Fleet<'a> {
 
 type EventQueue = BTreeMap<(u64, u8, u64), Event>;
 
-/// Runs `scenario` on the fleet described by `fleet`.
+/// Runs `scenario` on the fleet described by `fleet`, under the fleet's
+/// fault plan ([`FleetConfig::faults`]).
 ///
-/// With `fleet.scheduler == false` this is exactly
-/// [`crate::cluster::run_cluster`] over the fleet's node sizes: every node
-/// runs the full schedule and per-app completion is the slowest node.
-///
-/// With the scheduler on (requires an M3 `setting` — placement reacts to
-/// monitor pressure), each job is admitted onto one node, and the returned
-/// [`ClusterResult`] holds final-node runtimes measured from each job's
-/// *arrival*.
+/// Requires an M3 `setting` — placement reacts to monitor pressure. Each
+/// job is admitted onto one node, and the returned [`ClusterResult`] holds
+/// final-node runtimes measured from each job's *arrival*. Injected faults
+/// — node crashes, flapping probe endpoints, delayed placements, scheduler
+/// restarts — are accounted in [`FleetResult::degradation`], and
+/// [`FleetOracle`]'s recovery invariants run on every trace.
 pub fn run_fleet(
     scenario: &Scenario,
     setting: &Setting,
     machine_cfg: MachineConfig,
     fleet: &FleetConfig,
 ) -> FleetResult {
-    run_fleet_with_faults(
-        scenario,
-        setting,
-        machine_cfg,
-        fleet,
-        &FleetFaultPlan::none(),
-    )
-}
-
-/// [`run_fleet`] under an injected [`FleetFaultPlan`]: node crashes,
-/// flapping probe endpoints, delayed placements and scheduler restarts.
-/// The returned [`FleetResult::degradation`] accounts what the faults
-/// cost; [`FleetOracle`]'s recovery invariants run on every trace.
-pub fn run_fleet_with_faults(
-    scenario: &Scenario,
-    setting: &Setting,
-    machine_cfg: MachineConfig,
-    fleet: &FleetConfig,
-    plan: &FleetFaultPlan,
-) -> FleetResult {
-    run_fleet_faulted_with_workers(
-        scenario,
-        setting,
-        machine_cfg,
-        fleet,
-        plan,
-        crate::parallel::worker_threads(),
-    )
+    run_fleet_with_workers(scenario, setting, machine_cfg, fleet, worker_threads())
 }
 
 /// [`run_fleet`] with an explicit worker count. The result is bit-identical
@@ -1616,54 +1543,14 @@ pub fn run_fleet_with_workers(
     fleet: &FleetConfig,
     workers: usize,
 ) -> FleetResult {
-    run_fleet_faulted_with_workers(
-        scenario,
-        setting,
-        machine_cfg,
-        fleet,
-        &FleetFaultPlan::none(),
-        workers,
-    )
-}
-
-/// [`run_fleet_with_faults`] with an explicit worker count.
-pub fn run_fleet_faulted_with_workers(
-    scenario: &Scenario,
-    setting: &Setting,
-    machine_cfg: MachineConfig,
-    fleet: &FleetConfig,
-    plan: &FleetFaultPlan,
-    workers: usize,
-) -> FleetResult {
     assert!(!fleet.nodes.is_empty(), "need at least one node");
-    if !fleet.scheduler {
-        assert!(
-            plan.is_empty(),
-            "fleet faults need the scheduler; passthrough mode has no \
-             placement decisions to disrupt"
-        );
-        let node_cfgs = fleet
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| node_machine_cfg(machine_cfg, i, n.phys_total))
-            .collect();
-        let cluster = run_cluster_nodes(scenario, setting, node_cfgs);
-        return FleetResult {
-            cluster,
-            jobs: Vec::new(),
-            trace: TraceLog::new(),
-            violations: Vec::new(),
-            degradation: FleetDegradationReport::default(),
-        };
-    }
     assert!(
         setting.is_m3(),
         "the fleet scheduler places by monitor pressure; run static \
-         baselines with `scheduler: false`"
+         baselines on replicated workers with `run_cluster`"
     );
     let njobs = scenario.len();
-    let mut state = Fleet::new(scenario, machine_cfg, fleet, plan, workers);
+    let mut state = Fleet::new(scenario, machine_cfg, fleet, workers);
     state.run_events();
 
     // Final full-length run per non-empty node, in parallel via the node
@@ -1771,38 +1658,21 @@ pub fn fleet_cache_stats() -> CacheStats {
 }
 
 /// Content-addressed [`run_fleet`]: the fingerprint of the `(scenario,
-/// setting, machine_cfg, fleet_cfg, fault_plan)` quintuple keys a
-/// process-wide cache ([`MemoCache`]), and an identical earlier fleet run
-/// is returned as a shared [`Arc`] without re-running the scheduler. The
-/// machine config is normalized through [`MachineConfig::with_setting`]
-/// before keying, like the node cache. The fault plan is part of the key
-/// so chaos runs never collide with clean cached results.
+/// setting, machine_cfg, fleet_cfg)` quadruple keys a process-wide cache
+/// ([`MemoCache`]), and an identical earlier fleet run is returned as a
+/// shared [`Arc`] without re-running the scheduler. The machine config is
+/// normalized through [`MachineConfig::with_setting`] before keying, like
+/// the node cache. The fleet config carries the fault plan, so chaos runs
+/// never collide with clean cached results.
 pub fn run_fleet_cached(
     scenario: &Scenario,
     setting: &Setting,
     machine_cfg: MachineConfig,
     fleet: &FleetConfig,
 ) -> Arc<FleetResult> {
-    run_fleet_cached_faulted(
-        scenario,
-        setting,
-        machine_cfg,
-        fleet,
-        &FleetFaultPlan::none(),
-    )
-}
-
-/// [`run_fleet_cached`] under an injected [`FleetFaultPlan`].
-pub fn run_fleet_cached_faulted(
-    scenario: &Scenario,
-    setting: &Setting,
-    machine_cfg: MachineConfig,
-    fleet: &FleetConfig,
-    plan: &FleetFaultPlan,
-) -> Arc<FleetResult> {
     let cfg = machine_cfg.with_setting(setting);
-    FLEET_CACHE.get_or_compute(&(scenario, setting, &cfg, fleet, plan), || {
-        run_fleet_with_faults(scenario, setting, machine_cfg, fleet, plan)
+    FLEET_CACHE.get_or_compute(&(scenario, setting, &cfg, fleet), || {
+        run_fleet(scenario, setting, machine_cfg, fleet)
     })
 }
 
@@ -1908,20 +1778,6 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_mode_emits_no_fleet_events() {
-        let scenario = Scenario::uniform("M", 0);
-        let res = run_fleet(
-            &scenario,
-            &Setting::m3(1),
-            quick_cfg(),
-            &FleetConfig::passthrough(2),
-        );
-        assert!(res.trace.is_empty());
-        assert!(res.jobs.is_empty());
-        assert_eq!(res.cluster.per_node_s[0].len(), 2);
-    }
-
-    #[test]
     fn idle_node_probes_never_simulate() {
         // An idle node's probe answers from the precomputed per-size
         // summary: no probe simulation is cached (or run) for it, and the
@@ -1929,8 +1785,7 @@ mod tests {
         let scenario = Scenario::uniform("MM", 0);
         let fleet = small_fleet();
         let cfg = quick_cfg();
-        let clean = FleetFaultPlan::none();
-        let mut state = Fleet::new(&scenario, cfg, &fleet, &clean, 1);
+        let mut state = Fleet::new(&scenario, cfg, &fleet, 1);
         let v = state.probe(2, SimTime::from_millis(1_000));
         assert!(
             state.nodes[2].probe.is_none(),
@@ -1952,10 +1807,9 @@ mod tests {
         let scenario = fleet_canonical();
         let fleet = small_fleet();
         let cfg = quick_cfg();
-        let clean = FleetFaultPlan::none();
-        let mut a = Fleet::new(&scenario, cfg, &fleet, &clean, 1);
+        let mut a = Fleet::new(&scenario, cfg, &fleet, 1);
         a.run_events();
-        let mut b = Fleet::new(&scenario, cfg, &fleet, &clean, 1);
+        let mut b = Fleet::new(&scenario, cfg, &fleet, 1);
         b.run_events();
         for node in 0..b.nodes.len() {
             b.nodes[node].probe = None; // whole-fleet re-probe
@@ -2003,7 +1857,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scheduler: false")]
+    #[should_panic(expected = "`run_cluster`")]
     fn scheduler_mode_rejects_static_settings() {
         let scenario = Scenario::uniform("M", 0);
         run_fleet(
@@ -2231,9 +2085,9 @@ mod tests {
         // job must re-enter the queue, land elsewhere, and complete — with
         // the loss fully accounted in the degradation report.
         let scenario = Scenario::uniform("M", 0);
-        let fleet = small_fleet();
-        let plan = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
-        let res = run_fleet_with_faults(&scenario, &Setting::m3(1), quick_cfg(), &fleet, &plan);
+        let mut fleet = small_fleet();
+        fleet.faults = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
+        let res = run_fleet(&scenario, &Setting::m3(1), quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.nodes_lost, 1);
         assert_eq!(res.degradation.jobs_lost, 1);
@@ -2266,8 +2120,8 @@ mod tests {
         let scenario = Scenario::uniform("M", 0);
         let mut fleet = small_fleet();
         fleet.retry_budget = 0;
-        let plan = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
-        let res = run_fleet_with_faults(&scenario, &Setting::m3(1), quick_cfg(), &fleet, &plan);
+        fleet.faults = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
+        let res = run_fleet(&scenario, &Setting::m3(1), quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.jobs_orphaned, 1);
         assert_eq!(res.degradation.jobs_rescheduled, 0);
@@ -2303,12 +2157,12 @@ mod tests {
         fleet.quarantine_healthy = 3;
         fleet.rebalance_period = SimDuration::from_secs(60);
         fleet.rebalance_checks = 30;
-        let plan = FleetFaultPlan::none().with_flap(
+        fleet.faults = FleetFaultPlan::none().with_flap(
             1,
             SimDuration::from_secs(30),
             SimDuration::from_secs(1_000),
         );
-        let res = run_fleet_with_faults(&scenario, &Setting::m3(1), quick_cfg(), &fleet, &plan);
+        let res = run_fleet(&scenario, &Setting::m3(1), quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.quarantine_episodes, 1);
         assert!(res.degradation.probe_failures > 0);
@@ -2346,10 +2200,10 @@ mod tests {
         let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
         fleet.stale_window = SimDuration::from_secs(10_000);
         fleet.rebalance_checks = 5;
-        let plan = FleetFaultPlan::none()
+        fleet.faults = FleetFaultPlan::none()
             .with_flap(0, SimDuration::ZERO, SimDuration::from_secs(1_000))
             .with_flap(1, SimDuration::ZERO, SimDuration::from_secs(1_000));
-        let res = run_fleet_with_faults(&scenario, &Setting::m3(1), quick_cfg(), &fleet, &plan);
+        let res = run_fleet(&scenario, &Setting::m3(1), quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert!(res.degradation.stale_probe_decisions > 0);
         assert_eq!(res.degradation.probe_failures, 0);
@@ -2360,10 +2214,10 @@ mod tests {
     #[test]
     fn scheduler_restart_rebuilds_the_index() {
         let scenario = fleet_canonical();
-        let fleet = small_fleet();
-        let plan = FleetFaultPlan::none().with_scheduler_restart(SimDuration::from_secs(300));
+        let mut fleet = small_fleet();
+        fleet.faults = FleetFaultPlan::none().with_scheduler_restart(SimDuration::from_secs(300));
         let setting = Setting::m3(scenario.len());
-        let res = run_fleet_with_faults(&scenario, &setting, quick_cfg(), &fleet, &plan);
+        let res = run_fleet(&scenario, &setting, quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.scheduler_restarts, 1);
         assert_eq!(
@@ -2376,11 +2230,11 @@ mod tests {
     #[test]
     fn delayed_placement_shifts_the_arrival() {
         let scenario = Scenario::uniform("M", 0);
-        let fleet = small_fleet();
+        let mut fleet = small_fleet();
         let setting = Setting::m3(1);
         let clean = run_fleet(&scenario, &setting, quick_cfg(), &fleet);
-        let plan = FleetFaultPlan::none().with_placement_delay(0, SimDuration::from_secs(60));
-        let res = run_fleet_with_faults(&scenario, &setting, quick_cfg(), &fleet, &plan);
+        fleet.faults = FleetFaultPlan::none().with_placement_delay(0, SimDuration::from_secs(60));
+        let res = run_fleet(&scenario, &setting, quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.placements_delayed, 1);
         assert_eq!(res.degradation.placement_delay_ms, 60_000);
@@ -2399,17 +2253,17 @@ mod tests {
         let scenario = Scenario::uniform("M", 0);
         let cfg = quick_cfg();
         let setting = Setting::m3(1);
-        let fleet = small_fleet();
+        let mut fleet = small_fleet();
         let clean = run_fleet_cached(&scenario, &setting, cfg, &fleet);
-        let plan = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
-        let chaotic = run_fleet_cached_faulted(&scenario, &setting, cfg, &fleet, &plan);
+        fleet.faults = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
+        let chaotic = run_fleet_cached(&scenario, &setting, cfg, &fleet);
         assert!(
             !Arc::ptr_eq(&clean, &chaotic),
             "a chaos run must never collide with a clean cached result"
         );
         assert_eq!(clean.degradation.nodes_lost, 0);
         assert_eq!(chaotic.degradation.nodes_lost, 1);
-        let again = run_fleet_cached_faulted(&scenario, &setting, cfg, &fleet, &plan);
+        let again = run_fleet_cached(&scenario, &setting, cfg, &fleet);
         assert!(
             Arc::ptr_eq(&chaotic, &again),
             "the same fault plan must hit its own cache entry"
@@ -2419,14 +2273,14 @@ mod tests {
     #[test]
     fn unknown_fault_targets_are_counted_not_applied() {
         let scenario = Scenario::uniform("M", 0);
-        let fleet = small_fleet();
+        let mut fleet = small_fleet();
         let setting = Setting::m3(1);
-        let plan = FleetFaultPlan::none()
+        let clean = run_fleet(&scenario, &setting, quick_cfg(), &fleet);
+        fleet.faults = FleetFaultPlan::none()
             .with_node_crash(SimDuration::from_secs(60), 99)
             .with_flap(99, SimDuration::ZERO, SimDuration::from_secs(60))
             .with_placement_delay(99, SimDuration::from_secs(60));
-        let clean = run_fleet(&scenario, &setting, quick_cfg(), &fleet);
-        let res = run_fleet_with_faults(&scenario, &setting, quick_cfg(), &fleet, &plan);
+        let res = run_fleet(&scenario, &setting, quick_cfg(), &fleet);
         assert_eq!(res.degradation.faults_unapplied, 3);
         assert_eq!(
             serde_json::to_string(&res.jobs).expect("serialize"),
@@ -2447,8 +2301,7 @@ mod tests {
         fleet.grace = SimDuration::ZERO;
         fleet.rebalance_period = SimDuration::from_secs(1);
         fleet.rebalance_checks = 150;
-        let clean = FleetFaultPlan::none();
-        let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, &clean, 1);
+        let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, 1);
         state.run_events();
         let with_faults: Vec<&FaultPlan> = state
             .nodes
@@ -2469,15 +2322,15 @@ mod tests {
     #[test]
     fn chaos_runs_are_deterministic() {
         let scenario = fleet_canonical();
-        let fleet = small_fleet();
+        let mut fleet = small_fleet();
         let setting = Setting::m3(scenario.len());
-        let plan = FleetFaultPlan::none()
+        fleet.faults = FleetFaultPlan::none()
             .with_node_crash(SimDuration::from_secs(120), 1)
             .with_flap(0, SimDuration::from_secs(60), SimDuration::from_secs(600))
             .with_placement_delay(2, SimDuration::from_secs(30))
             .with_scheduler_restart(SimDuration::from_secs(240));
-        let a = run_fleet_faulted_with_workers(&scenario, &setting, quick_cfg(), &fleet, &plan, 1);
-        let b = run_fleet_faulted_with_workers(&scenario, &setting, quick_cfg(), &fleet, &plan, 4);
+        let a = run_fleet_with_workers(&scenario, &setting, quick_cfg(), &fleet, 1);
+        let b = run_fleet_with_workers(&scenario, &setting, quick_cfg(), &fleet, 4);
         assert_eq!(
             serde_json::to_string(&a).expect("serialize"),
             serde_json::to_string(&b).expect("serialize"),

@@ -61,8 +61,8 @@ pub use kvtrace::{
 };
 pub use machine::{AppResult, Machine, MachineConfig, RunResult, ScheduleEntry};
 pub use parallel::{
-    cache_stats, parallel_map, run_scenario_cached, run_scenario_cached_faulted,
-    run_scenarios_parallel, run_scenarios_parallel_with, worker_threads, CacheStats,
+    cache_stats, parallel_map, run_scenario_cached, run_scenario_cached_faulted, worker_threads,
+    CacheStats,
 };
 pub use runner::{app_name, run_scenario, run_scenario_with_faults, ScenarioOutcome};
 pub use scenario::{AppKind, Scenario};

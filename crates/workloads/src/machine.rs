@@ -199,8 +199,8 @@ pub struct RunResult {
     /// Time-weighted mean of total committed bytes (§7.3's effective
     /// utilization measure).
     pub mean_rss: f64,
-    /// Fault-injection accounting and monitor degradation telemetry
-    /// (all-zero for fault-free runs).
+    /// Fault-injection accounting (all-zero for fault-free runs). How the
+    /// monitor degraded under the faults is in [`RunResult::monitor_stats`].
     pub degradation: DegradationReport,
     /// The typed end-to-end event trace (empty when capture is disabled).
     pub trace: TraceLog,
@@ -266,68 +266,32 @@ impl Machine {
     /// Runs a schedule of `(name, start, blueprint)` to completion (or the
     /// time cap) and returns per-app results plus the memory profile.
     pub fn run(&self, schedule: Vec<ScheduleEntry>) -> RunResult {
-        self.run_full(schedule, None, &FaultPlan::none(), &[])
+        self.run_with(schedule, &FaultPlan::none(), &[], None)
     }
 
-    /// Like [`Machine::run`], with a criticality class per schedule entry
-    /// (missing entries default to `Standard`). Classes change how a job
-    /// answers pressure: batch jobs treat the advisory low signal as a high
-    /// one (earlier, larger reclamation), latency-critical jobs ignore the
-    /// low signal and only reclaim on high, and the class is written into
-    /// the job's PID file so the monitor's kill ordering sees it.
-    pub fn run_classed(&self, schedule: Vec<ScheduleEntry>, classes: &[JobClass]) -> RunResult {
-        self.run_full(schedule, None, &FaultPlan::none(), classes)
-    }
-
-    /// Like [`Machine::run`], but places each scheduled application in its
-    /// own container with a static limit (`memory.high` semantics: members
-    /// of an over-limit container receive reclaim pressure once per second).
-    /// This is the per-container static baseline for the paper's §9
-    /// container question.
-    pub fn run_with_containers(
-        &self,
-        schedule: Vec<ScheduleEntry>,
-        container_limits: Option<Vec<u64>>,
-    ) -> RunResult {
-        self.run_full(schedule, container_limits, &FaultPlan::none(), &[])
-    }
-
-    /// Legacy failure injection: the application at schedule index `idx` is
-    /// killed (as by a crash) at each `(t, idx)` in `kills`. Equivalent to
-    /// [`Machine::run_with_faults`] with a crash-only [`FaultPlan`].
-    pub fn run_with_chaos(
-        &self,
-        schedule: Vec<ScheduleEntry>,
-        kills: Vec<(SimDuration, usize)>,
-    ) -> RunResult {
-        self.run_full(schedule, None, &FaultPlan::from_kills(kills), &[])
-    }
-
-    /// Fault injection: runs the schedule while executing `faults` against
-    /// it — crashes, non-cooperation, leaks, signal loss/delay, meminfo
-    /// outages, registration churn. The returned
-    /// [`RunResult::degradation`] accounts for every injected item.
-    pub fn run_with_faults(&self, schedule: Vec<ScheduleEntry>, faults: &FaultPlan) -> RunResult {
-        self.run_full(schedule, None, faults, &[])
-    }
-
-    /// [`Machine::run_with_faults`] with per-entry criticality classes (see
-    /// [`Machine::run_classed`]).
-    pub fn run_with_faults_classed(
+    /// [`Machine::run`] with everything a run can vary beyond its schedule:
+    ///
+    /// - `faults` are executed against the schedule — crashes,
+    ///   non-cooperation, leaks, signal loss/delay, meminfo outages,
+    ///   registration churn — and [`RunResult::degradation`] accounts for
+    ///   every injected item;
+    /// - `classes` gives each schedule entry a criticality class (missing
+    ///   entries default to `Standard`). Batch jobs treat the advisory low
+    ///   signal as a high one (earlier, larger reclamation),
+    ///   latency-critical jobs ignore the low signal and only reclaim on
+    ///   high, and the class is written into the job's PID file so the
+    ///   monitor's kill ordering sees it;
+    /// - `container_limits`, one per schedule entry, places each
+    ///   application in its own container with a static limit
+    ///   (`memory.high` semantics: members of an over-limit container
+    ///   receive reclaim pressure once per second) — the per-container
+    ///   static baseline for the paper's §9 container question.
+    pub fn run_with(
         &self,
         schedule: Vec<ScheduleEntry>,
         faults: &FaultPlan,
         classes: &[JobClass],
-    ) -> RunResult {
-        self.run_full(schedule, None, faults, classes)
-    }
-
-    fn run_full(
-        &self,
-        schedule: Vec<ScheduleEntry>,
         container_limits: Option<Vec<u64>>,
-        faults: &FaultPlan,
-        classes: &[JobClass],
     ) -> RunResult {
         let mut kernel = Kernel::new(KernelConfig::with_total(self.cfg.phys_total));
         if !self.cfg.capture_trace {
@@ -827,14 +791,6 @@ impl Machine {
         let fault_stats = kernel.signal_fault_stats();
         degradation.signals_dropped = fault_stats.dropped;
         degradation.signals_delayed = fault_stats.delayed;
-        if let Some(m) = monitor.as_ref() {
-            degradation.degraded_polls = m.stats.degraded_polls;
-            degradation.watchdog_escalations = m.stats.watchdog_escalations;
-            degradation.watchdog_resignals = m.stats.watchdog_resignals;
-            degradation.polls_above_top = m.stats.polls_above_top;
-            degradation.time_above_top =
-                SimDuration::from_millis(poll_period.as_millis() * m.stats.polls_above_top);
-        }
 
         // Every traced run is checked against the paper's invariants on the
         // way out; callers find divergences in `violations`.
@@ -1027,7 +983,7 @@ mod tests {
             spark_entry_ws("b", 2, 8, true, 6),
         ];
         let classes = vec![crate::scenario::JobClass::new(crit, 0); 2];
-        let res = Machine::new(cfg).run_classed(entries, &classes);
+        let res = Machine::new(cfg).run_with(entries, &FaultPlan::none(), &classes, None);
         let mut low = 0;
         let mut high = 0;
         for e in res.trace.events() {

@@ -254,25 +254,6 @@ pub fn run_scenario_cached_faulted(
     })
 }
 
-/// Runs every `(scenario, setting, machine_cfg)` job on [`worker_threads`]
-/// workers, memoized, returning outcomes in submission order.
-pub fn run_scenarios_parallel(
-    jobs: Vec<(Scenario, Setting, MachineConfig)>,
-) -> Vec<Arc<ScenarioOutcome>> {
-    run_scenarios_parallel_with(jobs, worker_threads())
-}
-
-/// [`run_scenarios_parallel`] with an explicit worker count (the
-/// determinism test compares 1/4/8).
-pub fn run_scenarios_parallel_with(
-    jobs: Vec<(Scenario, Setting, MachineConfig)>,
-    workers: usize,
-) -> Vec<Arc<ScenarioOutcome>> {
-    parallel_map(jobs, workers, |(scenario, setting, cfg)| {
-        run_scenario_cached(&scenario, &setting, cfg)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,29 +364,28 @@ mod tests {
     #[test]
     fn fleet_key_changes_with_one_node_or_one_flap() {
         let cfg = MachineConfig::m3_64gb();
-        let fleet = || FleetConfig::homogeneous(4, 64 * GIB);
-        let plan = || {
-            FleetFaultPlan::none().with_flap(
+        // The fault plan rides inside the fleet config.
+        let fleet = || FleetConfig {
+            faults: FleetFaultPlan::none().with_flap(
                 1,
                 SimDuration::from_secs(60),
                 SimDuration::from_secs(120),
-            )
+            ),
+            ..FleetConfig::homogeneous(4, 64 * GIB)
         };
-        // Shaped as `run_fleet_cached_faulted` builds it.
-        let fleet_key = |fleet: &FleetConfig, plan: &FleetFaultPlan| {
-            key(&(&scenario(), &setting(), &cfg, fleet, plan))
-        };
-        let base = fleet_key(&fleet(), &plan());
-        assert_eq!(base, fleet_key(&fleet(), &plan()));
+        // Shaped as `run_fleet_cached` builds it.
+        let fleet_key = |fleet: &FleetConfig| key(&(&scenario(), &setting(), &cfg, fleet));
+        let base = fleet_key(&fleet());
+        assert_eq!(base, fleet_key(&fleet()));
 
         let mut small_node = fleet();
         small_node.nodes[2].phys_total = 32 * GIB;
-        let mut longer_flap = plan();
-        longer_flap.flaps[0].duration = SimDuration::from_secs(121);
+        let mut longer_flap = fleet();
+        longer_flap.faults.flaps[0].duration = SimDuration::from_secs(121);
         assert_all_distinct(&[
             ("base", base),
-            ("node", fleet_key(&small_node, &plan())),
-            ("flap", fleet_key(&fleet(), &longer_flap)),
+            ("node", fleet_key(&small_node)),
+            ("flap", fleet_key(&longer_flap)),
         ]);
     }
 

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use m3_sim::trace::TraceLog;
 use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultPlan;
@@ -130,20 +131,32 @@ pub fn run_scenario_with_faults(
             (app_name(kind.code(), i), start, bp)
         })
         .collect();
-    let run = machine.run_with_faults_classed(schedule, faults, &scenario.classes);
+    let run = machine.run_with(schedule, faults, &scenario.classes, None);
     if let Ok(path) = std::env::var("M3_TRACE") {
         if !path.is_empty() {
-            if let Ok(json) = serde_json::to_string_pretty(&run.trace) {
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("M3_TRACE: failed to write {path}: {e}");
-                }
-            }
+            write_trace(&path, &run.trace);
         }
     }
     ScenarioOutcome {
         scenario: scenario.name.clone(),
         setting: setting.kind,
         run,
+    }
+}
+
+/// Writes `trace` to `path` as pretty JSON, replacing the file. Node runs
+/// fan out across threads (clusters, fleets, the grid search), and two
+/// unserialized writers would each truncate the file and write from offset
+/// 0, leaving the tail of a longer trace under a shorter one; a
+/// process-wide lock makes the file hold exactly the last trace written.
+fn write_trace(path: &str, trace: &TraceLog) {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let Ok(json) = serde_json::to_string_pretty(trace) else {
+        return;
+    };
+    let _guard = LOCK.lock().expect("trace writer lock poisoned");
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("M3_TRACE: failed to write {path}: {e}");
     }
 }
 
@@ -180,18 +193,6 @@ pub fn speedup_report(m3: &ScenarioOutcome, baseline: &ScenarioOutcome) -> Speed
         mean_speedup,
         per_app,
     }
-}
-
-/// Convenience wrapper: run a scenario under M3 and under a static setting
-/// on the paper's 64-GB node, returning the speedup report.
-pub fn compare_m3_vs(
-    scenario: &Scenario,
-    baseline: &Setting,
-    machine_cfg: MachineConfig,
-) -> (SpeedupReport, ScenarioOutcome, ScenarioOutcome) {
-    let m3 = run_scenario(scenario, &Setting::m3(scenario.len()), machine_cfg);
-    let base = run_scenario(scenario, baseline, machine_cfg);
-    (speedup_report(&m3, &base), m3, base)
 }
 
 #[cfg(test)]
@@ -268,6 +269,50 @@ mod tests {
         assert_eq!(ok.mean_runtime_secs(), Some(15.0));
         let bad = outcome("X", SettingKind::Oracle, &[Some(10.0), None]);
         assert_eq!(bad.mean_runtime_secs(), None);
+    }
+
+    #[test]
+    fn concurrent_trace_writes_leave_one_whole_trace() {
+        use m3_sim::trace::TraceData;
+        use std::sync::Barrier;
+        // Traces of different lengths but similar size, so that racing
+        // writers reach the file together: it must always hold exactly one
+        // of them, byte for byte, never a shorter trace over a longer one's
+        // tail.
+        let traces: Vec<TraceLog> = (0..4u64)
+            .map(|k| {
+                let mut log = TraceLog::new();
+                for i in 0..2_000 + 100 * k {
+                    log.record(SimTime::from_millis(i), i, TraceData::ProcExit);
+                }
+                log
+            })
+            .collect();
+        let texts: Vec<String> = traces
+            .iter()
+            .map(|t| serde_json::to_string_pretty(t).expect("trace serializes"))
+            .collect();
+        let path = std::env::temp_dir().join(format!("m3-trace-race-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        let writers = 8;
+        let start = Barrier::new(writers);
+        for round in 0..60 {
+            std::thread::scope(|s| {
+                for t in traces.iter().cycle().take(writers) {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        write_trace(path, t);
+                    });
+                }
+            });
+            let written = std::fs::read_to_string(path).expect("trace file written");
+            assert!(
+                texts.contains(&written),
+                "round {round}: the trace file is not one whole trace"
+            );
+        }
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

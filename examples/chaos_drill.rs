@@ -63,18 +63,24 @@ fn main() {
         "  signals dropped / delayed:             {} / {}",
         d.signals_dropped, d.signals_delayed
     );
+    let stats = chaos
+        .run
+        .monitor_stats
+        .expect("the M3 setting runs a monitor");
+    let monitor = cfg.with_setting(&Setting::m3(scenario.len())).monitor;
+    let poll_period = monitor.expect("M3 monitor").poll_period;
     println!(
         "  degraded monitor polls:                {}",
-        d.degraded_polls
+        stats.degraded_polls
     );
     println!(
         "  watchdog re-signals / escalations:     {} / {}",
-        d.watchdog_resignals, d.watchdog_escalations
+        stats.watchdog_resignals, stats.watchdog_escalations
     );
     println!(
         "  polls above top (time):                {} ({} s)",
-        d.polls_above_top,
-        d.time_above_top.as_millis() / 1000
+        stats.polls_above_top,
+        (poll_period * stats.polls_above_top).as_millis() / 1000
     );
     for r in &d.recoveries {
         match r.recovered_after_polls {

@@ -43,7 +43,8 @@ fn main() {
         scenario.name
     );
     let clean = run_fleet(&scenario, &setting, cfg, &fleet);
-    let chaos = run_fleet_with_faults(&scenario, &setting, cfg, &fleet, &plan);
+    fleet.faults = plan;
+    let chaos = run_fleet(&scenario, &setting, cfg, &fleet);
 
     println!("\n{:<6} {:>10} {:>10}", "job", "clean (s)", "chaos (s)");
     for i in 0..scenario.len() {
@@ -95,7 +96,7 @@ fn main() {
     println!("\nfleet oracle: zero violations (run + independent replay)");
 
     // Fixed seeds: a second run must reproduce the result byte for byte.
-    let again = run_fleet_with_faults(&scenario, &setting, cfg, &fleet, &plan);
+    let again = run_fleet(&scenario, &setting, cfg, &fleet);
     let a = serde_json::to_string(&chaos).expect("serialize");
     let b = serde_json::to_string(&again).expect("serialize");
     assert_eq!(a, b, "fleet chaos drill must be deterministic");

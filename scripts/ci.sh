@@ -5,6 +5,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The benchmark is a workspace of its own (perfbench/Cargo.toml), so the
+# workspace build, tests and clippy never compile it; build it here so a
+# public-API change that breaks it fails CI.
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
 # Every test of every workspace member: the root package's suites, the
 # member crates' unit tests and their doctests.
 cargo test -q --workspace

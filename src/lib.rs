@@ -60,17 +60,14 @@ pub mod prelude {
         PlacementDelay, ProbeFlap,
     };
     pub use m3_workloads::fleet::{
-        run_fleet, run_fleet_cached, run_fleet_cached_faulted, run_fleet_faulted_with_workers,
-        run_fleet_with_faults, run_fleet_with_workers, FleetConfig, FleetResult, JobOutcome,
+        run_fleet, run_fleet_cached, run_fleet_with_workers, FleetConfig, FleetResult, JobOutcome,
         NodeSpec, PlacementPolicy,
     };
     pub use m3_workloads::kvtrace::{
         run_cache_trace, run_cache_trace_cached, CachePolicy, CacheTraceOutcome,
     };
     pub use m3_workloads::machine::{Machine, MachineConfig, RunResult};
-    pub use m3_workloads::runner::{
-        compare_m3_vs, run_scenario, run_scenario_with_faults, speedup_report,
-    };
+    pub use m3_workloads::runner::{run_scenario, run_scenario_with_faults, speedup_report};
     pub use m3_workloads::scenario::{
         fleet_canonical, fleet_scale_scenario, mixed_criticality_scenario, AppKind, JobClass,
         Scenario,

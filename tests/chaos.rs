@@ -62,7 +62,7 @@ fn small_m3_cfg() -> MachineConfig {
 }
 
 fn run_bytes(cfg: MachineConfig, schedule: Vec<ScheduleEntry>, plan: &FaultPlan) -> String {
-    let res = Machine::new(cfg).run_with_faults(schedule, plan);
+    let res = Machine::new(cfg).run_with(schedule, plan, &[], None);
     serde_json::to_string(&res).expect("serialize run")
 }
 
@@ -158,7 +158,7 @@ fn watchdog_escalates_unresponsive_participant_to_kill() {
     let mut cfg = small_m3_cfg();
     cfg.monitor.as_mut().expect("m3 node").kill_timeout = SimDuration::from_secs(10);
     let plan = FaultPlan::none().with_unresponsive(SimDuration::from_secs(100), 1, 0.0);
-    let res = Machine::new(cfg).run_with_faults(schedule, &plan);
+    let res = Machine::new(cfg).run_with(schedule, &plan, &[], None);
 
     let hog = &res.apps[1];
     assert!(
@@ -173,19 +173,22 @@ fn watchdog_escalates_unresponsive_participant_to_kill() {
 
     let d = &res.degradation;
     assert_eq!(d.faults_applied, 1);
+    let stats = res.monitor_stats.expect("monitor ran");
     assert!(
-        d.watchdog_escalations >= 1,
-        "the watchdog must have escalated: {d:?}"
+        stats.watchdog_escalations >= 1,
+        "the watchdog must have escalated: {stats:?}"
     );
     assert!(
-        d.watchdog_resignals >= 1,
-        "escalated participants are re-signalled with backoff: {d:?}"
+        stats.watchdog_resignals >= 1,
+        "escalated participants are re-signalled with backoff: {stats:?}"
     );
     // The kill timeout (10 polls above top) demonstrably elapsed before
     // the monitor killed its way back below top.
+    let poll_period = cfg.monitor.expect("m3 node").poll_period;
     assert!(
-        d.polls_above_top >= 10 && d.time_above_top >= SimDuration::from_secs(10),
-        "the system must have lingered above top for the kill timeout: {d:?}"
+        stats.polls_above_top >= 10
+            && poll_period * stats.polls_above_top >= SimDuration::from_secs(10),
+        "the system must have lingered above top for the kill timeout: {stats:?}"
     );
     // Recovery: the fault drove a real above-top excursion and the system
     // returned below the high threshold, measured in polls. (The recorded
@@ -196,7 +199,6 @@ fn watchdog_escalates_unresponsive_participant_to_kill() {
         .recovered_after_polls
         .unwrap_or_else(|| panic!("the system must return below top after the kill: {d:?}"));
     assert!(recovered >= 1, "a real excursion must have been measured");
-    let stats = res.monitor_stats.expect("monitor ran");
     assert!(stats.kills >= 1);
 }
 
@@ -214,7 +216,7 @@ fn unapplied_chaos_is_recorded_not_dropped() {
         .with_crash(SimDuration::from_secs(5), 99)
         // Far beyond the run's natural end.
         .with_leak(SimDuration::from_secs(35_000), 0, MIB);
-    let res = Machine::new(small_m3_cfg()).run_with_faults(schedule, &plan);
+    let res = Machine::new(small_m3_cfg()).run_with(schedule, &plan, &[], None);
     let d = &res.degradation;
     assert_eq!(d.faults_injected, 5);
     assert_eq!(d.faults_applied, 1, "only the 60-s crash applies");
@@ -244,7 +246,7 @@ fn registration_churn_applies_and_the_run_is_unharmed() {
             GIB / 4,
             SimDuration::from_secs(20),
         );
-    let res = Machine::new(small_m3_cfg()).run_with_faults(schedule(), &plan);
+    let res = Machine::new(small_m3_cfg()).run_with(schedule(), &plan, &[], None);
     assert!(res.all_finished(), "churn bystanders must not hurt the app");
     assert_eq!(res.degradation.faults_applied, 2);
     // The ghost/bystander pid dance is deterministic too.
@@ -258,12 +260,12 @@ fn degraded_polling_is_counted_during_outages() {
     let schedule = vec![m3_entry("a", 0, 2, 50)];
     let plan =
         FaultPlan::none().with_poll_outage(SimDuration::from_secs(20), SimDuration::from_secs(10));
-    let res = Machine::new(small_m3_cfg()).run_with_faults(schedule, &plan);
+    let res = Machine::new(small_m3_cfg()).run_with(schedule, &plan, &[], None);
     assert!(res.all_finished());
-    let d = &res.degradation;
+    let stats = res.monitor_stats.expect("monitor ran");
     assert!(
-        d.degraded_polls >= 9,
-        "a 10-s outage at 1-s polling must produce ~10 degraded polls: {d:?}"
+        stats.degraded_polls >= 9,
+        "a 10-s outage at 1-s polling must produce ~10 degraded polls: {stats:?}"
     );
 }
 

@@ -15,7 +15,7 @@ use m3::workloads::machine::MachineConfig;
 use m3::workloads::runner::{run_scenario, run_scenario_with_faults};
 use m3::workloads::scenario::Scenario;
 use m3::workloads::settings::Setting;
-use m3::workloads::{parallel_map, run_scenarios_parallel_with};
+use m3::workloads::{parallel_map, run_scenario_cached};
 
 /// A small but representative job mix: stock and M3 regimes, solo and
 /// staggered multi-app schedules, analytics and cache kinds — with profile
@@ -60,7 +60,9 @@ fn parallel_harness_matches_serial_at_1_4_8_workers() {
         .collect();
     for workers in [1, 4, 8] {
         for rep in 0..2 {
-            let outs = run_scenarios_parallel_with(jobs.clone(), workers);
+            let outs = parallel_map(jobs.clone(), workers, |(s, set, cfg)| {
+                run_scenario_cached(&s, &set, cfg)
+            });
             assert_eq!(outs.len(), jobs.len());
             for (i, out) in outs.iter().enumerate() {
                 let bytes = serde_json::to_string(&out.run).expect("serialize run");
@@ -75,7 +77,7 @@ fn parallel_harness_matches_serial_at_1_4_8_workers() {
 
 #[test]
 fn uncached_parallel_fanout_matches_serial() {
-    // `run_scenarios_parallel_with` may answer repeats from the memo cache;
+    // `run_scenario_cached` may answer repeats from the memo cache;
     // this variant forces a fresh simulation per job on every worker count,
     // proving the fan-out itself (not just the cache) is deterministic.
     let jobs = jobs();

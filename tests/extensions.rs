@@ -47,8 +47,12 @@ fn container_limits_pressure_their_members() {
         })
         .collect();
     // The Go-Cache's full demand is ~46 GiB; a 10-GiB container must cap it.
-    let res =
-        Machine::new(quick_cfg()).run_with_containers(schedule, Some(vec![10 * GIB, 40 * GIB]));
+    let res = Machine::new(quick_cfg()).run_with(
+        schedule,
+        &FaultPlan::none(),
+        &[],
+        Some(vec![10 * GIB, 40 * GIB]),
+    );
     let cache = &res.apps[0];
     assert!(cache.finished.is_some(), "capped cache still completes");
     assert!(
@@ -73,8 +77,12 @@ fn m3_beats_static_containers_on_phase_shifting_workload() {
             (m3::workloads::app_name(kind.code(), i), start, bp)
         })
         .collect();
-    let contained = Machine::new(quick_cfg())
-        .run_with_containers(schedule, Some(vec![27 * GIB, 11 * GIB, 24 * GIB]));
+    let contained = Machine::new(quick_cfg()).run_with(
+        schedule,
+        &FaultPlan::none(),
+        &[],
+        Some(vec![27 * GIB, 11 * GIB, 24 * GIB]),
+    );
     let m3_mean = m3.mean_runtime_secs().expect("m3 finishes");
     let cont_mean = mean_runtime(&contained).expect("containers finish");
     assert!(
@@ -150,7 +158,8 @@ fn crash_mid_run_frees_memory_for_survivors() {
         .collect();
     let mut cfg = quick_cfg();
     cfg.monitor = Some(MonitorConfig::paper_64gb());
-    let res = Machine::new(cfg).run_with_chaos(schedule, vec![(SimDuration::from_secs(120), 0)]);
+    let crash = FaultPlan::none().with_crash(SimDuration::from_secs(120), 0);
+    let res = Machine::new(cfg).run_with(schedule, &crash, &[], None);
     let cache = &res.apps[0];
     assert!(cache.killed, "the injected crash must be recorded");
     assert!(cache.finished.is_none());
@@ -178,13 +187,10 @@ fn chaos_on_all_apps_ends_the_run() {
         .collect();
     let mut cfg = quick_cfg();
     cfg.monitor = Some(MonitorConfig::paper_64gb());
-    let res = Machine::new(cfg).run_with_chaos(
-        schedule,
-        vec![
-            (SimDuration::from_secs(30), 0),
-            (SimDuration::from_secs(40), 1),
-        ],
-    );
+    let crashes = FaultPlan::none()
+        .with_crash(SimDuration::from_secs(30), 0)
+        .with_crash(SimDuration::from_secs(40), 1);
+    let res = Machine::new(cfg).run_with(schedule, &crashes, &[], None);
     assert!(res.apps.iter().all(|a| a.killed));
     assert!(
         res.end < SimTime::from_secs(120),

@@ -1,10 +1,9 @@
 //! Fleet scheduler integration suite.
 //!
-//! End-to-end checks of the pressure-aware cluster scheduler: the
-//! passthrough mode must reproduce `run_cluster` bit for bit, conformant
+//! End-to-end checks of the pressure-aware cluster scheduler: conformant
 //! runs must pass the cluster oracle with zero violations, the canonical
-//! fleet trace is pinned by a golden snapshot, and fleet runs are
-//! deterministic and memoized.
+//! fleet trace is pinned by a golden snapshot, and fleet runs — clean and
+//! chaotic — are deterministic and memoized.
 //!
 //! Golden snapshots live in `tests/golden/`; regenerate with
 //! `M3_UPDATE_GOLDEN=1 cargo test --test fleet`. On a mismatch the
@@ -91,30 +90,6 @@ fn assert_golden(name: &str, actual: &str) {
             dump.display()
         );
     }
-}
-
-#[test]
-fn scheduler_off_reproduces_run_cluster_exactly() {
-    // With the scheduler disabled every node runs the full schedule, which
-    // must be indistinguishable — serialized bytes included — from the
-    // legacy cluster path on the paper's eight workers.
-    let scenario = fleet_canonical();
-    let setting = Setting::m3(scenario.len());
-    let via_fleet = run_fleet(
-        &scenario,
-        &setting,
-        machine(),
-        &FleetConfig::passthrough(PAPER_NODES),
-    );
-    let via_cluster = run_cluster(&scenario, &setting, machine(), PAPER_NODES);
-    assert_eq!(
-        serde_json::to_string(&via_fleet.cluster).unwrap(),
-        serde_json::to_string(&via_cluster).unwrap(),
-        "passthrough fleet must reproduce run_cluster bit for bit"
-    );
-    assert!(via_fleet.jobs.is_empty());
-    assert!(via_fleet.trace.is_empty());
-    assert!(via_fleet.violations.is_empty());
 }
 
 #[test]
@@ -249,12 +224,12 @@ fn chaotic_fleet_run_is_conformant_and_fully_accounted() {
     let setting = Setting::m3(scenario.len());
     let mut fleet = FleetConfig::homogeneous(4, 64 * GIB);
     fleet.rebalance_checks = 20;
-    let plan = FleetFaultPlan::none()
+    fleet.faults = FleetFaultPlan::none()
         .with_node_crash(SimDuration::from_secs(600), 1)
         .with_flap(2, SimDuration::from_secs(300), SimDuration::from_secs(900))
         .with_placement_delay(3, SimDuration::from_secs(120))
         .with_scheduler_restart(SimDuration::from_secs(1_200));
-    let res = run_fleet_with_faults(&scenario, &setting, machine(), &fleet, &plan);
+    let res = run_fleet(&scenario, &setting, machine(), &fleet);
     assert!(
         res.violations.is_empty(),
         "chaotic run must still be conformant: {:#?}",
@@ -281,12 +256,20 @@ fn chaotic_fleet_run_is_conformant_and_fully_accounted() {
     // An independent replay through a fresh oracle agrees.
     let again = FleetOracle::new(fleet.grace.as_millis()).check(&res.trace);
     assert!(again.is_empty(), "independent replay: {again:#?}");
-    // Chaos runs are deterministic and serde-stable end to end.
-    let repeat = run_fleet_with_faults(&scenario, &setting, machine(), &fleet, &plan);
+    // Chaos runs are deterministic and serde-stable end to end, and the
+    // memo cache answers a faulted config with the uncached result.
+    let bytes = serde_json::to_string(&res).unwrap();
+    let repeat = run_fleet(&scenario, &setting, machine(), &fleet);
     assert_eq!(
-        serde_json::to_string(&res).unwrap(),
+        bytes,
         serde_json::to_string(&repeat).unwrap(),
         "chaotic runs must be reproducible byte for byte"
+    );
+    let cached = run_fleet_cached(&scenario, &setting, machine(), &fleet);
+    assert_eq!(
+        bytes,
+        serde_json::to_string(&*cached).unwrap(),
+        "the memoized chaotic run matches the uncached computation"
     );
 }
 

@@ -190,9 +190,10 @@ proptest! {
                 spec.phys_total = 32 * GIB;
             }
         }
+        fleet.faults = plan;
         let setting = Setting::m3(scenario.len());
-        let a = run_fleet_faulted_with_workers(&scenario, &setting, machine(), &fleet, &plan, 1);
-        let b = run_fleet_faulted_with_workers(&scenario, &setting, machine(), &fleet, &plan, 8);
+        let a = run_fleet_with_workers(&scenario, &setting, machine(), &fleet, 1);
+        let b = run_fleet_with_workers(&scenario, &setting, machine(), &fleet, 8);
         prop_assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),

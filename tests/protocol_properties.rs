@@ -556,7 +556,7 @@ proptest! {
         let untouched = d.faults_applied == 0
             && d.signals_dropped == 0
             && d.signals_delayed == 0
-            && d.degraded_polls == 0;
+            && out.run.monitor_stats.is_none_or(|s| s.degraded_polls == 0);
         if untouched {
             prop_assert!(
                 out.run.violations.is_empty(),
