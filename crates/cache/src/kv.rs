@@ -417,8 +417,11 @@ impl KvApp {
         let h = self.slabs.hit_ratio();
         let cost = self.wl.request_cost_us(h);
         let n = ((budget_us as f64 / cost) as u64).clamp(1, MAX_BATCH.min(left));
+        // `exact_misses >= 0`: `h` is resident/key-space, so `1 - h >= 0`,
+        // and the carry is `exact - min(floor(exact), n) >= 0`. On
+        // non-negative values the `as` truncation equals `floor`.
         let exact_misses = n as f64 * (1.0 - h) + self.miss_carry;
-        let misses = (exact_misses.floor() as u64).min(n);
+        let misses = (exact_misses as u64).min(n);
         self.miss_carry = exact_misses - misses as f64;
 
         let pause = self.insert_items(os, now, misses);

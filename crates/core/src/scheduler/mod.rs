@@ -185,7 +185,6 @@ impl<C: Sync> ReclaimScheduler<C> {
         }
 
         let n = self.packets.len();
-        let workers = self.cfg.worker_count();
         let mut finished = vec![false; n];
         let mut stats = PacketStats::default();
         let mut outcome = SignalOutcome::default();
@@ -230,9 +229,11 @@ impl<C: Sync> ReclaimScheduler<C> {
 
             // Pure costing pass, fanned out when the wave is large enough.
             // `parallel_map` merges in submission order, so the planned
-            // bytes land in the same slots for any worker count.
+            // bytes land in the same slots for any worker count. Only a
+            // wave that fans out reads the worker count: with `M3_JOBS`
+            // unset that reads cgroup files, which most drains never need.
             let cost_workers = if ready.len() >= PARALLEL_COST_MIN {
-                workers
+                self.cfg.worker_count()
             } else {
                 1
             };

@@ -52,6 +52,10 @@ pub struct AdaptiveThresholds {
     window: usize,
     adaptive: bool,
     records: VecDeque<PollRecord>,
+    /// Records in the window with `above_high` set.
+    above_high: usize,
+    /// Records in the window with `above_top` set.
+    above_top: usize,
 }
 
 impl AdaptiveThresholds {
@@ -67,6 +71,8 @@ impl AdaptiveThresholds {
             window: cfg.window,
             adaptive: cfg.adaptive,
             records: VecDeque::with_capacity(cfg.window),
+            above_high: 0,
+            above_top: 0,
         }
     }
 
@@ -85,20 +91,15 @@ impl AdaptiveThresholds {
         self.top
     }
 
-    /// Fraction of windowed polls above the high threshold.
+    /// Fraction of windowed polls above the high threshold. Only read once
+    /// the window is full, so the denominator is never zero.
     fn red_fraction(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.above_high).count() as f64 / self.records.len() as f64
+        self.above_high as f64 / self.records.len() as f64
     }
 
     /// Fraction of windowed polls above the top.
     fn above_top_fraction(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.above_top).count() as f64 / self.records.len() as f64
+        self.above_top as f64 / self.records.len() as f64
     }
 
     /// Feeds one poll's memory usage and adjusts the thresholds, reporting
@@ -107,13 +108,20 @@ impl AdaptiveThresholds {
     /// Adjustments only happen once the window is full, so early polls do
     /// not whipsaw the thresholds.
     pub fn observe(&mut self, used: u64) -> ThresholdUpdate {
+        // Keep the flagged-record counts in step with the window, so each
+        // fraction below is O(1).
         if self.records.len() == self.window {
-            self.records.pop_front();
+            let old = self.records.pop_front().expect("window is full");
+            self.above_high -= usize::from(old.above_high);
+            self.above_top -= usize::from(old.above_top);
         }
-        self.records.push_back(PollRecord {
+        let record = PollRecord {
             above_high: used > self.high,
             above_top: used > self.top,
-        });
+        };
+        self.above_high += usize::from(record.above_high);
+        self.above_top += usize::from(record.above_top);
+        self.records.push_back(record);
         if !self.adaptive || self.records.len() < self.window {
             return ThresholdUpdate::default();
         }
@@ -153,12 +161,122 @@ impl AdaptiveThresholds {
             high: (self.high != high0).then_some((high0, self.high)),
         }
     }
+
+    /// Debug invariant: the running counts equal a recount of the window,
+    /// which never outgrows its configured length.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        assert!(self.records.len() <= self.window);
+        let high = self.records.iter().filter(|r| r.above_high).count();
+        let top = self.records.iter().filter(|r| r.above_top).count();
+        assert_eq!(self.above_high, high, "above-high count drifted");
+        assert_eq!(self.above_top, top, "above-top count drifted");
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use m3_sim::units::GIB;
+    use proptest::prelude::*;
+
+    /// The adjustment rule as it was before the counted window: both
+    /// fractions are recounted from the window on every poll. Kept as the
+    /// reference the counted window must match.
+    struct RecountThresholds {
+        low: u64,
+        high: u64,
+        top: u64,
+        step: u64,
+        ratio_target: f64,
+        window: usize,
+        adaptive: bool,
+        records: VecDeque<PollRecord>,
+    }
+
+    impl RecountThresholds {
+        fn new(cfg: &MonitorConfig) -> Self {
+            RecountThresholds {
+                low: cfg.initial_low,
+                high: cfg.initial_high,
+                top: cfg.top,
+                step: cfg.step(),
+                ratio_target: cfg.ratio_target,
+                window: cfg.window,
+                adaptive: cfg.adaptive,
+                records: VecDeque::new(),
+            }
+        }
+
+        fn fraction(&self, flag: fn(&PollRecord) -> bool) -> f64 {
+            if self.records.is_empty() {
+                return 0.0;
+            }
+            self.records.iter().filter(|r| flag(r)).count() as f64 / self.records.len() as f64
+        }
+
+        fn observe(&mut self, used: u64) -> ThresholdUpdate {
+            if self.records.len() == self.window {
+                self.records.pop_front();
+            }
+            self.records.push_back(PollRecord {
+                above_high: used > self.high,
+                above_top: used > self.top,
+            });
+            if !self.adaptive || self.records.len() < self.window {
+                return ThresholdUpdate::default();
+            }
+            let (low0, high0) = (self.low, self.high);
+            let red = self.fraction(|r| r.above_high);
+            if red > self.ratio_target && used > self.high {
+                self.low = self.low.saturating_sub(self.step);
+            } else if red < self.ratio_target && used >= self.low {
+                self.low = (self.low + self.step).min(self.high);
+            }
+            let over_top = self.fraction(|r| r.above_top);
+            if over_top > self.ratio_target && used > self.top {
+                self.high = self.high.saturating_sub(self.step).max(self.low);
+            } else if over_top < self.ratio_target && used >= self.low {
+                self.high = (self.high + self.step).min(self.top.saturating_sub(self.step));
+            }
+            ThresholdUpdate {
+                low: (self.low != low0).then_some((low0, self.low)),
+                high: (self.high != high0).then_some((high0, self.high)),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn counted_window_matches_a_recount(
+            usage in proptest::collection::vec(0u64..72, 1..400),
+            window in 1usize..40,
+            ratio_den in 2u64..40,
+            adaptive in proptest::bool::ANY,
+        ) {
+            let mut c = cfg();
+            c.window = window;
+            c.ratio_target = 1.0 / ratio_den as f64;
+            c.adaptive = adaptive;
+            let mut counted = AdaptiveThresholds::new(&c);
+            let mut recount = RecountThresholds::new(&c);
+            // Usage in GiB around the 50/55/62-GiB thresholds, so every
+            // zone and both guards are exercised.
+            for (i, gib) in usage.into_iter().enumerate() {
+                let used = gib * GIB;
+                prop_assert_eq!(counted.observe(used), recount.observe(used), "poll {}", i);
+                counted.check_invariants();
+                prop_assert_eq!(
+                    (counted.low(), counted.high()),
+                    (recount.low, recount.high),
+                    "poll {}",
+                    i
+                );
+            }
+        }
+    }
 
     fn cfg() -> MonitorConfig {
         MonitorConfig::paper_64gb()
@@ -383,5 +501,7 @@ mod tests {
         // starts recovering once usage is yellow.
         fill_window(&mut t, 52 * GIB);
         assert!(t.low() >= low_after_pressure);
+        t.check_invariants();
+        assert_eq!((t.above_high, t.above_top), (0, 0), "red records aged out");
     }
 }

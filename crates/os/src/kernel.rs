@@ -67,6 +67,9 @@ impl std::error::Error for KernelError {}
 pub struct Kernel {
     config: KernelConfig,
     procs: BTreeMap<Pid, Process>,
+    /// Running total of `committed` over all processes (see
+    /// [`Kernel::committed`]).
+    committed: u64,
     signals: SignalBus,
     next_pid: Pid,
     /// Lifetime spawn counter: stamps each process with a unique
@@ -85,6 +88,7 @@ impl Kernel {
         Kernel {
             config,
             procs: BTreeMap::new(),
+            committed: 0,
             signals: SignalBus::new(),
             next_pid: 1,
             spawn_seq: 0,
@@ -156,6 +160,7 @@ impl Kernel {
     /// Marks a process exited and releases all of its memory.
     pub fn exit(&mut self, pid: Pid) {
         if let Some(p) = self.procs.get_mut(&pid) {
+            self.committed -= p.committed;
             p.committed = 0;
             p.state = ProcessState::Exited;
             self.signals.forget(pid);
@@ -168,6 +173,7 @@ impl Kernel {
     pub fn kill(&mut self, pid: Pid) {
         if let Some(p) = self.procs.get_mut(&pid) {
             if p.state == ProcessState::Running {
+                self.committed -= p.committed;
                 p.committed = 0;
                 p.state = ProcessState::Killed;
                 self.signals.send(pid, Signal::Kill);
@@ -213,6 +219,7 @@ impl Kernel {
             .filter(|p| p.is_alive())
             .ok_or(KernelError::NoSuchProcess(pid))?;
         proc.committed += bytes;
+        self.committed += bytes;
         Ok(())
     }
 
@@ -226,6 +233,7 @@ impl Kernel {
             .ok_or(KernelError::NoSuchProcess(pid))?;
         let released = bytes.min(proc.committed);
         proc.committed -= released;
+        self.committed -= released;
         if released > 0 {
             self.trace
                 .record(self.now, pid, TraceData::Madvise { bytes: released });
@@ -252,12 +260,15 @@ impl Kernel {
     }
 
     /// Sum of committed bytes over all running processes.
+    ///
+    /// O(1): the kernel keeps a running total over *every* process, updated
+    /// wherever a process's bytes change (`grow`, `release`, `exit`,
+    /// `kill`). That equals the sum over running processes because a dead
+    /// process always holds zero bytes: `exit` and `kill` zero it, `grow`
+    /// and `release` refuse the dead, and `spawn_reusing` only replaces a
+    /// dead (zero-byte) entry with a fresh zero-byte one.
     pub fn committed(&self) -> u64 {
-        self.procs
-            .values()
-            .filter(|p| p.is_alive())
-            .map(|p| p.committed)
-            .sum()
+        self.committed
     }
 
     /// Bytes currently charged to swap (committed overflow past physical).
@@ -362,6 +373,7 @@ impl Kernel {
 mod tests {
     use super::*;
     use m3_sim::units::{GIB, MIB, PAGE_SIZE};
+    use proptest::prelude::*;
 
     fn kernel(gib: u64) -> Kernel {
         Kernel::new(KernelConfig::with_total(gib * GIB))
@@ -562,5 +574,90 @@ mod tests {
         k.set_time(SimTime::from_secs(3));
         assert_eq!(k.take_signals(p), vec![Signal::HighMemory]);
         assert_eq!(k.signal_fault_stats().delayed, 1);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Spawn,
+        SpawnReusing(usize),
+        Grow(usize, u64),
+        Release(usize, u64),
+        Exit(usize),
+        Kill(usize),
+        CheckOom,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            Just(Op::Spawn),
+            (0usize..16).prop_map(Op::SpawnReusing),
+            (0usize..16, 0u64..(3 * 1024)).prop_map(|(i, mb)| Op::Grow(i, mb * MIB + i as u64)),
+            (0usize..16, 0u64..(3 * 1024)).prop_map(|(i, mb)| Op::Grow(i, mb * MIB + i as u64)),
+            (0usize..16, 0u64..(4 * 1024)).prop_map(|(i, mb)| Op::Release(i, mb * MIB)),
+            (0usize..16).prop_map(Op::Exit),
+            (0usize..16).prop_map(Op::Kill),
+            Just(Op::CheckOom),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn running_ledger_matches_the_process_table(
+            ops in proptest::collection::vec(op_strategy(), 1..300),
+        ) {
+            let mut k = kernel(4); // swap = 1 GiB, so OOM kills happen
+            let mut pids: Vec<Pid> = Vec::new();
+            for op in ops {
+                let pick = |i: usize| pids.get(i % pids.len().max(1)).copied();
+                match op {
+                    Op::Spawn => pids.push(k.spawn("p")),
+                    Op::SpawnReusing(i) => {
+                        if let Some(pid) = pick(i).filter(|&p| !k.is_alive(p)) {
+                            k.spawn_reusing(pid, "reuser");
+                        }
+                    }
+                    Op::Grow(i, bytes) => {
+                        if let Some(pid) = pick(i) {
+                            let alive = k.is_alive(pid);
+                            prop_assert_eq!(k.grow(pid, bytes).is_ok(), alive);
+                        }
+                    }
+                    Op::Release(i, bytes) => {
+                        if let Some(pid) = pick(i) {
+                            let _ = k.release(pid, bytes);
+                        }
+                    }
+                    Op::Exit(i) => {
+                        if let Some(pid) = pick(i) {
+                            k.exit(pid);
+                        }
+                    }
+                    Op::Kill(i) => {
+                        if let Some(pid) = pick(i) {
+                            k.kill(pid);
+                        }
+                    }
+                    Op::CheckOom => while k.check_oom().is_some() {},
+                }
+                let live: u64 = k.running_pids().iter().map(|&p| k.rss(p)).sum();
+                prop_assert_eq!(k.committed(), live);
+                for &pid in &pids {
+                    if !k.is_alive(pid) {
+                        prop_assert_eq!(k.rss(pid), 0, "dead pid {} holds bytes", pid);
+                    }
+                }
+                let total = k.config().total;
+                let swapped = live.saturating_sub(total);
+                prop_assert_eq!(k.swapped(), swapped);
+                let mi = k.meminfo();
+                prop_assert_eq!(mi.used, live.min(total));
+                prop_assert_eq!(mi.available, total - live.min(total));
+                prop_assert_eq!(mi.swapped, swapped);
+                let speed = k.config().swap.speed_multiplier(swapped, total);
+                prop_assert_eq!(k.thrash_multiplier().to_bits(), speed.to_bits());
+            }
+        }
     }
 }

@@ -128,7 +128,8 @@ impl MachineConfig {
     }
 
     /// The work-packet scheduler configuration every app on this node is
-    /// built with (worker count comes from `M3_JOBS` at drain time).
+    /// built with (worker count comes from `M3_JOBS` when a drain wave
+    /// fans out).
     pub fn scheduler_config(&self) -> m3_core::SchedulerConfig {
         m3_core::SchedulerConfig {
             workers: None,
@@ -635,8 +636,16 @@ impl Machine {
                 }
             });
 
-            // 4. Advance applications, slowed by any swap thrashing.
-            let budget = self.cfg.tick.mul_f64(kernel.thrash_multiplier());
+            // 4. Advance applications, slowed by any swap thrashing. Without
+            // swap the multiplier is exactly 1.0, and scaling by it returns
+            // the tick unchanged (a tick's milliseconds are exact in f64),
+            // so the float round trip is skipped.
+            let thrash = kernel.thrash_multiplier();
+            let budget = if thrash == 1.0 {
+                self.cfg.tick
+            } else {
+                self.cfg.tick.mul_f64(thrash)
+            };
             let readers = running.iter().filter(|s| s.app.uses_disk()).count();
             let mut finished_idx = Vec::new();
             for slot in &mut running {

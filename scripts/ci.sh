@@ -9,6 +9,19 @@ cargo build --release
 # workspace build, tests and clippy never compile it; build it here so a
 # public-API change that breaks it fails CI.
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
+# The benchmark's own output checks, on a small budget. The traced run
+# checks every unit's output, capture-on against capture-off outcomes, the
+# kv replay and the warm fleet repeat. perfbench exits 0 even when a unit
+# fails its check, so read the verdict from its last line.
+for workload in node_mix kv_read kv_write fleet_waves; do
+    verdict=$(cargo run --offline --release --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1)
+    case "$verdict" in
+        *'"correct": true'*) ;;
+        *) echo "perfbench $workload failed its checks: $verdict" >&2; exit 1 ;;
+    esac
+done
 # Every test of every workspace member: the root package's suites, the
 # member crates' unit tests and their doctests.
 cargo test -q --workspace
