@@ -1,5 +1,5 @@
 //! Key-granular cache-trace sweep: M3 vs Default vs static-limit under
-//! production-shaped KV traffic (ROADMAP item 1).
+//! production-shaped KV traffic (DESIGN.md §15).
 //!
 //! Each point replays a deterministic trace — Zipf(α = 1.2) popularity over
 //! ≥ 1 M distinct keys, tiered value sizes, a 90/7/3 GET/SET/DELETE mix with

@@ -8,10 +8,9 @@
 //! criticality-unaware baseline (the same workload with its classes
 //! stripped) the cache waits its turn and absorbs the pressure, so its SLO
 //! debt grows with batch load. Every point — classified and unaware — must
-//! replay through the conformance oracles with zero violations; the
-//! criticality-*violating* configurations (crit-blind kill ordering and
-//! preemption) are exercised by the test suite, where the oracle is shown
-//! to catch them.
+//! replay through the conformance oracles with zero violations. The test
+//! suite shows the oracles catch criticality-*violating* kill ordering and
+//! preemption, on real traces with their classes relabelled.
 //!
 //! Knobs: `M3_MIXED_CRIT_MAX_BATCH` caps the sweep's batch load (default
 //! 8); `M3_MIXED_CRIT_BUDGET_S` asserts a per-point wall-clock budget;

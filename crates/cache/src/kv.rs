@@ -183,8 +183,6 @@ pub struct KvApp {
     debt: SimDuration,
     miss_carry: f64,
     finished: bool,
-    /// Work-packet scheduler tunables for signal handling.
-    sched: SchedulerConfig,
     /// Drain-scoped accumulator for the keyed eviction packets.
     evict_acc: EvictAcc,
     /// Statistics.
@@ -209,17 +207,9 @@ impl KvApp {
             debt: SimDuration::ZERO,
             miss_carry: 0.0,
             finished: false,
-            sched: SchedulerConfig::default(),
             evict_acc: EvictAcc::default(),
             stats: KvStats::default(),
         }
-    }
-
-    /// Overrides the work-packet scheduler configuration (worker count,
-    /// bucket-order ablation).
-    pub fn with_scheduler(mut self, sched: SchedulerConfig) -> Self {
-        self.sched = sched;
-        self
     }
 
     /// Creates a cache app driven by a production-shaped trace (Zipf
@@ -739,7 +729,7 @@ impl M3Participant for KvApp {
             ThresholdSignal::Low => EvictReason::LowSignal,
             ThresholdSignal::High => EvictReason::HighSignal,
         };
-        let mut sched = ReclaimScheduler::new(pid, self.sched);
+        let mut sched = ReclaimScheduler::new(pid, SchedulerConfig::default());
         self.evict_acc = EvictAcc::default();
 
         // Prepare: the cache's own slab eviction. The key-granular path

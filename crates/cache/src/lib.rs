@@ -23,7 +23,7 @@
 //! simulating 6.5 million individual requests.
 //!
 //! Two richer substrates extend that analytic model to production-shaped
-//! traffic (ROADMAP item 1): [`store`] is a key-granular slab-class store
+//! traffic (DESIGN.md §15): [`store`] is a key-granular slab-class store
 //! (sharded fingerprint index, intrusive per-class LRU, slab-granular
 //! eviction) and [`trace`] generates deterministic Zipf traces with tiered
 //! value sizes, op mixes, negative lookups, and burst / diurnal /

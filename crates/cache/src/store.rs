@@ -655,25 +655,73 @@ impl KeyedSlabCache {
     }
 
     /// Debug invariant: per-class occupancy is consistent with the slab
-    /// layout and the global counters.
+    /// layout and the global counters; each class LRU is a well-formed
+    /// doubly linked list holding exactly its live items; and the
+    /// fingerprint index, the LRU lists and the free list partition the
+    /// arena.
     #[cfg(test)]
     fn check_invariants(&self) {
         let mut live = 0;
         let mut slabs = 0;
-        for c in &self.classes {
+        let mut class_bytes = 0;
+        for (class, c) in self.classes.iter().enumerate() {
             assert!(
                 c.live + c.free_chunks <= c.capacity(),
                 "class {} overcommitted",
                 c.chunk
             );
-            live += c.live;
+            assert_eq!(c.chunk * c.per_slab, self.slab_bytes, "chunks tile a slab");
+            assert!((c.live + c.free_chunks) * c.chunk <= c.slabs * self.slab_bytes);
+            class_bytes += c.slabs * self.slab_bytes;
+            // Head to tail: every back link mirrors its forward link.
+            let (mut prev, mut at, mut linked) = (NONE, c.head, 0);
+            while at != NONE {
+                let e = self.entries[at as usize];
+                assert_eq!(e.prev, prev, "class {} back link broken", c.chunk);
+                assert_eq!(e.class as usize, class, "entry linked into a foreign class");
+                linked += 1;
+                assert!(linked <= c.live, "class {} list longer than live", c.chunk);
+                (prev, at) = (at, e.next);
+            }
+            assert_eq!(prev, c.tail, "class {} tail is not the last entry", c.chunk);
+            assert_eq!(linked, c.live, "class {} list shorter than live", c.chunk);
+            live += linked;
             slabs += c.slabs;
         }
         assert_eq!(live, self.live);
         assert_eq!(slabs, self.total_slabs);
+        assert_eq!(
+            class_bytes,
+            self.resident_bytes(),
+            "class bytes sum to resident"
+        );
         assert!(self.resident_bytes() <= self.max_bytes.max(self.slab_bytes));
-        let indexed: usize = self.shards.iter().map(|s| s.live).sum();
-        assert_eq!(indexed as u64, self.live);
+        let mut indexed = 0;
+        for (s, shard) in self.shards.iter().enumerate() {
+            let mut occupied = 0;
+            for (&fp, &idx) in shard.fps.iter().zip(&shard.idxs) {
+                if idx == NONE {
+                    continue;
+                }
+                occupied += 1;
+                assert_eq!(Self::shard_of(fp), s, "fingerprint in the wrong shard");
+                assert_eq!(
+                    self.entries[idx as usize].fp, fp,
+                    "index and arena disagree"
+                );
+            }
+            assert_eq!(occupied, shard.live, "shard count is stale");
+            indexed += occupied as u64;
+        }
+        assert_eq!(indexed, live, "indexed count differs from linked count");
+        let mut free = 0;
+        let mut at = self.free_head;
+        while at != NONE {
+            free += 1;
+            assert!(free <= self.entries.len(), "free list cycles");
+            at = self.entries[at as usize].next;
+        }
+        assert_eq!(free as u64 + self.live, self.entries.len() as u64);
     }
 }
 
@@ -682,6 +730,8 @@ mod tests {
     use super::*;
     use m3_sim::rng::SimRng;
     use m3_sim::units::{KIB, MIB};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     /// Mixes a counter into a well-spread fingerprint.
     fn fp(i: u64) -> u64 {
@@ -982,6 +1032,93 @@ mod tests {
             }
         }
         c.check_invariants();
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Get(u64),
+        Insert(u64, u64),
+        Delete(u64),
+        EvictSlabs(u64),
+        EvictFraction(f64),
+        Clear,
+    }
+
+    /// The fingerprint of model key `k`. Keys below 64 share one home slot
+    /// in each of four shards, so their probe runs wrap the table and
+    /// deletes exercise the backward shift; the rest spread out.
+    fn key(k: u64) -> u64 {
+        if k < 64 {
+            ((k % 4) << 58) | (k << 16) | 0x3A
+        } else {
+            fp(k)
+        }
+    }
+
+    /// Keys come from a universe of 96, so gets hit, inserts overwrite
+    /// (within and across classes) and deletes find their key. Values span
+    /// 1 B to 40 KB, every class of the 64-KiB slabs below. Inserts
+    /// outnumber evictions, so the store reaches its byte cap and recycles.
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let get = || (0u64..96).prop_map(Op::Get);
+        let insert = || (0u64..96, 1u64..40_000).prop_map(|(k, v)| Op::Insert(k, v));
+        let delete = (0u64..96).prop_map(Op::Delete);
+        let evict = (0u32..20, 0u64..4, 0.0f64..0.3).prop_map(|(c, n, f)| match c {
+            0 => Op::Clear,
+            1..=9 => Op::EvictSlabs(n),
+            _ => Op::EvictFraction(f),
+        });
+        prop_oneof![get(), get(), insert(), insert(), insert(), delete, evict]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any operation sequence keeps every structural invariant, and the
+        /// store never holds a key the model rules out: one never inserted,
+        /// or deleted or cleared since. Evictions may drop keys the model
+        /// still allows, so the model bounds the store from above.
+        #[test]
+        fn random_ops_keep_the_store_consistent(
+            ops in proptest::collection::vec(op_strategy(), 1..400),
+            cap_slabs in 2u64..40,
+        ) {
+            let mut c = KeyedSlabCache::with_slab_bytes(cap_slabs * 64 * KIB, 64 * KIB);
+            let mut allowed: HashSet<u64> = HashSet::new();
+            for op in ops {
+                match op {
+                    Op::Get(k) => {
+                        let hit = c.get(key(k));
+                        prop_assert!(!hit || allowed.contains(&k), "get hit a dead key {}", k);
+                    }
+                    Op::Insert(k, v) => {
+                        c.insert(key(k), v);
+                        allowed.insert(k);
+                        prop_assert!(c.contains(key(k)), "an insert must stay resident");
+                    }
+                    Op::Delete(k) => {
+                        let found = c.delete(key(k));
+                        prop_assert!(!found || allowed.contains(&k), "deleted a dead key {}", k);
+                        allowed.remove(&k);
+                        prop_assert!(!c.contains(key(k)));
+                    }
+                    Op::EvictSlabs(n) => {
+                        c.evict_slabs(n);
+                    }
+                    Op::EvictFraction(f) => {
+                        c.evict_fraction(f);
+                    }
+                    Op::Clear => {
+                        c.clear();
+                        allowed.clear();
+                    }
+                }
+                c.check_invariants();
+                for k in 0..96 {
+                    prop_assert!(!c.contains(key(k)) || allowed.contains(&k), "dead key {} resident", k);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Production-shaped KV trace generation (Twitter Twemcache / Meta KV).
 //!
 //! Generates the cache traffic described by SNIPPETS.md Snippet 3 and
-//! ROADMAP item 1: Zipf(α≈1.2) key popularity over millions of keys, a
+//! DESIGN.md §15: Zipf(α≈1.2) key popularity over millions of keys, a
 //! 90/7/3 GET/SET/DELETE mix, four value-size tiers from 16 B metadata
 //! blobs to 1 MB media objects, and ~5 % negative lookups — plus burst /
 //! diurnal / hot-key-shift phase schedules layered on top.

@@ -54,11 +54,6 @@ pub struct MonitorConfig {
     /// the red-zone margin by this fraction of `top` (thresholds are pulled
     /// down), so enforcement turns conservative instead of stopping.
     pub degraded_margin_fraction: f64,
-    /// Ablation switch: if true, Algorithm 1 ignores criticality classes
-    /// and sorts by posture alone (the paper's original ordering). Under a
-    /// mixed-criticality load this is exactly the broken policy the
-    /// oracle's `kill.class.order` invariant must catch.
-    pub crit_blind: bool,
 }
 
 impl MonitorConfig {
@@ -90,7 +85,6 @@ impl MonitorConfig {
             watchdog_polls: 5,
             watchdog_backoff_max: 8,
             degraded_margin_fraction: 0.02,
-            crit_blind: false,
         }
     }
 

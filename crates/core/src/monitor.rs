@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::MonitorConfig;
 use crate::reclaim::ReclaimTracker;
-use crate::selection::{select_processes, select_processes_blind, Candidate};
+use crate::selection::{select_processes, sort_candidates, Candidate};
 use crate::thresholds::AdaptiveThresholds;
 
 /// The memory zone a poll observed (Fig. 4).
@@ -405,10 +405,6 @@ impl Monitor {
                 let selected = if self.cfg.signal_all {
                     // Ablation: skip Algorithm 1 and disturb everyone.
                     cands.iter().map(|c| c.pid).collect()
-                } else if self.cfg.crit_blind {
-                    // Ablation: the paper's posture-only ordering, ignoring
-                    // criticality classes.
-                    select_processes_blind(&cands, self.cfg.sort_order, target)
                 } else {
                     select_processes(&cands, self.cfg.sort_order, target)
                 };
@@ -519,25 +515,17 @@ impl Monitor {
     /// candidate set it was chosen from, which is what the oracle's
     /// kill-ordering invariant replays.
     fn kill_down_to_top(&mut self, os: &mut Kernel, used: u64) -> Vec<Pid> {
-        let cands = self.candidates(os);
-        let mut sorted = cands;
-        if self.cfg.crit_blind {
-            crate::selection::sort_candidates_blind(&mut sorted, self.cfg.sort_order);
-            // The pre-criticality behaviour: escalated first, Algorithm-1
-            // order within each partition, classes ignored entirely.
-            sorted.sort_by_key(|c| !self.is_deprioritized(c.pid));
-        } else {
-            crate::selection::sort_candidates(&mut sorted, self.cfg.sort_order);
-            // Stable: expendable classes first; escalated participants lead
-            // within their class but never jump a class boundary (an
-            // uncooperative latency-critical job still outlives batch).
-            sorted.sort_by_key(|c| {
-                (
-                    Reverse(c.crit.expendability()),
-                    !self.is_deprioritized(c.pid),
-                )
-            });
-        }
+        let mut sorted = self.candidates(os);
+        sort_candidates(&mut sorted, self.cfg.sort_order);
+        // Stable: expendable classes first; escalated participants lead
+        // within their class but never jump a class boundary (an
+        // uncooperative latency-critical job still outlives batch).
+        sorted.sort_by_key(|c| {
+            (
+                Reverse(c.crit.expendability()),
+                !self.is_deprioritized(c.pid),
+            )
+        });
         let mut killed = Vec::new();
         let mut remaining = used;
         for (i, c) in sorted.iter().enumerate() {
@@ -914,22 +902,22 @@ mod tests {
     }
 
     #[test]
-    fn crit_blind_monitor_reverts_to_posture_order() {
-        let (mut os, _) = setup();
-        let mut cfg = MonitorConfig::paper_64gb();
-        cfg.crit_blind = true;
-        let mut mon = Monitor::new(cfg);
+    fn one_class_kill_follows_the_posture_order() {
+        // The hogs of `batch_dies_before_latency_critical_despite_newest_first`,
+        // both registered in one class: no class key decides, so
+        // newest-first kills the later hog.
+        let (mut os, mut mon) = setup();
         os.set_time(t(0));
-        let batch = os.spawn("spark-batch");
+        let older = os.spawn("spark-batch");
         os.set_time(t(100));
-        let critical = os.spawn("memcached-tier");
-        mon.register_with_class(batch, Criticality::Batch);
-        mon.register_with_class(critical, Criticality::LatencyCritical);
-        os.grow(batch, 31 * GIB).unwrap();
-        os.grow(critical, 32 * GIB).unwrap();
+        let newer = os.spawn("memcached-tier");
+        mon.register(older);
+        mon.register(newer);
+        os.grow(older, 31 * GIB).unwrap();
+        os.grow(newer, 32 * GIB).unwrap();
         mon.poll(&mut os, t(101));
         let r = mon.poll(&mut os, t(101 + 30));
-        assert_eq!(r.killed, vec![critical], "blind policy kills the newest");
+        assert_eq!(r.killed, vec![newer], "one class kills the newest");
     }
 
     #[test]

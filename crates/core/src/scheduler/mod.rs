@@ -51,10 +51,6 @@ pub struct SchedulerConfig {
     /// Worker threads for the parallel costing pass; `None` uses
     /// [`worker_threads`] (the `M3_JOBS` environment variable).
     pub workers: Option<usize>,
-    /// Ablation: drain the buckets in *reverse* order, ignoring dependency
-    /// edges. Exists to prove the conformance oracle catches ordering
-    /// violations; never enabled in a correct configuration.
-    pub ablate_bucket_order: bool,
 }
 
 impl SchedulerConfig {
@@ -180,9 +176,6 @@ impl<C: Sync> ReclaimScheduler<C> {
                 deps: p.deps.clone(),
             });
         }
-        if self.cfg.ablate_bucket_order {
-            return self.drain_ablated(ctx, os);
-        }
 
         let n = self.packets.len();
         let mut finished = vec![false; n];
@@ -296,67 +289,6 @@ impl<C: Sync> ReclaimScheduler<C> {
         stats.waves = wave;
         DrainResult { outcome, stats }
     }
-
-    /// The broken drain used by the bucket-order ablation: buckets execute
-    /// in reverse order and dependency edges are ignored entirely (honoring
-    /// them while reversing buckets would deadlock). Emits the same event
-    /// kinds as the correct drain, so the resulting trace carries provable
-    /// `reclaim.packet.bucket` / `reclaim.packet.deps` violations.
-    fn drain_ablated(mut self, ctx: &mut C, os: &mut Kernel) -> DrainResult {
-        let pid = self.pid;
-        let mut order: Vec<usize> = (0..self.packets.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(self.packets[i].bucket), i));
-        let mut stats = PacketStats::default();
-        let mut outcome = SignalOutcome::default();
-        for (wave, &i) in order.iter().enumerate() {
-            let wave = wave as u64;
-            let (id, kind, bucket) = {
-                let p = &self.packets[i];
-                (p.id, p.kind, p.bucket)
-            };
-            let planned_bytes = (self.packets[i].cost)(ctx);
-            os.record_trace(
-                pid,
-                TraceData::PacketStart {
-                    packet: id,
-                    bucket,
-                    wave,
-                },
-            );
-            let run = self.packets[i]
-                .run
-                .take()
-                .expect("packet executes exactly once");
-            let out = run(ctx, os);
-            os.record_trace(
-                pid,
-                TraceData::PacketFinish {
-                    packet: id,
-                    bucket,
-                    bytes: out.bytes,
-                    returned: out.returned,
-                    duration_ms: out.duration.as_millis(),
-                },
-            );
-            outcome.merge(SignalOutcome {
-                duration: out.duration,
-                returned_to_os: out.returned,
-            });
-            stats.records.push(PacketRecord {
-                id,
-                kind: kind.name(),
-                bucket,
-                wave,
-                queued_waves: 0,
-                planned_bytes,
-                bytes: out.bytes,
-                returned: out.returned,
-                duration: out.duration,
-            });
-        }
-        stats.waves = order.len() as u64;
-        DrainResult { outcome, stats }
-    }
 }
 
 #[cfg(test)]
@@ -460,7 +392,6 @@ mod tests {
                 7,
                 SchedulerConfig {
                     workers: Some(workers),
-                    ablate_bucket_order: false,
                 },
             );
             // A wave wide enough to trip the parallel costing path.
@@ -484,37 +415,6 @@ mod tests {
         let baseline = run(1);
         assert_eq!(run(4), baseline);
         assert_eq!(run(8), baseline);
-    }
-
-    #[test]
-    fn ablated_drain_reverses_buckets_and_ignores_deps() {
-        let mut os = kernel();
-        let mut ctx = Ctx::default();
-        let mut sched = ReclaimScheduler::new(
-            7,
-            SchedulerConfig {
-                workers: Some(1),
-                ablate_bucket_order: true,
-            },
-        );
-        let ev = sched.add(PacketKind::EvictBlocks, &[], |c: &mut Ctx, _| {
-            c.ran.push("evict");
-            outcome(100)
-        });
-        let gc = sched.add(PacketKind::GcYoung, &[ev], |c: &mut Ctx, _| {
-            c.ran.push("gc");
-            outcome(50)
-        });
-        sched.add(PacketKind::Madvise, &[gc], |c: &mut Ctx, _| {
-            c.ran.push("madvise");
-            outcome(0)
-        });
-        sched.drain(&mut ctx, &mut os);
-        assert_eq!(
-            ctx.ran,
-            vec!["madvise", "gc", "evict"],
-            "ablation must reverse the bucket order"
-        );
     }
 
     #[test]

@@ -117,14 +117,6 @@ pub fn sort_candidates(candidates: &mut [Candidate], order: SortOrder) {
     });
 }
 
-/// Criticality-blind variant of [`sort_candidates`]: the paper's original
-/// posture-only ordering. Kept as an ablation knob — a policy sorted this
-/// way under a mixed-criticality load is exactly what the oracle's
-/// `kill.class.order` invariant must catch.
-pub fn sort_candidates_blind(candidates: &mut [Candidate], order: SortOrder) {
-    candidates.sort_by(|a, b| posture_cmp(a, b, order));
-}
-
 /// Algorithm 1: returns the pids to signal, in order, so that the sum of
 /// their expected reclamation amounts reaches `target` (usage minus the high
 /// threshold). Returns an empty vector when `target` is zero.
@@ -156,17 +148,6 @@ pub fn select_processes(candidates: &[Candidate], order: SortOrder, target: u64)
     take_until_target(&sorted, target)
 }
 
-/// [`select_processes`] with the criticality-blind posture-only ordering
-/// (the `crit_blind` ablation).
-pub fn select_processes_blind(candidates: &[Candidate], order: SortOrder, target: u64) -> Vec<Pid> {
-    if target == 0 {
-        return Vec::new();
-    }
-    let mut sorted = candidates.to_vec();
-    sort_candidates_blind(&mut sorted, order);
-    take_until_target(&sorted, target)
-}
-
 fn take_until_target(sorted: &[Candidate], target: u64) -> Vec<Pid> {
     let mut selected = Vec::new();
     let mut expected: u64 = 0;
@@ -183,6 +164,7 @@ fn take_until_target(sorted: &[Candidate], target: u64) -> Vec<Pid> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cand(pid: Pid, spawn_s: u64, rss: u64, expect: u64) -> Candidate {
         Candidate {
@@ -297,14 +279,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn blind_sort_ignores_criticality() {
-        let mut cs = vec![
-            classed(1, 0, Criticality::Batch),
-            classed(2, 9, Criticality::LatencyCritical),
-        ];
-        sort_candidates_blind(&mut cs, SortOrder::NewestFirst);
-        assert_eq!(cs[0].pid, 2, "posture-only order picks the newest");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// With every candidate in one class, the class key never decides,
+        /// so Algorithm 1 sorts by the paper's posture order alone. Small
+        /// value ranges force ties, which the pid must break.
+        #[test]
+        fn one_class_sort_is_the_posture_order(
+            raw in proptest::collection::vec((0u64..8, 0u64..6, 0u64..6, 0u64..6), 0..24),
+            class in 0usize..3,
+        ) {
+            let crit = Criticality::ALL[class];
+            let cs: Vec<Candidate> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(pid, spawn_s, rss, expect))| Candidate {
+                    crit,
+                    ..cand(pid * 100 + i as Pid, spawn_s, rss, expect)
+                })
+                .collect();
+            for order in [
+                SortOrder::NewestFirst,
+                SortOrder::OldestFirst,
+                SortOrder::LargestRss,
+                SortOrder::LargestExpectedReclaim,
+            ] {
+                let mut sorted = cs.clone();
+                sort_candidates(&mut sorted, order);
+                let mut posture = cs.clone();
+                posture.sort_by(|a, b| posture_cmp(a, b, order));
+                prop_assert_eq!(sorted, posture);
+            }
+        }
     }
 
     #[test]

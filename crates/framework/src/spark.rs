@@ -86,8 +86,6 @@ pub struct SparkApp {
     debt: SimDuration,
     finished: bool,
     failed: bool,
-    /// Work-packet scheduler tunables for signal handling.
-    sched: SchedulerConfig,
     /// Per-job statistics.
     pub stats: SparkStats,
 }
@@ -133,17 +131,9 @@ impl SparkApp {
             debt: SimDuration::ZERO,
             finished: failed,
             failed,
-            sched: SchedulerConfig::default(),
             stats: SparkStats::default(),
             job,
         }
-    }
-
-    /// Overrides the work-packet scheduler configuration (worker count,
-    /// bucket-order ablation).
-    pub fn with_scheduler(mut self, sched: SchedulerConfig) -> Self {
-        self.sched = sched;
-        self
     }
 
     /// Re-seeds the per-pass visit order (used to give each cluster node
@@ -496,7 +486,7 @@ impl M3Participant for SparkApp {
         if self.finished {
             return SignalOutcome::default();
         }
-        let mut sched = ReclaimScheduler::new(self.jvm.pid(), self.sched);
+        let mut sched = ReclaimScheduler::new(self.jvm.pid(), SchedulerConfig::default());
         let young_cost = |app: &SparkApp| app.jvm.young_collect_estimate();
         let young_run = |app: &mut SparkApp, os: &mut Kernel| {
             let gc = app.jvm.young_collect(os);

@@ -53,8 +53,8 @@
 //!   packets to `gc.*` reclaimed bytes, and every packet's returned bytes
 //!   to the window's `mem.madvise` total
 //!   (`reclaim.packet.conservation`) — and every enqueued packet must
-//!   finish before the handler ends (`reclaim.packet.orphan`). The
-//!   bucket-order ablation drain is caught here.
+//!   finish before the handler ends (`reclaim.packet.orphan`). A drain
+//!   run in reverse bucket order is caught here.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1999,21 +1999,22 @@ mod tests {
         );
     }
 
-    /// Drives a real monitor over a batch hog (spawned first) and a later
-    /// latency-critical hog whose combined usage sits above top until the
-    /// grace period expires and the monitor kills down to top.
-    fn classed_kill_run(crit_blind: bool) -> (TraceLog, MonitorConfig) {
-        let mut cfg = paper();
-        cfg.crit_blind = crit_blind;
+    /// Drives a real monitor over two hogs registered in `classes`: the
+    /// batch hog spawned first, the critical hog five seconds later. Their
+    /// combined usage sits above top until the grace period expires and
+    /// the monitor kills down to top. Returns the trace, the config and
+    /// the batch hog's pid.
+    fn classed_kill_run(classes: [Criticality; 2]) -> (TraceLog, MonitorConfig, u64) {
+        let cfg = paper();
         let mut os = Kernel::new(KernelConfig::with_total(64 * GIB));
         let mut mon = Monitor::new(cfg);
         os.set_time(t(0));
         let batch = os.spawn("batch");
-        mon.register_with_class(batch, Criticality::Batch);
+        mon.register_with_class(batch, classes[0]);
         os.grow(batch, 31 * GIB).unwrap();
         os.set_time(t(5));
         let critical = os.spawn("critical");
-        mon.register_with_class(critical, Criticality::LatencyCritical);
+        mon.register_with_class(critical, classes[1]);
         os.grow(critical, 32 * GIB).unwrap();
         for s in 6..45 {
             let now = t(s);
@@ -2022,12 +2023,12 @@ mod tests {
             os.take_signals(batch);
             os.take_signals(critical);
         }
-        (std::mem::take(&mut os.trace), cfg)
+        (std::mem::take(&mut os.trace), cfg, batch)
     }
 
     #[test]
     fn classed_kill_run_is_conformant_and_spares_the_critical_job() {
-        let (trace, cfg) = classed_kill_run(false);
+        let (trace, cfg, _) = classed_kill_run([Criticality::Batch, Criticality::LatencyCritical]);
         assert!(trace.count("kill.class") > 0, "kill path must trigger");
         let violations = Oracle::paper(Some(cfg)).check(&trace);
         assert_eq!(violations, Vec::new());
@@ -2035,10 +2036,35 @@ mod tests {
 
     #[test]
     fn criticality_blind_policy_is_caught_by_the_oracle() {
-        // The ablation sorts by posture alone: newest-first kills the
+        // A criticality-blind policy sorts by posture alone. Within one
+        // class Algorithm 1 does exactly that, so a real run with both hogs
+        // registered as Standard, relabelled into their classes afterwards,
+        // is the log such a policy writes: newest-first kills the
         // latency-critical job while the batch job is still alive. The
         // flagship invariant must catch exactly this.
-        let (trace, cfg) = classed_kill_run(true);
+        let (standard, cfg, batch) = classed_kill_run([Criticality::Standard; 2]);
+        let class = |pid: u64| {
+            if pid == batch {
+                Criticality::Batch
+            } else {
+                Criticality::LatencyCritical
+            }
+        };
+        let mut trace = TraceLog::new();
+        for e in standard.events() {
+            let mut data = e.data.clone();
+            match &mut data {
+                TraceData::Selection { candidates, .. } => {
+                    candidates.iter_mut().for_each(|c| c.crit = class(c.pid));
+                }
+                TraceData::KillClass { crit, candidates } => {
+                    *crit = class(e.pid);
+                    candidates.iter_mut().for_each(|c| c.crit = class(c.pid));
+                }
+                _ => {}
+            }
+            trace.record(e.t, e.pid, data);
+        }
         assert!(trace.count("kill.class") > 0, "kill path must trigger");
         let violations = Oracle::paper(Some(cfg)).check(&trace);
         assert!(
@@ -3535,22 +3561,60 @@ mod tests {
         );
     }
 
+    /// Rewrites each packet drain in `trace` into the log a drain that ran
+    /// the buckets in reverse and ignored dependency edges would record:
+    /// the enqueues as they were, then each packet's start-to-finish span
+    /// (with the events recorded while it ran) one packet per wave, later
+    /// buckets first and ids ascending within a bucket, and no stalls.
+    fn reverse_bucket_drains(trace: &TraceLog) -> TraceLog {
+        let mut out = TraceLog::new();
+        let mut spans: Vec<(PacketBucket, u64, Vec<TraceEvent>)> = Vec::new();
+        let mut unfinished = 0usize;
+        for e in trace.events() {
+            match e.data {
+                TraceData::PacketEnqueue { .. } => {
+                    unfinished += 1;
+                    out.record(e.t, e.pid, e.data.clone());
+                }
+                TraceData::PacketStall { .. } => {}
+                TraceData::PacketStart { packet, bucket, .. } => {
+                    spans.push((bucket, packet, vec![e.clone()]));
+                }
+                _ if unfinished == 0 => out.record(e.t, e.pid, e.data.clone()),
+                _ => {
+                    spans.last_mut().expect("inside a packet").2.push(e.clone());
+                    if matches!(e.data, TraceData::PacketFinish { .. }) {
+                        unfinished -= 1;
+                    }
+                }
+            }
+            if unfinished == 0 && !spans.is_empty() {
+                spans.sort_by_key(|&(bucket, packet, _)| (std::cmp::Reverse(bucket), packet));
+                for (wave, (_, _, events)) in spans.drain(..).enumerate() {
+                    for mut e in events {
+                        if let TraceData::PacketStart { wave: w, .. } = &mut e.data {
+                            *w = wave as u64;
+                        }
+                        out.record(e.t, e.pid, e.data);
+                    }
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn ablated_scheduler_drain_is_caught() {
-        // Drive the *real* scheduler with the bucket-order ablation and
-        // replay its trace: the oracle must flag the reversed buckets and
-        // the ignored dependency edges.
+        // Drive the *real* scheduler, then reorder its trace into what a
+        // drain running the buckets in reverse and ignoring dependency
+        // edges records: enqueues as they were, then one packet per wave,
+        // later buckets first. The oracle must flag the reversed buckets
+        // and the ignored dependency edges.
         use m3_core::scheduler::{PacketKind, PacketOutcome, ReclaimScheduler, SchedulerConfig};
         let mut os = Kernel::new(KernelConfig::with_total(GIB));
         let pid = os.spawn("app");
         os.record_trace(pid, TraceData::HandlerStart { sig: SigKind::High });
-        let mut sched = ReclaimScheduler::new(
-            pid,
-            SchedulerConfig {
-                workers: Some(1),
-                ablate_bucket_order: true,
-            },
-        );
+        let mut sched = ReclaimScheduler::new(pid, SchedulerConfig { workers: Some(1) });
         let ev = sched.add(PacketKind::EvictBlocks, &[], |_: &mut (), _| {
             PacketOutcome::default()
         });
@@ -3569,7 +3633,8 @@ mod tests {
                 returned: 0,
             },
         );
-        let v = packet_violations(&os.trace);
+        assert_eq!(packet_violations(&os.trace), Vec::<String>::new());
+        let v = packet_violations(&reverse_bucket_drains(&os.trace));
         assert!(
             v.contains(&"reclaim.packet.bucket".to_string()),
             "reversed buckets must be flagged, got {v:?}"

@@ -8,7 +8,6 @@
 //! stop-the-world collectors.
 
 use m3_sim::clock::SimDuration;
-use m3_sim::histogram::DurationHistogram;
 use m3_sim::units::MIB;
 use serde::{Deserialize, Serialize};
 
@@ -87,8 +86,6 @@ pub struct GcStats {
     pub reclaimed_bytes: u64,
     /// Total bytes returned to the OS via `madvise`.
     pub returned_to_os: u64,
-    /// Distribution of individual pause times (for tail-latency reporting).
-    pub pauses: DurationHistogram,
 }
 
 impl GcStats {
@@ -104,7 +101,6 @@ impl GcStats {
         }
         self.total_pause += pause;
         self.reclaimed_bytes += reclaimed;
-        self.pauses.record(pause);
     }
 
     /// Total number of collections of any kind, effective or not.
@@ -169,8 +165,6 @@ mod tests {
         assert_eq!(s.wasted_collections(), 0);
         assert_eq!(s.total_pause.as_millis(), 560);
         assert_eq!(s.reclaimed_bytes, 1400);
-        assert_eq!(s.pauses.count(), 3);
-        assert_eq!(s.pauses.max().as_millis(), 500);
     }
 
     #[test]

@@ -8,12 +8,10 @@
 //!   ([`SimRng`]) so every experiment is reproducible bit-for-bit.
 //! - [`queue`]: a stable-order future-event queue ([`EventQueue`]) used for
 //!   delayed application starts, monitor polls and timeouts.
-//! - [`metrics`]: counters, gauges and time series used to capture the memory
-//!   profiles that the paper's figures plot.
+//! - [`metrics`]: time series and marks that capture the memory profiles
+//!   the paper's figures plot.
 //! - [`trace`]: a structured event log (signals sent, GCs performed,
 //!   evictions, ...) used by tests and the experiment harness.
-//! - [`stats`]: small numeric helpers (mean, percentiles, ratios) shared by
-//!   the benchmark harness.
 //! - [`units`]: byte-size constants and pretty-printing.
 //!
 //! The simulation style is *time-stepped co-simulation*: a world object owns
@@ -23,18 +21,15 @@
 //! above.
 
 pub mod clock;
-pub mod histogram;
 pub mod metrics;
 pub mod parallel;
 pub mod queue;
 pub mod rng;
-pub mod stats;
 pub mod trace;
 pub mod units;
 
 pub use clock::{SimDuration, SimTime};
-pub use histogram::DurationHistogram;
-pub use metrics::{Counter, Gauge, TimeSeries};
+pub use metrics::TimeSeries;
 pub use parallel::{parallel_map, worker_threads};
 pub use queue::EventQueue;
 pub use rng::SimRng;

@@ -1,78 +1,11 @@
-//! Counters, gauges and time series.
+//! Time series and memory profiles.
 //!
 //! The paper's figures are memory profiles: physical memory per process,
 //! thresholds, and signal marks, sampled over time. [`TimeSeries`] captures
-//! exactly that; [`Counter`] and [`Gauge`] accumulate scalar statistics such
-//! as GC pause time or blocks evicted.
+//! exactly that.
 
-use crate::clock::{SimDuration, SimTime};
+use crate::clock::SimTime;
 use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing event/quantity counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one to the counter.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// The accumulated value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-/// An instantaneous value that can move both ways (e.g. resident bytes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Gauge {
-    value: u64,
-    peak: u64,
-}
-
-impl Gauge {
-    /// Creates a zeroed gauge.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the gauge, tracking the high-water mark.
-    pub fn set(&mut self, v: u64) {
-        self.value = v;
-        self.peak = self.peak.max(v);
-    }
-
-    /// Adds to the gauge.
-    pub fn add(&mut self, n: u64) {
-        self.set(self.value + n);
-    }
-
-    /// Subtracts from the gauge, saturating at zero.
-    pub fn sub(&mut self, n: u64) {
-        self.value = self.value.saturating_sub(n);
-    }
-
-    /// The current value.
-    pub fn get(self) -> u64 {
-        self.value
-    }
-
-    /// The historical maximum.
-    pub fn peak(self) -> u64 {
-        self.peak
-    }
-}
 
 /// One sample of a time series.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -166,26 +99,6 @@ impl TimeSeries {
         self.samples.last().map(|s| s.v)
     }
 
-    /// Time-weighted average over the sampled interval (trapezoid-free:
-    /// each sample holds until the next one, matching 1 Hz polling).
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.samples.len() < 2 {
-            return self.mean();
-        }
-        let mut area = 0.0;
-        let mut total = SimDuration::ZERO;
-        for w in self.samples.windows(2) {
-            let dt = w[1].t - w[0].t;
-            area += w[0].v * dt.as_secs_f64();
-            total += dt;
-        }
-        if total.is_zero() {
-            self.mean()
-        } else {
-            Some(area / total.as_secs_f64())
-        }
-    }
-
     /// Fraction of samples strictly above `threshold`.
     pub fn fraction_above(&self, threshold: f64) -> f64 {
         if self.samples.is_empty() {
@@ -263,26 +176,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn gauge_tracks_peak() {
-        let mut g = Gauge::new();
-        g.set(10);
-        g.add(5);
-        g.sub(12);
-        assert_eq!(g.get(), 3);
-        assert_eq!(g.peak(), 15);
-        g.sub(100);
-        assert_eq!(g.get(), 0);
-    }
-
-    #[test]
     fn series_stats() {
         let mut s = TimeSeries::new("x");
         assert!(s.is_empty());
@@ -296,16 +189,6 @@ mod tests {
         assert_eq!(s.max(), Some(3.0));
         assert_eq!(s.last(), Some(2.0));
         assert!((s.fraction_above(1.5) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_duration() {
-        let mut s = TimeSeries::new("x");
-        s.push(SimTime::from_secs(0), 0.0);
-        s.push(SimTime::from_secs(9), 100.0); // the 0 held for 9 of 10 seconds
-        s.push(SimTime::from_secs(10), 100.0);
-        let twm = s.time_weighted_mean().unwrap();
-        assert!((twm - 10.0).abs() < 1e-9, "got {twm}");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use m3_sim::clock::{SimDuration, SimTime};
 use m3_sim::metrics::TimeSeries;
-use m3_sim::stats;
 use m3_sim::{EventQueue, SimRng};
 use proptest::prelude::*;
 
@@ -79,19 +78,6 @@ proptest! {
         let max = vals.iter().cloned().fold(f64::MIN, f64::max);
         prop_assert_eq!(s.max().unwrap(), max);
         prop_assert_eq!(s.last().unwrap(), *vals.last().unwrap());
-    }
-
-    /// Percentiles are monotone in p and bounded by min/max.
-    #[test]
-    fn percentiles_monotone(vals in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
-        let p25 = stats::percentile(&vals, 25.0).unwrap();
-        let p50 = stats::percentile(&vals, 50.0).unwrap();
-        let p75 = stats::percentile(&vals, 75.0).unwrap();
-        prop_assert!(p25 <= p50 && p50 <= p75);
-        let min = vals.iter().cloned().fold(f64::MAX, f64::min);
-        let max = vals.iter().cloned().fold(f64::MIN, f64::max);
-        prop_assert!(stats::percentile(&vals, 0.0).unwrap() == min);
-        prop_assert!(stats::percentile(&vals, 100.0).unwrap() == max);
     }
 
     /// Duration arithmetic: scaling commutes with conversion within

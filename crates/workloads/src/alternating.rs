@@ -46,8 +46,6 @@ pub struct AlternatingApp {
     started: Option<SimTime>,
     debt: SimDuration,
     finished: bool,
-    /// Work-packet scheduler tunables for signal handling.
-    sched: SchedulerConfig,
 }
 
 impl AlternatingApp {
@@ -59,15 +57,7 @@ impl AlternatingApp {
             started: None,
             debt: SimDuration::ZERO,
             finished: false,
-            sched: SchedulerConfig::default(),
         }
-    }
-
-    /// Overrides the work-packet scheduler configuration (worker count,
-    /// bucket-order ablation).
-    pub fn with_scheduler(mut self, sched: SchedulerConfig) -> Self {
-        self.sched = sched;
-        self
     }
 
     /// The underlying JVM.
@@ -155,7 +145,7 @@ impl M3Participant for AlternatingApp {
         if self.finished {
             return SignalOutcome::default();
         }
-        let mut sched = ReclaimScheduler::new(self.jvm.pid(), self.sched);
+        let mut sched = ReclaimScheduler::new(self.jvm.pid(), SchedulerConfig::default());
         let young = sched.add_costed(
             PacketKind::GcYoung,
             &[],

@@ -8,7 +8,7 @@
 //! the real schedule).
 
 use m3_cache::{KvApp, KvWorkload, TraceWorkload};
-use m3_core::{M3Participant, SchedulerConfig, SignalOutcome, ThresholdSignal};
+use m3_core::{M3Participant, SignalOutcome, ThresholdSignal};
 use m3_framework::{JobSpec, SparkApp, SparkConfig};
 use m3_os::{DiskModel, Kernel, Pid};
 use m3_runtime::{AllocatorKind, GoConfig, JvmConfig};
@@ -79,44 +79,31 @@ impl AppBlueprint {
     /// Constructs the application with a node-specific salt, so different
     /// cluster nodes see different task-scheduling orders.
     pub fn build_salted(&self, pid: Pid, salt: u64) -> AnyApp {
-        self.build_configured(pid, salt, SchedulerConfig::default())
-    }
-
-    /// Constructs the application with a salt and an explicit work-packet
-    /// scheduler configuration (worker count, bucket-order ablation).
-    pub fn build_configured(&self, pid: Pid, salt: u64, sched: SchedulerConfig) -> AnyApp {
         match self.clone() {
-            AppBlueprint::Spark { jvm, spark, job } => AnyApp::Spark(
-                SparkApp::new(pid, jvm, spark, job)
-                    .with_seed(salt)
-                    .with_scheduler(sched),
-            ),
+            AppBlueprint::Spark { jvm, spark, job } => {
+                AnyApp::Spark(SparkApp::new(pid, jvm, spark, job).with_seed(salt))
+            }
             AppBlueprint::GoCache {
                 go,
                 workload,
                 max_bytes,
                 m3_mode,
-            } => AnyApp::Kv(
-                KvApp::go_cache(pid, go, workload, max_bytes, m3_mode).with_scheduler(sched),
-            ),
+            } => AnyApp::Kv(KvApp::go_cache(pid, go, workload, max_bytes, m3_mode)),
             AppBlueprint::Memcached {
                 allocator,
                 workload,
                 max_bytes,
                 m3_mode,
-            } => AnyApp::Kv(
-                KvApp::memcached(pid, allocator, workload, max_bytes, m3_mode)
-                    .with_scheduler(sched),
-            ),
+            } => AnyApp::Kv(KvApp::memcached(
+                pid, allocator, workload, max_bytes, m3_mode,
+            )),
             AppBlueprint::TraceCache {
                 workload,
                 max_bytes,
                 m3_mode,
-            } => AnyApp::Kv(
-                KvApp::trace_memcached(pid, workload, max_bytes, m3_mode).with_scheduler(sched),
-            ),
+            } => AnyApp::Kv(KvApp::trace_memcached(pid, workload, max_bytes, m3_mode)),
             AppBlueprint::Alternating { jvm, profile } => {
-                AnyApp::Alternating(AlternatingApp::new(pid, jvm, profile).with_scheduler(sched))
+                AnyApp::Alternating(AlternatingApp::new(pid, jvm, profile))
             }
         }
     }

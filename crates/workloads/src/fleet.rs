@@ -104,24 +104,6 @@ impl NodeSpec {
     }
 }
 
-/// Which feasible node the placer prefers. The two non-default variants
-/// are deliberately broken — they exist so the invariant tests can catch a
-/// misbehaving policy end to end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementPolicy {
-    /// Place on the feasible node with the lowest `used / top` ratio
-    /// (ties broken by lower node index).
-    LeastPressured,
-    /// Place on the *highest* `used / top` node, feasible or not — a
-    /// broken policy that skips admission control (used by the
-    /// rebalancing tests to force co-location).
-    MostPressured,
-    /// Place every job on node 0 without probing anything — a broken
-    /// policy the oracle catches as a placement without a pressure
-    /// snapshot.
-    Blind,
-}
-
 /// Fleet scheduler configuration. Part of the fleet-level memoization key.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
@@ -142,8 +124,6 @@ pub struct FleetConfig {
     pub rebalance_period: SimDuration,
     /// Number of rebalance checks scheduled (bounds the event horizon).
     pub rebalance_checks: u32,
-    /// Placement preference among feasible nodes.
-    pub policy: PlacementPolicy,
     /// Times a job lost to node death may re-enter the arrival queue
     /// before the scheduler abandons it as orphaned.
     pub retry_budget: u32,
@@ -158,14 +138,6 @@ pub struct FleetConfig {
     /// Consecutive healthy probes a quarantined node must answer before
     /// it is re-admitted as a placement target.
     pub quarantine_healthy: u32,
-    /// Criticality-blindness ablation (the conformance suite's failing
-    /// policy). A blind scheduler keeps the preemption and migration
-    /// machinery but strips every class check from victim selection: any
-    /// classified job whose admission fails may preempt, and it evicts
-    /// the latest-arriving alive resident regardless of class — which
-    /// the cluster oracle flags the moment a victim is not strictly more
-    /// expendable than its preemptor.
-    pub crit_blind: bool,
 }
 
 impl FleetConfig {
@@ -179,13 +151,11 @@ impl FleetConfig {
             max_defers: 30,
             rebalance_period: SimDuration::from_secs(60),
             rebalance_checks: 40,
-            policy: PlacementPolicy::LeastPressured,
             retry_budget: 3,
             backoff_base: SimDuration::from_secs(30),
             stale_window: SimDuration::from_secs(120),
             quarantine_after: 2,
             quarantine_healthy: 3,
-            crit_blind: false,
         }
     }
 
@@ -441,6 +411,10 @@ struct Fleet<'a> {
     index_fresh_ms: Option<u64>,
     /// Worker threads for pre-warming and final runs.
     workers: usize,
+    /// Test seam: places every arrival on this node without admission
+    /// control, so the rebalance tests can co-locate jobs.
+    #[cfg(test)]
+    pin: Option<usize>,
 }
 
 impl<'a> Fleet<'a> {
@@ -509,6 +483,8 @@ impl<'a> Fleet<'a> {
             idle,
             index_fresh_ms: None,
             workers: workers.max(1),
+            #[cfg(test)]
+            pin: None,
         }
     }
 
@@ -832,25 +808,16 @@ impl<'a> Fleet<'a> {
             && view.effective().saturating_add(demand) <= view.summary.top
     }
 
-    /// Picks the preferred node among `candidates` by the configured
-    /// policy: exact integer comparison of `effective/top` ratios
-    /// (`eff_a * top_b` vs `eff_b * top_a`), ties to the lower node index.
+    /// Picks the least-pressured node among `candidates`: exact integer
+    /// comparison of `effective/top` ratios (`eff_a * top_b` vs
+    /// `eff_b * top_a`), ties to the lower node index.
     fn pick(&self, candidates: &[NodeView]) -> Option<usize> {
-        let prefer_least = matches!(self.fleet.policy, PlacementPolicy::LeastPressured);
         let mut best: Option<&NodeView> = None;
         for v in candidates {
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let lhs = v.effective() as u128 * b.summary.top as u128;
-                    let rhs = b.effective() as u128 * v.summary.top as u128;
-                    if prefer_least {
-                        lhs < rhs
-                    } else {
-                        lhs > rhs
-                    }
-                }
-            };
+            let better = best.is_none_or(|b| {
+                v.effective() as u128 * (b.summary.top as u128)
+                    < b.effective() as u128 * (v.summary.top as u128)
+            });
             if better {
                 best = Some(v);
             }
@@ -878,10 +845,8 @@ impl<'a> Fleet<'a> {
     /// Last-resort admission for a job nothing currently admits: evict
     /// more-expendable residents from one node so the job fits (DESIGN.md
     /// §16). A latency-critical job may preempt `Batch` reservations —
-    /// never the other way around; under the [`FleetConfig::crit_blind`]
-    /// ablation the class checks disappear and the oracle's
-    /// `sched.class.preempt` invariant catches the first wrong-direction
-    /// eviction.
+    /// never the other way around; the oracle's `sched.class.preempt`
+    /// invariant flags any wrong-direction eviction.
     ///
     /// Victims are chosen on the node needing the fewest evictions (ties
     /// to the lower node index), latest-arriving first, until the demand
@@ -902,7 +867,7 @@ impl<'a> Fleet<'a> {
             return None;
         }
         let crit = self.scenario.class_of(job).crit;
-        if !self.fleet.crit_blind && crit != Criticality::LatencyCritical {
+        if crit != Criticality::LatencyCritical {
             return None;
         }
         let t_ms = t.as_millis();
@@ -919,8 +884,7 @@ impl<'a> Fleet<'a> {
                 .enumerate()
                 .filter(|&(slot, &(res, _, _))| {
                     self.assignment[res] == Some((node, slot))
-                        && (self.fleet.crit_blind
-                            || self.scenario.class_of(res).crit == Criticality::Batch)
+                        && self.scenario.class_of(res).crit == Criticality::Batch
                         && out.run.apps.get(slot).is_none_or(|a| {
                             a.started.as_millis() <= t_ms
                                 && a.ended.is_none_or(|e| e.as_millis() > t_ms)
@@ -996,32 +960,44 @@ impl<'a> Fleet<'a> {
         Some(node)
     }
 
+    /// Records job `job`'s admission onto `node`, backed by the pressure
+    /// snapshot `summary` the placement probed, and assigns it.
+    fn place(
+        &mut self,
+        job: usize,
+        node: usize,
+        summary: PressureSummary,
+        demand: u64,
+        attempt: u32,
+        t: SimTime,
+    ) {
+        self.trace.record(
+            t,
+            job as u64,
+            TraceData::FleetPlace {
+                job: job as u64,
+                node: node as u64,
+                used: summary.used,
+                demand,
+                top: summary.top,
+            },
+        );
+        self.deferrals[job] = attempt;
+        self.assign(job, self.scenario.apps[job].0, node, t);
+    }
+
     fn on_place(&mut self, job: usize, attempt: u32, t: SimTime, queue: &mut EventQueue) {
         let kind = self.scenario.apps[job].0;
         let demand = demand_estimate(kind);
-        if matches!(self.fleet.policy, PlacementPolicy::Blind) {
-            // The blind policy never probes: the missing pressure snapshot
-            // is itself the conformance violation the oracle reports.
-            self.trace.record(
-                t,
-                job as u64,
-                TraceData::FleetPlace {
-                    job: job as u64,
-                    node: 0,
-                    used: 0,
-                    demand,
-                    top: self.nodes[0].top,
-                },
-            );
-            self.deferrals[job] = attempt;
-            self.assign(job, kind, 0, t);
+        #[cfg(test)]
+        if let Some(node) = self.pin {
+            let summary = self.probe(node, t).summary;
+            self.place(job, node, summary, demand, attempt, t);
             return;
         }
-        // A bounded scan is only sound for the default policy, and a job's
-        // final attempt must see every node (the no-starvation guarantee:
-        // give-up implies nothing anywhere admits the job).
-        let exhaustive = !matches!(self.fleet.policy, PlacementPolicy::LeastPressured)
-            || attempt >= self.fleet.max_defers;
+        // A job's final attempt must see every node (the no-starvation
+        // guarantee: give-up implies nothing anywhere admits the job).
+        let exhaustive = attempt >= self.fleet.max_defers;
         // Index keys go stale as simulated time passes (a node that drained
         // since its last probe keeps its old high key until something reads
         // it again), so the first placement at each new instant bulk-heals
@@ -1054,12 +1030,7 @@ impl<'a> Fleet<'a> {
                 continue;
             }
             probed.push(v);
-            let feasible = match self.fleet.policy {
-                // The broken test policy skips admission control entirely.
-                PlacementPolicy::MostPressured => true,
-                _ => Self::admits(&v, demand),
-            };
-            if feasible {
+            if Self::admits(&v, demand) {
                 candidates.push(v);
             }
             if !exhaustive && (candidates.len() >= PLACE_CANDIDATES || probed.len() >= PROBE_BUDGET)
@@ -1106,19 +1077,7 @@ impl<'a> Fleet<'a> {
                     .find(|v| v.node == node)
                     .expect("picked node was probed")
                     .summary;
-                self.trace.record(
-                    t,
-                    job as u64,
-                    TraceData::FleetPlace {
-                        job: job as u64,
-                        node: node as u64,
-                        used: summary.used,
-                        demand,
-                        top: summary.top,
-                    },
-                );
-                self.deferrals[job] = attempt;
-                self.assign(job, kind, node, t);
+                self.place(job, node, summary, demand, attempt, t);
             }
             None if attempt >= self.fleet.max_defers => {
                 self.deferrals[job] = attempt;
@@ -1214,8 +1173,7 @@ impl<'a> Fleet<'a> {
             // with migration budget left — Batch moves before Standard,
             // Standard before LatencyCritical — and within a class the
             // lowest-priority (latest-arriving) one. Unclassified
-            // scenarios (and the `crit_blind` ablation) collapse to the
-            // pure latest-arriving rule.
+            // scenarios collapse to the pure latest-arriving rule.
             let out = self.probe_outcome(node);
             let victim = self.nodes[node]
                 .apps
@@ -1230,12 +1188,7 @@ impl<'a> Fleet<'a> {
                         })
                 })
                 .max_by_key(|&(_, &(job, _, _))| {
-                    let exp = if self.fleet.crit_blind {
-                        0
-                    } else {
-                        self.scenario.class_of(job).crit.expendability()
-                    };
-                    (exp, job)
+                    (self.scenario.class_of(job).crit.expendability(), job)
                 })
                 .map(|(slot, &(job, kind, _))| (slot, job, kind));
             let Some((slot, job, kind)) = victim else {
@@ -1549,9 +1502,17 @@ pub fn run_fleet_with_workers(
         "the fleet scheduler places by monitor pressure; run static \
          baselines on replicated workers with `run_cluster`"
     );
-    let njobs = scenario.len();
     let mut state = Fleet::new(scenario, machine_cfg, fleet, workers);
     state.run_events();
+    finish(state)
+}
+
+/// Folds a scheduled fleet into its result. Each non-empty node makes one
+/// final full-length run, per-job outcomes come from those runs, and the
+/// fleet oracle checks the placement log.
+fn finish(mut state: Fleet) -> FleetResult {
+    let (scenario, fleet) = (state.scenario, state.fleet);
+    let njobs = scenario.len();
 
     // Final full-length run per non-empty node, in parallel via the node
     // cache; then fold per-job outcomes out of each job's final node.
@@ -1692,6 +1653,43 @@ mod tests {
         let mut f = FleetConfig::homogeneous(3, 64 * GIB);
         f.rebalance_checks = 10;
         f
+    }
+
+    /// Runs `scenario` with every arrival placed on `node`, admission
+    /// control skipped (the [`Fleet::pin`] seam).
+    fn run_pinned(scenario: &Scenario, fleet: &FleetConfig, node: usize) -> FleetResult {
+        let mut state = Fleet::new(scenario, quick_cfg(), fleet, 1);
+        state.pin = Some(node);
+        state.run_events();
+        finish(state)
+    }
+
+    /// The two-node fleet on which the rebalance tests pin both jobs to
+    /// node 0: an eager grace window and frequent checks.
+    fn eager_rebalance_fleet() -> FleetConfig {
+        let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
+        fleet.grace = SimDuration::ZERO;
+        fleet.rebalance_period = SimDuration::from_secs(1);
+        fleet.rebalance_checks = 150;
+        fleet
+    }
+
+    /// The cluster oracle's verdict on `trace`, as `run_fleet` checks it.
+    fn fleet_violations(fleet: &FleetConfig, trace: &TraceLog) -> Vec<Violation> {
+        FleetOracle::new(fleet.grace.as_millis())
+            .with_defer_interval(fleet.defer_interval.as_millis())
+            .check(trace)
+    }
+
+    /// `trace` with only the events `keep` maps to `Some`.
+    fn rewritten(trace: &TraceLog, keep: impl Fn(&TraceData) -> Option<TraceData>) -> TraceLog {
+        let mut out = TraceLog::new();
+        for e in trace.events() {
+            if let Some(data) = keep(&e.data) {
+                out.record(e.t, e.pid, data);
+            }
+        }
+        out
     }
 
     #[test]
@@ -1869,30 +1867,32 @@ mod tests {
     }
 
     #[test]
-    fn broken_policy_is_caught_by_the_oracle() {
-        // The blind policy places without ever probing node pressure; the
-        // cluster oracle must flag every such placement.
+    fn probe_less_placements_are_caught_by_the_oracle() {
+        // A placer that never probes leaves no pressure snapshot behind its
+        // placements. Stripping the snapshots from a real two-job run makes
+        // that log; the cluster oracle must flag every placement in it.
         let scenario = Scenario::uniform("MM", 120);
         let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
-        fleet.policy = PlacementPolicy::Blind;
         fleet.rebalance_checks = 0;
         let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
-        assert!(res.jobs.iter().all(|j| j.node == Some(0)), "blind → node 0");
-        let flagged = res
-            .violations
+        assert!(res.violations.is_empty(), "{:?}", res.violations);
+        let stripped = rewritten(&res.trace, |d| {
+            (!matches!(d, TraceData::FleetPressure { .. })).then(|| d.clone())
+        });
+        let violations = fleet_violations(&fleet, &stripped);
+        let flagged = violations
             .iter()
             .filter(|v| v.invariant == "fleet.place.red")
             .count();
         assert_eq!(
             flagged, 2,
-            "every probe-less placement must be flagged, got {:?}",
-            res.violations
+            "every probe-less placement must be flagged, got {violations:?}"
         );
     }
 
     #[test]
     fn red_node_triggers_migration_onto_the_idle_one() {
-        // MostPressured co-locates both n-weight jobs on node 0, which
+        // Pinning co-locates both n-weight jobs on node 0, which
         // pushes it into the red zone; with an eager grace window the
         // rebalancer must migrate the newest job to the idle node. (The
         // adaptive thresholds chase usage within seconds, so red streaks
@@ -1900,12 +1900,7 @@ mod tests {
         // deterministic; grace *enforcement* is covered by the oracle's
         // unit tests.)
         let scenario = Scenario::uniform("WW", 60);
-        let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
-        fleet.policy = PlacementPolicy::MostPressured;
-        fleet.grace = SimDuration::ZERO;
-        fleet.rebalance_period = SimDuration::from_secs(1);
-        fleet.rebalance_checks = 150;
-        let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
+        let res = run_pinned(&scenario, &eager_rebalance_fleet(), 0);
         assert_eq!(res.jobs[1].migrations, 1, "newest job is the victim");
         assert_eq!(res.jobs[1].node, Some(1), "it restarts on the idle node");
         assert_eq!(res.jobs[0].migrations, 0, "the older job stays put");
@@ -1990,12 +1985,9 @@ mod tests {
     }
 
     #[test]
-    fn crit_blind_fleet_is_caught_by_the_oracle() {
-        // The ablation evicts the latest-arriving resident regardless of
-        // class: here a Standard job preempts the resident
-        // latency-critical one, which the cluster oracle must flag. The
-        // same scenario with class checks on is quietly conformant — the
-        // Standard job simply waits its turn.
+    fn wrong_direction_preemption_is_caught_by_the_oracle() {
+        // The real scheduler never lets a Standard job evict a resident
+        // latency-critical one: the Standard job simply waits its turn.
         let scenario = Scenario::uniform("WW", 60).with_classes(vec![
             JobClass::new(Criticality::LatencyCritical, 0),
             JobClass::new(Criticality::Standard, 0),
@@ -2003,18 +1995,7 @@ mod tests {
         let mut fleet = FleetConfig::homogeneous(1, 64 * GIB);
         fleet.rebalance_checks = 0;
         fleet.max_defers = 200;
-        fleet.crit_blind = true;
         let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
-        assert!(
-            res.violations
-                .iter()
-                .any(|v| v.invariant == "sched.class.preempt"),
-            "a wrong-direction eviction must be flagged, got {:?}",
-            res.violations
-        );
-        let mut fair = fleet.clone();
-        fair.crit_blind = false;
-        let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fair);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert!(
             !res.trace
@@ -2022,6 +2003,48 @@ mod tests {
                 .iter()
                 .any(|e| matches!(e.data, TraceData::SchedClassPreempt { .. })),
             "a Standard job must not preempt a critical resident"
+        );
+        // A class-blind scheduler would. Relabel a real preemption that way
+        // (the critical preemptor as Standard, its Batch victim as
+        // critical) and the cluster oracle must flag the eviction, and
+        // nothing else.
+        let scenario = Scenario::uniform("WM", 60).with_classes(vec![
+            JobClass::new(Criticality::Batch, 0),
+            JobClass::new(Criticality::LatencyCritical, 0),
+        ]);
+        fleet.backoff_base = SimDuration::from_secs(600);
+        let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
+        assert!(res.violations.is_empty(), "{:?}", res.violations);
+        let class = |job: u64| match job {
+            0 => Criticality::LatencyCritical,
+            _ => Criticality::Standard,
+        };
+        let relabelled = rewritten(&res.trace, |d| {
+            let mut d = d.clone();
+            match &mut d {
+                TraceData::SchedClassAssign { job, crit, .. }
+                | TraceData::SchedClassSlo { job, crit, .. } => *crit = class(*job),
+                TraceData::SchedClassPreempt {
+                    job,
+                    crit,
+                    victim,
+                    victim_crit,
+                    ..
+                } => {
+                    *crit = class(*job);
+                    *victim_crit = class(*victim);
+                }
+                _ => {}
+            }
+            Some(d)
+        });
+        let violations = fleet_violations(&fleet, &relabelled);
+        assert!(
+            !violations.is_empty()
+                && violations
+                    .iter()
+                    .all(|v| v.invariant == "sched.class.preempt"),
+            "a wrong-direction eviction must be flagged, got {violations:?}"
         );
     }
 
@@ -2035,12 +2058,7 @@ mod tests {
             JobClass::new(Criticality::Standard, 0),
             JobClass::new(Criticality::LatencyCritical, 0),
         ]);
-        let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
-        fleet.policy = PlacementPolicy::MostPressured;
-        fleet.grace = SimDuration::ZERO;
-        fleet.rebalance_period = SimDuration::from_secs(1);
-        fleet.rebalance_checks = 150;
-        let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
+        let res = run_pinned(&scenario, &eager_rebalance_fleet(), 0);
         assert_eq!(res.jobs[0].migrations, 1, "the standard job is the victim");
         assert_eq!(res.jobs[1].migrations, 0, "the critical job stays put");
         assert!(res.violations.is_empty(), "{:?}", res.violations);
@@ -2296,12 +2314,9 @@ mod tests {
         // survive serde round trips (they feed the content-addressed node
         // cache key).
         let scenario = Scenario::uniform("WW", 60);
-        let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
-        fleet.policy = PlacementPolicy::MostPressured;
-        fleet.grace = SimDuration::ZERO;
-        fleet.rebalance_period = SimDuration::from_secs(1);
-        fleet.rebalance_checks = 150;
+        let fleet = eager_rebalance_fleet();
         let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, 1);
+        state.pin = Some(0);
         state.run_events();
         let with_faults: Vec<&FaultPlan> = state
             .nodes

@@ -1,4 +1,4 @@
-//! Key-granular cache-trace sweep (ROADMAP item 1).
+//! Key-granular cache-trace sweep (DESIGN.md §15).
 //!
 //! One [`run_cache_trace`] is one Memcached server driven by a
 //! production-shaped trace ([`TraceWorkload`]: Zipf popularity over millions

@@ -53,7 +53,7 @@ pub use faults::{
 };
 pub use fleet::{
     demand_estimate, fleet_cache_stats, run_fleet, run_fleet_cached, FleetConfig, FleetResult,
-    JobOutcome, NodeSpec, PlacementPolicy,
+    JobOutcome, NodeSpec,
 };
 pub use kvtrace::{
     kvtrace_cache_stats, node_phys_bytes, run_cache_trace, run_cache_trace_cached,

@@ -70,11 +70,6 @@ pub struct MachineConfig {
     /// answers pressure queries at every instant. Part of the memoization
     /// cache key.
     pub pressure_timeline_polls: Option<u64>,
-    /// Ablation: drain reclamation work packets in *reverse* bucket order,
-    /// ignoring dependency edges. Exists to prove the `reclaim.packet.*`
-    /// oracle invariants catch ordering violations; never set in a correct
-    /// configuration. Part of the memoization cache key.
-    pub packet_ablation: bool,
 }
 
 impl MachineConfig {
@@ -90,7 +85,6 @@ impl MachineConfig {
             fast_path: true,
             capture_trace: true,
             pressure_timeline_polls: None,
-            packet_ablation: false,
         }
     }
 
@@ -125,16 +119,6 @@ impl MachineConfig {
             self.monitor = None;
         }
         self
-    }
-
-    /// The work-packet scheduler configuration every app on this node is
-    /// built with (worker count comes from `M3_JOBS` when a drain wave
-    /// fans out).
-    pub fn scheduler_config(&self) -> m3_core::SchedulerConfig {
-        m3_core::SchedulerConfig {
-            workers: None,
-            ablate_bucket_order: self.packet_ablation,
-        }
     }
 }
 
@@ -387,7 +371,7 @@ impl Machine {
             for idx in queue.pop_due(now) {
                 let (name, _, bp) = &schedule[idx];
                 let pid = kernel.spawn(name.as_ref());
-                let app = bp.build_configured(pid, self.cfg.node_salt, self.cfg.scheduler_config());
+                let app = bp.build_salted(pid, self.cfg.node_salt);
                 results[idx].started = now;
                 if app.failed() {
                     results[idx].failed = true;

@@ -22,19 +22,11 @@ for workload in node_mix kv_read kv_write fleet_waves; do
         *) echo "perfbench $workload failed its checks: $verdict" >&2; exit 1 ;;
     esac
 done
-# Every test of every workspace member: the root package's suites, the
-# member crates' unit tests and their doctests.
+# Every test of every workspace member: the root package's suites (chaos,
+# conformance, fleet, fleet_properties and the rest), the member crates'
+# unit tests and their doctests. On a conformance failure the offending
+# trace JSON lands in target/conformance-artifacts/.
 cargo test -q --workspace
-# Chaos suite: fault injection, watchdog escalation, degradation accounting.
-cargo test -q --test chaos
-# Trace-oracle conformance: zero invariant violations on real runs, golden
-# traces byte-identical, fast/slow world loops trace-equal. On failure the
-# offending trace JSON lands in target/conformance-artifacts/.
-cargo test -q --test conformance
-# Fleet suite: scheduler-vs-cluster differential, golden placement log,
-# cluster-oracle invariants, and the fleet placement properties.
-cargo test -q --test fleet
-cargo test -q --test fleet_properties
 # Fixed-seed chaos drills (node- and fleet-level); each asserts its own
 # replay is byte-identical and, at fleet level, zero oracle violations.
 cargo run --release --example chaos_drill

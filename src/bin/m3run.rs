@@ -14,6 +14,13 @@
 //! cargo run --release --bin m3run -- run MMW180 --setting ows --json out.json
 //! cargo run --release --bin m3run -- run CCC480 --setting m3 --nodes 8
 //! ```
+//!
+//! Bad arguments, including zero nodes or zero GiB, print the usage and
+//! exit 2. A `--json` file that cannot be created is reported before
+//! anything is simulated, with exit 1.
+
+use std::fs::File;
+use std::io::Write;
 
 use m3::prelude::*;
 use m3::sim::clock::SimDuration;
@@ -103,25 +110,21 @@ fn run_cmd(args: &[String]) {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--setting" => setting_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--nodes" => {
-                nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--phys-gib" => {
-                phys_gib = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+            "--nodes" => nodes = positive(it.next()),
+            "--phys-gib" => phys_gib = positive(it.next()),
             "--json" => json_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--profile" => show_profile = true,
             _ => usage(),
         }
     }
+    let phys_total = phys_gib.checked_mul(GIB).unwrap_or_else(|| usage());
+    // Create the output file up front: a bad path must not cost a run.
+    let json_out = json_path.map(|path| match File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => fail(&format!("cannot create {path}: {e}")),
+    });
 
-    let mut cfg = MachineConfig::scaled(phys_gib * GIB, true);
+    let mut cfg = MachineConfig::scaled(phys_total, true);
     cfg.max_time = SimDuration::from_secs(60_000);
     if !show_profile {
         cfg.sample_period = None;
@@ -162,13 +165,11 @@ fn run_cmd(args: &[String]) {
                 res.spread_s[i]
             );
         }
-        if let Some(path) = json_path {
-            std::fs::write(
-                &path,
-                serde_json::to_string_pretty(&res).expect("serialise"),
-            )
-            .expect("write json");
-            println!("wrote {path}");
+        if let Some(json) = json_out {
+            write_json(
+                json,
+                &serde_json::to_string_pretty(&res).expect("serialise"),
+            );
         }
         return;
     }
@@ -206,12 +207,31 @@ fn run_cmd(args: &[String]) {
         println!();
         ascii_profile(&out.run.profile, 72, phys_gib as f64);
     }
-    if let Some(path) = json_path {
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&out.run.apps).expect("serialise"),
-        )
-        .expect("write json");
-        println!("wrote {path}");
+    if let Some(json) = json_out {
+        write_json(
+            json,
+            &serde_json::to_string_pretty(&out.run.apps).expect("serialise"),
+        );
     }
+}
+
+/// Parses a positive integer option value, or exits with the usage.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(value: Option<&String>) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|v| *v > T::default())
+        .unwrap_or_else(|| usage())
+}
+
+/// Reports a failure that is not a usage error and exits 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("m3run: {msg}");
+    std::process::exit(1);
+}
+
+fn write_json((path, mut file): (String, File), json: &str) {
+    if let Err(e) = file.write_all(json.as_bytes()) {
+        fail(&format!("cannot write {path}: {e}"));
+    }
+    println!("wrote {path}");
 }

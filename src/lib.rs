@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use m3_workloads::fleet::{
         run_fleet, run_fleet_cached, run_fleet_with_workers, FleetConfig, FleetResult, JobOutcome,
-        NodeSpec, PlacementPolicy,
+        NodeSpec,
     };
     pub use m3_workloads::kvtrace::{
         run_cache_trace, run_cache_trace_cached, CachePolicy, CacheTraceOutcome,

@@ -157,7 +157,7 @@ fn mixed_criticality_colocation_is_deterministic_across_workers() {
     // The criticality machinery (class-aware kill ordering, fleet
     // preemption, SLO accounting) must not perturb determinism: the
     // memcached+Spark co-location fleet serializes byte-identically whether
-    // node simulations run on one worker or eight, classified and blind.
+    // node simulations run on one worker or eight.
     use m3::prelude::*;
     use m3::workloads::scenario::mixed_criticality_scenario;
 
@@ -166,18 +166,15 @@ fn mixed_criticality_colocation_is_deterministic_across_workers() {
     let mut cfg = MachineConfig::stock_64gb();
     cfg.sample_period = None;
     cfg.max_time = SimDuration::from_secs(40_000);
-    for blind in [false, true] {
-        let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
-        fleet.rebalance_checks = 10;
-        fleet.crit_blind = blind;
-        let a = run_fleet_with_workers(&scenario, &setting, cfg, &fleet, 1);
-        let b = run_fleet_with_workers(&scenario, &setting, cfg, &fleet, 8);
-        assert_eq!(
-            serde_json::to_string(&a).expect("serialize fleet"),
-            serde_json::to_string(&b).expect("serialize fleet"),
-            "worker count changed the mixed-criticality result (blind={blind})"
-        );
-    }
+    let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
+    fleet.rebalance_checks = 10;
+    let a = run_fleet_with_workers(&scenario, &setting, cfg, &fleet, 1);
+    let b = run_fleet_with_workers(&scenario, &setting, cfg, &fleet, 8);
+    assert_eq!(
+        serde_json::to_string(&a).expect("serialize fleet"),
+        serde_json::to_string(&b).expect("serialize fleet"),
+        "worker count changed the mixed-criticality result"
+    );
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests of M3's core invariants (proptest).
 
+mod support;
+
 use m3::core::selection::{select_processes, sort_candidates, Candidate};
 use m3::core::thresholds::AdaptiveThresholds;
 use m3::core::{
@@ -371,10 +373,7 @@ proptest! {
             let mut pool = Pool {
                 slots: specs.iter().map(|s| s.1).collect(),
             };
-            let cfg = SchedulerConfig {
-                workers: Some(w),
-                ablate_bucket_order: false,
-            };
+            let cfg = SchedulerConfig { workers: Some(w) };
             let res = build_dag(&specs, pid, cfg).drain(&mut pool, &mut os);
             (res, pool, os)
         };
@@ -399,9 +398,8 @@ proptest! {
 
     /// Reverse-bucket draining of a DAG with a guaranteed Prepare→Release
     /// dependency edge is caught by both the bucket and the dependency
-    /// invariants — for every worker count. Even misordered, the drain
-    /// still runs everything, so bytes stay conserved: ordering and
-    /// conservation are independent failure axes.
+    /// invariants — for every worker count. The misordered log is the
+    /// conformant drain's, reordered into reverse bucket order.
     #[test]
     fn random_packet_dag_ablation_is_caught(
         specs in proptest::collection::vec(
@@ -419,7 +417,6 @@ proptest! {
         let mut pool = Pool { slots };
         let cfg = SchedulerConfig {
             workers: Some(workers),
-            ablate_bucket_order: true,
         };
         let mut sched = build_dag(&specs, pid, cfg);
         let prep = sched.add_in(
@@ -445,8 +442,10 @@ proptest! {
         );
         let monolithic: u64 = specs.iter().map(|s| s.1).sum::<u64>() + 2 * MIB;
         let res = sched.drain(&mut pool, &mut os);
-        prop_assert_eq!(res.stats.bytes(), monolithic, "ablation misorders, it must not lose bytes");
-        let violations = packet_violations(&os.trace);
+        prop_assert_eq!(res.stats.bytes(), monolithic);
+        let conformant = packet_violations(&os.trace);
+        prop_assert!(conformant.is_empty(), "{conformant:#?}");
+        let violations = packet_violations(&support::reverse_bucket_drains(&os.trace));
         prop_assert!(
             violations.iter().any(|v| v.invariant == "reclaim.packet.bucket"),
             "reverse-bucket drain must trip the bucket invariant, got {violations:#?}"
