@@ -5,8 +5,8 @@
 //! eight. Asserts that
 //!
 //! - the two sweeps serialize byte-identically (worker count must never
-//!   leak into simulation results — packet costing is the only parallel
-//!   phase and packet mutations commit serially in id order);
+//!   leak into simulation results — each run, its packet drains included,
+//!   is serial, and only whole runs fan out);
 //! - every run is oracle-clean: zero violations, which includes the
 //!   `reclaim.packet.*` ordering, dependency, and byte-conservation
 //!   invariants;

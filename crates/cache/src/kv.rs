@@ -11,8 +11,8 @@
 //! nothing but noise (see [`crate::slab`]).
 
 use m3_core::{
-    AdaptiveAllocator, M3Participant, PacketKind, PacketOutcome, ReclaimScheduler, SchedulerConfig,
-    SignalOutcome, ThresholdSignal,
+    AdaptiveAllocator, M3Participant, PacketKind, PacketOutcome, ReclaimScheduler, SignalOutcome,
+    ThresholdSignal,
 };
 use m3_os::{Kernel, Pid};
 use m3_runtime::{GoConfig, GoRuntime, NativeAllocator};
@@ -729,7 +729,7 @@ impl M3Participant for KvApp {
             ThresholdSignal::Low => EvictReason::LowSignal,
             ThresholdSignal::High => EvictReason::HighSignal,
         };
-        let mut sched = ReclaimScheduler::new(pid, SchedulerConfig::default());
+        let mut sched = ReclaimScheduler::new(pid);
         self.evict_acc = EvictAcc::default();
 
         // Prepare: the cache's own slab eviction. The key-granular path
@@ -748,18 +748,9 @@ impl M3Participant for KvApp {
                 let plan = e.store.class_quotas(n);
                 let mut class_ids = Vec::with_capacity(plan.len());
                 for (class, quota) in plan {
-                    class_ids.push(sched.add_costed(
+                    class_ids.push(sched.add(
                         PacketKind::EvictClass,
                         &[],
-                        move |app: &KvApp| {
-                            quota
-                                * app
-                                    .engine
-                                    .as_ref()
-                                    .expect("trace engine")
-                                    .store
-                                    .slab_bytes()
-                        },
                         move |app: &mut KvApp, os: &mut Kernel| {
                             let e = app.engine.as_mut().expect("trace engine");
                             let d = e.store.evict_class(class, quota);
@@ -778,10 +769,9 @@ impl M3Participant for KvApp {
                         },
                     ));
                 }
-                sched.add_costed(
+                sched.add(
                     PacketKind::EvictSlabs,
                     &class_ids,
-                    |_: &KvApp| 0, // the class packets carry the planned bytes
                     move |app: &mut KvApp, os: &mut Kernel| {
                         let acc = std::mem::take(&mut app.evict_acc);
                         os.record_trace_with(pid, || TraceData::EvictSlabs {
@@ -800,10 +790,9 @@ impl M3Participant for KvApp {
                     },
                 )
             }
-            None => sched.add_costed(
+            None => sched.add(
                 PacketKind::EvictSlabs,
                 &[],
-                move |app: &KvApp| (app.slabs.resident_bytes() as f64 * fraction) as u64,
                 move |app: &mut KvApp, os: &mut Kernel| {
                     let before = app.slabs.slab_count();
                     let (slabs, items) = app.slabs.evict_fraction(fraction);
@@ -829,13 +818,9 @@ impl M3Participant for KvApp {
         // (Table 1: "call Go"). Memcached's jemalloc already returned the
         // freed slabs inside the eviction packet's `free`.
         if matches!(self.backend, KvBackend::Go(_)) {
-            let gc = sched.add_costed(
+            let gc = sched.add(
                 PacketKind::GcGo,
                 &[evict],
-                |app: &KvApp| match &app.backend {
-                    KvBackend::Go(g) => g.collect_estimate(),
-                    KvBackend::Native(_) => 0,
-                },
                 move |app: &mut KvApp, os: &mut Kernel| match &mut app.backend {
                     KvBackend::Go(g) => {
                         let out = g.collect(os);
@@ -854,13 +839,9 @@ impl M3Participant for KvApp {
                 KvBackend::Native(_) => false,
             };
             if immediate {
-                sched.add_costed(
+                sched.add(
                     PacketKind::Madvise,
                     &[gc],
-                    |app: &KvApp| match &app.backend {
-                        KvBackend::Go(g) => g.releasable(),
-                        KvBackend::Native(_) => 0,
-                    },
                     |app: &mut KvApp, os: &mut Kernel| match &mut app.backend {
                         KvBackend::Go(g) => PacketOutcome::released(g.release_to_os(os)),
                         KvBackend::Native(_) => PacketOutcome::default(),
@@ -869,13 +850,13 @@ impl M3Participant for KvApp {
             }
         }
 
-        let res = sched.drain(self, os);
+        let outcome = sched.drain(self, os);
         if sig == ThresholdSignal::High {
             if let Some(a) = self.allocator.as_mut() {
-                a.on_reclaim_done(now + res.outcome.duration);
+                a.on_reclaim_done(now + outcome.duration);
             }
         }
-        res.outcome
+        outcome
     }
 }
 

@@ -49,9 +49,6 @@ pub use config::MonitorConfig;
 pub use layer::{M3Participant, SignalOutcome, ThresholdSignal};
 pub use monitor::{Monitor, PollReport, PressureSummary, Zone, MONITOR_PID};
 pub use registry::{PidFile, Registry};
-pub use scheduler::{
-    DrainResult, PacketBucket, PacketId, PacketKind, PacketOutcome, PacketRecord, PacketStats,
-    ReclaimScheduler, SchedulerConfig,
-};
+pub use scheduler::{PacketBucket, PacketId, PacketKind, PacketOutcome, ReclaimScheduler};
 pub use selection::SortOrder;
 pub use thresholds::{AdaptiveThresholds, ThresholdUpdate};

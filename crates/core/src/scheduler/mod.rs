@@ -15,60 +15,22 @@
 //!
 //! A bucket only *opens* once every packet in all earlier buckets has
 //! finished, and a packet only *executes* once its explicit dependencies
-//! have finished. The drain proceeds in waves: each wave, the ready set of
-//! the open bucket is costed in parallel through
-//! [`m3_sim::parallel::parallel_map`] (a pure pass, merged in submission
-//! order), then the mutations commit serially in packet-id order. Because
-//! the only parallel phase is pure and its merge is deterministic, a drain
-//! is **byte-identical for any worker count** — `M3_JOBS=8` changes
-//! wall-clock time, never results. The conformance suite pins this down,
-//! and the `reclaim.packet.*` trace events emitted here let the oracle
-//! verify bucket order, dependency edges and byte conservation after every
-//! traced run.
+//! have finished. The drain is one serial loop over waves: each wave takes
+//! the ready set of the open bucket and runs it in packet-id order. The
+//! `reclaim.packet.*` trace events emitted here let the oracle verify
+//! bucket order, dependency edges and byte conservation after every traced
+//! run.
 
 mod packet;
-mod stats;
 
 pub use packet::{PacketId, PacketKind, PacketOutcome, WorkPacket};
-pub use stats::{PacketRecord, PacketStats};
 
 pub use m3_sim::trace::PacketBucket;
 
 use m3_os::{Kernel, Pid};
-use m3_sim::parallel::{parallel_map, worker_threads};
 use m3_sim::trace::TraceData;
 
 use crate::layer::SignalOutcome;
-
-/// Ready waves at least this large are costed through the thread pool;
-/// smaller waves are costed serially (spawning threads for two or three
-/// pure estimator calls costs more than it saves).
-pub const PARALLEL_COST_MIN: usize = 4;
-
-/// Scheduler tunables.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SchedulerConfig {
-    /// Worker threads for the parallel costing pass; `None` uses
-    /// [`worker_threads`] (the `M3_JOBS` environment variable).
-    pub workers: Option<usize>,
-}
-
-impl SchedulerConfig {
-    /// The effective worker count.
-    pub fn worker_count(&self) -> usize {
-        self.workers.unwrap_or_else(worker_threads)
-    }
-}
-
-/// What one full drain accomplished.
-#[derive(Debug)]
-pub struct DrainResult {
-    /// Summed handler outcome (durations add, returned bytes add) — what
-    /// `handle_signal` reports to the monitor.
-    pub outcome: SignalOutcome,
-    /// Per-packet statistics.
-    pub stats: PacketStats,
-}
 
 /// A single-drain packet scheduler over a participant context `C`.
 ///
@@ -78,55 +40,31 @@ pub struct DrainResult {
 /// double as the deterministic execution order within a wave.
 pub struct ReclaimScheduler<C> {
     pid: Pid,
-    cfg: SchedulerConfig,
     packets: Vec<WorkPacket<C>>,
 }
 
-impl<C: Sync> ReclaimScheduler<C> {
+impl<C> ReclaimScheduler<C> {
     /// An empty scheduler draining on behalf of `pid`.
-    pub fn new(pid: Pid, cfg: SchedulerConfig) -> Self {
+    pub fn new(pid: Pid) -> Self {
         ReclaimScheduler {
             pid,
-            cfg,
             packets: Vec::new(),
         }
     }
 
-    /// Number of packets enqueued so far.
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// True when nothing has been enqueued.
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
-    /// Enqueues a packet in its kind's default bucket with a zero cost
-    /// estimate. Returns its id for use in later packets' `deps`.
+    /// Enqueues a packet in its kind's default bucket. Returns its id for
+    /// use in later packets' `deps`.
     pub fn add(
         &mut self,
         kind: PacketKind,
         deps: &[PacketId],
         run: impl FnOnce(&mut C, &mut Kernel) -> PacketOutcome + 'static,
     ) -> PacketId {
-        self.add_in(kind, kind.default_bucket(), deps, |_| 0, run)
+        self.add_in(kind, kind.default_bucket(), deps, run)
     }
 
-    /// Enqueues a packet in its kind's default bucket with a pure byte-cost
-    /// estimator (evaluated during the wave's parallel costing pass).
-    pub fn add_costed(
-        &mut self,
-        kind: PacketKind,
-        deps: &[PacketId],
-        cost: impl Fn(&C) -> u64 + Send + Sync + 'static,
-        run: impl FnOnce(&mut C, &mut Kernel) -> PacketOutcome + 'static,
-    ) -> PacketId {
-        self.add_in(kind, kind.default_bucket(), deps, cost, run)
-    }
-
-    /// Fully explicit enqueue: kind, bucket, dependencies, cost estimator
-    /// and the mutation itself.
+    /// Fully explicit enqueue: kind, bucket, dependencies and the mutation
+    /// itself.
     ///
     /// Panics if a dependency names a not-yet-enqueued packet or one in a
     /// *later* bucket — either would deadlock the drain, so both are
@@ -136,7 +74,6 @@ impl<C: Sync> ReclaimScheduler<C> {
         kind: PacketKind,
         bucket: PacketBucket,
         deps: &[PacketId],
-        cost: impl Fn(&C) -> u64 + Send + Sync + 'static,
         run: impl FnOnce(&mut C, &mut Kernel) -> PacketOutcome + 'static,
     ) -> PacketId {
         let id = self.packets.len() as PacketId;
@@ -156,17 +93,16 @@ impl<C: Sync> ReclaimScheduler<C> {
             kind,
             bucket,
             deps: deps.to_vec(),
-            cost: Box::new(cost),
             run: Some(Box::new(run)),
         });
         id
     }
 
-    /// Executes every packet and returns the summed outcome plus
-    /// per-packet statistics. Emits `reclaim.packet.enqueue` for every
-    /// packet up front (id order), then `stall`/`start`/`finish` events as
-    /// the waves progress.
-    pub fn drain(mut self, ctx: &mut C, os: &mut Kernel) -> DrainResult {
+    /// Executes every packet and returns the summed outcome (durations add,
+    /// returned bytes add) — what `handle_signal` reports to the monitor.
+    /// Emits `reclaim.packet.enqueue` for every packet up front (id order),
+    /// then `stall`/`start`/`finish` events as the waves progress.
+    pub fn drain(mut self, ctx: &mut C, os: &mut Kernel) -> SignalOutcome {
         let pid = self.pid;
         for p in &self.packets {
             os.record_trace_with(pid, || TraceData::PacketEnqueue {
@@ -177,23 +113,19 @@ impl<C: Sync> ReclaimScheduler<C> {
             });
         }
 
-        let n = self.packets.len();
-        let mut finished = vec![false; n];
-        let mut stats = PacketStats::default();
+        let mut finished = vec![false; self.packets.len()];
         let mut outcome = SignalOutcome::default();
         let mut wave: u64 = 0;
-        let mut done = 0usize;
-        while done < n {
-            // The open bucket is the earliest one still holding unfinished
-            // packets: by definition every packet in a strictly earlier
-            // bucket has finished.
-            let open = self
-                .packets
-                .iter()
-                .filter(|p| !finished[p.id as usize])
-                .map(|p| p.bucket)
-                .min()
-                .expect("unfinished packets remain");
+        // The open bucket is the earliest one still holding unfinished
+        // packets: by definition every packet in a strictly earlier bucket
+        // has finished.
+        while let Some(open) = self
+            .packets
+            .iter()
+            .filter(|p| !finished[p.id as usize])
+            .map(|p| p.bucket)
+            .min()
+        {
             let mut ready: Vec<usize> = Vec::new();
             for p in self.packets.iter().filter(|p| p.bucket == open) {
                 let i = p.id as usize;
@@ -202,17 +134,14 @@ impl<C: Sync> ReclaimScheduler<C> {
                 }
                 match p.deps.iter().find(|&&d| !finished[d as usize]) {
                     None => ready.push(i),
-                    Some(&blocker) => {
-                        os.record_trace(
-                            pid,
-                            TraceData::PacketStall {
-                                packet: p.id,
-                                waiting_on: blocker,
-                                wave,
-                            },
-                        );
-                        stats.stalls += 1;
-                    }
+                    Some(&blocker) => os.record_trace(
+                        pid,
+                        TraceData::PacketStall {
+                            packet: p.id,
+                            waiting_on: blocker,
+                            wave,
+                        },
+                    ),
                 }
             }
             // Always true: the smallest unfinished id in the open bucket
@@ -220,47 +149,24 @@ impl<C: Sync> ReclaimScheduler<C> {
             // same or an earlier bucket), so every wave makes progress.
             assert!(!ready.is_empty(), "packet dependency cycle");
 
-            // Pure costing pass, fanned out when the wave is large enough.
-            // `parallel_map` merges in submission order, so the planned
-            // bytes land in the same slots for any worker count. Only a
-            // wave that fans out reads the worker count: with `M3_JOBS`
-            // unset that reads cgroup files, which most drains never need.
-            let cost_workers = if ready.len() >= PARALLEL_COST_MIN {
-                self.cfg.worker_count()
-            } else {
-                1
-            };
-            let estimators: Vec<&(dyn Fn(&C) -> u64 + Send + Sync)> = ready
-                .iter()
-                .map(|&i| self.packets[i].cost.as_ref())
-                .collect();
-            let shared: &C = ctx;
-            let planned = parallel_map(estimators, cost_workers, |est| est(shared));
-
-            // Commit serially in packet-id order (`ready` is id-sorted).
-            for (&i, &planned_bytes) in ready.iter().zip(planned.iter()) {
-                let (id, kind, bucket) = {
-                    let p = &self.packets[i];
-                    (p.id, p.kind, p.bucket)
-                };
+            // `ready` is id-sorted, so the wave runs in packet-id order.
+            for i in ready {
+                let p = &mut self.packets[i];
                 os.record_trace(
                     pid,
                     TraceData::PacketStart {
-                        packet: id,
-                        bucket,
+                        packet: p.id,
+                        bucket: p.bucket,
                         wave,
                     },
                 );
-                let run = self.packets[i]
-                    .run
-                    .take()
-                    .expect("packet executes exactly once");
+                let run = p.run.take().expect("packet executes exactly once");
                 let out = run(ctx, os);
                 os.record_trace(
                     pid,
                     TraceData::PacketFinish {
-                        packet: id,
-                        bucket,
+                        packet: p.id,
+                        bucket: p.bucket,
                         bytes: out.bytes,
                         returned: out.returned,
                         duration_ms: out.duration.as_millis(),
@@ -270,24 +176,11 @@ impl<C: Sync> ReclaimScheduler<C> {
                     duration: out.duration,
                     returned_to_os: out.returned,
                 });
-                stats.records.push(PacketRecord {
-                    id,
-                    kind: kind.name(),
-                    bucket,
-                    wave,
-                    queued_waves: wave,
-                    planned_bytes,
-                    bytes: out.bytes,
-                    returned: out.returned,
-                    duration: out.duration,
-                });
                 finished[i] = true;
-                done += 1;
             }
             wave += 1;
         }
-        stats.waves = wave;
-        DrainResult { outcome, stats }
+        outcome
     }
 }
 
@@ -298,13 +191,10 @@ mod tests {
     use m3_sim::clock::SimDuration;
     use m3_sim::units::GIB;
 
-    /// Synthetic participant: a log of executed packet labels plus a pool
-    /// of "dead" bytes that Collect packets free and Release returns.
+    /// Synthetic participant: a log of executed packet labels.
     #[derive(Default)]
     struct Ctx {
         ran: Vec<&'static str>,
-        dead: u64,
-        free: u64,
     }
 
     fn kernel() -> Kernel {
@@ -319,11 +209,35 @@ mod tests {
         }
     }
 
+    /// The wave each packet started in, in start order.
+    fn start_waves(os: &Kernel) -> Vec<(PacketId, u64)> {
+        os.trace
+            .events()
+            .iter()
+            .filter_map(|e| match e.data {
+                TraceData::PacketStart { packet, wave, .. } => Some((packet, wave)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Bytes the finished packets reclaimed, summed over the trace.
+    fn finished_bytes(os: &Kernel) -> u64 {
+        os.trace
+            .events()
+            .iter()
+            .filter_map(|e| match e.data {
+                TraceData::PacketFinish { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .sum()
+    }
+
     #[test]
     fn buckets_execute_in_order_regardless_of_enqueue_order() {
         let mut os = kernel();
         let mut ctx = Ctx::default();
-        let mut sched = ReclaimScheduler::new(7, SchedulerConfig::default());
+        let mut sched = ReclaimScheduler::new(7);
         sched.add(PacketKind::Madvise, &[], |c: &mut Ctx, _| {
             c.ran.push("madvise");
             outcome(0)
@@ -336,18 +250,22 @@ mod tests {
             c.ran.push("evict");
             outcome(200)
         });
-        let res = sched.drain(&mut ctx, &mut os);
+        let out = sched.drain(&mut ctx, &mut os);
         assert_eq!(ctx.ran, vec!["evict", "gc", "madvise"]);
-        assert_eq!(res.stats.waves, 3, "one wave per non-empty bucket");
-        assert_eq!(res.stats.bytes(), 300);
-        assert_eq!(os.trace.count("reclaim.packet.start"), 3);
+        assert_eq!(
+            start_waves(&os),
+            vec![(2, 0), (1, 1), (0, 2)],
+            "one wave per non-empty bucket"
+        );
+        assert_eq!(finished_bytes(&os), 300);
+        assert_eq!(out.duration, SimDuration::from_millis(15));
     }
 
     #[test]
     fn dependencies_gate_within_a_bucket_and_emit_stalls() {
         let mut os = kernel();
         let mut ctx = Ctx::default();
-        let mut sched = ReclaimScheduler::new(7, SchedulerConfig::default());
+        let mut sched = ReclaimScheduler::new(7);
         let young = sched.add(PacketKind::GcYoung, &[], |c: &mut Ctx, _| {
             c.ran.push("young");
             outcome(10)
@@ -362,10 +280,14 @@ mod tests {
             c.ran.push("young2");
             outcome(30)
         });
-        let res = sched.drain(&mut ctx, &mut os);
+        sched.drain(&mut ctx, &mut os);
         assert_eq!(ctx.ran, vec!["young", "young2", "old"]);
-        assert_eq!(res.stats.waves, 2);
-        assert_eq!(res.stats.stalls, 1, "old stalled one wave behind young");
+        assert_eq!(
+            start_waves(&os),
+            vec![(0, 0), (2, 0), (1, 1)],
+            "old runs one wave behind young"
+        );
+        assert_eq!(os.trace.count("reclaim.packet.stall"), 1);
         let stall = os.trace.first("reclaim.packet.stall").expect("stall event");
         match &stall.data {
             TraceData::PacketStall {
@@ -376,51 +298,12 @@ mod tests {
             }
             other => panic!("unexpected stall payload {other:?}"),
         }
-        let old = res.stats.of_kind("gc_old")[0];
-        assert_eq!(old.queued_waves, 1);
-    }
-
-    #[test]
-    fn drain_is_identical_for_any_worker_count() {
-        let run = |workers: usize| {
-            let mut os = kernel();
-            let mut ctx = Ctx {
-                dead: 600,
-                ..Ctx::default()
-            };
-            let mut sched = ReclaimScheduler::new(
-                7,
-                SchedulerConfig {
-                    workers: Some(workers),
-                },
-            );
-            // A wave wide enough to trip the parallel costing path.
-            for i in 0..6u64 {
-                sched.add_costed(
-                    PacketKind::EvictClass,
-                    &[],
-                    move |c: &Ctx| c.dead / 6 + i,
-                    move |c: &mut Ctx, _| {
-                        let freed = c.dead / 6;
-                        c.dead -= freed;
-                        c.free += freed;
-                        outcome(freed)
-                    },
-                );
-            }
-            let res = sched.drain(&mut ctx, &mut os);
-            let planned: Vec<u64> = res.stats.records.iter().map(|r| r.planned_bytes).collect();
-            (planned, res.stats.bytes(), ctx.free, os.trace.len())
-        };
-        let baseline = run(1);
-        assert_eq!(run(4), baseline);
-        assert_eq!(run(8), baseline);
     }
 
     #[test]
     #[should_panic(expected = "later bucket")]
     fn dependency_on_a_later_bucket_is_rejected() {
-        let mut sched: ReclaimScheduler<Ctx> = ReclaimScheduler::new(7, SchedulerConfig::default());
+        let mut sched: ReclaimScheduler<Ctx> = ReclaimScheduler::new(7);
         let madv = sched.add(PacketKind::Madvise, &[], |_, _| PacketOutcome::default());
         sched.add(PacketKind::EvictBlocks, &[madv], |_, _| {
             PacketOutcome::default()
@@ -431,10 +314,8 @@ mod tests {
     fn empty_drain_is_a_no_op() {
         let mut os = kernel();
         let mut ctx = Ctx::default();
-        let sched: ReclaimScheduler<Ctx> = ReclaimScheduler::new(7, SchedulerConfig::default());
-        let res = sched.drain(&mut ctx, &mut os);
-        assert_eq!(res.outcome, SignalOutcome::default());
-        assert!(res.stats.records.is_empty());
+        let sched: ReclaimScheduler<Ctx> = ReclaimScheduler::new(7);
+        assert_eq!(sched.drain(&mut ctx, &mut os), SignalOutcome::default());
         assert!(os.trace.is_empty());
     }
 }

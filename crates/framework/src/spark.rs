@@ -15,7 +15,7 @@
 
 use m3_core::{
     AdaptiveAllocator, M3Participant, PacketBucket, PacketKind, PacketOutcome, ReclaimScheduler,
-    SchedulerConfig, SignalOutcome, ThresholdSignal,
+    SignalOutcome, ThresholdSignal,
 };
 use m3_os::{DiskModel, Kernel, Pid};
 use m3_runtime::{Jvm, JvmConfig, RuntimeError};
@@ -462,11 +462,6 @@ impl SparkApp {
         self.stats.spark_mm += cost;
         PacketOutcome::freed(freed, cost)
     }
-
-    /// Pure estimate of the bytes [`SparkApp::evict_high_packet`] will free.
-    fn evict_high_estimate(&self) -> u64 {
-        (self.cache.used() as f64 * self.cfg.high_evict_fraction) as u64
-    }
 }
 
 impl M3Participant for SparkApp {
@@ -486,30 +481,26 @@ impl M3Participant for SparkApp {
         if self.finished {
             return SignalOutcome::default();
         }
-        let mut sched = ReclaimScheduler::new(self.jvm.pid(), SchedulerConfig::default());
-        let young_cost = |app: &SparkApp| app.jvm.young_collect_estimate();
+        let mut sched = ReclaimScheduler::new(self.jvm.pid());
         let young_run = |app: &mut SparkApp, os: &mut Kernel| {
             let gc = app.jvm.young_collect(os);
             PacketOutcome::freed(gc.reclaimed, gc.pause)
         };
-        let madv_cost = |app: &SparkApp| app.jvm.releasable();
         let madv_run = |app: &mut SparkApp, os: &mut Kernel| {
             PacketOutcome::released(app.jvm.release_to_os(os))
         };
         match sig {
             ThresholdSignal::Low => {
                 // Table 1 low: call down to the JVM only.
-                let gc = sched.add_costed(PacketKind::GcYoung, &[], young_cost, young_run);
-                sched.add_costed(PacketKind::Madvise, &[gc], madv_cost, madv_run);
-                sched.drain(self, os).outcome
+                let gc = sched.add(PacketKind::GcYoung, &[], young_run);
+                sched.add(PacketKind::Madvise, &[gc], madv_run);
+                sched.drain(self, os)
             }
             ThresholdSignal::High => {
                 if let Some(a) = self.allocator.as_mut() {
                     a.on_high_signal(now);
                 }
-                let evict_cost = |app: &SparkApp| app.evict_high_estimate();
                 let evict_run = |app: &mut SparkApp, os: &mut Kernel| app.evict_high_packet(os);
-                let old_cost = |app: &SparkApp| app.jvm.old_collect_estimate();
                 let old_run = |app: &mut SparkApp, os: &mut Kernel| {
                     let gc = app.jvm.old_collect(os);
                     PacketOutcome::freed(gc.reclaimed, gc.pause)
@@ -519,47 +510,29 @@ impl M3Participant for SparkApp {
                     // (and releases) before the upper layer has freed
                     // anything (§2.2 Problem 3) — this cycle's yield is
                     // wasted. Expressed by swapping the bucket assignments.
-                    let y = sched.add_in(
-                        PacketKind::GcYoung,
-                        PacketBucket::Prepare,
-                        &[],
-                        young_cost,
-                        young_run,
-                    );
-                    let o = sched.add_in(
-                        PacketKind::GcOld,
-                        PacketBucket::Prepare,
-                        &[y],
-                        old_cost,
-                        old_run,
-                    );
-                    sched.add_in(
-                        PacketKind::Madvise,
-                        PacketBucket::Collect,
-                        &[o],
-                        madv_cost,
-                        madv_run,
-                    );
+                    let y =
+                        sched.add_in(PacketKind::GcYoung, PacketBucket::Prepare, &[], young_run);
+                    let o = sched.add_in(PacketKind::GcOld, PacketBucket::Prepare, &[y], old_run);
+                    sched.add_in(PacketKind::Madvise, PacketBucket::Collect, &[o], madv_run);
                     sched.add_in(
                         PacketKind::EvictBlocks,
                         PacketBucket::Release,
                         &[],
-                        evict_cost,
                         evict_run,
                     );
                 } else {
                     // Top-down: evict blocks, then the mixed collection's
                     // two phases, then one batched release.
-                    let e = sched.add_costed(PacketKind::EvictBlocks, &[], evict_cost, evict_run);
-                    let y = sched.add_costed(PacketKind::GcYoung, &[e], young_cost, young_run);
-                    let o = sched.add_costed(PacketKind::GcOld, &[y], old_cost, old_run);
-                    sched.add_costed(PacketKind::Madvise, &[o], madv_cost, madv_run);
+                    let e = sched.add(PacketKind::EvictBlocks, &[], evict_run);
+                    let y = sched.add(PacketKind::GcYoung, &[e], young_run);
+                    let o = sched.add(PacketKind::GcOld, &[y], old_run);
+                    sched.add(PacketKind::Madvise, &[o], madv_run);
                 }
-                let res = sched.drain(self, os);
+                let outcome = sched.drain(self, os);
                 if let Some(a) = self.allocator.as_mut() {
-                    a.on_reclaim_done(now + res.outcome.duration);
+                    a.on_reclaim_done(now + outcome.duration);
                 }
-                res.outcome
+                outcome
             }
         }
     }

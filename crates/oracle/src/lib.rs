@@ -82,29 +82,26 @@ pub struct Violation {
     pub message: String,
 }
 
-/// The conformance oracle: paper constants plus the monitor configuration
-/// the run declared (monitor invariants are skipped for monitor-less runs).
+/// Fraction of cached blocks a framework evicts on a high signal (Table 1:
+/// Spark drops ⅛ of its block cache).
+const BLOCK_HIGH_FRACTION: f64 = 1.0 / 8.0;
+/// Fraction of slabs a cache evicts on a low signal (Table 1: 1 %).
+const SLAB_LOW_FRACTION: f64 = 0.01;
+/// Fraction of slabs a cache evicts on a high signal (Table 1: 4 %).
+const SLAB_HIGH_FRACTION: f64 = 0.04;
+
+/// The conformance oracle: the paper's constants plus the monitor
+/// configuration the run declared (monitor invariants are skipped for
+/// monitor-less runs).
 #[derive(Debug, Clone)]
 pub struct Oracle {
     monitor: Option<MonitorConfig>,
-    /// Fraction of cached blocks a framework evicts on a high signal
-    /// (Table 1: Spark drops ⅛ of its block cache).
-    pub block_high_fraction: f64,
-    /// Fraction of slabs a cache evicts on a low signal (Table 1: 1 %).
-    pub slab_low_fraction: f64,
-    /// Fraction of slabs a cache evicts on a high signal (Table 1: 4 %).
-    pub slab_high_fraction: f64,
 }
 
 impl Oracle {
     /// An oracle with the paper's Table 1 constants.
     pub fn paper(monitor: Option<MonitorConfig>) -> Self {
-        Oracle {
-            monitor,
-            block_high_fraction: 1.0 / 8.0,
-            slab_low_fraction: 0.01,
-            slab_high_fraction: 0.04,
-        }
+        Oracle { monitor }
     }
 
     /// Replays `trace` and returns every divergence found (empty = conformant).
@@ -740,7 +737,7 @@ impl<'a> Checker<'a> {
                         w.agg_blocks += bytes;
                     }
                     if *reason == EvictReason::HighSignal {
-                        let want = expected_fraction(*before, self.oracle.block_high_fraction);
+                        let want = expected_fraction(*before, BLOCK_HIGH_FRACTION);
                         if *evicted != want {
                             self.flag(
                                 "evict.blocks.magnitude",
@@ -765,8 +762,8 @@ impl<'a> Checker<'a> {
                         w.agg_slabs += bytes;
                     }
                     let frac = match reason {
-                        EvictReason::LowSignal => Some(self.oracle.slab_low_fraction),
-                        EvictReason::HighSignal => Some(self.oracle.slab_high_fraction),
+                        EvictReason::LowSignal => Some(SLAB_LOW_FRACTION),
+                        EvictReason::HighSignal => Some(SLAB_HIGH_FRACTION),
                         _ => None,
                     };
                     if let Some(frac) = frac {
@@ -3610,11 +3607,11 @@ mod tests {
         // edges records: enqueues as they were, then one packet per wave,
         // later buckets first. The oracle must flag the reversed buckets
         // and the ignored dependency edges.
-        use m3_core::scheduler::{PacketKind, PacketOutcome, ReclaimScheduler, SchedulerConfig};
+        use m3_core::scheduler::{PacketKind, PacketOutcome, ReclaimScheduler};
         let mut os = Kernel::new(KernelConfig::with_total(GIB));
         let pid = os.spawn("app");
         os.record_trace(pid, TraceData::HandlerStart { sig: SigKind::High });
-        let mut sched = ReclaimScheduler::new(pid, SchedulerConfig { workers: Some(1) });
+        let mut sched = ReclaimScheduler::new(pid);
         let ev = sched.add(PacketKind::EvictBlocks, &[], |_: &mut (), _| {
             PacketOutcome::default()
         });

@@ -75,42 +75,25 @@ pub struct GcStats {
     pub mixed_count: u64,
     /// Number of full collections.
     pub full_count: u64,
-    /// Collections that actually freed bytes inside the heap. A collection
-    /// with zero yield still pays its pause (and still counts in the
-    /// per-kind counters above); tracking the effective subset separately
-    /// exposes how much of the GC effort under pressure was wasted motion.
-    pub effective_collections: u64,
     /// Total stop-the-world pause time.
     pub total_pause: SimDuration,
-    /// Total bytes reclaimed (freed inside the heap).
-    pub reclaimed_bytes: u64,
-    /// Total bytes returned to the OS via `madvise`.
-    pub returned_to_os: u64,
 }
 
 impl GcStats {
-    /// Records one collection.
-    pub fn record(&mut self, kind: GcKind, pause: SimDuration, reclaimed: u64) {
+    /// Records one collection. The bytes it reclaimed are in its `gc.*`
+    /// trace event.
+    pub fn record(&mut self, kind: GcKind, pause: SimDuration) {
         match kind {
             GcKind::Young => self.young_count += 1,
             GcKind::Mixed => self.mixed_count += 1,
             GcKind::Full => self.full_count += 1,
         }
-        if reclaimed > 0 {
-            self.effective_collections += 1;
-        }
         self.total_pause += pause;
-        self.reclaimed_bytes += reclaimed;
     }
 
-    /// Total number of collections of any kind, effective or not.
+    /// Total number of collections of any kind.
     pub fn total_count(&self) -> u64 {
         self.young_count + self.mixed_count + self.full_count
-    }
-
-    /// Collections that paid a pause without freeing anything.
-    pub fn wasted_collections(&self) -> u64 {
-        self.total_count() - self.effective_collections
     }
 }
 
@@ -154,33 +137,13 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut s = GcStats::default();
-        s.record(GcKind::Young, SimDuration::from_millis(10), 100);
-        s.record(GcKind::Mixed, SimDuration::from_millis(50), 400);
-        s.record(GcKind::Full, SimDuration::from_millis(500), 900);
+        s.record(GcKind::Young, SimDuration::from_millis(10));
+        s.record(GcKind::Mixed, SimDuration::from_millis(50));
+        s.record(GcKind::Full, SimDuration::from_millis(500));
         assert_eq!(s.young_count, 1);
         assert_eq!(s.mixed_count, 1);
         assert_eq!(s.full_count, 1);
         assert_eq!(s.total_count(), 3);
-        assert_eq!(s.effective_collections, 3);
-        assert_eq!(s.wasted_collections(), 0);
         assert_eq!(s.total_pause.as_millis(), 560);
-        assert_eq!(s.reclaimed_bytes, 1400);
-    }
-
-    #[test]
-    fn zero_yield_collections_count_but_are_not_effective() {
-        let mut s = GcStats::default();
-        s.record(GcKind::Young, SimDuration::from_millis(10), 0);
-        s.record(GcKind::Young, SimDuration::from_millis(10), 64);
-        s.record(GcKind::Mixed, SimDuration::from_millis(40), 0);
-        assert_eq!(s.total_count(), 3, "zero-yield collections still count");
-        assert_eq!(s.effective_collections, 1);
-        assert_eq!(s.wasted_collections(), 2);
-        assert_eq!(
-            s.total_pause.as_millis(),
-            60,
-            "wasted collections still pay their pause"
-        );
-        assert_eq!(s.reclaimed_bytes, 64);
     }
 }

@@ -185,7 +185,7 @@ impl GoRuntime {
         let pause = self.cfg.costs.pause(self.live, 0, reclaimed);
         self.garbage = 0;
         self.last_gc_live = self.live;
-        self.stats.record(GcKind::Full, pause, reclaimed);
+        self.stats.record(GcKind::Full, pause);
         os.record_trace_with(self.pid, || TraceData::Gc {
             layer: GcLayer::Go,
             reclaimed,
@@ -197,18 +197,6 @@ impl GoRuntime {
             reclaimed,
             returned_to_os: 0,
         }
-    }
-
-    /// Pure estimate of the bytes [`GoRuntime::collect`] would reclaim.
-    pub fn collect_estimate(&self) -> u64 {
-        self.garbage
-    }
-
-    /// Bytes a release would give back right now: free spans beyond one
-    /// commit chunk of slack, page-aligned. Pure — the release packet's
-    /// cost estimator reads it.
-    pub fn releasable(&self) -> u64 {
-        self.free().saturating_sub(self.cfg.commit_chunk) / PAGE_SIZE * PAGE_SIZE
     }
 
     /// Releases all free spans to the OS now (the `madvise` work packet of
@@ -266,7 +254,6 @@ impl GoRuntime {
         os.release(self.pid, releasable)
             .expect("go process must be alive");
         self.committed -= releasable;
-        self.stats.returned_to_os += releasable;
         releasable
     }
 

@@ -253,25 +253,17 @@ impl Jvm {
     /// one commit chunk of slack for allocation velocity. Only whole pages
     /// can be `madvise`d, so the amount is rounded down to page granularity.
     fn maybe_return_free(&mut self, os: &mut Kernel) -> u64 {
-        let releasable = self.releasable();
+        if !self.cfg.return_to_os {
+            return 0;
+        }
+        let releasable = self.free().saturating_sub(self.cfg.commit_chunk) / PAGE_SIZE * PAGE_SIZE;
         if releasable == 0 {
             return 0;
         }
         os.release(self.pid, releasable)
             .expect("jvm process must be alive");
         self.committed -= releasable;
-        self.stats.returned_to_os += releasable;
         releasable
-    }
-
-    /// Bytes [`Jvm::maybe_return_free`] would give back right now: free heap
-    /// beyond one commit chunk of slack, page-aligned, zero when returning
-    /// is disabled. Pure — the release packet's cost estimator reads it.
-    pub fn releasable(&self) -> u64 {
-        if !self.cfg.return_to_os {
-            return 0;
-        }
-        self.free().saturating_sub(self.cfg.commit_chunk) / PAGE_SIZE * PAGE_SIZE
     }
 
     /// The young collection *phase*: evacuates survivors to the old
@@ -285,7 +277,7 @@ impl Jvm {
         let pause = self.cfg.costs.pause(survivors, survivors, reclaimed);
         self.young_used = 0;
         self.old_garbage += survivors;
-        self.stats.record(GcKind::Young, pause, reclaimed);
+        self.stats.record(GcKind::Young, pause);
         os.record_trace_with(self.pid, || TraceData::Gc {
             layer: GcLayer::Young,
             reclaimed,
@@ -300,12 +292,6 @@ impl Jvm {
         }
     }
 
-    /// Pure estimate of the bytes [`Jvm::young_collect`] would reclaim.
-    pub fn young_collect_estimate(&self) -> u64 {
-        let survivors = (self.young_used as f64 * self.cfg.survival_rate) as u64;
-        self.young_used - survivors
-    }
-
     /// The old-generation trace/evacuate *phase* of a mixed collection
     /// (the `gc_old` work packet): reclaims `mixed_yield` of the
     /// accumulated old garbage, without touching the OS.
@@ -317,7 +303,7 @@ impl Jvm {
         // (a small slice of the live set).
         let copied = (self.old_live as f64 * 0.05) as u64;
         let pause = self.cfg.costs.pause(self.old_live, copied, old_reclaimed);
-        self.stats.record(GcKind::Mixed, pause, old_reclaimed);
+        self.stats.record(GcKind::Mixed, pause);
         os.record_trace_with(self.pid, || TraceData::Gc {
             layer: GcLayer::Mixed,
             reclaimed: old_reclaimed,
@@ -332,11 +318,6 @@ impl Jvm {
         }
     }
 
-    /// Pure estimate of the bytes [`Jvm::old_collect`] would reclaim.
-    pub fn old_collect_estimate(&self) -> u64 {
-        (self.old_garbage as f64 * self.cfg.mixed_yield) as u64
-    }
-
     /// The full-heap compact *phase* (the `gc_full` work packet): every
     /// dead old byte is reclaimed and the live set compacted, without
     /// touching the OS.
@@ -347,7 +328,7 @@ impl Jvm {
             .cfg
             .costs
             .pause(self.old_live, self.old_live, reclaimed);
-        self.stats.record(GcKind::Full, pause, reclaimed);
+        self.stats.record(GcKind::Full, pause);
         os.record_trace_with(self.pid, || TraceData::Gc {
             layer: GcLayer::Full,
             reclaimed,
@@ -823,7 +804,12 @@ mod tests {
             out.reclaimed,
             512 * MIB - (512.0 * MIB as f64 * 0.08) as u64
         );
-        assert_eq!(jvm.stats.reclaimed_bytes, out.reclaimed);
+        let event = os.trace.last("gc.young").expect("young collection traced");
+        assert!(
+            matches!(event.data, TraceData::Gc { reclaimed, .. } if reclaimed == out.reclaimed),
+            "the gc.young event carries the reclaimed bytes, got {:?}",
+            event.data
+        );
     }
 
     #[test]
@@ -854,18 +840,6 @@ mod tests {
         assert_eq!(jvm.free(), packetized.free());
         assert_eq!(jvm.garbage(), packetized.garbage());
         assert_eq!(os.rss(jvm.pid()), os2.rss(packetized.pid()));
-    }
-
-    #[test]
-    fn collect_estimates_match_actual_phase_yield() {
-        let (mut os, mut jvm) = setup_m3(62 * GIB);
-        jvm.alloc_pinned(&mut os, GIB).unwrap();
-        jvm.alloc_transient(&mut os, 300 * MIB).unwrap();
-        jvm.free_pinned(512 * MIB);
-        let young_est = jvm.young_collect_estimate();
-        assert_eq!(jvm.young_collect(&mut os).reclaimed, young_est);
-        let old_est = jvm.old_collect_estimate();
-        assert_eq!(jvm.old_collect(&mut os).reclaimed, old_est);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 pub mod clock;
 pub mod metrics;
-pub mod parallel;
 pub mod queue;
 pub mod rng;
 pub mod trace;
@@ -30,7 +29,6 @@ pub mod units;
 
 pub use clock::{SimDuration, SimTime};
 pub use metrics::TimeSeries;
-pub use parallel::{parallel_map, worker_threads};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use trace::{

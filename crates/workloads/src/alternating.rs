@@ -12,8 +12,7 @@
 //! on low, mixed on high) — the application itself is unmodified.
 
 use m3_core::{
-    M3Participant, PacketKind, PacketOutcome, ReclaimScheduler, SchedulerConfig, SignalOutcome,
-    ThresholdSignal,
+    M3Participant, PacketKind, PacketOutcome, ReclaimScheduler, SignalOutcome, ThresholdSignal,
 };
 use m3_os::{Kernel, Pid};
 use m3_runtime::{Jvm, JvmConfig};
@@ -145,11 +144,10 @@ impl M3Participant for AlternatingApp {
         if self.finished {
             return SignalOutcome::default();
         }
-        let mut sched = ReclaimScheduler::new(self.jvm.pid(), SchedulerConfig::default());
-        let young = sched.add_costed(
+        let mut sched = ReclaimScheduler::new(self.jvm.pid());
+        let young = sched.add(
             PacketKind::GcYoung,
             &[],
-            |app: &AlternatingApp| app.jvm.young_collect_estimate(),
             |app: &mut AlternatingApp, os: &mut Kernel| {
                 let gc = app.jvm.young_collect(os);
                 PacketOutcome::freed(gc.reclaimed, gc.pause)
@@ -157,25 +155,23 @@ impl M3Participant for AlternatingApp {
         );
         let mut last = young;
         if sig == ThresholdSignal::High {
-            last = sched.add_costed(
+            last = sched.add(
                 PacketKind::GcOld,
                 &[young],
-                |app: &AlternatingApp| app.jvm.old_collect_estimate(),
                 |app: &mut AlternatingApp, os: &mut Kernel| {
                     let gc = app.jvm.old_collect(os);
                     PacketOutcome::freed(gc.reclaimed, gc.pause)
                 },
             );
         }
-        sched.add_costed(
+        sched.add(
             PacketKind::Madvise,
             &[last],
-            |app: &AlternatingApp| app.jvm.releasable(),
             |app: &mut AlternatingApp, os: &mut Kernel| {
                 PacketOutcome::released(app.jvm.release_to_os(os))
             },
         );
-        sched.drain(self, os).outcome
+        sched.drain(self, os)
     }
 }
 

@@ -17,9 +17,8 @@
 //!
 //! - **Incremental probes.** A node's probe simulation runs once over the
 //!   full horizon with a pressure timeline sampled at every monitor poll,
-//!   and is cached on the node ([`NodeState::probe`]) until the node's
-//!   assignment set or fault plan changes (the *dirty* rule: any mutation
-//!   clears the cache). Reading the node's state at time `t` is then a
+//!   and is cached on the node until the node's assignment set or fault
+//!   plan changes (the *dirty* rule: any mutation clears the cache). Reading the node's state at time `t` is then a
 //!   timeline lookup, not a re-simulation. Idle nodes never simulate at
 //!   all: a per-size summary precomputed at fleet construction answers
 //!   their probes.
@@ -532,7 +531,7 @@ impl<'a> Fleet<'a> {
         if !capture {
             cfg.sample_period = None;
             cfg.capture_trace = false;
-            cfg.pressure_timeline_polls = Some(1);
+            cfg.pressure_timeline = true;
         }
         run_scenario_cached_faulted(&scenario, &setting, cfg, &self.nodes[node].faults)
     }
@@ -744,6 +743,38 @@ impl<'a> Fleet<'a> {
             self.shards[shard].remove(&entry);
         }
         self.nodes[node].indexed = on;
+    }
+
+    /// Asserts the shard index's invariants: each shard holds exactly
+    /// `(index_key, node)` for its own indexed nodes, a node is indexed
+    /// exactly when it is alive and not quarantined, and each node's key is
+    /// the key of its current load estimate.
+    #[cfg(test)]
+    fn check_index(&self) {
+        for (s, shard) in self.shards.iter().enumerate() {
+            let want: BTreeSet<(u64, u32)> = self
+                .nodes
+                .iter()
+                .enumerate()
+                .skip(s * SHARD_SIZE)
+                .take(SHARD_SIZE)
+                .filter(|(_, st)| st.indexed)
+                .map(|(n, st)| (st.index_key, n as u32))
+                .collect();
+            assert_eq!(*shard, want, "shard {s} disagrees with its nodes");
+        }
+        for (n, st) in self.nodes.iter().enumerate() {
+            assert_eq!(
+                st.indexed,
+                st.dead.is_none() && !st.quarantined,
+                "node {n}: indexed must mean alive and not quarantined"
+            );
+            assert_eq!(
+                st.index_key,
+                index_key(st.index_effective, st.top),
+                "node {n}: stale index key"
+            );
+        }
     }
 
     /// The bounded placement scan order: the globally least-estimated
@@ -1461,6 +1492,8 @@ impl<'a> Fleet<'a> {
                 Event::Place { job, attempt } => self.on_place(job, attempt, t, &mut queue),
                 Event::Rebalance { check } => self.on_rebalance(check, t),
             }
+            #[cfg(test)]
+            self.check_index();
         }
     }
 }
@@ -1641,6 +1674,7 @@ pub fn run_fleet_cached(
 mod tests {
     use super::*;
     use crate::scenario::fleet_canonical;
+    use proptest::prelude::*;
 
     fn quick_cfg() -> MachineConfig {
         let mut cfg = MachineConfig::stock_64gb();
@@ -2357,5 +2391,57 @@ mod tests {
             a.degradation.jobs_rescheduled + a.degradation.jobs_orphaned,
             "every lost job is accounted"
         );
+    }
+
+    /// A node index for the index property: half the draws fall on the
+    /// four lowest nodes, where the placer puts the first jobs.
+    fn target_node() -> impl Strategy<Value = usize> {
+        prop_oneof![0usize..4, 0usize..256]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// On fleets of two to four shards, under random node crashes,
+        /// probe flaps and scheduler restarts, the shard index keeps its
+        /// invariants: `run_events` checks them after every event.
+        #[test]
+        fn shard_index_keeps_its_invariants_under_chaos(
+            (nodes, gap_s) in (65usize..257, 0u64..300),
+            jobs in proptest::collection::vec(0usize..4, 1..5),
+            crashes in proptest::collection::vec((0u64..1_500, target_node()), 0..3),
+            flaps in proptest::collection::vec((target_node(), 0u64..900, 30u64..1_200), 0..6),
+            restarts in proptest::collection::vec(0u64..1_500, 0..3),
+            (stale_s, quarantine_after, quarantine_healthy) in (0u64..60, 1u32..3, 1u32..4),
+        ) {
+            let codes: String = jobs.iter().map(|&k| ['M', 'P', 'W', 'C'][k]).collect();
+            let scenario = Scenario::uniform(&codes, gap_s);
+            let mut fleet = FleetConfig::homogeneous(nodes, 64 * GIB);
+            fleet.stale_window = SimDuration::from_secs(stale_s);
+            fleet.quarantine_after = quarantine_after;
+            fleet.quarantine_healthy = quarantine_healthy;
+            fleet.rebalance_period = SimDuration::from_secs(60);
+            fleet.rebalance_checks = 25;
+            let mut faults = FleetFaultPlan::none();
+            for &(at, node) in &crashes {
+                faults = faults.with_node_crash(SimDuration::from_secs(at), node % nodes);
+            }
+            for &(node, start, len) in &flaps {
+                faults = faults.with_flap(
+                    node % nodes,
+                    SimDuration::from_secs(start),
+                    SimDuration::from_secs(len),
+                );
+            }
+            for &at in &restarts {
+                faults = faults.with_scheduler_restart(SimDuration::from_secs(at));
+            }
+            fleet.faults = faults;
+            let res = run_fleet(&scenario, &Setting::m3(scenario.len()), quick_cfg(), &fleet);
+            prop_assert_eq!(
+                res.degradation.jobs_lost,
+                res.degradation.jobs_rescheduled + res.degradation.jobs_orphaned
+            );
+        }
     }
 }

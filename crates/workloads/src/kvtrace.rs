@@ -51,7 +51,7 @@ pub enum CachePolicy {
     /// Unbounded cache, no monitor: stock memcached headed for the OOM
     /// killer on an over-committed node.
     Default,
-    /// Static cache cap at [`STATIC_CAP_PCT`] of physical memory.
+    /// Static cache cap at 45 % (`STATIC_CAP_PCT`) of physical memory.
     StaticLimit,
 }
 
@@ -153,8 +153,8 @@ pub fn working_set_bytes(twl: &TraceWorkload) -> u64 {
         .sum()
 }
 
-/// Physical memory for the trace node: [`PHYS_FRACTION_PCT`] of the chunked
-/// working set, so no policy can simply hold everything.
+/// Physical memory for the trace node: 30 % (`PHYS_FRACTION_PCT`) of the
+/// chunked working set, so no policy can simply hold everything.
 pub fn node_phys_bytes(twl: &TraceWorkload) -> u64 {
     working_set_bytes(twl) * PHYS_FRACTION_PCT / 100
 }

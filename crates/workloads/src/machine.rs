@@ -64,12 +64,11 @@ pub struct MachineConfig {
     /// [`RunResult::violations`]). Off, the kernel's trace log is disabled
     /// and records nothing. Part of the memoization cache key.
     pub capture_trace: bool,
-    /// Records the monitor's pressure summary every `n` polls into
-    /// [`RunResult::pressure_timeline`] (`None` disables capture). The fleet
-    /// scheduler sets this on its probe runs so one full-horizon simulation
-    /// answers pressure queries at every instant. Part of the memoization
-    /// cache key.
-    pub pressure_timeline_polls: Option<u64>,
+    /// Records the monitor's pressure summary at every poll into
+    /// [`RunResult::pressure_timeline`]. The fleet scheduler sets this on
+    /// its probe runs so one full-horizon simulation answers pressure
+    /// queries at every instant. Part of the memoization cache key.
+    pub pressure_timeline: bool,
 }
 
 impl MachineConfig {
@@ -84,7 +83,7 @@ impl MachineConfig {
             node_salt: 0,
             fast_path: true,
             capture_trace: true,
-            pressure_timeline_polls: None,
+            pressure_timeline: false,
         }
     }
 
@@ -174,10 +173,10 @@ pub struct RunResult {
     /// The node's pressure state at the end of the run, when a monitor ran
     /// (what a fleet scheduler ranks this node by).
     pub pressure: Option<m3_core::monitor::PressureSummary>,
-    /// `(time ms, summary)` samples taken every
-    /// [`MachineConfig::pressure_timeline_polls`] monitor polls (empty when
-    /// capture is off or no monitor ran). The fleet scheduler reads a
-    /// node's pressure at time `t` as the last sample at or before `t`.
+    /// `(time ms, summary)` samples taken at every monitor poll, plus one at
+    /// the end of the run, when [`MachineConfig::pressure_timeline`] is set
+    /// (empty when it is not or no monitor ran). The fleet scheduler reads
+    /// a node's pressure at time `t` as the last sample at or before `t`.
     pub pressure_timeline: Vec<(u64, m3_core::monitor::PressureSummary)>,
     /// When the last application terminated (or the cap was hit).
     pub end: SimTime,
@@ -493,11 +492,9 @@ impl Machine {
                     registry.sync_monitor(m, &kernel);
                     let report = m.poll(&mut kernel, now);
                     next_poll += poll_period;
-                    if let Some(stride) = self.cfg.pressure_timeline_polls {
-                        if stride > 0 && m.stats.polls % stride == 0 {
-                            pressure_timeline
-                                .push((now.as_millis(), m.pressure_summary(kernel.committed())));
-                        }
+                    if self.cfg.pressure_timeline {
+                        pressure_timeline
+                            .push((now.as_millis(), m.pressure_summary(kernel.committed())));
                     }
                     match report.zone {
                         Zone::AboveTop => {
@@ -802,7 +799,7 @@ impl Machine {
         // Close the timeline with the end-of-run state: reads at any
         // `t >= end` must see the node as it finished (typically drained
         // back to zero committed), not frozen at the last in-flight poll.
-        if self.cfg.pressure_timeline_polls.is_some() {
+        if self.cfg.pressure_timeline {
             if let Some(p) = pressure {
                 pressure_timeline.push((now.as_millis(), p));
             }

@@ -32,10 +32,61 @@ use crate::runner::{run_scenario_with_faults, ScenarioOutcome};
 use crate::scenario::Scenario;
 use crate::settings::Setting;
 
-// The pool primitives moved down into `m3-sim` so the reclamation packet
-// scheduler in `m3-core` can share them; re-exported here so harness users
-// keep their import paths.
-pub use m3_sim::parallel::{parallel_map, worker_threads};
+/// Number of worker threads the harness fans out to: the `M3_JOBS`
+/// environment variable when set to a positive integer, otherwise the
+/// host's available parallelism (1 if that cannot be determined).
+pub fn worker_threads() -> usize {
+    if let Ok(v) = std::env::var("M3_JOBS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n >= 1 {
+                return n;
+            }
+        }
+    }
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Applies `f` to every item on a pool of `workers` threads and returns the
+/// results **in submission order**. Workers pull jobs from a shared queue
+/// (so long and short runs balance), and a `workers <= 1` or single-item
+/// call degrades to a plain serial map with no threads spawned.
+pub fn parallel_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let n = items.len();
+    if workers <= 1 || n <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
+    let (queue, f) = (&queue, &f);
+    std::thread::scope(|s| {
+        for _ in 0..workers.min(n) {
+            let tx = tx.clone();
+            s.spawn(move || loop {
+                // Take the lock only long enough to pull the next job.
+                let job = queue.lock().expect("job queue poisoned").next();
+                let Some((idx, item)) = job else { break };
+                if tx.send((idx, f(item))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        for (idx, r) in rx {
+            out[idx] = Some(r);
+        }
+        out.into_iter()
+            .map(|r| r.expect("every submitted job produces a result"))
+            .collect()
+    })
+}
 
 /// Hit/miss counters of the run memoization cache (process-wide totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -224,7 +275,7 @@ pub fn cache_stats() -> CacheStats {
     CACHE.stats()
 }
 
-/// Like [`run_scenario`], but content-addressed: the fingerprint of the
+/// Like [`run_scenario`](crate::runner::run_scenario), but content-addressed: the fingerprint of the
 /// `(scenario, setting, machine_cfg)` triple keys a process-wide cache, and
 /// an identical earlier run is returned as a shared [`Arc`] without
 /// re-simulating. The config is normalized through
@@ -269,6 +320,21 @@ mod tests {
     use m3_sim::trace::Criticality;
     use m3_sim::units::GIB;
     use serde::Serialize;
+
+    #[test]
+    fn parallel_map_preserves_submission_order() {
+        let items: Vec<u64> = (0..100).collect();
+        let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+        for workers in [1, 2, 8] {
+            assert_eq!(parallel_map(items.clone(), workers, |x| x * 3 + 1), expect);
+        }
+    }
+
+    #[test]
+    fn parallel_map_handles_empty_input() {
+        let out: Vec<u64> = parallel_map(Vec::<u64>::new(), 4, |x| x);
+        assert!(out.is_empty());
+    }
 
     /// The memo key of `k`, as [`MemoCache::get_or_compute`] derives it.
     fn key<K: Serialize + ?Sized>(k: &K) -> u128 {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: build, test, lint, and check formatting for the whole workspace.
+# CI gate: build, test, lint, document, and check formatting for the whole
+# workspace.
 # Run from anywhere; operates on the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -69,4 +70,7 @@ M3_RECLAIM_PACKETS_SALTS=4 M3_RECLAIM_PACKETS_BUDGET_S=60 \
     M3_RESULTS_DIR=target/ci-results \
     cargo bench -p m3-bench --bench reclaim_packets
 cargo clippy --workspace --all-targets -- -D warnings
+# The API docs with rustdoc warnings denied, so a doc link to a deleted or
+# private item fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo fmt --check

@@ -177,52 +177,6 @@ fn mixed_criticality_colocation_is_deterministic_across_workers() {
     );
 }
 
-#[test]
-fn packetized_reclamation_is_identical_for_any_m3_jobs() {
-    // The packet scheduler's parallel costing pass is the only `M3_JOBS`
-    // consumer inside a single simulation; packet mutations commit serially
-    // in id order, so the fig6 (MMW 180) and fig7 (CMW 180) profile
-    // scenarios — plus a chaos run over the full fault-injection surface —
-    // must serialize byte-identically at 1 and at 8 workers.
-    let mut cfg = MachineConfig::m3_64gb();
-    cfg.max_time = SimDuration::from_secs(40_000);
-    let scenarios = [Scenario::uniform("MMW", 180), Scenario::uniform("CMW", 180)];
-    let collect = || -> Vec<String> {
-        scenarios
-            .iter()
-            .flat_map(|s| {
-                let setting = Setting::m3(s.len());
-                let clean = run_scenario(s, &setting, cfg);
-                assert!(
-                    clean.run.trace.count("reclaim.packet.enqueue") > 0,
-                    "{}: reclamation must flow through packets",
-                    s.name
-                );
-                [
-                    serde_json::to_string(&clean.run).expect("serialize run"),
-                    chaos_bytes(s, &setting, cfg),
-                ]
-            })
-            .collect()
-    };
-    let with_jobs = |jobs: &str, f: &dyn Fn() -> Vec<String>| -> Vec<String> {
-        let old = std::env::var("M3_JOBS").ok();
-        std::env::set_var("M3_JOBS", jobs);
-        let out = f();
-        match old {
-            Some(v) => std::env::set_var("M3_JOBS", v),
-            None => std::env::remove_var("M3_JOBS"),
-        }
-        out
-    };
-    let one = with_jobs("1", &collect);
-    let eight = with_jobs("8", &collect);
-    assert_eq!(
-        one, eight,
-        "M3_JOBS changed a packetized reclamation result"
-    );
-}
-
 /// A fault plan touching every injection channel: app faults, a lossy and
 /// laggy signal bus, and a monitor poll outage.
 fn chaos_plan() -> FaultPlan {

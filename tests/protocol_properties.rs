@@ -6,7 +6,7 @@ use m3::core::selection::{select_processes, sort_candidates, Candidate};
 use m3::core::thresholds::AdaptiveThresholds;
 use m3::core::{
     AdaptiveAllocator, MonitorConfig, PacketBucket, PacketKind, PacketOutcome, ReclaimScheduler,
-    SchedulerConfig, SortOrder,
+    SortOrder,
 };
 use m3::os::{Kernel, KernelConfig, Pid, SignalFaultConfig};
 use m3::sim::clock::{SimDuration, SimTime};
@@ -303,13 +303,13 @@ struct Pool {
 /// against already-enqueued packets in the same or an earlier bucket (the
 /// only edges the scheduler accepts), picked deterministically from the
 /// spec's seed.
-fn build_dag(specs: &[PacketSpec], pid: Pid, cfg: SchedulerConfig) -> ReclaimScheduler<Pool> {
+fn build_dag(specs: &[PacketSpec], pid: Pid) -> ReclaimScheduler<Pool> {
     const SHAPES: [(PacketKind, PacketBucket); 3] = [
         (PacketKind::EvictSlabs, PacketBucket::Prepare),
         (PacketKind::GcYoung, PacketBucket::Collect),
         (PacketKind::Madvise, PacketBucket::Release),
     ];
-    let mut sched = ReclaimScheduler::new(pid, cfg);
+    let mut sched = ReclaimScheduler::new(pid);
     let mut buckets: Vec<PacketBucket> = Vec::new();
     for (i, &(shape, _bytes, seed, ndeps)) in specs.iter().enumerate() {
         let (kind, bucket) = SHAPES[shape];
@@ -332,7 +332,6 @@ fn build_dag(specs: &[PacketSpec], pid: Pid, cfg: SchedulerConfig) -> ReclaimSch
             kind,
             bucket,
             &deps,
-            move |p: &Pool| p.slots[i],
             move |p: &mut Pool, _os: &mut Kernel| {
                 let b = std::mem::take(&mut p.slots[i]);
                 PacketOutcome::freed(b, SimDuration::from_millis(1))
@@ -341,6 +340,19 @@ fn build_dag(specs: &[PacketSpec], pid: Pid, cfg: SchedulerConfig) -> ReclaimSch
         buckets.push(bucket);
     }
     sched
+}
+
+/// The number of `reclaim.packet.finish` events in `trace`, and the bytes
+/// they report reclaimed.
+fn finished_packets(trace: &m3::sim::trace::TraceLog) -> (usize, u64) {
+    trace
+        .events()
+        .iter()
+        .filter_map(|e| match e.data {
+            m3::sim::trace::TraceData::PacketFinish { bytes, .. } => Some(bytes),
+            _ => None,
+        })
+        .fold((0, 0), |(n, sum), b| (n + 1, sum + b))
 }
 
 fn packet_violations(trace: &m3::sim::trace::TraceLog) -> Vec<m3::oracle::Violation> {
@@ -354,59 +366,44 @@ fn packet_violations(trace: &m3::sim::trace::TraceLog) -> Vec<m3::oracle::Violat
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any random packet DAG, drained with any worker count, satisfies the
-    /// `reclaim.packet.*` invariants, runs every packet exactly once,
-    /// conserves bytes against the monolithic sum — and is observably
-    /// identical (stats, outcome, trace) to the single-worker drain.
+    /// Any random packet DAG satisfies the `reclaim.packet.*` invariants,
+    /// runs every packet exactly once and conserves bytes against the
+    /// monolithic sum.
     #[test]
     fn random_packet_dags_never_violate_ordering(
         specs in proptest::collection::vec(
             (0usize..3, 0u64..(64 * MIB), 0u64..1_000_000_000, 0usize..3),
             1..24,
         ),
-        workers in 1usize..9,
     ) {
         let monolithic: u64 = specs.iter().map(|s| s.1).sum();
-        let run = |w: usize| {
-            let mut os = Kernel::new(KernelConfig::with_total(GIB));
-            let pid = os.spawn("dag");
-            let mut pool = Pool {
-                slots: specs.iter().map(|s| s.1).collect(),
-            };
-            let cfg = SchedulerConfig { workers: Some(w) };
-            let res = build_dag(&specs, pid, cfg).drain(&mut pool, &mut os);
-            (res, pool, os)
+        let mut os = Kernel::new(KernelConfig::with_total(GIB));
+        let pid = os.spawn("dag");
+        let mut pool = Pool {
+            slots: specs.iter().map(|s| s.1).collect(),
         };
-        let (res, pool, os) = run(workers);
+        let out = build_dag(&specs, pid).drain(&mut pool, &mut os);
         prop_assert!(pool.slots.iter().all(|&s| s == 0), "every packet must run");
-        prop_assert_eq!(res.stats.records.len(), specs.len());
         prop_assert_eq!(
-            res.stats.bytes(), monolithic,
-            "packet bytes must sum to the monolithic path's total"
+            finished_packets(&os.trace),
+            (specs.len(), monolithic),
+            "one finish per packet, summing to the monolithic path's total"
         );
+        prop_assert_eq!(out.duration, SimDuration::from_millis(specs.len() as u64));
         let violations = packet_violations(&os.trace);
         prop_assert!(violations.is_empty(), "{violations:#?}");
-        // The worker count must change nothing observable.
-        let (res1, _, os1) = run(1);
-        prop_assert_eq!(&res.stats, &res1.stats);
-        prop_assert_eq!(res.outcome, res1.outcome);
-        prop_assert!(
-            os.trace.events().eq(os1.trace.events()),
-            "traces must be identical for {workers} workers vs 1"
-        );
     }
 
     /// Reverse-bucket draining of a DAG with a guaranteed Prepare→Release
     /// dependency edge is caught by both the bucket and the dependency
-    /// invariants — for every worker count. The misordered log is the
-    /// conformant drain's, reordered into reverse bucket order.
+    /// invariants. The misordered log is the conformant drain's, reordered
+    /// into reverse bucket order.
     #[test]
     fn random_packet_dag_ablation_is_caught(
         specs in proptest::collection::vec(
             (0usize..3, 0u64..(64 * MIB), 0u64..1_000_000_000, 0usize..3),
             0..16,
         ),
-        workers in 1usize..9,
     ) {
         let mut os = Kernel::new(KernelConfig::with_total(GIB));
         let pid = os.spawn("dag");
@@ -415,15 +412,11 @@ proptest! {
         slots.push(MIB);
         slots.push(MIB);
         let mut pool = Pool { slots };
-        let cfg = SchedulerConfig {
-            workers: Some(workers),
-        };
-        let mut sched = build_dag(&specs, pid, cfg);
+        let mut sched = build_dag(&specs, pid);
         let prep = sched.add_in(
             PacketKind::EvictSlabs,
             PacketBucket::Prepare,
             &[],
-            move |p: &Pool| p.slots[n],
             move |p: &mut Pool, _os: &mut Kernel| {
                 PacketOutcome::freed(std::mem::take(&mut p.slots[n]), SimDuration::from_millis(1))
             },
@@ -432,7 +425,6 @@ proptest! {
             PacketKind::Madvise,
             PacketBucket::Release,
             &[prep],
-            move |p: &Pool| p.slots[n + 1],
             move |p: &mut Pool, _os: &mut Kernel| {
                 PacketOutcome::freed(
                     std::mem::take(&mut p.slots[n + 1]),
@@ -441,8 +433,8 @@ proptest! {
             },
         );
         let monolithic: u64 = specs.iter().map(|s| s.1).sum::<u64>() + 2 * MIB;
-        let res = sched.drain(&mut pool, &mut os);
-        prop_assert_eq!(res.stats.bytes(), monolithic);
+        sched.drain(&mut pool, &mut os);
+        prop_assert_eq!(finished_packets(&os.trace).1, monolithic);
         let conformant = packet_violations(&os.trace);
         prop_assert!(conformant.is_empty(), "{conformant:#?}");
         let violations = packet_violations(&support::reverse_bucket_drains(&os.trace));
