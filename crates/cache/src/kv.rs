@@ -48,7 +48,7 @@ fn trace_stats_every(total_ops: u64) -> u64 {
 }
 
 /// The memory-management backend under the cache.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum KvBackend {
     /// Go-Cache: a library cache on the Go runtime.
     Go(GoRuntime),
@@ -129,7 +129,7 @@ enum Phase {
 
 /// The key-granular engine driving a production-trace workload: the slab
 /// store, the op stream, and its extra accounting.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TraceEngine {
     store: KeyedSlabCache,
     gen: TraceGen,
@@ -171,7 +171,7 @@ struct EvictAcc {
 }
 
 /// A cache server process (Go-Cache or Memcached).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KvApp {
     backend: KvBackend,
     slabs: SlabCache,

@@ -137,7 +137,7 @@ struct WatchdogEntry {
 pub const MAX_DEGRADED_WIDENING: u32 = 5;
 
 /// The M3 monitor.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Monitor {
     cfg: MonitorConfig,
     thresholds: AdaptiveThresholds,

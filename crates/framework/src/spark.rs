@@ -62,7 +62,7 @@ pub struct SparkStats {
 }
 
 /// A Spark executor process.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SparkApp {
     cfg: SparkConfig,
     job: JobSpec,

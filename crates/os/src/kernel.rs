@@ -63,7 +63,7 @@ impl std::error::Error for KernelError {}
 /// signal bus and the trace log. The world loop calls [`Kernel::grow`] /
 /// [`Kernel::release`] on behalf of runtimes and reads
 /// [`Kernel::meminfo`] on behalf of the M3 monitor.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Kernel {
     config: KernelConfig,
     procs: BTreeMap<Pid, Process>,

@@ -9,7 +9,7 @@ use crate::clock::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry<E> {
     due: SimTime,
     seq: u64,
@@ -51,7 +51,7 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop_due(SimTime::from_secs(2)), vec!["sooner"]);
 /// assert_eq!(q.pop_due(SimTime::from_secs(10)), vec!["later"]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,

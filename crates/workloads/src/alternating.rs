@@ -38,7 +38,7 @@ pub struct AlternatingProfile {
 }
 
 /// An unmodified JVM server with alternating load.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AlternatingApp {
     profile: AlternatingProfile,
     jvm: Jvm,

@@ -127,7 +127,7 @@ impl AppBlueprint {
 /// The variants differ in size (a Spark executor carries its visit order);
 /// at most a handful of applications exist per node, so boxing would cost
 /// clarity for no practical saving.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub enum AnyApp {
     /// Spark executor.

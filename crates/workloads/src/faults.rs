@@ -328,7 +328,7 @@ pub struct FleetFaultPlan {
     /// Delayed placement decisions.
     pub placement_delays: Vec<PlacementDelay>,
     /// Instants at which the scheduler restarts and must rebuild its
-    /// sharded candidate index from authoritative node state.
+    /// candidate index from authoritative node state.
     pub scheduler_restarts: Vec<SimDuration>,
 }
 

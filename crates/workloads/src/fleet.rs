@@ -18,31 +18,37 @@
 //! - **Incremental probes.** A node's probe simulation runs once over the
 //!   full horizon with a pressure timeline sampled at every monitor poll,
 //!   and is cached on the node until the node's assignment set or fault
-//!   plan changes (the *dirty* rule: any mutation clears the cache). Reading the node's state at time `t` is then a
-//!   timeline lookup, not a re-simulation. Idle nodes never simulate at
-//!   all: a per-size summary precomputed at fleet construction answers
-//!   their probes.
+//!   plan changes (the *dirty* rule: any mutation clears the cache).
+//!   Reading the node's state at time `t` is then a timeline lookup, not
+//!   a re-simulation. Idle nodes never simulate at all: a per-size
+//!   summary precomputed at fleet construction answers their probes.
+//! - **Resumed node runs.** Every change to a node is due at the
+//!   scheduler's current time, so a node's run up to its latest change is
+//!   the run of its earlier schedule. A node run that misses the run
+//!   cache clones the checkpoint the fleet kept for that earlier
+//!   schedule, pushes the new entries, advances to the change and
+//!   finishes, instead of simulating from t = 0; a probe keeps a copy
+//!   from before the finish as its own schedule's checkpoint. The outcome
+//!   is byte-identical either way (DESIGN.md §9).
 //! - **Content-addressed node runs.** The per-node machine config carries
 //!   no node salt and the sub-scenario name carries no node index, so two
 //!   nodes with identical (size, schedule, faults) share one entry in the
-//!   process-wide run cache. Wave-shaped arrivals
+//!   process-wide run cache, and one checkpoint. Wave-shaped arrivals
 //!   over homogeneous nodes collapse thousands of node simulations into a
 //!   handful of distinct ones.
-//! - **Sharded placement.** Nodes are partitioned into shards of
-//!   `SHARD_SIZE` (64); each shard keeps a `BTreeSet` candidate index
-//!   ordered by an *advisory* effective-load key. Placement k-way merges
-//!   the shard indexes into the globally least-estimated `PROBE_BUDGET`
-//!   (16) nodes and probes those (stopping early once `PLACE_CANDIDATES`
-//!   (4) feasible candidates are in hand) instead of probing all N. The
-//!   index only orders the scan — admission is always decided by
-//!   authoritative probes — and a job's *final* admission attempt scans
-//!   every node, so a job is never given up on while a feasible node
-//!   exists anywhere in the fleet.
+//! - **Ordered placement index.** One `BTreeSet` candidate index orders
+//!   the nodes by an *advisory* effective-load key. Placement probes the
+//!   first `PROBE_BUDGET` (16) entries, the least-estimated nodes
+//!   (stopping early once `PLACE_CANDIDATES` (4) feasible candidates are
+//!   in hand), instead of probing all N. The index only orders the scan —
+//!   admission is always decided by authoritative probes — and a job's
+//!   *final* admission attempt scans every node, so a job is never given
+//!   up on while a feasible node exists anywhere in the fleet.
 //! - **Batched pressure refresh.** Each rebalance check refreshes
-//!   `REFRESH_SHARDS` (1) shard round-robin rather than the whole fleet,
-//!   and pre-warms the dirty nodes' simulations on the worker pool
-//!   ([`crate::parallel::parallel_map`]) before reading them serially in
-//!   node order.
+//!   `REFRESH_SHARDS` (1) range of `SHARD_SIZE` (64) nodes round-robin
+//!   rather than the whole fleet, and pre-warms the dirty nodes'
+//!   simulations on the worker pool ([`crate::parallel::parallel_map`])
+//!   before reading them serially in node order.
 //!
 //! # Determinism
 //!
@@ -56,18 +62,20 @@
 //!   the timeline read picks the last sample at or before `t`.
 //! - Parallel pre-warm only *populates* caches with values that are pure
 //!   functions of their keys; every decision reads them in index order, so
-//!   the result is bit-identical for any worker count (`M3_JOBS`).
+//!   the result is bit-identical for any worker count (`M3_JOBS`). Which
+//!   checkpoints a worker finds changes only how long a node run takes.
 //! - Ties in the placement order are broken by node index; admission is an
 //!   exact integer comparison (no float ordering).
 //!
 //! Migration is modelled as a crash fault on the source node (the elastic
 //! job restarts from scratch on the target, as §7.1's restartable jobs do).
 //! The crash instant always equals the scheduler's current time, so probes
-//! cached for earlier times stay valid.
+//! cached for earlier times stay valid and the node's run can resume from
+//! its previous checkpoint.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, Mutex};
 
 use m3_core::config::MonitorConfig;
 use m3_core::monitor::{Monitor, PressureSummary, Zone};
@@ -81,9 +89,9 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::{ClusterResult, JobFailure};
 use crate::faults::{FaultPlan, FleetDegradationReport, FleetFaultPlan, ProbeFlap};
 use crate::hibench;
-use crate::machine::MachineConfig;
-use crate::parallel::{run_scenario_cached_faulted, worker_threads, CacheStats, MemoCache};
-use crate::runner::ScenarioOutcome;
+use crate::machine::{MachineConfig, World};
+use crate::parallel::{run_cached_with, run_key, worker_threads, CacheStats, MemoCache};
+use crate::runner::{outcome, run_scenario_with_faults, schedule_entry, ScenarioOutcome};
 use crate::scenario::{AppKind, Scenario};
 use crate::settings::Setting;
 
@@ -166,19 +174,18 @@ impl FleetConfig {
 
 /// Migrations allowed per job (a migration restarts the job).
 const MAX_MIGRATIONS: u32 = 1;
-/// Nodes per placement shard. Each shard keeps a pressure-ordered candidate
-/// index; fleets of at most one shard behave exactly like the exhaustive
-/// scheduler.
+/// Nodes per rebalance range: each rebalance check refreshes
+/// [`REFRESH_SHARDS`] ranges of this many consecutive nodes, round-robin.
 const SHARD_SIZE: usize = 64;
 /// Feasible candidates a bounded placement scan collects before picking
 /// (the scan's early-stop).
 const PLACE_CANDIDATES: usize = 4;
 /// Upper bound on authoritative probes per bounded placement scan (at least
-/// [`PLACE_CANDIDATES`]): the scan order is the globally least-estimated
-/// `PROBE_BUDGET` nodes by the shard indexes.
+/// [`PLACE_CANDIDATES`]): the scan order is the least-estimated
+/// `PROBE_BUDGET` nodes by the candidate index.
 const PROBE_BUDGET: usize = 16;
-/// Shards whose nodes get a fresh pressure probe per rebalance check
-/// (round-robin across checks).
+/// Ranges of [`SHARD_SIZE`] nodes that get a fresh pressure probe per
+/// rebalance check (round-robin across checks).
 const REFRESH_SHARDS: usize = 1;
 /// Seed of the deterministic node-loss backoff jitter.
 const BACKOFF_SEED: u64 = 0xF1EE7;
@@ -277,6 +284,36 @@ fn sched_node_cfg(base: MachineConfig, phys_total: u64) -> MachineConfig {
     cfg
 }
 
+/// A node's probe configuration: no trace and no profile, but the pressure
+/// summary at every monitor poll, so one simulation answers probes at
+/// every time.
+fn probe_cfg(mut cfg: MachineConfig) -> MachineConfig {
+    cfg.sample_period = None;
+    cfg.capture_trace = false;
+    cfg.pressure_timeline = true;
+    cfg
+}
+
+/// A probed node world with its whole schedule pushed, stopped before
+/// the schedule's latest change instant (DESIGN.md §13).
+struct Checkpoint {
+    /// The world, without its pressure timeline.
+    world: World,
+    /// The schedule's memoized probe outcome, whose first `samples`
+    /// timeline entries are the world's timeline.
+    outcome: Arc<ScenarioOutcome>,
+    samples: usize,
+}
+
+impl Checkpoint {
+    /// A copy of the world with its timeline prefix put back.
+    fn resume(&self) -> World {
+        let mut world = self.world.clone();
+        world.pressure_timeline = self.outcome.run.pressure_timeline[..self.samples].to_vec();
+        world
+    }
+}
+
 /// Scheduler event classes, ordered within one instant: faults fire first
 /// (a node dead at time `t` is dead for every decision at `t`), then the
 /// scheduler restart, then placement attempts (arrivals and retries), then
@@ -298,7 +335,7 @@ enum Event {
     /// Try to admit job `job` (arrival or deferred retry), attempt number
     /// `attempt` (0 = the arrival itself).
     Place { job: usize, attempt: u32 },
-    /// Rebalance check number `check` (1-based): refresh the due shards
+    /// Rebalance check number `check` (1-based): refresh the due ranges
     /// and migrate off nodes red beyond the grace window.
     Rebalance { check: u32 },
 }
@@ -320,10 +357,10 @@ struct NodeState {
     probe: Option<Arc<ScenarioOutcome>>,
     /// The node's top of memory (from its scaled monitor config).
     top: u64,
-    /// Advisory effective-load estimate backing the shard index; healed to
+    /// Advisory effective-load estimate backing the candidate index; healed to
     /// the authoritative value on every probe.
     index_effective: u64,
-    /// The node's current key in its shard's candidate index.
+    /// The node's current key in the candidate index.
     index_key: u64,
     /// When the node died, ms since the epoch (`None` = alive).
     dead: Option<u64>,
@@ -334,7 +371,7 @@ struct NodeState {
     fail_streak: u32,
     /// Consecutive healthy probes while quarantined.
     healthy_streak: u32,
-    /// Whether the node currently sits in its shard's candidate index
+    /// Whether the node currently sits in the candidate index
     /// (dead and quarantined nodes do not).
     indexed: bool,
 }
@@ -373,7 +410,7 @@ enum ProbeRead {
     Unreachable,
 }
 
-/// The shard-index key for a node at estimated load `effective`: the
+/// The candidate-index key for a node at estimated load `effective`: the
 /// `effective / top` ratio in 2^20 fixed point. Advisory ordering only —
 /// admission never reads it.
 fn index_key(effective: u64, top: u64) -> u64 {
@@ -399,9 +436,10 @@ struct Fleet<'a> {
     flaps: HashMap<usize, Vec<ProbeFlap>>,
     /// Running cost of the injected faults.
     degradation: FleetDegradationReport,
-    /// Per-shard candidate index: `(index_key, node)`, ascending = least
-    /// estimated pressure first, ties to the lower node index.
-    shards: Vec<BTreeSet<(u64, u32)>>,
+    /// The candidate index: `(index_key, node)` for every indexed node,
+    /// ascending = least estimated pressure first, ties to the lower node
+    /// index.
+    index: BTreeSet<(u64, u32)>,
     /// Precomputed idle summary per distinct node size: what a probe of a
     /// node with nothing assigned answers, without ever simulating.
     idle: HashMap<u64, PressureSummary>,
@@ -410,6 +448,9 @@ struct Fleet<'a> {
     index_fresh_ms: Option<u64>,
     /// Worker threads for pre-warming and final runs.
     workers: usize,
+    /// Probed node worlds to resume from, by the run-cache key of the
+    /// probe run of the schedule each holds.
+    checkpoints: Mutex<HashMap<u128, Checkpoint>>,
     /// Test seam: places every arrival on this node without admission
     /// control, so the rebalance tests can co-locate jobs.
     #[cfg(test)]
@@ -459,11 +500,7 @@ impl<'a> Fleet<'a> {
                 indexed: true,
             });
         }
-        let nshards = nodes.len().div_ceil(SHARD_SIZE).max(1);
-        let mut shards = vec![BTreeSet::new(); nshards];
-        for n in 0..nodes.len() {
-            shards[n / SHARD_SIZE].insert((0u64, n as u32));
-        }
+        let index = (0..nodes.len() as u32).map(|n| (0u64, n)).collect();
         Fleet {
             scenario,
             base_cfg,
@@ -478,10 +515,11 @@ impl<'a> Fleet<'a> {
             orphaned: vec![false; njobs],
             flaps,
             degradation,
-            shards,
+            index,
             idle,
             index_fresh_ms: None,
             workers: workers.max(1),
+            checkpoints: Mutex::new(HashMap::new()),
             #[cfg(test)]
             pin: None,
         }
@@ -497,19 +535,18 @@ impl<'a> Fleet<'a> {
     /// salted with the node index: the name is part of the run-cache key,
     /// and nodes with identical schedules must share one entry.
     fn node_scenario(&self, node: usize) -> Scenario {
-        let st = &self.nodes[node];
-        let classes = st
-            .apps
+        self.scenario_of(&self.nodes[node].apps)
+    }
+
+    /// The sub-scenario of `apps`, a prefix of some node's assignments.
+    fn scenario_of(&self, apps: &[(usize, AppKind, SimDuration)]) -> Scenario {
+        let classes = apps
             .iter()
             .map(|&(job, _, _)| self.scenario.class_of(job))
             .collect();
         Scenario {
             name: format!("{}::sched", self.scenario.name),
-            apps: st
-                .apps
-                .iter()
-                .map(|&(_, kind, start)| (kind, start))
-                .collect(),
+            apps: apps.iter().map(|&(_, kind, start)| (kind, start)).collect(),
             classes: Vec::new(),
         }
         .with_classes(classes)
@@ -521,19 +558,141 @@ impl<'a> Fleet<'a> {
 
     /// Simulates node `node` over the full horizon (content-addressed
     /// cache) and returns the outcome. `capture` keeps the node trace and
-    /// profile (the final full runs); probes instead run stripped with a
-    /// pressure timeline sampled at every monitor poll, so one simulation
-    /// answers probes at *every* time.
+    /// profile (the final full runs); probes instead run with
+    /// [`probe_cfg`]. A miss resumes the node's world from a checkpoint
+    /// ([`Fleet::resume`]) unless the run captures a trace or a profile,
+    /// which checkpoints do not hold.
     fn simulate(&self, node: usize, capture: bool) -> Arc<ScenarioOutcome> {
         let scenario = self.node_scenario(node);
         let setting = Setting::m3(scenario.len());
-        let mut cfg = self.node_cfg(node);
-        if !capture {
-            cfg.sample_period = None;
-            cfg.capture_trace = false;
-            cfg.pressure_timeline = true;
+        let cfg = self.node_cfg(node);
+        let cfg = if capture { cfg } else { probe_cfg(cfg) };
+        let faults = &self.nodes[node].faults;
+        let mut kept = None;
+        let out = run_cached_with(&scenario, &setting, cfg, faults, |cfg| {
+            if cfg.capture_trace || cfg.sample_period.is_some() {
+                return run_scenario_with_faults(&scenario, &setting, cfg, faults);
+            }
+            let (out, world) = self.resume(node, &scenario, &setting, cfg);
+            kept = world;
+            out
+        });
+        if let Some((world, samples)) = kept {
+            let key = run_key(&scenario, &setting, cfg, faults);
+            let checkpoint = Checkpoint {
+                world,
+                outcome: Arc::clone(&out),
+                samples,
+            };
+            self.checkpoints
+                .lock()
+                .expect("checkpoints poisoned")
+                .insert(key, checkpoint);
         }
-        run_scenario_cached_faulted(&scenario, &setting, cfg, &self.nodes[node].faults)
+        out
+    }
+
+    /// Node `node`'s run under `cfg`, resumed instead of simulated from
+    /// t = 0. `cfg` is the node's probe configuration, or a final run's,
+    /// which differs from it only in recording no pressure timeline: such
+    /// a run resumes under the probe configuration and drops the timeline.
+    /// A probe also returns a copy of the world before it ran on, with its
+    /// timeline length, as its schedule's checkpoint; a final run keeps
+    /// none, since nothing runs after it. The outcome equals
+    /// [`run_scenario_with_faults`]'s byte for byte (DESIGN.md §9), which
+    /// test builds check on every resumed run.
+    fn resume(
+        &self,
+        node: usize,
+        scenario: &Scenario,
+        setting: &Setting,
+        cfg: MachineConfig,
+    ) -> (ScenarioOutcome, Option<(World, usize)>) {
+        let timeline = cfg.pressure_timeline;
+        let mut world = self.world_at_latest_change(node, scenario, setting, probe_cfg(cfg));
+        // The checkpoint is a copy without the timeline, whose prefix the
+        // memoized outcome keeps; the world itself runs on.
+        let kept = timeline.then(|| {
+            let prefix = std::mem::take(&mut world.pressure_timeline);
+            let checkpoint = world.clone();
+            world.pressure_timeline = prefix;
+            (checkpoint, world.pressure_timeline.len())
+        });
+        let mut run = world.finish();
+        if !timeline {
+            run.pressure_timeline = Vec::new();
+        }
+        let out = outcome(scenario, setting, run);
+        #[cfg(test)]
+        {
+            let faults = &self.nodes[node].faults;
+            let fresh = run_scenario_with_faults(scenario, setting, cfg, faults);
+            assert_eq!(
+                serde_json::to_string(&out).expect("serialize"),
+                serde_json::to_string(&fresh).expect("serialize"),
+                "node {node}: a resumed run must equal the run from t = 0"
+            );
+        }
+        (out, kept)
+    }
+
+    /// Node `node`'s world under `probe`, with its whole schedule pushed
+    /// and stopped before its latest change instant. Every change to a
+    /// node is due at the scheduler's current time, so the schedule is an
+    /// earlier schedule plus the entries due at that instant: the world is
+    /// a copy of the earlier schedule's checkpoint given those entries (a
+    /// fresh world without one), advanced to the instant.
+    fn world_at_latest_change(
+        &self,
+        node: usize,
+        scenario: &Scenario,
+        setting: &Setting,
+        probe: MachineConfig,
+    ) -> World {
+        let (apps, faults) = (&self.nodes[node].apps, &self.nodes[node].faults);
+        let at = apps
+            .iter()
+            .map(|a| a.2)
+            .chain(faults.events.iter().map(|e| e.at))
+            .max()
+            .expect("a simulated node has a schedule");
+        debug_assert!(apps.windows(2).all(|w| w[0].2 <= w[1].2));
+        debug_assert!(faults.events.windows(2).all(|w| w[0].at <= w[1].at));
+        let k = apps.partition_point(|a| a.2 < at);
+        let m = faults.events.partition_point(|e| e.at < at);
+        let earlier_faults = FaultPlan {
+            events: faults.events[..m].to_vec(),
+            ..faults.clone()
+        };
+        let key = run_key(
+            &self.scenario_of(&apps[..k]),
+            &Setting::m3(k),
+            probe,
+            &earlier_faults,
+        );
+        let checkpoint = (self.checkpoints.lock().expect("checkpoints poisoned"))
+            .get(&key)
+            .map(Checkpoint::resume);
+        let entry = |(i, &(kind, start)): (usize, &(AppKind, SimDuration))| {
+            schedule_entry(setting, i, kind, start)
+        };
+        let mut world = match checkpoint {
+            Some(mut world) => {
+                for (i, app) in scenario.apps.iter().enumerate().skip(k) {
+                    world.push_app(entry((i, app)), scenario.class_of(i));
+                }
+                for ev in &faults.events[m..] {
+                    world.push_fault(ev.clone());
+                }
+                world
+            }
+            None => {
+                let schedule = scenario.apps.iter().enumerate().map(entry).collect();
+                World::new(probe, schedule, faults.clone(), &scenario.classes, None)
+            }
+        };
+        world.advance_to(SimTime::ZERO + at);
+        world
     }
 
     /// The node's probe simulation, computed only if the node is dirty.
@@ -670,7 +829,7 @@ impl<'a> Fleet<'a> {
     }
 
     /// Reads node `node`'s pressure at time `t`, records the
-    /// `fleet.pressure` event, heals the shard index with the
+    /// `fleet.pressure` event, heals the candidate index with the
     /// authoritative load, and advances the node's red-streak clock.
     /// Chaos-aware: a flapping endpoint serves its tolerated stale view;
     /// past the stale window the scheduler forces an authoritative
@@ -713,56 +872,50 @@ impl<'a> Fleet<'a> {
         view
     }
 
-    /// Moves `node` to its new position in the shard index. Deindexed
-    /// nodes (dead or quarantined) keep their key current without ever
-    /// re-entering the index — only [`Fleet::set_indexed`] re-admits.
+    /// Moves `node` to its new position in the candidate index.
+    /// Deindexed nodes (dead or quarantined) keep their key current without
+    /// ever re-entering the index — only [`Fleet::set_indexed`] re-admits.
     fn update_index(&mut self, node: usize, effective: u64) {
         let key = index_key(effective, self.nodes[node].top);
         let old = self.nodes[node].index_key;
         if key != old {
             if self.nodes[node].indexed {
-                let shard = node / SHARD_SIZE;
-                self.shards[shard].remove(&(old, node as u32));
-                self.shards[shard].insert((key, node as u32));
+                self.index.remove(&(old, node as u32));
+                self.index.insert((key, node as u32));
             }
             self.nodes[node].index_key = key;
         }
         self.nodes[node].index_effective = effective;
     }
 
-    /// Inserts or removes `node` from its shard's candidate index.
+    /// Inserts or removes `node` from the candidate index.
     fn set_indexed(&mut self, node: usize, on: bool) {
         if self.nodes[node].indexed == on {
             return;
         }
-        let shard = node / SHARD_SIZE;
         let entry = (self.nodes[node].index_key, node as u32);
         if on {
-            self.shards[shard].insert(entry);
+            self.index.insert(entry);
         } else {
-            self.shards[shard].remove(&entry);
+            self.index.remove(&entry);
         }
         self.nodes[node].indexed = on;
     }
 
-    /// Asserts the shard index's invariants: each shard holds exactly
-    /// `(index_key, node)` for its own indexed nodes, a node is indexed
-    /// exactly when it is alive and not quarantined, and each node's key is
-    /// the key of its current load estimate.
+    /// Asserts the candidate index's invariants: it holds exactly
+    /// `(index_key, node)` for the indexed nodes, a node is indexed exactly
+    /// when it is alive and not quarantined, and each node's key is the key
+    /// of its current load estimate.
     #[cfg(test)]
     fn check_index(&self) {
-        for (s, shard) in self.shards.iter().enumerate() {
-            let want: BTreeSet<(u64, u32)> = self
-                .nodes
-                .iter()
-                .enumerate()
-                .skip(s * SHARD_SIZE)
-                .take(SHARD_SIZE)
-                .filter(|(_, st)| st.indexed)
-                .map(|(n, st)| (st.index_key, n as u32))
-                .collect();
-            assert_eq!(*shard, want, "shard {s} disagrees with its nodes");
-        }
+        let want: BTreeSet<(u64, u32)> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, st)| st.indexed)
+            .map(|(n, st)| (st.index_key, n as u32))
+            .collect();
+        assert_eq!(self.index, want, "the index disagrees with its nodes");
         for (n, st) in self.nodes.iter().enumerate() {
             assert_eq!(
                 st.indexed,
@@ -777,30 +930,15 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// The bounded placement scan order: the globally least-estimated
-    /// [`PROBE_BUDGET`] nodes, k-way-merged from the sorted per-shard
-    /// indexes (`O(shards + budget * log(shards))` per scan — never a walk
+    /// The bounded placement scan order: the least-estimated
+    /// [`PROBE_BUDGET`] nodes, the head of the candidate index (never a walk
     /// over all N nodes).
     fn candidate_order(&self) -> Vec<usize> {
-        let mut iters: Vec<_> = self.shards.iter().map(|s| s.iter().copied()).collect();
-        let mut heap: BinaryHeap<Reverse<((u64, u32), usize)>> =
-            BinaryHeap::with_capacity(iters.len());
-        for (i, it) in iters.iter_mut().enumerate() {
-            if let Some(e) = it.next() {
-                heap.push(Reverse((e, i)));
-            }
-        }
-        let mut out = Vec::with_capacity(PROBE_BUDGET);
-        while out.len() < PROBE_BUDGET {
-            let Some(Reverse((entry, shard))) = heap.pop() else {
-                break;
-            };
-            out.push(entry.1 as usize);
-            if let Some(e) = iters[shard].next() {
-                heap.push(Reverse((e, shard)));
-            }
-        }
-        out
+        self.index
+            .iter()
+            .take(PROBE_BUDGET)
+            .map(|&(_, node)| node as usize)
+            .collect()
     }
 
     /// Heals the whole candidate index with silent cached view reads at
@@ -1147,18 +1285,14 @@ impl<'a> Fleet<'a> {
     }
 
     fn on_rebalance(&mut self, check: u32, t: SimTime) {
-        let nshards = self.shards.len();
-        if nshards == 0 {
-            return;
-        }
-        // Round-robin refresh: check k covers `REFRESH_SHARDS` shards
-        // starting where check k-1 left off.
-        let refresh = REFRESH_SHARDS.min(nshards);
-        let start = (check as usize - 1).wrapping_mul(refresh) % nshards;
+        // Round-robin refresh: check k covers the `REFRESH_SHARDS` ranges
+        // of `SHARD_SIZE` nodes starting where check k-1 left off.
+        let ranges = self.nodes.len().div_ceil(SHARD_SIZE);
+        let refresh = REFRESH_SHARDS.min(ranges);
+        let start = (check as usize - 1).wrapping_mul(refresh) % ranges;
         let mut due_nodes: Vec<usize> = Vec::new();
         for i in 0..refresh {
-            let shard = (start + i) % nshards;
-            let lo = shard * SHARD_SIZE;
+            let lo = (start + i) % ranges * SHARD_SIZE;
             due_nodes.extend(lo..(lo + SHARD_SIZE).min(self.nodes.len()));
         }
         due_nodes.sort_unstable();
@@ -1389,16 +1523,14 @@ impl<'a> Fleet<'a> {
     }
 
     /// Mid-horizon scheduler restart: every advisory structure — the
-    /// shard indexes, the red-streak clocks, the refresh stamp — dies
+    /// candidate index, the red-streak clocks, the refresh stamp — dies
     /// with the old process and is rebuilt from authoritative node reads.
     /// Death and quarantine survive (they are node state, not scheduler
     /// state); an unreachable endpoint re-enters pessimistically at the
     /// maximal key until a real probe heals it.
     fn on_restart(&mut self, t: SimTime) {
         self.degradation.scheduler_restarts += 1;
-        for shard in &mut self.shards {
-            shard.clear();
-        }
+        self.index.clear();
         self.index_fresh_ms = None;
         for node in 0..self.nodes.len() {
             self.nodes[node].red_since = None;
@@ -1416,8 +1548,7 @@ impl<'a> Fleet<'a> {
             self.nodes[node].index_key = key;
             self.nodes[node].index_effective = effective;
             self.nodes[node].indexed = true;
-            let shard = node / SHARD_SIZE;
-            self.shards[shard].insert((key, node as u32));
+            self.index.insert((key, node as u32));
             self.degradation.index_rebuild_nodes += 1;
         }
     }
@@ -2402,11 +2533,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// On fleets of two to four shards, under random node crashes,
-        /// probe flaps and scheduler restarts, the shard index keeps its
-        /// invariants: `run_events` checks them after every event.
+        /// On fleets of 65 to 256 nodes (two to four rebalance ranges),
+        /// under random node crashes, probe flaps and scheduler restarts,
+        /// the candidate index keeps its invariants: `run_events` checks
+        /// them after every event.
         #[test]
-        fn shard_index_keeps_its_invariants_under_chaos(
+        fn candidate_index_keeps_its_invariants_under_chaos(
             (nodes, gap_s) in (65usize..257, 0u64..300),
             jobs in proptest::collection::vec(0usize..4, 1..5),
             crashes in proptest::collection::vec((0u64..1_500, target_node()), 0..3),

@@ -6,10 +6,19 @@
 //! monitor poll (once per second of simulated time), delivers threshold
 //! signals, advances every application by a time budget scaled by the
 //! kernel's swap-thrash multiplier, runs the OOM check, and samples the
-//! memory profile.
+//! memory profile. With nothing running it skips straight to the next
+//! instant at which anything can happen.
+//!
+//! The loop's state is one crate-private `World`, and a run is
+//! `World::new(..).finish()`. A world can also stop before an instant and
+//! be cloned, and a clone can take schedule entries and faults due at or
+//! after that instant and run on: the fleet scheduler resumes node runs
+//! from their latest change this way, byte-identical to a run from t = 0
+//! (DESIGN.md §9).
 
 use std::sync::Arc;
 
+use m3_core::monitor::PressureSummary;
 use m3_core::{Monitor, MonitorConfig, Registry, ThresholdSignal, Zone};
 use m3_oracle::{Oracle, Violation};
 use m3_os::cgroup::{Cgroup, CgroupSet};
@@ -22,7 +31,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::apps::{AnyApp, AppBlueprint};
 use crate::faults::{
-    DegradationReport, FaultKind, FaultPlan, FaultRecovery, UnappliedFault, UnappliedReason,
+    DegradationReport, FaultEvent, FaultKind, FaultPlan, FaultRecovery, UnappliedFault,
+    UnappliedReason,
 };
 use crate::scenario::JobClass;
 use crate::settings::Setting;
@@ -151,6 +161,22 @@ pub struct AppResult {
 }
 
 impl AppResult {
+    /// A scheduled app that has not started yet.
+    fn scheduled(name: &str, start: SimDuration) -> AppResult {
+        AppResult {
+            name: name.to_string(),
+            started: SimTime::ZERO + start,
+            finished: None,
+            ended: None,
+            killed: false,
+            failed: false,
+            gc_pause: SimDuration::ZERO,
+            mm_time: SimDuration::ZERO,
+            stall: SimDuration::ZERO,
+            peak_rss: 0,
+        }
+    }
+
     /// The app's runtime, if it completed.
     pub fn runtime(&self) -> Option<SimDuration> {
         self.finished.map(|f| f.saturating_since(self.started))
@@ -177,7 +203,7 @@ pub struct RunResult {
     /// the end of the run, when [`MachineConfig::pressure_timeline`] is set
     /// (empty when it is not or no monitor ran). The fleet scheduler reads
     /// a node's pressure at time `t` as the last sample at or before `t`.
-    pub pressure_timeline: Vec<(u64, m3_core::monitor::PressureSummary)>,
+    pub pressure_timeline: Vec<(u64, PressureSummary)>,
     /// When the last application terminated (or the cap was hit).
     pub end: SimTime,
     /// Time-weighted mean of total committed bytes (§7.3's effective
@@ -202,6 +228,7 @@ impl RunResult {
     }
 }
 
+#[derive(Clone)]
 struct Slot {
     idx: usize,
     app: AnyApp,
@@ -221,6 +248,7 @@ struct Slot {
 }
 
 /// Internal event type of the fault queue.
+#[derive(Clone)]
 enum FaultAction {
     /// Apply `FaultPlan::events[i]`.
     App(usize),
@@ -277,40 +305,101 @@ impl Machine {
         classes: &[JobClass],
         container_limits: Option<Vec<u64>>,
     ) -> RunResult {
-        let mut kernel = Kernel::new(KernelConfig::with_total(self.cfg.phys_total));
-        if !self.cfg.capture_trace {
+        World::new(
+            self.cfg,
+            schedule,
+            faults.clone(),
+            classes,
+            container_limits,
+        )
+        .finish()
+    }
+}
+
+/// One node run's whole state: the world loop's clock, kernel, monitor,
+/// applications, queues and accumulators.
+///
+/// [`Machine::run_with`] is `World::new(..).finish()`. The fleet scheduler
+/// also stops a world before an instant ([`World::advance_to`]) and clones
+/// it; a clone takes schedule entries and faults due at or after the
+/// instant ([`World::push_app`], [`World::push_fault`]) and runs on. The
+/// result is byte-identical to a run that had the entries from t = 0
+/// (DESIGN.md §9, "Determinism argument: resumable worlds").
+#[derive(Clone)]
+pub(crate) struct World {
+    cfg: MachineConfig,
+    schedule: Vec<ScheduleEntry>,
+    faults: FaultPlan,
+    /// One class per schedule entry.
+    classes: Vec<JobClass>,
+    kernel: Kernel,
+    disk: DiskModel,
+    monitor: Option<Monitor>,
+    /// Schedule indices, due at their start times.
+    queue: m3_sim::EventQueue<usize>,
+    results: Vec<AppResult>,
+    running: Vec<Slot>,
+    registry: Registry,
+    profile: Profile,
+    /// The instant of the next loop iteration (always on the tick grid).
+    now: SimTime,
+    poll_period: SimDuration,
+    cgroups: Option<CgroupSet>,
+    next_enforce: SimTime,
+    faultq: m3_sim::EventQueue<FaultAction>,
+    degradation: DegradationReport,
+    /// Applied app faults awaiting recovery: (event index, monitor polls
+    /// at application time, armed). An entry arms once the system enters
+    /// Red/AboveTop after the fault; it closes at the next Green/Yellow
+    /// poll — so the recorded time measures an actual excursion-and-
+    /// return, not an incidental calm poll right after injection.
+    pending_recoveries: Vec<(usize, u64, bool)>,
+    churn_bystanders: Vec<Pid>,
+    next_poll: SimTime,
+    next_sample: SimTime,
+    /// The pressure summary at every poll so far, when the config records
+    /// them. The fleet keeps checkpoints without it and puts the prefix
+    /// back from the memoized outcome when it resumes one.
+    pub(crate) pressure_timeline: Vec<(u64, PressureSummary)>,
+    /// Mean-RSS integral as exact integers (`committed` summed per tick):
+    /// integer addition is associative, so the fast path can account a
+    /// whole gap of idle ticks in one multiplication and stay bit-identical
+    /// to the tick-by-tick loop.
+    rss_area: u128,
+    ticks: u64,
+    /// Set after an iteration, until the end test and the idle skip of
+    /// the instant after it have run.
+    boundary: bool,
+    /// Set once the time cap is reached: no further iteration runs.
+    over: bool,
+}
+
+impl World {
+    /// A world at t = 0 with `schedule` and `faults` queued and nothing
+    /// run yet. `classes` and `container_limits` are as in
+    /// [`Machine::run_with`].
+    pub(crate) fn new(
+        cfg: MachineConfig,
+        schedule: Vec<ScheduleEntry>,
+        faults: FaultPlan,
+        classes: &[JobClass],
+        container_limits: Option<Vec<u64>>,
+    ) -> World {
+        let mut kernel = Kernel::new(KernelConfig::with_total(cfg.phys_total));
+        if !cfg.capture_trace {
             kernel.trace = TraceLog::disabled();
         }
-        let disk = DiskModel::hdd_7200rpm();
-        let mut monitor = self.cfg.monitor.map(Monitor::new);
-        let mut queue: m3_sim::EventQueue<usize> = m3_sim::EventQueue::new();
-        let mut results: Vec<AppResult> = Vec::with_capacity(schedule.len());
+        let mut queue = m3_sim::EventQueue::new();
+        let mut results = Vec::with_capacity(schedule.len());
         for (i, (name, start, _)) in schedule.iter().enumerate() {
-            results.push(AppResult {
-                name: name.to_string(),
-                started: SimTime::ZERO + *start,
-                finished: None,
-                ended: None,
-                killed: false,
-                failed: false,
-                gc_pause: SimDuration::ZERO,
-                mm_time: SimDuration::ZERO,
-                stall: SimDuration::ZERO,
-                peak_rss: 0,
-            });
+            results.push(AppResult::scheduled(name, *start));
             queue.schedule(SimTime::ZERO + *start, i);
         }
-
-        let mut running: Vec<Slot> = Vec::new();
-        let mut registry = Registry::new();
-        let mut profile = Profile::new();
-        let mut now = SimTime::ZERO;
-        let poll_period = self
-            .cfg
+        let poll_period = cfg
             .monitor
             .map(|m| m.poll_period)
             .unwrap_or(SimDuration::from_secs(1));
-        let mut cgroups: Option<CgroupSet> = container_limits.as_ref().map(|limits| {
+        let cgroups = container_limits.map(|limits| {
             assert_eq!(
                 limits.len(),
                 schedule.len(),
@@ -322,8 +411,7 @@ impl Machine {
             }
             set
         });
-        let mut next_enforce = SimTime::ZERO + poll_period;
-        let mut faultq: m3_sim::EventQueue<FaultAction> = m3_sim::EventQueue::new();
+        let mut faultq = m3_sim::EventQueue::new();
         for (i, ev) in faults.events.iter().enumerate() {
             faultq.schedule(SimTime::ZERO + ev.at, FaultAction::App(i));
         }
@@ -331,435 +419,539 @@ impl Machine {
             faultq.schedule(SimTime::ZERO + ch.at, FaultAction::ChurnSpawn(i));
         }
         kernel.set_signal_faults(faults.signal_faults);
-        let mut degradation = DegradationReport {
+        let degradation = DegradationReport {
             faults_injected: faults.injected_count(),
             ..DegradationReport::default()
         };
-        // Applied app faults awaiting recovery: (event index, monitor polls
-        // at application time, armed). An entry arms once the system enters
-        // Red/AboveTop after the fault; it closes at the next Green/Yellow
-        // poll — so the recorded time measures an actual excursion-and-
-        // return, not an incidental calm poll right after injection.
-        let mut pending_recoveries: Vec<(usize, u64, bool)> = Vec::new();
-        let mut churn_bystanders: Vec<Pid> = vec![0; faults.churn.len()];
-        let mut next_poll = SimTime::ZERO + poll_period;
-        let mut next_sample = SimTime::ZERO;
-        let mut pressure_timeline: Vec<(u64, m3_core::monitor::PressureSummary)> = Vec::new();
-        // Mean-RSS integral as exact integers (`committed` summed per tick):
-        // integer addition is associative, so the fast path below can account
-        // a whole gap of idle ticks in one multiplication and stay
-        // bit-identical to the tick-by-tick loop.
-        let mut rss_area: u128 = 0;
-        let mut ticks: u64 = 0;
-        if let Some(period) = self.cfg.sample_period {
+        let mut profile = Profile::new();
+        if let Some(period) = cfg.sample_period {
             // The sample count over the horizon is known up front; pre-size
             // the always-present series so the hot loop never regrows them.
-            let cap = (self.cfg.max_time.as_millis() / period.as_millis() + 1) as usize;
+            let cap = (cfg.max_time.as_millis() / period.as_millis() + 1) as usize;
             profile.reserve_series("total", cap);
-            if self.cfg.monitor.is_some() {
+            if cfg.monitor.is_some() {
                 profile.reserve_series("low-threshold", cap);
                 profile.reserve_series("high-threshold", cap);
                 profile.reserve_series("top", cap);
             }
         }
+        World {
+            classes: (0..schedule.len())
+                .map(|i| classes.get(i).copied().unwrap_or_default())
+                .collect(),
+            churn_bystanders: vec![0; faults.churn.len()],
+            monitor: cfg.monitor.map(Monitor::new),
+            cfg,
+            schedule,
+            faults,
+            kernel,
+            disk: DiskModel::hdd_7200rpm(),
+            queue,
+            results,
+            running: Vec::new(),
+            registry: Registry::new(),
+            profile,
+            now: SimTime::ZERO,
+            poll_period,
+            cgroups,
+            next_enforce: SimTime::ZERO + poll_period,
+            faultq,
+            degradation,
+            pending_recoveries: Vec::new(),
+            next_poll: SimTime::ZERO + poll_period,
+            next_sample: SimTime::ZERO,
+            pressure_timeline: Vec::new(),
+            rss_area: 0,
+            ticks: 0,
+            boundary: false,
+            over: false,
+        }
+    }
 
-        loop {
-            kernel.set_time(now);
+    /// Runs every loop iteration before `t` and stops the clock at the
+    /// first iteration instant at or after it, or earlier where the run
+    /// stops: at the time cap, or once everything has started and nothing
+    /// is running. The latter only pauses a world: a [`World::push_app`]
+    /// before the next call lets it run on from there. Entries due at `t`
+    /// are pushed before the call, so the idle skip stops for them.
+    pub(crate) fn advance_to(&mut self, t: SimTime) {
+        self.run(Some(t));
+    }
 
-            // 1. Start applications whose delay has elapsed.
-            for idx in queue.pop_due(now) {
-                let (name, _, bp) = &schedule[idx];
-                let pid = kernel.spawn(name.as_ref());
-                let app = bp.build_salted(pid, self.cfg.node_salt);
-                results[idx].started = now;
-                if app.failed() {
-                    results[idx].failed = true;
-                    results[idx].ended = Some(now);
-                    kernel.exit(pid);
-                    continue;
-                }
-                let class = classes.get(idx).copied().unwrap_or_default();
-                if bp.is_m3() {
-                    // §6: participants drop a PID file in the registration
-                    // directory; the monitor picks it up on its next poll.
-                    // The file also declares the job's criticality class.
-                    registry.register_with_class(&kernel, pid, name.as_ref(), class.crit);
-                }
-                if let Some(set) = cgroups.as_mut() {
-                    set.group_mut(idx).add(pid);
-                }
-                running.push(Slot {
-                    idx,
-                    app,
-                    peak_rss: 0,
-                    class,
-                    stall: SimDuration::ZERO,
-                    unresponsive: None,
-                    leak_rate: 0,
-                    leak_carry: 0,
-                });
-            }
+    /// Appends a schedule entry with its class. It must not be due in a
+    /// tick before the world's next iteration instant.
+    pub(crate) fn push_app(&mut self, entry: ScheduleEntry, class: JobClass) {
+        assert!(
+            self.cgroups.is_none(),
+            "containerized runs take their whole schedule up front"
+        );
+        let (name, start, _) = &entry;
+        debug_assert!(self.grid_ceil(start.as_millis()) >= self.now.as_millis());
+        self.results.push(AppResult::scheduled(name, *start));
+        self.queue
+            .schedule(SimTime::ZERO + *start, self.schedule.len());
+        self.schedule.push(entry);
+        self.classes.push(class);
+    }
 
-            // 1b. Fault injection: apply due fault events. Events whose
-            //     victim is not running are recorded as unapplied, never
-            //     silently dropped.
-            for action in faultq.pop_due(now) {
-                match action {
-                    FaultAction::App(i) => {
-                        let ev = &faults.events[i];
-                        if ev.target >= schedule.len() {
-                            degradation.faults_unapplied.push(UnappliedFault {
-                                event: ev.clone(),
-                                reason: UnappliedReason::NoSuchApp,
-                            });
-                            continue;
-                        }
-                        match running.iter_mut().find(|s| s.idx == ev.target) {
-                            Some(slot) => {
-                                match ev.kind {
-                                    FaultKind::Crash => kernel.kill(slot.app.pid()),
-                                    FaultKind::Unresponsive { reclaim_fraction } => {
-                                        slot.unresponsive = Some(reclaim_fraction.clamp(0.0, 1.0));
-                                    }
-                                    FaultKind::Leak { bytes_per_sec } => {
-                                        slot.leak_rate = bytes_per_sec;
-                                    }
-                                }
-                                degradation.faults_applied += 1;
-                                // Recovery is measured in monitor polls, so
-                                // it is only tracked when a monitor runs.
-                                if let Some(m) = monitor.as_ref() {
-                                    pending_recoveries.push((i, m.stats.polls, false));
-                                }
-                            }
-                            None => {
-                                let r = &results[ev.target];
-                                let reason = if r.finished.is_some() || r.killed || r.failed {
-                                    UnappliedReason::AlreadyDone
-                                } else {
-                                    UnappliedReason::NotStarted
-                                };
-                                degradation.faults_unapplied.push(UnappliedFault {
-                                    event: ev.clone(),
-                                    reason,
-                                });
-                            }
-                        }
-                    }
-                    FaultAction::ChurnSpawn(i) => {
-                        let ch = &faults.churn[i];
-                        // A ghost participant registers and crashes without
-                        // deregistering; its stale PID file lingers.
-                        let ghost = kernel.spawn(format!("ghost-{i}"));
-                        registry.register(&kernel, ghost, format!("ghost-{i}"));
-                        kernel.kill(ghost);
-                        // An unrelated bystander immediately reuses the pid.
-                        // The sweep must not let it inherit the ghost's
-                        // registration (incarnation mismatch).
-                        let bystander = kernel.spawn_reusing(ghost, format!("bystander-{i}"));
-                        let _ = kernel.grow(bystander, ch.bystander_rss);
-                        churn_bystanders[i] = bystander;
-                        faultq.schedule(now + ch.bystander_lifetime, FaultAction::ChurnRetire(i));
-                        degradation.faults_applied += 1;
-                    }
-                    FaultAction::ChurnRetire(i) => {
-                        kernel.exit(churn_bystanders[i]);
-                    }
-                }
-            }
+    /// Appends an app-targeted fault event against an app already
+    /// scheduled, due no earlier than a pushed app could be. The plan must
+    /// have no churn (a churn event queues its own retirement mid-run).
+    pub(crate) fn push_fault(&mut self, ev: FaultEvent) {
+        assert!(
+            self.faults.churn.is_empty(),
+            "plans with churn are not resumable"
+        );
+        debug_assert!(self.grid_ceil(ev.at.as_millis()) >= self.now.as_millis());
+        self.faultq.schedule(
+            SimTime::ZERO + ev.at,
+            FaultAction::App(self.faults.events.len()),
+        );
+        self.faults.events.push(ev);
+        self.degradation.faults_injected += 1;
+    }
 
-            // 2a. Container limit enforcement (once per second):
-            //     `memory.high` semantics — members of an over-limit group
-            //     receive reclaim pressure.
-            if let Some(set) = cgroups.as_ref() {
-                if now >= next_enforce {
-                    next_enforce += poll_period;
-                    for idx in set.over_limit(&kernel) {
-                        for pid in set.groups()[idx].members() {
-                            kernel.send_signal(pid, Signal::HighMemory);
-                        }
-                    }
-                }
-            }
+    /// Runs the world to its end and folds it into a [`RunResult`].
+    pub(crate) fn finish(mut self) -> RunResult {
+        self.run(None);
+        self.result()
+    }
 
-            // 2. Monitor poll (once per second of simulated time). The
-            //    monitor first re-reads the PID-file directory. Injected
-            //    outage windows make the meminfo read fail; the monitor
-            //    then polls in degraded mode instead of skipping.
-            if let Some(m) = monitor.as_mut() {
-                if now >= next_poll {
-                    kernel.set_meminfo_outage(faults.poll_outages.iter().any(|w| w.contains(now)));
-                    registry.sync_monitor(m, &kernel);
-                    let report = m.poll(&mut kernel, now);
-                    next_poll += poll_period;
-                    if self.cfg.pressure_timeline {
-                        pressure_timeline
-                            .push((now.as_millis(), m.pressure_summary(kernel.committed())));
-                    }
-                    match report.zone {
-                        Zone::AboveTop => {
-                            // Usage crossed top: arm every pending fault so
-                            // its eventual return to comfort is measured as
-                            // a real excursion-and-recovery. (Red alone does
-                            // not arm — threshold-riding through the red
-                            // zone is normal M3 operation, not damage.)
-                            for entry in &mut pending_recoveries {
-                                entry.2 = true;
-                            }
-                        }
-                        Zone::Red => {}
-                        Zone::Green | Zone::Yellow => {
-                            // Comfortably below the high threshold again:
-                            // every armed fault has recovered.
-                            let polls_now = m.stats.polls;
-                            pending_recoveries.retain(|&(i, at, armed)| {
-                                if armed {
-                                    degradation.recoveries.push(FaultRecovery {
-                                        event_index: i,
-                                        recovered_after_polls: Some(polls_now.saturating_sub(at)),
-                                    });
-                                }
-                                !armed
-                            });
-                        }
-                    }
-                    if self.cfg.sample_period.is_some() {
-                        for _ in &report.low_signalled {
-                            profile.mark(now, "signal.low");
-                        }
-                        for _ in &report.high_signalled {
-                            profile.mark(now, "signal.high");
-                        }
-                        for _ in &report.killed {
-                            profile.mark(now, "kill");
-                        }
-                    }
-                }
-            }
+    /// The least tick-grid instant at or after `t_ms`.
+    fn grid_ceil(&self, t_ms: u64) -> u64 {
+        let tick_ms = self.cfg.tick.as_millis();
+        t_ms.div_ceil(tick_ms) * tick_ms
+    }
 
-            // 3. Deliver signals (upper layers reclaim before lower ones,
-            //    inside each app's handler).
-            for slot in &mut running {
-                let pid = slot.app.pid();
-                for sig in kernel.take_signals(pid) {
-                    match sig {
-                        Signal::Kill => {
-                            results[slot.idx].killed = true;
-                        }
-                        other => {
-                            // A pressure signal can share the batch with (or
-                            // be deferred by the lossy bus past) the kill
-                            // that terminated this process; the dead cannot
-                            // run handlers.
-                            if !kernel.is_alive(pid) {
-                                continue;
-                            }
-                            let Some(t) = ThresholdSignal::from_os_signal(other) else {
-                                continue;
-                            };
-                            // Per-class reclamation aggressiveness: a batch
-                            // job answers the advisory low signal with its
-                            // high handler (earlier, larger reclamation); a
-                            // latency-critical job ignores low entirely and
-                            // only reclaims on high. Standard is unchanged.
-                            let t = match (slot.class.crit, t) {
-                                (Criticality::Batch, ThresholdSignal::Low) => ThresholdSignal::High,
-                                (Criticality::LatencyCritical, ThresholdSignal::Low) => continue,
-                                _ => t,
-                            };
-                            let sig_kind = match t {
-                                ThresholdSignal::Low => SigKind::Low,
-                                ThresholdSignal::High => SigKind::High,
-                            };
-                            kernel.record_trace(pid, TraceData::HandlerStart { sig: sig_kind });
-                            let out = slot.app.handle_signal(t, &mut kernel, now);
-                            slot.app.add_debt(out.duration);
-                            slot.stall += out.duration;
-                            // Injected non-cooperation: the handler ran and
-                            // freed pages internally, but only a fraction
-                            // actually reaches the OS — the rest is re-grown
-                            // into the kernel ledger (pages never madvised).
-                            let returned = match slot.unresponsive {
-                                Some(f) => {
-                                    let kept = (out.returned_to_os as f64 * f) as u64;
-                                    let _ = kernel.grow(pid, out.returned_to_os - kept);
-                                    kept
-                                }
-                                None => out.returned_to_os,
-                            };
-                            kernel.record_trace_with(pid, || TraceData::HandlerEnd {
-                                sig: sig_kind,
-                                duration_ms: out.duration.as_millis(),
-                                returned,
-                            });
-                            if t == ThresholdSignal::High {
-                                if let Some(m) = monitor.as_mut() {
-                                    m.note_reclamation(pid, returned);
-                                }
-                            }
-                        }
-                    }
+    /// The world loop: an iteration, then at the instant after it the end
+    /// test and the idle skip, until the time cap, until everything has
+    /// started and nothing is running, or until the next iteration would
+    /// run at or after `until`.
+    fn run(&mut self, until: Option<SimTime>) {
+        while !self.over {
+            if self.boundary {
+                if self.queue.is_empty() && self.running.is_empty() {
+                    return;
                 }
-            }
-            running.retain(|s| {
-                if results[s.idx].killed {
-                    results[s.idx].peak_rss = s.peak_rss;
-                    results[s.idx].stall = s.stall;
-                    results[s.idx].ended = Some(now);
-                    // Killed processes leave a stale PID file; the sweep on
-                    // the next sync removes it and unregisters the process.
-                    if let Some(m) = monitor.as_mut() {
-                        m.unregister(s.app.pid());
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-
-            // 4. Advance applications, slowed by any swap thrashing. Without
-            // swap the multiplier is exactly 1.0, and scaling by it returns
-            // the tick unchanged (a tick's milliseconds are exact in f64),
-            // so the float round trip is skipped.
-            let thrash = kernel.thrash_multiplier();
-            let budget = if thrash == 1.0 {
-                self.cfg.tick
+                self.boundary = false;
+                self.skip_idle();
+            } else if until.is_some_and(|t| self.now >= t) {
+                return;
             } else {
-                self.cfg.tick.mul_f64(thrash)
-            };
-            let readers = running.iter().filter(|s| s.app.uses_disk()).count();
-            let mut finished_idx = Vec::new();
-            for slot in &mut running {
-                // Injected leak: steady growth the app itself never frees.
-                // Exact integer carry keeps sub-second rates deterministic.
-                if slot.leak_rate > 0 {
-                    slot.leak_carry += slot.leak_rate * self.cfg.tick.as_millis();
-                    let bytes = slot.leak_carry / 1000;
-                    slot.leak_carry %= 1000;
-                    if bytes > 0 {
-                        let _ = kernel.grow(slot.app.pid(), bytes);
-                    }
-                }
-                let done = slot.app.tick(&mut kernel, &disk, now, budget, readers);
-                slot.peak_rss = slot.peak_rss.max(kernel.rss(slot.app.pid()));
-                if done {
-                    finished_idx.push(slot.idx);
-                }
+                self.iterate();
+                self.now += self.cfg.tick;
+                self.boundary = true;
+                self.over = self.now.saturating_since(SimTime::ZERO) >= self.cfg.max_time;
             }
-            running.retain_mut(|s| {
-                if finished_idx.contains(&s.idx) {
-                    let r = &mut results[s.idx];
-                    r.finished = Some(now + self.cfg.tick);
-                    r.ended = r.finished;
-                    r.failed = s.app.failed();
-                    r.gc_pause = s.app.gc_pause();
-                    r.mm_time = s.app.mm_time();
-                    r.stall = s.stall;
-                    r.peak_rss = s.peak_rss;
-                    let pid = s.app.pid();
-                    kernel.exit(pid);
-                    // Clean shutdown removes the PID file and unregisters.
-                    registry.deregister(pid);
-                    if let Some(m) = monitor.as_mut() {
-                        m.unregister(pid);
-                    }
-                    false
-                } else {
-                    true
-                }
+        }
+    }
+
+    /// Fast path: with no live process the world is inert between
+    /// scheduled instants — nothing allocates, the OOM check stays
+    /// quiescent, and `committed` is constant — so jump the clock to the
+    /// next instant at which anything can happen (app start, chaos kill,
+    /// monitor poll, cgroup enforcement, profile sample), accounting the
+    /// skipped ticks into the mean-RSS integral.
+    fn skip_idle(&mut self) {
+        if !self.cfg.fast_path || !self.running.is_empty() {
+            return;
+        }
+        // The loop ends at the first grid instant at or past the time cap,
+        // so no iteration can run later than this.
+        let mut target_ms = self.grid_ceil(self.cfg.max_time.as_millis());
+        let candidates = [
+            self.queue.next_due().map(|t| t.as_millis()),
+            self.faultq.next_due().map(|t| t.as_millis()),
+            self.monitor.is_some().then(|| self.next_poll.as_millis()),
+            self.cgroups
+                .is_some()
+                .then(|| self.next_enforce.as_millis()),
+            self.cfg.sample_period.map(|_| self.next_sample.as_millis()),
+        ];
+        for t in candidates.into_iter().flatten() {
+            target_ms = target_ms.min(self.grid_ceil(t));
+        }
+        let now_ms = self.now.as_millis();
+        if target_ms > now_ms {
+            let skipped = (target_ms - now_ms) / self.cfg.tick.as_millis();
+            self.rss_area += self.kernel.committed() as u128 * u128::from(skipped);
+            self.ticks += skipped;
+            self.now = SimTime::from_millis(target_ms);
+            self.over = self.now.saturating_since(SimTime::ZERO) >= self.cfg.max_time;
+        }
+    }
+
+    /// The body of one loop iteration at `now`.
+    fn iterate(&mut self) {
+        let now = self.now;
+        let kernel = &mut self.kernel;
+        kernel.set_time(now);
+
+        // 1. Start applications whose delay has elapsed.
+        for idx in self.queue.pop_due(now) {
+            let (name, _, bp) = &self.schedule[idx];
+            let pid = kernel.spawn(name.as_ref());
+            let app = bp.build_salted(pid, self.cfg.node_salt);
+            self.results[idx].started = now;
+            if app.failed() {
+                self.results[idx].failed = true;
+                self.results[idx].ended = Some(now);
+                kernel.exit(pid);
+                continue;
+            }
+            let class = self.classes[idx];
+            if bp.is_m3() {
+                // §6: participants drop a PID file in the registration
+                // directory; the monitor picks it up on its next poll.
+                // The file also declares the job's criticality class.
+                self.registry
+                    .register_with_class(kernel, pid, name.as_ref(), class.crit);
+            }
+            if let Some(set) = self.cgroups.as_mut() {
+                set.group_mut(idx).add(pid);
+            }
+            self.running.push(Slot {
+                idx,
+                app,
+                peak_rss: 0,
+                class,
+                stall: SimDuration::ZERO,
+                unresponsive: None,
+                leak_rate: 0,
+                leak_carry: 0,
             });
+        }
 
-            // 5. OOM killer (swap exhaustion).
-            while kernel.check_oom().is_some() {}
-
-            // 6. Sample the profile.
-            let committed = kernel.committed();
-            rss_area += committed as u128;
-            ticks += 1;
-            if let Some(period) = self.cfg.sample_period {
-                if now >= next_sample {
-                    profile
-                        .series_mut("total")
-                        .push(now, bytes_to_gib(committed));
-                    let remaining = (self
-                        .cfg
-                        .max_time
-                        .as_millis()
-                        .saturating_sub(now.as_millis())
-                        / period.as_millis()
-                        + 1) as usize;
-                    for slot in &running {
-                        let rss = kernel.rss(slot.app.pid());
-                        let name = &results[slot.idx].name;
-                        profile
-                            .reserve_series(name, remaining)
-                            .push(now, bytes_to_gib(rss));
+        // 1b. Fault injection: apply due fault events. Events whose
+        //     victim is not running are recorded as unapplied, never
+        //     silently dropped.
+        for action in self.faultq.pop_due(now) {
+            match action {
+                FaultAction::App(i) => {
+                    let ev = &self.faults.events[i];
+                    if ev.target >= self.schedule.len() {
+                        self.degradation.faults_unapplied.push(UnappliedFault {
+                            event: ev.clone(),
+                            reason: UnappliedReason::NoSuchApp,
+                        });
+                        continue;
                     }
-                    if let Some(m) = monitor.as_ref() {
-                        let (low, high) = m.thresholds();
-                        profile
-                            .series_mut("low-threshold")
-                            .push(now, bytes_to_gib(low));
-                        profile
-                            .series_mut("high-threshold")
-                            .push(now, bytes_to_gib(high));
-                        profile
-                            .series_mut("top")
-                            .push(now, bytes_to_gib(m.config().top));
+                    match self.running.iter_mut().find(|s| s.idx == ev.target) {
+                        Some(slot) => {
+                            match ev.kind {
+                                FaultKind::Crash => kernel.kill(slot.app.pid()),
+                                FaultKind::Unresponsive { reclaim_fraction } => {
+                                    slot.unresponsive = Some(reclaim_fraction.clamp(0.0, 1.0));
+                                }
+                                FaultKind::Leak { bytes_per_sec } => {
+                                    slot.leak_rate = bytes_per_sec;
+                                }
+                            }
+                            self.degradation.faults_applied += 1;
+                            // Recovery is measured in monitor polls, so
+                            // it is only tracked when a monitor runs.
+                            if let Some(m) = self.monitor.as_ref() {
+                                self.pending_recoveries.push((i, m.stats.polls, false));
+                            }
+                        }
+                        None => {
+                            let r = &self.results[ev.target];
+                            let reason = if r.finished.is_some() || r.killed || r.failed {
+                                UnappliedReason::AlreadyDone
+                            } else {
+                                UnappliedReason::NotStarted
+                            };
+                            self.degradation.faults_unapplied.push(UnappliedFault {
+                                event: ev.clone(),
+                                reason,
+                            });
+                        }
                     }
-                    next_sample += period;
+                }
+                FaultAction::ChurnSpawn(i) => {
+                    let ch = &self.faults.churn[i];
+                    // A ghost participant registers and crashes without
+                    // deregistering; its stale PID file lingers.
+                    let ghost = kernel.spawn(format!("ghost-{i}"));
+                    self.registry.register(kernel, ghost, format!("ghost-{i}"));
+                    kernel.kill(ghost);
+                    // An unrelated bystander immediately reuses the pid.
+                    // The sweep must not let it inherit the ghost's
+                    // registration (incarnation mismatch).
+                    let bystander = kernel.spawn_reusing(ghost, format!("bystander-{i}"));
+                    let _ = kernel.grow(bystander, ch.bystander_rss);
+                    self.churn_bystanders[i] = bystander;
+                    self.faultq
+                        .schedule(now + ch.bystander_lifetime, FaultAction::ChurnRetire(i));
+                    self.degradation.faults_applied += 1;
+                }
+                FaultAction::ChurnRetire(i) => {
+                    kernel.exit(self.churn_bystanders[i]);
                 }
             }
+        }
 
-            now += self.cfg.tick;
-            let all_started = queue.is_empty();
-            if (all_started && running.is_empty())
-                || now.saturating_since(SimTime::ZERO) >= self.cfg.max_time
-            {
-                break;
-            }
-
-            // Fast path: with no live process the world is inert between
-            // scheduled instants — nothing allocates, the OOM check stays
-            // quiescent, and `committed` is constant — so jump the clock to
-            // the next instant at which anything can happen (app start,
-            // chaos kill, monitor poll, cgroup enforcement, profile sample),
-            // accounting the skipped ticks into the mean-RSS integral.
-            if self.cfg.fast_path && running.is_empty() {
-                let tick_ms = self.cfg.tick.as_millis();
-                let grid_ceil = |t: u64| t.div_ceil(tick_ms) * tick_ms;
-                // The break above fires at the first grid instant at or past
-                // the time cap, so no loop iteration can run later than this.
-                let mut target_ms = grid_ceil(self.cfg.max_time.as_millis());
-                let candidates = [
-                    queue.next_due().map(|t| t.as_millis()),
-                    faultq.next_due().map(|t| t.as_millis()),
-                    monitor.is_some().then(|| next_poll.as_millis()),
-                    cgroups.is_some().then(|| next_enforce.as_millis()),
-                    self.cfg.sample_period.map(|_| next_sample.as_millis()),
-                ];
-                for t in candidates.into_iter().flatten() {
-                    target_ms = target_ms.min(grid_ceil(t));
-                }
-                let now_ms = now.as_millis();
-                if target_ms > now_ms {
-                    let skipped = (target_ms - now_ms) / tick_ms;
-                    rss_area += kernel.committed() as u128 * u128::from(skipped);
-                    ticks += skipped;
-                    now = SimTime::from_millis(target_ms);
-                    if now.saturating_since(SimTime::ZERO) >= self.cfg.max_time {
-                        break;
+        // 2a. Container limit enforcement (once per second):
+        //     `memory.high` semantics — members of an over-limit group
+        //     receive reclaim pressure.
+        if let Some(set) = self.cgroups.as_ref() {
+            if now >= self.next_enforce {
+                self.next_enforce += self.poll_period;
+                for idx in set.over_limit(kernel) {
+                    for pid in set.groups()[idx].members() {
+                        kernel.send_signal(pid, Signal::HighMemory);
                     }
                 }
             }
         }
 
+        // 2. Monitor poll (once per second of simulated time). The
+        //    monitor first re-reads the PID-file directory. Injected
+        //    outage windows make the meminfo read fail; the monitor
+        //    then polls in degraded mode instead of skipping.
+        if let Some(m) = self.monitor.as_mut() {
+            if now >= self.next_poll {
+                kernel.set_meminfo_outage(self.faults.poll_outages.iter().any(|w| w.contains(now)));
+                self.registry.sync_monitor(m, kernel);
+                let report = m.poll(kernel, now);
+                self.next_poll += self.poll_period;
+                if self.cfg.pressure_timeline {
+                    self.pressure_timeline
+                        .push((now.as_millis(), m.pressure_summary(kernel.committed())));
+                }
+                match report.zone {
+                    Zone::AboveTop => {
+                        // Usage crossed top: arm every pending fault so
+                        // its eventual return to comfort is measured as
+                        // a real excursion-and-recovery. (Red alone does
+                        // not arm — threshold-riding through the red
+                        // zone is normal M3 operation, not damage.)
+                        for entry in &mut self.pending_recoveries {
+                            entry.2 = true;
+                        }
+                    }
+                    Zone::Red => {}
+                    Zone::Green | Zone::Yellow => {
+                        // Comfortably below the high threshold again:
+                        // every armed fault has recovered.
+                        let polls_now = m.stats.polls;
+                        let recoveries = &mut self.degradation.recoveries;
+                        self.pending_recoveries.retain(|&(i, at, armed)| {
+                            if armed {
+                                recoveries.push(FaultRecovery {
+                                    event_index: i,
+                                    recovered_after_polls: Some(polls_now.saturating_sub(at)),
+                                });
+                            }
+                            !armed
+                        });
+                    }
+                }
+                if self.cfg.sample_period.is_some() {
+                    for _ in &report.low_signalled {
+                        self.profile.mark(now, "signal.low");
+                    }
+                    for _ in &report.high_signalled {
+                        self.profile.mark(now, "signal.high");
+                    }
+                    for _ in &report.killed {
+                        self.profile.mark(now, "kill");
+                    }
+                }
+            }
+        }
+
+        // 3. Deliver signals (upper layers reclaim before lower ones,
+        //    inside each app's handler).
+        for slot in &mut self.running {
+            let pid = slot.app.pid();
+            for sig in kernel.take_signals(pid) {
+                match sig {
+                    Signal::Kill => {
+                        self.results[slot.idx].killed = true;
+                    }
+                    other => {
+                        // A pressure signal can share the batch with (or
+                        // be deferred by the lossy bus past) the kill
+                        // that terminated this process; the dead cannot
+                        // run handlers.
+                        if !kernel.is_alive(pid) {
+                            continue;
+                        }
+                        let Some(t) = ThresholdSignal::from_os_signal(other) else {
+                            continue;
+                        };
+                        // Per-class reclamation aggressiveness: a batch
+                        // job answers the advisory low signal with its
+                        // high handler (earlier, larger reclamation); a
+                        // latency-critical job ignores low entirely and
+                        // only reclaims on high. Standard is unchanged.
+                        let t = match (slot.class.crit, t) {
+                            (Criticality::Batch, ThresholdSignal::Low) => ThresholdSignal::High,
+                            (Criticality::LatencyCritical, ThresholdSignal::Low) => continue,
+                            _ => t,
+                        };
+                        let sig_kind = match t {
+                            ThresholdSignal::Low => SigKind::Low,
+                            ThresholdSignal::High => SigKind::High,
+                        };
+                        kernel.record_trace(pid, TraceData::HandlerStart { sig: sig_kind });
+                        let out = slot.app.handle_signal(t, kernel, now);
+                        slot.app.add_debt(out.duration);
+                        slot.stall += out.duration;
+                        // Injected non-cooperation: the handler ran and
+                        // freed pages internally, but only a fraction
+                        // actually reaches the OS — the rest is re-grown
+                        // into the kernel ledger (pages never madvised).
+                        let returned = match slot.unresponsive {
+                            Some(f) => {
+                                let kept = (out.returned_to_os as f64 * f) as u64;
+                                let _ = kernel.grow(pid, out.returned_to_os - kept);
+                                kept
+                            }
+                            None => out.returned_to_os,
+                        };
+                        kernel.record_trace_with(pid, || TraceData::HandlerEnd {
+                            sig: sig_kind,
+                            duration_ms: out.duration.as_millis(),
+                            returned,
+                        });
+                        if t == ThresholdSignal::High {
+                            if let Some(m) = self.monitor.as_mut() {
+                                m.note_reclamation(pid, returned);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let (results, monitor) = (&mut self.results, &mut self.monitor);
+        self.running.retain(|s| {
+            if results[s.idx].killed {
+                results[s.idx].peak_rss = s.peak_rss;
+                results[s.idx].stall = s.stall;
+                results[s.idx].ended = Some(now);
+                // Killed processes leave a stale PID file; the sweep on
+                // the next sync removes it and unregisters the process.
+                if let Some(m) = monitor.as_mut() {
+                    m.unregister(s.app.pid());
+                }
+                false
+            } else {
+                true
+            }
+        });
+
+        // 4. Advance applications, slowed by any swap thrashing. Without
+        // swap the multiplier is exactly 1.0, and scaling by it returns
+        // the tick unchanged (a tick's milliseconds are exact in f64),
+        // so the float round trip is skipped.
+        let tick = self.cfg.tick;
+        let thrash = kernel.thrash_multiplier();
+        let budget = if thrash == 1.0 {
+            tick
+        } else {
+            tick.mul_f64(thrash)
+        };
+        let readers = self.running.iter().filter(|s| s.app.uses_disk()).count();
+        let mut finished_idx = Vec::new();
+        for slot in &mut self.running {
+            // Injected leak: steady growth the app itself never frees.
+            // Exact integer carry keeps sub-second rates deterministic.
+            if slot.leak_rate > 0 {
+                slot.leak_carry += slot.leak_rate * tick.as_millis();
+                let bytes = slot.leak_carry / 1000;
+                slot.leak_carry %= 1000;
+                if bytes > 0 {
+                    let _ = kernel.grow(slot.app.pid(), bytes);
+                }
+            }
+            let done = slot.app.tick(kernel, &self.disk, now, budget, readers);
+            slot.peak_rss = slot.peak_rss.max(kernel.rss(slot.app.pid()));
+            if done {
+                finished_idx.push(slot.idx);
+            }
+        }
+        let registry = &mut self.registry;
+        self.running.retain_mut(|s| {
+            if finished_idx.contains(&s.idx) {
+                let r = &mut results[s.idx];
+                r.finished = Some(now + tick);
+                r.ended = r.finished;
+                r.failed = s.app.failed();
+                r.gc_pause = s.app.gc_pause();
+                r.mm_time = s.app.mm_time();
+                r.stall = s.stall;
+                r.peak_rss = s.peak_rss;
+                let pid = s.app.pid();
+                kernel.exit(pid);
+                // Clean shutdown removes the PID file and unregisters.
+                registry.deregister(pid);
+                if let Some(m) = monitor.as_mut() {
+                    m.unregister(pid);
+                }
+                false
+            } else {
+                true
+            }
+        });
+
+        // 5. OOM killer (swap exhaustion).
+        while kernel.check_oom().is_some() {}
+
+        // 6. Sample the profile.
+        let committed = kernel.committed();
+        self.rss_area += committed as u128;
+        self.ticks += 1;
+        if let Some(period) = self.cfg.sample_period {
+            if now >= self.next_sample {
+                let profile = &mut self.profile;
+                profile
+                    .series_mut("total")
+                    .push(now, bytes_to_gib(committed));
+                let remaining = (self
+                    .cfg
+                    .max_time
+                    .as_millis()
+                    .saturating_sub(now.as_millis())
+                    / period.as_millis()
+                    + 1) as usize;
+                for slot in &self.running {
+                    let rss = kernel.rss(slot.app.pid());
+                    let name = &results[slot.idx].name;
+                    profile
+                        .reserve_series(name, remaining)
+                        .push(now, bytes_to_gib(rss));
+                }
+                if let Some(m) = monitor.as_ref() {
+                    let (low, high) = m.thresholds();
+                    profile
+                        .series_mut("low-threshold")
+                        .push(now, bytes_to_gib(low));
+                    profile
+                        .series_mut("high-threshold")
+                        .push(now, bytes_to_gib(high));
+                    profile
+                        .series_mut("top")
+                        .push(now, bytes_to_gib(m.config().top));
+                }
+                self.next_sample += period;
+            }
+        }
+    }
+
+    /// Folds the ended world into its [`RunResult`].
+    fn result(mut self) -> RunResult {
+        let now = self.now;
         // Fault events the loop never reached (the run ended first) are
         // still accounted, not lost.
-        for action in faultq.pop_due(SimTime::ZERO + SimDuration::from_millis(u64::MAX / 2)) {
+        for action in self
+            .faultq
+            .pop_due(SimTime::ZERO + SimDuration::from_millis(u64::MAX / 2))
+        {
             if let FaultAction::App(i) = action {
-                degradation.faults_unapplied.push(UnappliedFault {
-                    event: faults.events[i].clone(),
+                self.degradation.faults_unapplied.push(UnappliedFault {
+                    event: self.faults.events[i].clone(),
                     reason: UnappliedReason::RunEnded,
                 });
             }
@@ -768,55 +960,54 @@ impl Machine {
         // memory at or below the high threshold, termination itself was the
         // recovery (faults that never armed never caused an excursion at
         // all); otherwise the system never got back down.
-        if let Some(m) = monitor.as_ref() {
-            let recovered_by_end = kernel.committed() <= m.thresholds().1;
+        if let Some(m) = self.monitor.as_ref() {
+            let recovered_by_end = self.kernel.committed() <= m.thresholds().1;
             let polls_now = m.stats.polls;
-            for (i, at, _) in pending_recoveries.drain(..) {
-                degradation.recoveries.push(FaultRecovery {
+            for (i, at, _) in self.pending_recoveries.drain(..) {
+                self.degradation.recoveries.push(FaultRecovery {
                     event_index: i,
                     recovered_after_polls: recovered_by_end.then(|| polls_now.saturating_sub(at)),
                 });
             }
         }
-        let fault_stats = kernel.signal_fault_stats();
-        degradation.signals_dropped = fault_stats.dropped;
-        degradation.signals_delayed = fault_stats.delayed;
+        let fault_stats = self.kernel.signal_fault_stats();
+        self.degradation.signals_dropped = fault_stats.dropped;
+        self.degradation.signals_delayed = fault_stats.delayed;
 
         // Every traced run is checked against the paper's invariants on the
         // way out; callers find divergences in `violations`.
-        let trace = std::mem::take(&mut kernel.trace);
+        let trace = std::mem::take(&mut self.kernel.trace);
         let violations = if trace.is_empty() {
             Vec::new()
         } else {
             Oracle::paper(self.cfg.monitor).check(&trace)
         };
 
-        // Finalize GC/MM stats for apps killed mid-flight (already recorded
-        // for finished apps).
-        let pressure = monitor
+        let pressure = self
+            .monitor
             .as_ref()
-            .map(|m| m.pressure_summary(kernel.committed()));
+            .map(|m| m.pressure_summary(self.kernel.committed()));
         // Close the timeline with the end-of-run state: reads at any
         // `t >= end` must see the node as it finished (typically drained
         // back to zero committed), not frozen at the last in-flight poll.
         if self.cfg.pressure_timeline {
             if let Some(p) = pressure {
-                pressure_timeline.push((now.as_millis(), p));
+                self.pressure_timeline.push((now.as_millis(), p));
             }
         }
         RunResult {
-            apps: results,
-            profile,
-            monitor_stats: monitor.map(|m| m.stats),
+            apps: self.results,
+            profile: self.profile,
+            monitor_stats: self.monitor.map(|m| m.stats),
             pressure,
-            pressure_timeline,
+            pressure_timeline: self.pressure_timeline,
             end: now,
-            mean_rss: if ticks > 0 {
-                rss_area as f64 / ticks as f64
+            mean_rss: if self.ticks > 0 {
+                self.rss_area as f64 / self.ticks as f64
             } else {
                 0.0
             },
-            degradation,
+            degradation: self.degradation,
             trace,
             violations,
         }
@@ -831,6 +1022,7 @@ mod tests {
     use m3_framework::{JobKind, JobSpec, SparkConfig};
     use m3_runtime::JvmConfig;
     use m3_sim::units::MIB;
+    use proptest::prelude::*;
 
     fn tiny_job(ws_gib: u64) -> JobSpec {
         JobSpec {
@@ -1027,6 +1219,114 @@ mod tests {
         for a in &res.apps {
             if let Some(rt) = a.runtime() {
                 assert!(a.stall <= rt, "stall is part of the runtime");
+            }
+        }
+    }
+
+    /// One change to a node's schedule: an app arrives, or a crash fault
+    /// hits an app scheduled before it.
+    #[derive(Debug, Clone, Copy)]
+    enum Change {
+        App(AppKind, Criticality),
+        Crash(usize),
+    }
+
+    fn change() -> impl Strategy<Value = Change> {
+        let kinds = [AppKind::KMeans, AppKind::PageRank, AppKind::GoCache];
+        let crits = [
+            Criticality::Standard,
+            Criticality::Batch,
+            Criticality::LatencyCritical,
+        ];
+        prop_oneof![
+            (0usize..3, 0usize..3).prop_map(move |(k, c)| Change::App(kinds[k], crits[c])),
+            (0usize..3, 0usize..3).prop_map(move |(k, c)| Change::App(kinds[k], crits[c])),
+            (0usize..5).prop_map(Change::Crash),
+        ]
+    }
+
+    /// The gap before a change: none (two changes at one instant), a whole
+    /// number of 100-ms ticks, any number of milliseconds, or a long idle
+    /// gap that can carry the schedule past the time cap.
+    fn gap_ms() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            (1u64..3_000).prop_map(|n| n * 100),
+            1u64..300_000,
+            (1u64..30).prop_map(|n| n * 100_000 + 37)
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A world given the entries due at each change instant of a
+        /// schedule, advanced to it, and finished runs exactly like a
+        /// world that had the schedule so far from t = 0: under M3 and
+        /// stock, with capture and the pressure timeline each on and off.
+        #[test]
+        fn resuming_at_every_change_equals_the_run_from_zero(
+            changes in proptest::collection::vec((gap_ms(), change()), 1..9),
+            (m3, capture, timeline) in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+        ) {
+            let mut cfg = if m3 { MachineConfig::m3_64gb() } else { MachineConfig::stock_64gb() };
+            cfg.max_time = SimDuration::from_secs(3_000);
+            if !capture {
+                cfg.sample_period = None;
+                cfg.capture_trace = false;
+            }
+            cfg.pressure_timeline = timeline;
+            let mut apps: Vec<(ScheduleEntry, JobClass)> = Vec::new();
+            let mut faults: Vec<FaultEvent> = Vec::new();
+            // (instant, apps, faults): the schedule's length after each
+            // change instant's entries.
+            let mut instants: Vec<(SimDuration, usize, usize)> = Vec::new();
+            let mut t_ms = 0;
+            for (gap, change) in changes {
+                t_ms += gap;
+                let at = SimDuration::from_millis(t_ms);
+                match change {
+                    Change::App(kind, crit) if apps.len() < 5 => {
+                        let bp = blueprint_for(kind, &AppConfig::stock_default(), m3);
+                        let name = format!("{} {}", kind.code(), apps.len()).into();
+                        apps.push(((name, at, bp), JobClass::new(crit, 0)));
+                    }
+                    Change::Crash(victim) if !apps.is_empty() => faults.push(FaultEvent {
+                        at,
+                        target: victim % apps.len(),
+                        kind: FaultKind::Crash,
+                    }),
+                    _ => continue,
+                }
+                match instants.last_mut() {
+                    Some(last) if last.0 == at => *last = (at, apps.len(), faults.len()),
+                    _ => instants.push((at, apps.len(), faults.len())),
+                }
+            }
+            let mut world = World::new(cfg, Vec::new(), FaultPlan::none(), &[], None);
+            let (mut n, mut m) = (0, 0);
+            for (at, napps, nfaults) in instants {
+                for (entry, class) in &apps[n..napps] {
+                    world.push_app(entry.clone(), *class);
+                }
+                for ev in &faults[m..nfaults] {
+                    world.push_fault(ev.clone());
+                }
+                world.advance_to(SimTime::ZERO + at);
+                (n, m) = (napps, nfaults);
+                let resumed = world.clone().finish();
+                let schedule = apps[..n].iter().map(|(e, _)| e.clone()).collect();
+                let classes: Vec<JobClass> = apps[..n].iter().map(|&(_, c)| c).collect();
+                let plan = FaultPlan { events: faults[..m].to_vec(), ..FaultPlan::none() };
+                let fresh = World::new(cfg, schedule, plan, &classes, None).finish();
+                prop_assert_eq!(
+                    serde_json::to_string(&resumed).expect("serialize"),
+                    serde_json::to_string(&fresh).expect("serialize"),
+                    "resumed at {:?} with {} apps and {} faults",
+                    at,
+                    n,
+                    m
+                );
             }
         }
     }

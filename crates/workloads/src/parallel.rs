@@ -299,10 +299,37 @@ pub fn run_scenario_cached_faulted(
     machine_cfg: MachineConfig,
     faults: &FaultPlan,
 ) -> Arc<ScenarioOutcome> {
-    let cfg = machine_cfg.with_setting(setting);
-    CACHE.get_or_compute(&(scenario, setting, &cfg, faults), || {
+    run_cached_with(scenario, setting, machine_cfg, faults, |cfg| {
         run_scenario_with_faults(scenario, setting, cfg, faults)
     })
+}
+
+/// [`run_scenario_cached_faulted`] with the run on a miss computed by
+/// `run`, which receives the normalized config and must return exactly what
+/// [`run_scenario_with_faults`] would (the fleet resumes node runs from
+/// checkpoints this way).
+pub(crate) fn run_cached_with(
+    scenario: &Scenario,
+    setting: &Setting,
+    machine_cfg: MachineConfig,
+    faults: &FaultPlan,
+    run: impl FnOnce(MachineConfig) -> ScenarioOutcome,
+) -> Arc<ScenarioOutcome> {
+    let cfg = machine_cfg.with_setting(setting);
+    CACHE.get_or_compute(&(scenario, setting, &cfg, faults), || run(cfg))
+}
+
+/// The run cache's key for a run, without a lookup.
+pub(crate) fn run_key(
+    scenario: &Scenario,
+    setting: &Setting,
+    machine_cfg: MachineConfig,
+    faults: &FaultPlan,
+) -> u128 {
+    let cfg = machine_cfg.with_setting(setting);
+    fingerprint(&serde::Serialize::serialize(&(
+        scenario, setting, &cfg, faults,
+    )))
 }
 
 #[cfg(test)]

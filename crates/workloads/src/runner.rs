@@ -3,12 +3,13 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use m3_sim::clock::SimDuration;
 use m3_sim::trace::TraceLog;
 use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultPlan;
-use crate::machine::{Machine, MachineConfig, RunResult};
-use crate::scenario::Scenario;
+use crate::machine::{Machine, MachineConfig, RunResult, ScheduleEntry};
+use crate::scenario::{AppKind, Scenario};
 use crate::settings::{blueprint_for, Setting, SettingKind};
 
 /// Returns the interned display name for schedule slot `i` of an app kind
@@ -121,17 +122,32 @@ pub fn run_scenario_with_faults(
         .apps
         .iter()
         .enumerate()
-        .map(|(i, &(kind, start))| {
-            let cfg = setting
-                .per_app
-                .get(i)
-                .copied()
-                .unwrap_or_else(crate::settings::AppConfig::stock_default);
-            let bp = blueprint_for(kind, &cfg, setting.is_m3());
-            (app_name(kind.code(), i), start, bp)
-        })
+        .map(|(i, &(kind, start))| schedule_entry(setting, i, kind, start))
         .collect();
     let run = machine.run_with(schedule, faults, &scenario.classes, None);
+    outcome(scenario, setting, run)
+}
+
+/// Schedule slot `i` of a scenario run under `setting`: the app's interned
+/// name, its start and its blueprint.
+pub(crate) fn schedule_entry(
+    setting: &Setting,
+    i: usize,
+    kind: AppKind,
+    start: SimDuration,
+) -> ScheduleEntry {
+    let cfg = setting
+        .per_app
+        .get(i)
+        .copied()
+        .unwrap_or_else(crate::settings::AppConfig::stock_default);
+    let bp = blueprint_for(kind, &cfg, setting.is_m3());
+    (app_name(kind.code(), i), start, bp)
+}
+
+/// Wraps a finished run of `scenario` as its outcome, first writing the
+/// run's trace to the file `M3_TRACE` names, when it is set.
+pub(crate) fn outcome(scenario: &Scenario, setting: &Setting, run: RunResult) -> ScenarioOutcome {
     if let Ok(path) = std::env::var("M3_TRACE") {
         if !path.is_empty() {
             write_trace(&path, &run.trace);

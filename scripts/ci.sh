@@ -32,18 +32,32 @@ cargo test -q --workspace
 # replay is byte-identical and, at fleet level, zero oracle violations.
 cargo run --release --example chaos_drill
 cargo run --release --example fleet_chaos_drill
-# Fleet-scale smoke: the scaling curve up to 512 nodes with a generous
-# per-point wall-clock budget (full 10k-node curve runs out of band).
-# Asserts zero oracle violations and a memoized repeat at every point.
-# Writes under target/ so the committed full-curve report stays intact.
-M3_FLEET_SCALE_MAX_NODES=512 M3_FLEET_SCALE_BUDGET_S=60 \
-    M3_RESULTS_DIR=target/ci-results \
+# The fleet payloads must reproduce: regenerate the full 10k-node
+# fleet-scale curve and the 512-node fleet-chaos sweep, serially, under
+# target/ so the committed files stay intact, and fail if any key without
+# "wall" in its name differs from the committed file. Each bench asserts
+# zero oracle violations at every point; fleet_scale also asserts a
+# memoized repeat, fleet_chaos full lost-job accounting.
+M3_JOBS=1 M3_FLEET_SCALE_BUDGET_S=60 M3_RESULTS_DIR=target/ci-results \
     cargo bench -p m3-bench --bench fleet_scale
-# Fleet-chaos smoke: the MTBF sweep on a smaller fleet. Asserts zero
-# oracle violations and full lost-job accounting at every point.
-M3_FLEET_CHAOS_NODES=128 M3_FLEET_CHAOS_BUDGET_S=120 \
-    M3_RESULTS_DIR=target/ci-results \
+M3_JOBS=1 M3_FLEET_CHAOS_BUDGET_S=120 M3_RESULTS_DIR=target/ci-results \
     cargo bench -p m3-bench --bench fleet_chaos
+for fig in fleet_scale fleet_chaos; do
+    python3 - "results/BENCH_$fig.json" "target/ci-results/BENCH_$fig.json" <<'PY'
+import json, sys
+
+def strip(v):
+    if isinstance(v, dict):
+        return {k: strip(x) for k, x in v.items() if "wall" not in k}
+    if isinstance(v, list):
+        return [strip(x) for x in v]
+    return v
+
+committed, fresh = (strip(json.load(open(p))) for p in sys.argv[1:])
+if committed != fresh:
+    sys.exit(f"{sys.argv[2]} differs from {sys.argv[1]} outside its wall clocks")
+PY
+done
 # Cache-trace smoke: the key-granular M3 vs Default vs static-limit sweep
 # at reduced scale (the committed full-scale sweep runs 1.2M keys / 10M
 # ops per point). Every point must replay oracle-clean within budget; the
