@@ -7,7 +7,7 @@
 //! thresholds ... the workload with dynamic thresholds terminates 1.93×
 //! earlier."
 
-use m3_bench::{ascii_profile, render_table, BenchTimer};
+use m3_bench::{render_table, BenchTimer};
 use m3_core::MonitorConfig;
 use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
@@ -67,9 +67,9 @@ fn main() {
     let (static_out, static_row) = run(false);
 
     println!("Dynamic thresholds:");
-    println!("{}", ascii_profile(&dynamic_out.run.profile, 72, 64.0));
+    println!("{}", dynamic_out.run.profile.ascii(72, 64.0));
     println!("Static thresholds (low 40 GiB / high 45 GiB pinned):");
-    println!("{}", ascii_profile(&static_out.run.profile, 72, 64.0));
+    println!("{}", static_out.run.profile.ascii(72, 64.0));
 
     let rows = vec![
         vec![

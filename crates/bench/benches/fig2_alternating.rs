@@ -7,7 +7,7 @@
 //! JVM returns collected regions and the combined footprint stays near one
 //! peak plus one baseline (~15 GB).
 
-use m3_bench::{ascii_profile, render_table, BenchTimer};
+use m3_bench::{render_table, BenchTimer};
 use m3_runtime::JvmConfig;
 use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
@@ -97,9 +97,9 @@ fn main() {
         )
     );
     println!("Unmodified (paper: JVMs climb to a combined ~30 GB and stay):");
-    println!("{}", ascii_profile(&stock_profile, 72, 32.0));
+    println!("{}", stock_profile.ascii(72, 32.0));
     println!("M3 (paper: ~15 GB suffices for the same completion time):");
-    println!("{}", ascii_profile(&m3_profile, 72, 32.0));
+    println!("{}", m3_profile.ascii(72, 32.0));
     println!(
         "provisioning ratio unmodified/M3 = {:.2}x  (paper: ~2x — 30 GB vs 15 GB)",
         stock_peak / m3_peak

@@ -11,7 +11,7 @@
 //! - effective utilization: the unmodified system's RSS is ~63 GB against
 //!   M3's ~38 GB for the same work (§7.3).
 
-use m3_bench::{ascii_profile, render_table, BenchTimer};
+use m3_bench::{render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
 use m3_workloads::machine::MachineConfig;
@@ -74,14 +74,14 @@ fn main() {
 
     println!("Figure 6 — MMW 180 memory profile (two k-means + n-weight, 180 s apart)\n");
     println!("M3:");
-    println!("{}", ascii_profile(&m3.run.profile, 72, 64.0));
+    println!("{}", m3.run.profile.ascii(72, 64.0));
     println!(
         "signals: {} low, {} high",
         m3.run.monitor_stats.unwrap().low_signals,
         m3.run.monitor_stats.unwrap().high_signals
     );
     println!("\nOracle with Spark configuration:");
-    println!("{}", ascii_profile(&ows.run.profile, 72, 64.0));
+    println!("{}", ows.run.profile.ascii(72, 64.0));
 
     let m3_sum = summarise(&m3, "M3");
     let ows_sum = summarise(&ows, "OWS");

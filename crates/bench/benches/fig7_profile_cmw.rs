@@ -10,7 +10,7 @@
 //!   because the peaks do not coincide;
 //! - all three jobs finish faster under M3 than under OWS.
 
-use m3_bench::{ascii_profile, render_table, BenchTimer};
+use m3_bench::{render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
 use m3_workloads::machine::MachineConfig;
@@ -42,9 +42,9 @@ fn main() {
 
     println!("Figure 7 — CMW 180 memory profile (Go-Cache + k-means + n-weight)\n");
     println!("M3:");
-    println!("{}", ascii_profile(&m3.run.profile, 72, 64.0));
+    println!("{}", m3.run.profile.ascii(72, 64.0));
     println!("\nOracle with Spark configuration:");
-    println!("{}", ascii_profile(&ows.run.profile, 72, 64.0));
+    println!("{}", ows.run.profile.ascii(72, 64.0));
 
     let peaks: Vec<f64> = m3
         .run

@@ -5,10 +5,9 @@
 //! regenerates the full evaluation. Each harness prints the same rows or
 //! series the paper reports and writes a JSON dump under `results/` for
 //! re-plotting. This library holds the small shared pieces: table
-//! rendering, profile summarisation, and the results-directory writer.
+//! rendering, number formatting, and the results-directory writer.
 
 use m3_sim::clock::SimDuration;
-use m3_sim::metrics::Profile;
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -140,59 +139,9 @@ impl BenchTimer {
     }
 }
 
-/// Summarises a profile's series into `(name, mean, max)` rows for quick
-/// textual inspection of the figure panels.
-pub fn profile_summary(profile: &Profile) -> Vec<Vec<String>> {
-    profile
-        .series
-        .iter()
-        .map(|s| {
-            vec![
-                s.name.clone(),
-                format!("{:.1}", s.mean().unwrap_or(0.0)),
-                format!("{:.1}", s.max().unwrap_or(0.0)),
-            ]
-        })
-        .collect()
-}
-
-/// Prints a profile as a compact ASCII strip chart (one row per series,
-/// sampled down to `cols` columns), so the figure shape is visible in the
-/// bench output without plotting.
-pub fn ascii_profile(profile: &Profile, cols: usize, max_gib: f64) -> String {
-    const GLYPHS: &[u8] = b" .:-=+*#%@";
-    let mut out = String::new();
-    for s in &profile.series {
-        if s.samples.is_empty() {
-            continue;
-        }
-        let mut row = vec![b' '; cols];
-        let t_end = s
-            .samples
-            .last()
-            .expect("non-empty")
-            .t
-            .as_secs_f64()
-            .max(1.0);
-        for p in &s.samples {
-            let col = ((p.t.as_secs_f64() / t_end) * (cols - 1) as f64) as usize;
-            let level = ((p.v / max_gib).clamp(0.0, 1.0) * (GLYPHS.len() - 1) as f64) as usize;
-            row[col] = GLYPHS[level].max(row[col]);
-        }
-        let _ = writeln!(
-            out,
-            "{:>16} |{}|",
-            s.name,
-            String::from_utf8(row).expect("ascii")
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3_sim::clock::SimTime;
 
     #[test]
     fn table_renders_aligned() {
@@ -213,29 +162,5 @@ mod tests {
         assert_eq!(fmt_runtime(Some(123.4)), "123");
         assert_eq!(fmt_runtime(None), "FAIL");
         assert_eq!(fmt_secs(SimDuration::from_millis(2500)), "2");
-    }
-
-    #[test]
-    fn profile_summary_rows() {
-        let mut p = Profile::new();
-        p.series_mut("x").push(SimTime::ZERO, 1.0);
-        p.series_mut("x").push(SimTime::from_secs(1), 3.0);
-        let rows = profile_summary(&p);
-        assert_eq!(
-            rows,
-            vec![vec!["x".to_string(), "2.0".into(), "3.0".into()]]
-        );
-    }
-
-    #[test]
-    fn ascii_profile_is_bounded() {
-        let mut p = Profile::new();
-        for i in 0..100 {
-            p.series_mut("total").push(SimTime::from_secs(i), i as f64);
-        }
-        let art = ascii_profile(&p, 40, 100.0);
-        assert!(art.contains("total"));
-        let line = art.lines().next().unwrap();
-        assert!(line.len() < 70);
     }
 }

@@ -305,11 +305,6 @@ impl KvApp {
         self.engine.as_ref().map(|e| &e.store)
     }
 
-    /// The trace workload, when this app is trace-driven.
-    pub fn trace_workload(&self) -> Option<&TraceWorkload> {
-        self.engine.as_ref().map(|e| e.gen.workload())
-    }
-
     /// The workload description.
     pub fn workload(&self) -> &KvWorkload {
         &self.wl
@@ -1120,7 +1115,7 @@ mod tests {
             app.tick(&mut os, now, SimDuration::from_millis(100));
             now += SimDuration::from_millis(100);
         }
-        let twl = *app.trace_workload().unwrap();
+        let twl = small_trace();
         let store = app.keyed().unwrap();
         assert_eq!(store.live_items(), twl.preload_items());
         for key in 0..100 {

@@ -127,11 +127,6 @@ impl SlabCache {
         (n, items)
     }
 
-    /// Bytes of `n` slabs.
-    pub fn slabs_to_bytes(&self, n: u64) -> u64 {
-        n * self.slab_bytes
-    }
-
     /// Bytes of `n` items.
     pub fn items_to_bytes(&self, n: u64) -> u64 {
         n * self.item_bytes
@@ -254,7 +249,6 @@ mod tests {
     #[test]
     fn byte_conversions() {
         let c = cache(GIB);
-        assert_eq!(c.slabs_to_bytes(3), 3 * MIB);
         assert_eq!(c.items_to_bytes(10), 40 * KIB);
     }
 

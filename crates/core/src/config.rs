@@ -6,12 +6,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::selection::SortOrder;
 
+/// Monitor polling period: `MemAvailable` is read once per second (§6). The
+/// world loop polls the monitor and enforces container limits on this grid.
+pub const POLL_PERIOD: SimDuration = SimDuration::from_secs(1);
+
 /// All tunables of the M3 monitor.
 ///
 /// The defaults mirror the paper's evaluation machine (§6): top of memory at
 /// 62 GB of 64 GB, thresholds initialised to 50/55 GB, both ratio targets
-/// 1:32 over a 32-poll sliding window, 2 % adjustment steps, one-second
-/// polling.
+/// 1:32 over a 32-poll sliding window and 2 % adjustment steps. The monitor
+/// polls every [`POLL_PERIOD`].
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct MonitorConfig {
     /// Top of memory: the acceptable application memory ceiling, at or just
@@ -22,8 +26,6 @@ pub struct MonitorConfig {
     pub initial_low: u64,
     /// Initial high threshold.
     pub initial_high: u64,
-    /// Monitor polling period (`MemAvailable` is read once per period).
-    pub poll_period: SimDuration,
     /// Sliding window length, in polls, over which the above/below ratios
     /// are computed.
     pub window: usize,
@@ -50,10 +52,6 @@ pub struct MonitorConfig {
     /// Upper bound, in polls, of the watchdog's exponential re-signal
     /// backoff for escalated participants.
     pub watchdog_backoff_max: u32,
-    /// Degraded-mode polling: each consecutive failed meminfo read widens
-    /// the red-zone margin by this fraction of `top` (thresholds are pulled
-    /// down), so enforcement turns conservative instead of stopping.
-    pub degraded_margin_fraction: f64,
 }
 
 impl MonitorConfig {
@@ -74,7 +72,6 @@ impl MonitorConfig {
             top: phys_total / 32 * 31,
             initial_low: phys_total / 32 * 25,
             initial_high: phys_total / 32 * 27,
-            poll_period: SimDuration::from_secs(1),
             window: 32,
             ratio_target: 1.0 / 32.0,
             step_fraction: 0.02,
@@ -84,7 +81,6 @@ impl MonitorConfig {
             signal_all: false,
             watchdog_polls: 5,
             watchdog_backoff_max: 8,
-            degraded_margin_fraction: 0.02,
         }
     }
 
@@ -110,15 +106,10 @@ impl MonitorConfig {
             self.ratio_target > 0.0 && self.ratio_target < 1.0,
             "ratio target must be in (0, 1)"
         );
-        assert!(!self.poll_period.is_zero(), "poll period must be positive");
         assert!(self.watchdog_polls > 0, "watchdog needs at least one poll");
         assert!(
             self.watchdog_backoff_max >= 1,
             "backoff cap must allow re-signalling"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.degraded_margin_fraction),
-            "degraded margin fraction must be in [0, 1)"
         );
     }
 }
@@ -135,7 +126,7 @@ mod tests {
         assert_eq!(c.initial_high, 55 * GIB);
         assert_eq!(c.window, 32);
         assert!((c.ratio_target - 1.0 / 32.0).abs() < 1e-12);
-        assert_eq!(c.poll_period, SimDuration::from_secs(1));
+        assert_eq!(POLL_PERIOD, SimDuration::from_secs(1));
         assert!((c.step_fraction - 0.02).abs() < 1e-12);
         assert_eq!(c.sort_order, SortOrder::NewestFirst);
         assert!(c.adaptive);

@@ -23,14 +23,6 @@ pub enum ThresholdSignal {
 }
 
 impl ThresholdSignal {
-    /// The OS signal used to deliver this notification.
-    pub fn as_os_signal(self) -> m3_os::Signal {
-        match self {
-            ThresholdSignal::Low => m3_os::Signal::LowMemory,
-            ThresholdSignal::High => m3_os::Signal::HighMemory,
-        }
-    }
-
     /// Converts an OS signal back, if it is one of the two thresholds.
     pub fn from_os_signal(sig: m3_os::Signal) -> Option<Self> {
         match sig {
@@ -85,12 +77,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn signal_mapping_round_trips() {
-        for sig in [ThresholdSignal::Low, ThresholdSignal::High] {
-            assert_eq!(
-                ThresholdSignal::from_os_signal(sig.as_os_signal()),
-                Some(sig)
-            );
+    fn os_signals_map_to_thresholds() {
+        for (os, sig) in [
+            (m3_os::Signal::LowMemory, ThresholdSignal::Low),
+            (m3_os::Signal::HighMemory, ThresholdSignal::High),
+        ] {
+            assert_eq!(ThresholdSignal::from_os_signal(os), Some(sig));
         }
         assert_eq!(ThresholdSignal::from_os_signal(m3_os::Signal::Kill), None);
     }

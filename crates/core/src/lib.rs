@@ -45,7 +45,7 @@ pub mod selection;
 pub mod thresholds;
 
 pub use alloc::{AdaptiveAllocator, GateSnapshot, RateCurve};
-pub use config::MonitorConfig;
+pub use config::{MonitorConfig, POLL_PERIOD};
 pub use layer::{M3Participant, SignalOutcome, ThresholdSignal};
 pub use monitor::{Monitor, PollReport, PressureSummary, Zone, MONITOR_PID};
 pub use registry::{PidFile, Registry};

@@ -132,6 +132,12 @@ struct WatchdogEntry {
     cooldown: u32,
 }
 
+/// Degraded-mode polling: each consecutive failed meminfo read widens the
+/// red-zone margin by this fraction of `top` (thresholds are pulled down),
+/// so enforcement turns conservative instead of stopping (public so the
+/// conformance oracle can replay degraded-mode zoning).
+pub const DEGRADED_MARGIN_FRACTION: f64 = 0.02;
+
 /// How many failed reads the degraded-mode margin keeps widening for
 /// (public so the conformance oracle can replay degraded-mode zoning).
 pub const MAX_DEGRADED_WIDENING: u32 = 5;
@@ -348,7 +354,7 @@ impl Monitor {
             }
         }
         let margin = if degraded {
-            let step = (self.cfg.top as f64 * self.cfg.degraded_margin_fraction) as u64;
+            let step = (self.cfg.top as f64 * DEGRADED_MARGIN_FRACTION) as u64;
             step * u64::from(self.failed_reads.min(MAX_DEGRADED_WIDENING))
         } else {
             0

@@ -51,11 +51,6 @@ impl ReclaimTracker {
         }
     }
 
-    /// Number of recorded responses for `pid`.
-    pub fn history_len(&self, pid: Pid) -> usize {
-        self.history.get(&pid).map_or(0, VecDeque::len)
-    }
-
     /// Discards history for an exited process.
     pub fn forget(&mut self, pid: Pid) {
         self.history.remove(&pid);
@@ -88,7 +83,6 @@ mod tests {
         for v in [1000, 10, 10, 10, 10, 10] {
             t.record(1, v);
         }
-        assert_eq!(t.history_len(1), HISTORY_LEN);
         assert_eq!(t.expected(1, 0), 10, "oldest (1000) must have aged out");
     }
 
@@ -105,7 +99,6 @@ mod tests {
         let mut t = ReclaimTracker::new();
         t.record(1, 500);
         t.forget(1);
-        assert_eq!(t.history_len(1), 0);
         assert_eq!(t.expected(1, 0), DEFAULT_FLOOR);
     }
 }

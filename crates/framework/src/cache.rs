@@ -84,12 +84,6 @@ impl BlockCache {
         self.capacity
     }
 
-    /// Replaces the capacity (used when a tuned configuration resizes the
-    /// storage region).
-    pub fn set_capacity(&mut self, capacity: u64) {
-        self.capacity = capacity;
-    }
-
     /// Bytes currently cached.
     pub fn used(&self) -> u64 {
         self.used

@@ -5,8 +5,6 @@
 //! input is a set of fixed-size blocks whose reads are charged to the
 //! shared [`m3_os::DiskModel`].
 
-use m3_os::DiskModel;
-use m3_sim::clock::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// A partitioned input dataset resident on the simulated disk.
@@ -45,11 +43,6 @@ impl HdfsInput {
             0
         }
     }
-
-    /// Time to read one block from disk with the given reader contention.
-    pub fn read_block(&self, disk: &DiskModel, index: u32, readers: usize) -> SimDuration {
-        disk.read_time(self.block_bytes(index), readers)
-    }
 }
 
 #[cfg(test)]
@@ -72,12 +65,5 @@ mod tests {
         assert_eq!(h.num_blocks(), 8);
         assert_eq!(h.block_bytes(7), 128 * MIB);
         assert_eq!(h.block_bytes(8), 0);
-    }
-
-    #[test]
-    fn read_cost_proportional_to_block() {
-        let h = HdfsInput::new(GIB + MIB, 128 * MIB);
-        let d = DiskModel::hdd_7200rpm();
-        assert!(h.read_block(&d, 0, 1) > h.read_block(&d, 8, 1));
     }
 }

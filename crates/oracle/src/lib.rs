@@ -60,7 +60,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use m3_core::alloc::RateCurve;
 use m3_core::config::MonitorConfig;
-use m3_core::monitor::MAX_DEGRADED_WIDENING;
+use m3_core::monitor::{DEGRADED_MARGIN_FRACTION, MAX_DEGRADED_WIDENING};
 use m3_core::selection::{select_processes, Candidate, SortOrder};
 use m3_core::thresholds::AdaptiveThresholds;
 use m3_sim::trace::{
@@ -1176,7 +1176,7 @@ impl<'a> Checker<'a> {
         self.degraded_run = if degraded { self.degraded_run + 1 } else { 0 };
         let margin = match &self.oracle.monitor {
             Some(cfg) if degraded => {
-                let step = (cfg.top as f64 * cfg.degraded_margin_fraction) as u64;
+                let step = (cfg.top as f64 * DEGRADED_MARGIN_FRACTION) as u64;
                 step * self.degraded_run.min(u64::from(MAX_DEGRADED_WIDENING))
             }
             _ => 0,

@@ -110,11 +110,6 @@ impl CgroupSet {
         &mut self.groups[idx]
     }
 
-    /// The group containing `pid`, if any.
-    pub fn group_of(&self, pid: Pid) -> Option<&Cgroup> {
-        self.groups.iter().find(|g| g.contains(pid))
-    }
-
     /// Indices of groups currently over their limit.
     pub fn over_limit(&self, os: &Kernel) -> Vec<usize> {
         self.groups
@@ -123,11 +118,6 @@ impl CgroupSet {
             .filter(|(_, g)| g.over_limit(os) > 0)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Sum of all group limits (for provisioning sanity checks).
-    pub fn total_limit(&self) -> u64 {
-        self.groups.iter().map(|g| g.limit).sum()
     }
 }
 
@@ -176,18 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn group_of_finds_membership() {
-        let (mut os, mut set) = setup();
-        let a = os.spawn("a");
-        let b = os.spawn("b");
-        let mut g = Cgroup::new("t", GIB);
-        g.add(a);
-        set.add(g);
-        assert_eq!(set.group_of(a).map(|g| g.name.as_str()), Some("t"));
-        assert!(set.group_of(b).is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "already in cgroup")]
     fn disjointness_enforced() {
         let (mut os, mut set) = setup();
@@ -209,6 +187,6 @@ mod tests {
         assert!(set.groups()[idx].contains(a));
         set.group_mut(idx).remove(a);
         assert!(!set.groups()[idx].contains(a));
-        assert_eq!(set.total_limit(), GIB);
+        assert_eq!(set.groups()[idx].limit, GIB);
     }
 }

@@ -44,11 +44,6 @@ impl DiskModel {
         let factor = 1.0 + self.contention * (readers - 1) as f64;
         SimDuration::from_millis(((self.seek_ms as f64 + transfer_ms) * factor).round() as u64)
     }
-
-    /// Time to write `bytes` (same model as reads; spill path).
-    pub fn write_time(&self, bytes: u64, writers: usize) -> SimDuration {
-        self.read_time(bytes, writers)
-    }
 }
 
 #[cfg(test)]
@@ -80,11 +75,5 @@ mod tests {
     fn zero_readers_treated_as_one() {
         let d = DiskModel::hdd_7200rpm();
         assert_eq!(d.read_time(MIB, 0), d.read_time(MIB, 1));
-    }
-
-    #[test]
-    fn write_matches_read_model() {
-        let d = DiskModel::hdd_7200rpm();
-        assert_eq!(d.write_time(5 * MIB, 2), d.read_time(5 * MIB, 2));
     }
 }

@@ -346,11 +346,6 @@ impl Kernel {
         self.signals.take(pid)
     }
 
-    /// True if a signal of the given kind is pending for `pid`.
-    pub fn has_pending_signal(&self, pid: Pid, sig: Signal) -> bool {
-        self.signals.has_pending(pid, sig)
-    }
-
     /// OOM check: if swap is exhausted, kills the largest running process
     /// and returns its pid.
     pub fn check_oom(&mut self) -> Option<Pid> {
@@ -483,7 +478,6 @@ mod tests {
         let p = k.spawn("p");
         k.send_signal(p, Signal::LowMemory);
         k.send_signal(p, Signal::HighMemory);
-        assert!(k.has_pending_signal(p, Signal::HighMemory));
         assert_eq!(
             k.take_signals(p),
             vec![Signal::LowMemory, Signal::HighMemory]

@@ -19,37 +19,3 @@ pub struct MemInfo {
     /// Bytes currently swapped out (zero unless the system is overcommitted).
     pub swapped: u64,
 }
-
-impl MemInfo {
-    /// Fraction of physical memory in use, in `[0, 1]`.
-    pub fn used_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.used as f64 / self.total as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn used_fraction_is_bounded() {
-        let mi = MemInfo {
-            total: 100,
-            used: 25,
-            available: 75,
-            swapped: 0,
-        };
-        assert!((mi.used_fraction() - 0.25).abs() < 1e-12);
-        let zero = MemInfo {
-            total: 0,
-            used: 0,
-            available: 0,
-            swapped: 0,
-        };
-        assert_eq!(zero.used_fraction(), 0.0);
-    }
-}

@@ -175,11 +175,6 @@ impl SignalBus {
         self.queues.remove(&pid).unwrap_or_default()
     }
 
-    /// True if `pid` has a pending signal of the given kind.
-    pub fn has_pending(&self, pid: Pid, sig: Signal) -> bool {
-        self.queues.get(&pid).is_some_and(|q| q.contains(&sig))
-    }
-
     /// Number of pending signals for `pid`.
     pub fn pending_count(&self, pid: Pid) -> usize {
         self.queues.get(&pid).map_or(0, Vec::len)
@@ -229,8 +224,6 @@ mod tests {
         let mut bus = SignalBus::new();
         bus.send(1, Signal::LowMemory);
         bus.send(2, Signal::HighMemory);
-        assert!(bus.has_pending(1, Signal::LowMemory));
-        assert!(!bus.has_pending(1, Signal::HighMemory));
         assert_eq!(bus.take(2), vec![Signal::HighMemory]);
         assert_eq!(bus.take(1), vec![Signal::LowMemory]);
     }

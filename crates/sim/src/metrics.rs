@@ -4,6 +4,8 @@
 //! thresholds, and signal marks, sampled over time. [`TimeSeries`] captures
 //! exactly that.
 
+use std::fmt::Write as _;
+
 use crate::clock::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -165,9 +167,30 @@ impl Profile {
         });
     }
 
-    /// Number of marks of the given kind.
-    pub fn marks_of(&self, kind: &str) -> usize {
-        self.marks.iter().filter(|m| m.kind == kind).count()
+    /// Draws the profile as an ASCII strip chart, so a figure's shape is
+    /// visible without plotting: one row per series, `cols` columns on one
+    /// time axis that ends at the profile's last sample, and each value a
+    /// glyph scaled against `max`. A series that ends early ends in blanks.
+    pub fn ascii(&self, cols: usize, max: f64) -> String {
+        const GLYPHS: &[u8] = b" .:-=+*#%@";
+        let t_end = self
+            .series
+            .iter()
+            .filter_map(|s| s.samples.last())
+            .map(|p| p.t.as_secs_f64())
+            .fold(1.0, f64::max);
+        let mut out = String::new();
+        for s in self.series.iter().filter(|s| !s.is_empty()) {
+            let mut row = vec![b' '; cols];
+            for p in &s.samples {
+                let col = ((p.t.as_secs_f64() / t_end) * (cols - 1) as f64) as usize;
+                let level = ((p.v / max).clamp(0.0, 1.0) * (GLYPHS.len() - 1) as f64) as usize;
+                row[col] = GLYPHS[level].max(row[col]);
+            }
+            let row = String::from_utf8(row).expect("ascii");
+            let _ = writeln!(out, "{:>16} |{row}|", s.name);
+        }
+        out
     }
 }
 
@@ -203,7 +226,19 @@ mod tests {
         p.mark(SimTime::from_secs(1), "low-signal");
         p.mark(SimTime::from_secs(2), "low-signal");
         p.mark(SimTime::from_secs(3), "high-signal");
-        assert_eq!(p.marks_of("low-signal"), 2);
-        assert_eq!(p.marks_of("high-signal"), 1);
+        let kinds: Vec<&str> = p.marks.iter().map(|m| m.kind.as_str()).collect();
+        assert_eq!(kinds, ["low-signal", "low-signal", "high-signal"]);
+    }
+
+    #[test]
+    fn ascii_profile_is_bounded() {
+        let mut p = Profile::new();
+        for i in 0..100 {
+            p.series_mut("total").push(SimTime::from_secs(i), i as f64);
+        }
+        let art = p.ascii(40, 100.0);
+        assert!(art.contains("total"));
+        let line = art.lines().next().unwrap();
+        assert!(line.len() < 70);
     }
 }

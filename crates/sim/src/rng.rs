@@ -113,17 +113,6 @@ impl SimRng {
         self.gen_f64() < p.clamp(0.0, 1.0)
     }
 
-    /// A sample from `Exp(1/mean)`, i.e. exponential with the given mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not positive and finite.
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        assert!(mean.is_finite() && mean > 0.0, "mean must be positive");
-        let u = 1.0 - self.gen_f64(); // in (0, 1]
-        -mean * u.ln()
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -213,17 +202,6 @@ mod tests {
         }
         let mean = sum / 10_000.0;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} should be near 0.5");
-    }
-
-    #[test]
-    fn gen_exp_has_requested_mean() {
-        let mut r = SimRng::new(17);
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| r.gen_exp(4.0)).sum::<f64>() / n as f64;
-        assert!(
-            (mean - 4.0).abs() < 0.15,
-            "sample mean {mean} should be near 4"
-        );
     }
 
     #[test]

@@ -1337,11 +1337,6 @@ impl TraceLog {
         }
     }
 
-    /// True when events are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Appends an event (no-op when disabled).
     pub fn record(&mut self, t: SimTime, pid: u64, data: TraceData) {
         if self.enabled {
@@ -1477,7 +1472,6 @@ mod tests {
         log.record_with(t(2), 1, || unreachable!("closure must not run"));
         assert!(log.is_empty());
         assert_eq!(log.events.capacity(), 0, "disabled log never allocates");
-        assert!(!log.is_enabled());
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! One [`Machine::run`] is one experiment on one worker node (all of the
 //! paper's per-node profiles — Figs. 2, 6, 7, 10 — are exactly this view).
-//! The loop is time-stepped: each tick it starts due applications, lets the
-//! monitor poll (once per second of simulated time), delivers threshold
-//! signals, advances every application by a time budget scaled by the
-//! kernel's swap-thrash multiplier, runs the OOM check, and samples the
-//! memory profile. With nothing running it skips straight to the next
-//! instant at which anything can happen.
+//! The loop is time-stepped on one 100-ms grid: each tick it starts due
+//! applications, lets the monitor poll (once per second of simulated time),
+//! delivers threshold signals, advances every application by a time budget
+//! scaled by the kernel's swap-thrash multiplier, runs the OOM check, and
+//! samples the memory profile. With nothing running it skips straight to
+//! the next instant at which anything can happen; a private tick-by-tick
+//! loop in this module's tests is the skip's reference.
 //!
 //! The loop's state is one crate-private `World`, and a run is
 //! `World::new(..).finish()`. A world can also stop before an instant and
@@ -19,7 +20,7 @@
 use std::sync::Arc;
 
 use m3_core::monitor::PressureSummary;
-use m3_core::{Monitor, MonitorConfig, Registry, ThresholdSignal, Zone};
+use m3_core::{Monitor, MonitorConfig, Registry, ThresholdSignal, Zone, POLL_PERIOD};
 use m3_oracle::{Oracle, Violation};
 use m3_os::cgroup::{Cgroup, CgroupSet};
 use m3_os::{DiskModel, Kernel, KernelConfig, Pid, Signal};
@@ -42,6 +43,9 @@ use crate::settings::Setting;
 /// many runs of a sweep instead of being reallocated per run.
 pub type ScheduleEntry = (Arc<str>, SimDuration, AppBlueprint);
 
+/// World tick length: the grid every loop iteration runs on.
+const TICK: SimDuration = SimDuration::from_millis(100);
+
 /// World parameters.
 ///
 /// Serializable so a `(scenario, setting, machine_cfg)` triple can be
@@ -53,8 +57,6 @@ pub struct MachineConfig {
     pub phys_total: u64,
     /// The M3 monitor configuration; `None` runs a stock system.
     pub monitor: Option<MonitorConfig>,
-    /// World tick length.
-    pub tick: SimDuration,
     /// Profile sampling period (`None` disables capture, for benches).
     pub sample_period: Option<SimDuration>,
     /// Hard wall-clock cap on the simulation.
@@ -62,13 +64,6 @@ pub struct MachineConfig {
     /// Node salt: perturbs application-internal orderings so cluster nodes
     /// are not bit-identical (0 for single-node runs).
     pub node_salt: u64,
-    /// Enables the world-loop fast path: when no application process is
-    /// live, the clock jumps to the next scheduled instant (app start,
-    /// chaos kill, monitor poll, cgroup enforcement, profile sample)
-    /// instead of idling tick by tick. Results are bit-identical either
-    /// way; the flag exists so the determinism test can compare both
-    /// paths. Part of the memoization cache key.
-    pub fast_path: bool,
     /// Captures a typed end-to-end event trace and runs the conformance
     /// oracle over it after the run (see [`RunResult::trace`] and
     /// [`RunResult::violations`]). Off, the kernel's trace log is disabled
@@ -87,11 +82,9 @@ impl MachineConfig {
         MachineConfig {
             phys_total: 64 * GIB,
             monitor: None,
-            tick: SimDuration::from_millis(100),
             sample_period: Some(SimDuration::from_secs(2)),
             max_time: SimDuration::from_secs(30_000),
             node_salt: 0,
-            fast_path: true,
             capture_trace: true,
             pressure_timeline: false,
         }
@@ -343,7 +336,6 @@ pub(crate) struct World {
     profile: Profile,
     /// The instant of the next loop iteration (always on the tick grid).
     now: SimTime,
-    poll_period: SimDuration,
     cgroups: Option<CgroupSet>,
     next_enforce: SimTime,
     faultq: m3_sim::EventQueue<FaultAction>,
@@ -362,9 +354,9 @@ pub(crate) struct World {
     /// back from the memoized outcome when it resumes one.
     pub(crate) pressure_timeline: Vec<(u64, PressureSummary)>,
     /// Mean-RSS integral as exact integers (`committed` summed per tick):
-    /// integer addition is associative, so the fast path can account a
-    /// whole gap of idle ticks in one multiplication and stay bit-identical
-    /// to the tick-by-tick loop.
+    /// integer addition is associative, so the idle skip accounts a whole
+    /// gap of idle ticks in one multiplication, bit-identical to summing
+    /// them tick by tick.
     rss_area: u128,
     ticks: u64,
     /// Set after an iteration, until the end test and the idle skip of
@@ -395,10 +387,6 @@ impl World {
             results.push(AppResult::scheduled(name, *start));
             queue.schedule(SimTime::ZERO + *start, i);
         }
-        let poll_period = cfg
-            .monitor
-            .map(|m| m.poll_period)
-            .unwrap_or(SimDuration::from_secs(1));
         let cgroups = container_limits.map(|limits| {
             assert_eq!(
                 limits.len(),
@@ -452,13 +440,12 @@ impl World {
             registry: Registry::new(),
             profile,
             now: SimTime::ZERO,
-            poll_period,
             cgroups,
-            next_enforce: SimTime::ZERO + poll_period,
+            next_enforce: SimTime::ZERO + POLL_PERIOD,
             faultq,
             degradation,
             pending_recoveries: Vec::new(),
-            next_poll: SimTime::ZERO + poll_period,
+            next_poll: SimTime::ZERO + POLL_PERIOD,
             next_sample: SimTime::ZERO,
             pressure_timeline: Vec::new(),
             rss_area: 0,
@@ -519,7 +506,7 @@ impl World {
 
     /// The least tick-grid instant at or after `t_ms`.
     fn grid_ceil(&self, t_ms: u64) -> u64 {
-        let tick_ms = self.cfg.tick.as_millis();
+        let tick_ms = TICK.as_millis();
         t_ms.div_ceil(tick_ms) * tick_ms
     }
 
@@ -539,21 +526,21 @@ impl World {
                 return;
             } else {
                 self.iterate();
-                self.now += self.cfg.tick;
+                self.now += TICK;
                 self.boundary = true;
                 self.over = self.now.saturating_since(SimTime::ZERO) >= self.cfg.max_time;
             }
         }
     }
 
-    /// Fast path: with no live process the world is inert between
+    /// Idle skip: with no live process the world is inert between
     /// scheduled instants — nothing allocates, the OOM check stays
     /// quiescent, and `committed` is constant — so jump the clock to the
     /// next instant at which anything can happen (app start, chaos kill,
     /// monitor poll, cgroup enforcement, profile sample), accounting the
     /// skipped ticks into the mean-RSS integral.
     fn skip_idle(&mut self) {
-        if !self.cfg.fast_path || !self.running.is_empty() {
+        if !self.running.is_empty() {
             return;
         }
         // The loop ends at the first grid instant at or past the time cap,
@@ -573,7 +560,7 @@ impl World {
         }
         let now_ms = self.now.as_millis();
         if target_ms > now_ms {
-            let skipped = (target_ms - now_ms) / self.cfg.tick.as_millis();
+            let skipped = (target_ms - now_ms) / TICK.as_millis();
             self.rss_area += self.kernel.committed() as u128 * u128::from(skipped);
             self.ticks += skipped;
             self.now = SimTime::from_millis(target_ms);
@@ -696,7 +683,7 @@ impl World {
         //     receive reclaim pressure.
         if let Some(set) = self.cgroups.as_ref() {
             if now >= self.next_enforce {
-                self.next_enforce += self.poll_period;
+                self.next_enforce += POLL_PERIOD;
                 for idx in set.over_limit(kernel) {
                     for pid in set.groups()[idx].members() {
                         kernel.send_signal(pid, Signal::HighMemory);
@@ -714,7 +701,7 @@ impl World {
                 kernel.set_meminfo_outage(self.faults.poll_outages.iter().any(|w| w.contains(now)));
                 self.registry.sync_monitor(m, kernel);
                 let report = m.poll(kernel, now);
-                self.next_poll += self.poll_period;
+                self.next_poll += POLL_PERIOD;
                 if self.cfg.pressure_timeline {
                     self.pressure_timeline
                         .push((now.as_millis(), m.pressure_summary(kernel.committed())));
@@ -846,12 +833,11 @@ impl World {
         // swap the multiplier is exactly 1.0, and scaling by it returns
         // the tick unchanged (a tick's milliseconds are exact in f64),
         // so the float round trip is skipped.
-        let tick = self.cfg.tick;
         let thrash = kernel.thrash_multiplier();
         let budget = if thrash == 1.0 {
-            tick
+            TICK
         } else {
-            tick.mul_f64(thrash)
+            TICK.mul_f64(thrash)
         };
         let readers = self.running.iter().filter(|s| s.app.uses_disk()).count();
         let mut finished_idx = Vec::new();
@@ -859,7 +845,7 @@ impl World {
             // Injected leak: steady growth the app itself never frees.
             // Exact integer carry keeps sub-second rates deterministic.
             if slot.leak_rate > 0 {
-                slot.leak_carry += slot.leak_rate * tick.as_millis();
+                slot.leak_carry += slot.leak_rate * TICK.as_millis();
                 let bytes = slot.leak_carry / 1000;
                 slot.leak_carry %= 1000;
                 if bytes > 0 {
@@ -876,7 +862,7 @@ impl World {
         self.running.retain_mut(|s| {
             if finished_idx.contains(&s.idx) {
                 let r = &mut results[s.idx];
-                r.finished = Some(now + tick);
+                r.finished = Some(now + TICK);
                 r.ended = r.finished;
                 r.failed = s.app.failed();
                 r.gc_pause = s.app.gc_pause();
@@ -1017,9 +1003,12 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::AppKind;
+    use crate::hibench;
+    use crate::runner::schedule_entry;
+    use crate::scenario::{AppKind, Scenario};
     use crate::settings::{blueprint_for, AppConfig};
     use m3_framework::{JobKind, JobSpec, SparkConfig};
+    use m3_os::SignalFaultConfig;
     use m3_runtime::JvmConfig;
     use m3_sim::units::MIB;
     use proptest::prelude::*;
@@ -1223,6 +1212,98 @@ mod tests {
         }
     }
 
+    /// The reference loop: [`World::run`] without the idle skip, one
+    /// iteration per tick until the time cap or until everything has
+    /// started and nothing is running.
+    fn ticking(mut world: World) -> RunResult {
+        while world.now.saturating_since(SimTime::ZERO) < world.cfg.max_time {
+            world.iterate();
+            world.now += TICK;
+            if world.queue.is_empty() && world.running.is_empty() {
+                break;
+            }
+        }
+        world.result()
+    }
+
+    fn json(res: &RunResult) -> String {
+        serde_json::to_string(res).expect("serialize run")
+    }
+
+    /// A fault plan touching every injection channel: app faults, a lossy
+    /// and laggy signal bus, and a monitor poll outage.
+    fn chaos_plan() -> FaultPlan {
+        FaultPlan::none()
+            .with_unresponsive(SimDuration::from_secs(90), 0, 0.25)
+            .with_leak(SimDuration::from_secs(60), 1, 8 * MIB)
+            .with_signal_faults(SignalFaultConfig {
+                drop_prob: 0.2,
+                delay_prob: 0.3,
+                delay: SimDuration::from_secs(2),
+                seed: 77,
+            })
+            .with_poll_outage(SimDuration::from_secs(120), SimDuration::from_secs(30))
+    }
+
+    #[test]
+    fn idle_skip_is_bit_identical_to_ticking() {
+        let mut worlds = Vec::new();
+        // Stock and M3 regimes, solo and staggered schedules, analytics
+        // and cache kinds, with profile sampling on, each with and
+        // without chaos: the skip must wake for fault events exactly when
+        // ticking applies them.
+        for (scenario, setting) in [
+            (Scenario::uniform("M", 0), Setting::default_for(1)),
+            (Scenario::uniform("M", 0), Setting::m3(1)),
+            (Scenario::uniform("MM", 60), Setting::m3(2)),
+            (Scenario::uniform("CM", 120), Setting::m3(2)),
+        ] {
+            let cfg = MachineConfig::stock_64gb().with_setting(&setting);
+            let schedule: Vec<ScheduleEntry> = scenario
+                .apps
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, start))| schedule_entry(&setting, i, kind, start))
+                .collect();
+            for plan in [FaultPlan::none(), chaos_plan()] {
+                worlds.push(World::new(cfg, schedule.clone(), plan, &[], None));
+            }
+        }
+        // A lone M3 k-means, starting after an idle window.
+        let kmeans = |start_s| -> Vec<ScheduleEntry> {
+            let bp = AppBlueprint::Spark {
+                jvm: JvmConfig::m3(crate::settings::M3_HEAP_CEILING),
+                spark: SparkConfig::m3(),
+                job: hibench::kmeans_small(),
+            };
+            vec![("k-means".into(), SimDuration::from_secs(start_s), bp)]
+        };
+        // On an M3 node, polls and samples bound the skip before it starts.
+        let mut cfg = MachineConfig::m3_64gb();
+        cfg.max_time = SimDuration::from_secs(40_000);
+        worlds.push(World::new(cfg, kmeans(90), FaultPlan::none(), &[], None));
+        // No monitor and no sampling, so nothing else bounds a skip: a
+        // churn bystander holds memory across idle windows, a crash is due
+        // before its victim starts, and a container is enforced before its
+        // member arrives.
+        let mut bare = MachineConfig::stock_64gb();
+        bare.sample_period = None;
+        let plan = FaultPlan::none()
+            .with_churn(SimDuration::from_secs(10), GIB, SimDuration::from_secs(60))
+            .with_crash(SimDuration::from_secs(50), 0);
+        worlds.push(World::new(bare, kmeans(100), plan, &[], None));
+        let contained = World::new(bare, kmeans(100), FaultPlan::none(), &[], Some(vec![GIB]));
+        worlds.push(contained);
+        for (i, world) in worlds.into_iter().enumerate() {
+            let skipped = world.clone().finish();
+            assert!(
+                json(&skipped) == json(&ticking(world)),
+                "world {i}: the idle skip diverged from ticking"
+            );
+            assert!(skipped.all_finished() && skipped.violations.is_empty());
+        }
+    }
+
     /// One change to a node's schedule: an app arrives, or a crash fault
     /// hits an app scheduled before it.
     #[derive(Debug, Clone, Copy)]
@@ -1262,7 +1343,8 @@ mod tests {
 
         /// A world given the entries due at each change instant of a
         /// schedule, advanced to it, and finished runs exactly like a
-        /// world that had the schedule so far from t = 0: under M3 and
+        /// world that had the schedule so far from t = 0, and the whole
+        /// schedule's run exactly like the ticking reference: under M3 and
         /// stock, with capture and the pressure timeline each on and off.
         #[test]
         fn resuming_at_every_change_equals_the_run_from_zero(
@@ -1303,8 +1385,15 @@ mod tests {
                     _ => instants.push((at, apps.len(), faults.len())),
                 }
             }
-            let mut world = World::new(cfg, Vec::new(), FaultPlan::none(), &[], None);
+            let from_zero = |n: usize, m: usize| {
+                let schedule = apps[..n].iter().map(|(e, _)| e.clone()).collect();
+                let classes: Vec<JobClass> = apps[..n].iter().map(|&(_, c)| c).collect();
+                let plan = FaultPlan { events: faults[..m].to_vec(), ..FaultPlan::none() };
+                World::new(cfg, schedule, plan, &classes, None)
+            };
+            let mut world = from_zero(0, 0);
             let (mut n, mut m) = (0, 0);
+            let mut fresh = json(&world.clone().finish());
             for (at, napps, nfaults) in instants {
                 for (entry, class) in &apps[n..napps] {
                     world.push_app(entry.clone(), *class);
@@ -1314,20 +1403,17 @@ mod tests {
                 }
                 world.advance_to(SimTime::ZERO + at);
                 (n, m) = (napps, nfaults);
-                let resumed = world.clone().finish();
-                let schedule = apps[..n].iter().map(|(e, _)| e.clone()).collect();
-                let classes: Vec<JobClass> = apps[..n].iter().map(|&(_, c)| c).collect();
-                let plan = FaultPlan { events: faults[..m].to_vec(), ..FaultPlan::none() };
-                let fresh = World::new(cfg, schedule, plan, &classes, None).finish();
+                fresh = json(&from_zero(n, m).finish());
                 prop_assert_eq!(
-                    serde_json::to_string(&resumed).expect("serialize"),
-                    serde_json::to_string(&fresh).expect("serialize"),
+                    &json(&world.clone().finish()),
+                    &fresh,
                     "resumed at {:?} with {} apps and {} faults",
                     at,
                     n,
                     m
                 );
             }
+            prop_assert_eq!(fresh, json(&ticking(from_zero(n, m))), "skip against ticking");
         }
     }
 }

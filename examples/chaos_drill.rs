@@ -67,8 +67,6 @@ fn main() {
         .run
         .monitor_stats
         .expect("the M3 setting runs a monitor");
-    let monitor = cfg.with_setting(&Setting::m3(scenario.len())).monitor;
-    let poll_period = monitor.expect("M3 monitor").poll_period;
     println!(
         "  degraded monitor polls:                {}",
         stats.degraded_polls
@@ -80,7 +78,7 @@ fn main() {
     println!(
         "  polls above top (time):                {} ({} s)",
         stats.polls_above_top,
-        (poll_period * stats.polls_above_top).as_millis() / 1000
+        (m3::core::POLL_PERIOD * stats.polls_above_top).as_millis() / 1000
     );
     for r in &d.recoveries {
         match r.recovered_after_polls {

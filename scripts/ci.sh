@@ -28,22 +28,35 @@ done
 # unit tests and their doctests. On a conformance failure the offending
 # trace JSON lands in target/conformance-artifacts/.
 cargo test -q --workspace
-# Fixed-seed chaos drills (node- and fleet-level); each asserts its own
-# replay is byte-identical and, at fleet level, zero oracle violations.
-cargo run --release --example chaos_drill
-cargo run --release --example fleet_chaos_drill
-# The fleet payloads must reproduce: regenerate the full 10k-node
-# fleet-scale curve and the 512-node fleet-chaos sweep, serially, under
-# target/ so the committed files stay intact, and fail if any key without
-# "wall" in its name differs from the committed file. Each bench asserts
-# zero oracle violations at every point; fleet_scale also asserts a
-# memoized repeat, fleet_chaos full lost-job accounting.
-M3_JOBS=1 M3_FLEET_SCALE_BUDGET_S=60 M3_RESULTS_DIR=target/ci-results \
-    cargo bench -p m3-bench --bench fleet_scale
-M3_JOBS=1 M3_FLEET_CHAOS_BUDGET_S=120 M3_RESULTS_DIR=target/ci-results \
-    cargo bench -p m3-bench --bench fleet_chaos
-for fig in fleet_scale fleet_chaos; do
-    python3 - "results/BENCH_$fig.json" "target/ci-results/BENCH_$fig.json" <<'PY'
+# Every example, as a user runs it. The chaos drills (node- and fleet-level)
+# and the cache-trace drill assert their own byte-identical replay, and the
+# fleet drill zero oracle violations.
+for example in quickstart spark_cluster cache_pressure threshold_tuning \
+    mixed_tenancy fleet_quickstart chaos_drill fleet_chaos_drill \
+    cache_trace_drill; do
+    cargo run --release --example "$example"
+done
+# Every committed payload that reproduces must: regenerate each one
+# serially, at full size, under target/ so the committed files stay intact,
+# and fail if any key without "wall" in its name differs from the committed
+# file. Most of these benches also assert their own invariants: zero oracle
+# violations at every point, a memoized fleet-scale repeat, full lost-job
+# accounting under fleet chaos, and the cache tier's SLO under
+# mixed-criticality co-location. (Not checked here: fig5_sweep, whose timing
+# keys lack "wall"; fig5_speedup, for its run time; micro; and
+# reclaim_packets, whose smoke follows.)
+payloads="fleet_scale fleet_chaos cache_trace mixed_criticality ablations
+    containers fig1_elasticity fig2_alternating fig6_profile_mmw
+    fig7_profile_cmw fig8_worst_case fig9_memcached fig10_thresholds
+    optimality_gap"
+for fig in $payloads; do
+    M3_JOBS=1 M3_RESULTS_DIR=target/ci-results \
+        M3_FLEET_SCALE_BUDGET_S=60 M3_FLEET_CHAOS_BUDGET_S=120 \
+        M3_CACHE_TRACE_BUDGET_S=60 M3_MIXED_CRIT_BUDGET_S=60 \
+        cargo bench -p m3-bench --bench "$fig"
+done
+# shellcheck disable=SC2086 # one argument per payload name
+python3 - $payloads <<'PY'
 import json, sys
 
 def strip(v):
@@ -53,28 +66,17 @@ def strip(v):
         return [strip(x) for x in v]
     return v
 
-committed, fresh = (strip(json.load(open(p))) for p in sys.argv[1:])
-if committed != fresh:
-    sys.exit(f"{sys.argv[2]} differs from {sys.argv[1]} outside its wall clocks")
+differ = []
+for fig in sys.argv[1:]:
+    committed, fresh = (
+        strip(json.load(open(f"{d}/BENCH_{fig}.json")))
+        for d in ("results", "target/ci-results")
+    )
+    if committed != fresh:
+        differ.append(fig)
+if differ:
+    sys.exit(f"payloads differ from results/ outside their wall clocks: {differ}")
 PY
-done
-# Cache-trace smoke: the key-granular M3 vs Default vs static-limit sweep
-# at reduced scale (the committed full-scale sweep runs 1.2M keys / 10M
-# ops per point). Every point must replay oracle-clean within budget; the
-# drill additionally proves byte-identical replay.
-M3_CACHE_TRACE_KEYS=150000 M3_CACHE_TRACE_OPS=1200000 \
-    M3_CACHE_TRACE_BUDGET_S=60 \
-    M3_RESULTS_DIR=target/ci-results \
-    cargo bench -p m3-bench --bench cache_trace
-cargo run --release --example cache_trace_drill
-# Mixed-criticality smoke: the co-location sweep at reduced batch load.
-# The bench itself is the conformance step — it asserts zero oracle
-# violations at every point (classified and criticality-unaware), that the
-# classified scheduler holds the cache tier's SLO, and that the fleet's
-# own SLO accounting agrees with external scoring.
-M3_MIXED_CRIT_MAX_BATCH=4 M3_MIXED_CRIT_BUDGET_S=60 \
-    M3_RESULTS_DIR=target/ci-results \
-    cargo bench -p m3-bench --bench mixed_criticality
 # Work-packet reclamation smoke: the fig6/fig7 packetized sweep at a
 # reduced salt spread. The bench is the conformance step — it asserts
 # byte-identical results at 1 vs 8 workers, zero oracle violations

@@ -45,33 +45,6 @@ fn find_scenario(name: &str) -> Option<Scenario> {
         .find(|s| s.name.replace(' ', "") == normalized)
 }
 
-fn ascii_profile(profile: &m3::sim::metrics::Profile, cols: usize, max: f64) {
-    const GLYPHS: &[u8] = b" .:-=+*#%@";
-    for s in &profile.series {
-        if s.samples.is_empty() {
-            continue;
-        }
-        let mut row = vec![b' '; cols];
-        let t_end = s
-            .samples
-            .last()
-            .expect("non-empty")
-            .t
-            .as_secs_f64()
-            .max(1.0);
-        for p in &s.samples {
-            let col = ((p.t.as_secs_f64() / t_end) * (cols - 1) as f64) as usize;
-            let lvl = ((p.v / max).clamp(0.0, 1.0) * (GLYPHS.len() - 1) as f64) as usize;
-            row[col] = GLYPHS[lvl].max(row[col]);
-        }
-        println!(
-            "{:>16} |{}|",
-            s.name,
-            String::from_utf8(row).expect("ascii")
-        );
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -205,7 +178,7 @@ fn run_cmd(args: &[String]) {
     );
     if show_profile {
         println!();
-        ascii_profile(&out.run.profile, 72, phys_gib as f64);
+        print!("{}", out.run.profile.ascii(72, phys_gib as f64));
     }
     if let Some(json) = json_out {
         write_json(

@@ -6,8 +6,7 @@
 //! victim selection, allocation-rate gating (§5.2), Table 1 eviction
 //! magnitudes, and top-down reclamation ordering (§4.2). These tests assert
 //! that real runs are conformant, that golden traces stay byte-identical,
-//! that the fast and slow world loops trace identically, and that a
-//! deliberately broken policy is caught.
+//! and that a deliberately broken policy is caught.
 //!
 //! Golden snapshots live in `tests/golden/`; regenerate with
 //! `M3_UPDATE_GOLDEN=1 cargo test --test conformance`. On a mismatch the
@@ -215,39 +214,6 @@ fn golden_fig2_alternating_trace() {
     ]);
     assert_conformant("golden-fig2", &res);
     assert_golden("fig2_alternating.trace.jsonl", &trace_jsonl(&res.trace));
-}
-
-#[test]
-fn fast_and_slow_world_loops_trace_identically() {
-    // The fast path may only jump the clock when it cannot change observable
-    // behaviour; a delayed start leaves an idle window where it engages.
-    let run = |fast: bool| {
-        let mut cfg = machine();
-        cfg.fast_path = fast;
-        let machine = Machine::new(cfg);
-        machine.run(vec![(
-            "k-means".into(),
-            SimDuration::from_secs(90),
-            AppBlueprint::Spark {
-                jvm: m3::runtime::JvmConfig::m3(m3::workloads::settings::M3_HEAP_CEILING),
-                spark: m3::framework::SparkConfig::m3(),
-                job: hibench::kmeans_small(),
-            },
-        )])
-    };
-    let fast = run(true);
-    let slow = run(false);
-    assert!(fast.all_finished() && slow.all_finished());
-    assert_conformant("fastpath", &fast);
-    let fast_trace = trace_jsonl(&fast.trace);
-    let slow_trace = trace_jsonl(&slow.trace);
-    assert!(
-        fast_trace == slow_trace,
-        "fast and slow world loops must produce byte-identical traces \
-         ({} vs {} events)",
-        fast.trace.len(),
-        slow.trace.len()
-    );
 }
 
 /// Serializes only the reclamation-relevant events (handler windows, work

@@ -1,11 +1,12 @@
 //! Determinism regression tests for the experiment harness.
 //!
-//! The parallel harness and the world-loop fast path are only sound if a
-//! run is a pure function of `(scenario, setting, machine_cfg)`. These
-//! tests pin that down at the byte level: the serialized `RunResult` must
-//! be identical whether the run executes serially, through the parallel
-//! harness at 1/4/8 workers (twice each), or with the fast-path clock
-//! jumping disabled.
+//! The parallel harness is only sound if a run is a pure function of
+//! `(scenario, setting, machine_cfg)`. These tests pin that down at the
+//! byte level: the serialized `RunResult` must be identical whether the run
+//! executes serially or through the parallel harness at 1/4/8 workers
+//! (twice each). That the world loop's idle skip matches ticking through
+//! every idle window is checked against a tick-by-tick reference in
+//! `m3-workloads`' unit tests (`machine::tests`).
 
 use m3::os::SignalFaultConfig;
 use m3::sim::clock::SimDuration;
@@ -32,23 +33,6 @@ fn jobs() -> Vec<(Scenario, Setting, MachineConfig)> {
 
 fn run_bytes(scenario: &Scenario, setting: &Setting, cfg: MachineConfig) -> String {
     serde_json::to_string(&run_scenario(scenario, setting, cfg).run).expect("serialize run")
-}
-
-#[test]
-fn fast_path_is_bit_identical_to_tick_by_tick() {
-    for (scenario, setting, cfg) in jobs() {
-        let mut slow = cfg;
-        slow.fast_path = false;
-        let mut fast = cfg;
-        fast.fast_path = true;
-        assert_eq!(
-            run_bytes(&scenario, &setting, slow),
-            run_bytes(&scenario, &setting, fast),
-            "fast path diverged on {} under {:?}",
-            scenario.name,
-            setting.kind
-        );
-    }
 }
 
 #[test]
@@ -200,30 +184,13 @@ fn chaos_bytes(scenario: &Scenario, setting: &Setting, cfg: MachineConfig) -> St
 
 #[test]
 fn chaos_runs_are_deterministic_across_paths_and_workers() {
-    // Fault injection must not perturb determinism: the fast path has to
-    // wake for fault events exactly when the tick-by-tick loop applies
-    // them, and the seeded lossy bus must replay the same drop/delay
-    // sequence on every worker.
+    // Fault injection must not perturb determinism: the seeded lossy bus
+    // must replay the same drop/delay sequence on every worker.
     let jobs = jobs();
     let reference: Vec<String> = jobs
         .iter()
-        .map(|(s, set, cfg)| {
-            let mut slow = *cfg;
-            slow.fast_path = false;
-            chaos_bytes(s, set, slow)
-        })
+        .map(|(s, set, cfg)| chaos_bytes(s, set, *cfg))
         .collect();
-    for (i, (s, set, cfg)) in jobs.iter().enumerate() {
-        let mut fast = *cfg;
-        fast.fast_path = true;
-        assert_eq!(
-            reference[i],
-            chaos_bytes(s, set, fast),
-            "chaos fast path diverged on {} under {:?}",
-            s.name,
-            set.kind
-        );
-    }
     for workers in [1, 4] {
         let bytes = parallel_map(jobs.clone(), workers, |(s, set, cfg)| {
             chaos_bytes(&s, &set, cfg)
