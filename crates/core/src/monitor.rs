@@ -107,16 +107,8 @@ pub struct PressureSummary {
     pub high: u64,
     /// The fixed top of memory.
     pub top: u64,
-    /// Bytes of headroom before `used` crosses the high threshold
-    /// (zero when already red or above top).
-    pub headroom_to_high: u64,
-    /// Bytes of headroom before `used` crosses the top of memory
-    /// (zero when already above top).
-    pub headroom_to_top: u64,
     /// Participants escalated by the reclamation watchdog so far.
     pub watchdog_escalations: u64,
-    /// Polls that observed usage above the top of memory so far.
-    pub polls_above_top: u64,
 }
 
 /// Per-participant reclamation-watchdog state.
@@ -266,10 +258,7 @@ impl Monitor {
             low,
             high,
             top: self.cfg.top,
-            headroom_to_high: high.saturating_sub(used),
-            headroom_to_top: self.cfg.top.saturating_sub(used),
             watchdog_escalations: self.stats.watchdog_escalations,
-            polls_above_top: self.stats.polls_above_top,
         }
     }
 
@@ -585,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn pressure_summary_reports_zone_and_headroom() {
+    fn pressure_summary_reports_zone_and_thresholds() {
         let (_os, mon) = setup();
         let (low, high) = mon.thresholds();
         let top = mon.config().top;
@@ -596,25 +585,15 @@ mod tests {
         assert_eq!(s.low, low);
         assert_eq!(s.high, high);
         assert_eq!(s.top, top);
-        assert_eq!(s.headroom_to_high, high - low / 2);
-        assert_eq!(s.headroom_to_top, top - low / 2);
         assert_eq!(s.watchdog_escalations, 0);
-        assert_eq!(s.polls_above_top, 0);
 
         let s = mon.pressure_summary(high + GIB);
         assert_eq!(s.zone, Zone::Red);
-        assert_eq!(s.headroom_to_high, 0, "red zone has no high headroom");
-        assert_eq!(s.headroom_to_top, top - high - GIB);
-    }
+        assert_eq!(s.used, high + GIB);
 
-    #[test]
-    fn pressure_summary_saturates_above_top() {
-        let (_os, mon) = setup();
-        let top = mon.config().top;
         let s = mon.pressure_summary(top + GIB);
         assert_eq!(s.zone, Zone::AboveTop);
-        assert_eq!(s.headroom_to_high, 0);
-        assert_eq!(s.headroom_to_top, 0);
+        assert_eq!(s.used, top + GIB);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   the paper's figures plot.
 //! - [`trace`]: a structured event log (signals sent, GCs performed,
 //!   evictions, ...) used by tests and the experiment harness.
+//! - [`tagged_enum!`]: declares an enum and its `"kind"`-tagged wire
+//!   format in one table (the trace's payloads, the workloads' faults).
 //! - [`units`]: byte-size constants and pretty-printing.
 //!
 //! The simulation style is *time-stepped co-simulation*: a world object owns
@@ -24,6 +26,7 @@ pub mod clock;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
+mod tagged;
 pub mod trace;
 pub mod units;
 

@@ -1,0 +1,123 @@
+//! [`tagged_enum!`](crate::tagged_enum): one table declares an enum and its
+//! `"kind"`-tagged wire format.
+
+/// Declares an enum whose variants serialize as flat maps tagged by a
+/// `"kind"` string, from one table.
+///
+/// The enum is written as usual, each variant followed by `= "kind"`. From
+/// that table the macro generates the enum, `kind()` (the variant's kind
+/// string), [`serde::Serialize`] (a map holding `"kind"` first, then the
+/// fields in declaration order) and [`serde::Deserialize`] (the inverse; an
+/// unknown kind or a missing field is a [`serde::DeError`] naming it).
+/// Serializer and deserializer read one field list, so they cannot drift
+/// apart.
+///
+/// A variant that encodes one of its fields in its kind lists every kind it
+/// parses from and picks one with an expression over its fields, which are
+/// bound by reference: `= "gc.young" | "gc.full" => match layer { .. }`.
+///
+/// The generated impls name `::serde`, so the calling crate depends on it.
+///
+/// ```
+/// m3_sim::tagged_enum! {
+///     /// What went wrong.
+///     #[derive(Debug, PartialEq)]
+///     pub enum Fault {
+///         /// The process died.
+///         Crash = "crash",
+///         /// The process leaks.
+///         Leak {
+///             /// Bytes per second.
+///             rate: u64,
+///         } = "leak",
+///         /// A signal was lost; the kind names which.
+///         Lost {
+///             /// True for a kill signal.
+///             kill: bool,
+///         } = "lost.kill" | "lost.other" => if *kill { "lost.kill" } else { "lost.other" },
+///     }
+/// }
+///
+/// use serde::{Content, Deserialize, Serialize};
+/// let c = Fault::Leak { rate: 7 }.serialize();
+/// assert_eq!(
+///     c,
+///     Content::Map(vec![
+///         ("kind".into(), Content::Str("leak".into())),
+///         ("rate".into(), Content::U64(7)),
+///     ])
+/// );
+/// assert_eq!(Fault::deserialize(&c).unwrap(), Fault::Leak { rate: 7 });
+/// assert_eq!(Fault::Lost { kill: false }.kind(), "lost.other");
+/// ```
+#[macro_export]
+macro_rules! tagged_enum {
+    (@kind $kind:literal) => {
+        $kind
+    };
+    (@kind $kind:literal $(| $more:literal)* => $pick:expr) => {
+        $pick
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident $({
+                    $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)?
+                })? = $kind:literal $(| $more:literal)* $(=> $pick:expr)?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $( $(#[$fmeta])* $field: $ty ),* })?,
+            )*
+        }
+
+        impl $name {
+            /// The stable kind string this value serializes under.
+            #[allow(unused_variables)]
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Self::$variant $({ $($field),* })? =>
+                        $crate::tagged_enum!(@kind $kind $(| $more)* $(=> $pick)?), )*
+                }
+            }
+        }
+
+        impl ::serde::Serialize for $name {
+            fn serialize(&self) -> ::serde::Content {
+                let kind = ::serde::Content::Str(self.kind().into());
+                match self {
+                    $( Self::$variant $({ $($field),* })? => ::serde::Content::Map(::std::vec![
+                        ("kind".into(), kind),
+                        $($( (
+                            ::std::stringify!($field).into(),
+                            ::serde::Serialize::serialize($field),
+                        ), )*)?
+                    ]), )*
+                }
+            }
+        }
+
+        impl ::serde::Deserialize for $name {
+            fn deserialize(
+                c: &::serde::Content,
+            ) -> ::std::result::Result<Self, ::serde::DeError> {
+                let kind: ::std::string::String = ::serde::map_field(c, "kind")?;
+                match kind.as_str() {
+                    $( $kind $(| $more)* => ::std::result::Result::Ok(Self::$variant $({ $(
+                        $field: ::serde::map_field(c, ::std::stringify!($field))?,
+                    )* })?), )*
+                    other => ::std::result::Result::Err(::serde::DeError::new(::std::format!(
+                        "unknown {} kind `{other}`",
+                        ::std::stringify!($name)
+                    ))),
+                }
+            }
+        }
+    };
+}

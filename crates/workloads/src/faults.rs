@@ -19,59 +19,26 @@ use m3_os::SignalFaultConfig;
 use m3_sim::clock::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// What an app-targeted fault does to its victim.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultKind {
-    /// Kill the process outright (a crash).
-    Crash,
-    /// The participant keeps handling signals but returns only
-    /// `reclaim_fraction` of what its handler frees to the OS — 0.0 models
-    /// full non-cooperation, the problem the reclamation watchdog exists
-    /// for.
-    Unresponsive {
-        /// Fraction of handler-freed bytes actually returned, in `[0, 1]`.
-        reclaim_fraction: f64,
-    },
-    /// The app leaks memory at a steady rate for the rest of its life.
-    Leak {
-        /// Leak rate in bytes per simulated second.
-        bytes_per_sec: u64,
-    },
-}
-
-// Hand-written: the vendored serde derive only handles unit enum variants,
-// and `Unresponsive`/`Leak` carry data. Serialized as an internally tagged
-// map so plans stay readable as JSON.
-impl Serialize for FaultKind {
-    fn serialize(&self) -> serde::Content {
-        use serde::Content;
-        match self {
-            FaultKind::Crash => Content::Map(vec![("kind".into(), Content::Str("crash".into()))]),
-            FaultKind::Unresponsive { reclaim_fraction } => Content::Map(vec![
-                ("kind".into(), Content::Str("unresponsive".into())),
-                ("reclaim_fraction".into(), Content::F64(*reclaim_fraction)),
-            ]),
-            FaultKind::Leak { bytes_per_sec } => Content::Map(vec![
-                ("kind".into(), Content::Str("leak".into())),
-                ("bytes_per_sec".into(), Content::U64(*bytes_per_sec)),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for FaultKind {
-    fn deserialize(c: &serde::Content) -> Result<Self, serde::DeError> {
-        let tag: String = serde::map_field(c, "kind")?;
-        match tag.as_str() {
-            "crash" => Ok(FaultKind::Crash),
-            "unresponsive" => Ok(FaultKind::Unresponsive {
-                reclaim_fraction: serde::map_field(c, "reclaim_fraction")?,
-            }),
-            "leak" => Ok(FaultKind::Leak {
-                bytes_per_sec: serde::map_field(c, "bytes_per_sec")?,
-            }),
-            other => Err(serde::DeError::new(format!("unknown fault kind `{other}`"))),
-        }
+m3_sim::tagged_enum! {
+    /// What an app-targeted fault does to its victim. Serialized as a map
+    /// tagged by `"kind"`, so plans stay readable as JSON.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum FaultKind {
+        /// Kill the process outright (a crash).
+        Crash = "crash",
+        /// The participant keeps handling signals but returns only
+        /// `reclaim_fraction` of what its handler frees to the OS — 0.0 models
+        /// full non-cooperation, the problem the reclamation watchdog exists
+        /// for.
+        Unresponsive {
+            /// Fraction of handler-freed bytes actually returned, in `[0, 1]`.
+            reclaim_fraction: f64,
+        } = "unresponsive",
+        /// The app leaks memory at a steady rate for the rest of its life.
+        Leak {
+            /// Leak rate in bytes per simulated second.
+            bytes_per_sec: u64,
+        } = "leak",
     }
 }
 

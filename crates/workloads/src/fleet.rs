@@ -729,10 +729,7 @@ impl<'a> Fleet<'a> {
             let mut reserved = 0u64;
             for (slot, &(job, kind, _)) in self.nodes[node].apps.iter().enumerate() {
                 let here = self.assignment[job] == Some((node, slot));
-                let alive = out.run.apps.get(slot).is_none_or(|a| {
-                    a.started.as_millis() <= t_ms && a.ended.is_none_or(|e| e.as_millis() > t_ms)
-                });
-                if here && alive {
+                if here && out.run.apps[slot].alive_at(t_ms) {
                     reserved = reserved.saturating_add(demand_estimate(kind));
                 }
             }
@@ -1054,10 +1051,7 @@ impl<'a> Fleet<'a> {
                 .filter(|&(slot, &(res, _, _))| {
                     self.assignment[res] == Some((node, slot))
                         && self.scenario.class_of(res).crit == Criticality::Batch
-                        && out.run.apps.get(slot).is_none_or(|a| {
-                            a.started.as_millis() <= t_ms
-                                && a.ended.is_none_or(|e| e.as_millis() > t_ms)
-                        })
+                        && out.run.apps[slot].alive_at(t_ms)
                 })
                 .map(|(slot, &(res, kind, _))| (slot, res, kind))
                 .collect();
@@ -1347,10 +1341,7 @@ impl<'a> Fleet<'a> {
                 .filter(|&(slot, &(job, _, _))| {
                     self.assignment[job] == Some((node, slot))
                         && self.migrations[job] < MAX_MIGRATIONS
-                        && out.run.apps.get(slot).is_some_and(|a| {
-                            a.started.as_millis() <= t_ms
-                                && a.ended.is_none_or(|e| e.as_millis() > t_ms)
-                        })
+                        && out.run.apps[slot].alive_at(t_ms)
                 })
                 .max_by_key(|&(_, &(job, _, _))| {
                     (self.scenario.class_of(job).crit.expendability(), job)
@@ -1445,10 +1436,7 @@ impl<'a> Fleet<'a> {
                 if self.assignment[job] != Some((node, slot)) {
                     continue;
                 }
-                let alive = out.run.apps.get(slot).is_none_or(|a| {
-                    a.started.as_millis() <= t_ms && a.ended.is_none_or(|e| e.as_millis() > t_ms)
-                });
-                if alive {
+                if out.run.apps[slot].alive_at(t_ms) {
                     lost.push((slot, job, kind));
                 }
             }

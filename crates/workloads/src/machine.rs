@@ -174,6 +174,12 @@ impl AppResult {
     pub fn runtime(&self) -> Option<SimDuration> {
         self.finished.map(|f| f.saturating_since(self.started))
     }
+
+    /// True if the app holds its place on the node at `t_ms`: started at
+    /// or before it and not yet ended.
+    pub(crate) fn alive_at(&self, t_ms: u64) -> bool {
+        self.started.as_millis() <= t_ms && self.ended.is_none_or(|e| e.as_millis() > t_ms)
+    }
 }
 
 /// Outcome of one experiment run.
@@ -189,9 +195,6 @@ pub struct RunResult {
     pub profile: Profile,
     /// Monitor statistics, when a monitor ran.
     pub monitor_stats: Option<m3_core::monitor::MonitorStats>,
-    /// The node's pressure state at the end of the run, when a monitor ran
-    /// (what a fleet scheduler ranks this node by).
-    pub pressure: Option<m3_core::monitor::PressureSummary>,
     /// `(time ms, summary)` samples taken at every monitor poll, plus one at
     /// the end of the run, when [`MachineConfig::pressure_timeline`] is set
     /// (empty when it is not or no monitor ran). The fleet scheduler reads
@@ -969,23 +972,19 @@ impl World {
             Oracle::paper(self.cfg.monitor).check(&trace)
         };
 
-        let pressure = self
-            .monitor
-            .as_ref()
-            .map(|m| m.pressure_summary(self.kernel.committed()));
         // Close the timeline with the end-of-run state: reads at any
         // `t >= end` must see the node as it finished (typically drained
         // back to zero committed), not frozen at the last in-flight poll.
         if self.cfg.pressure_timeline {
-            if let Some(p) = pressure {
-                self.pressure_timeline.push((now.as_millis(), p));
+            if let Some(m) = &self.monitor {
+                let closing = m.pressure_summary(self.kernel.committed());
+                self.pressure_timeline.push((now.as_millis(), closing));
             }
         }
         RunResult {
             apps: self.results,
             profile: self.profile,
             monitor_stats: self.monitor.map(|m| m.stats),
-            pressure,
             pressure_timeline: self.pressure_timeline,
             end: now,
             mean_rss: if self.ticks > 0 {

@@ -244,7 +244,6 @@ mod tests {
                 apps,
                 profile: Profile::new(),
                 monitor_stats: None,
-                pressure: None,
                 pressure_timeline: Vec::new(),
                 end: SimTime::ZERO,
                 mean_rss: 0.0,

@@ -28,6 +28,10 @@ done
 # unit tests and their doctests. On a conformance failure the offending
 # trace JSON lands in target/conformance-artifacts/.
 cargo test -q --workspace
+# The vendored stand-ins under vendor/ are outside the workspace, so the
+# line above never runs their tests. serde_json is the only one with
+# tests: the JSON writer and reader every trace and payload goes through.
+cargo test -q -p serde_json
 # Every example, as a user runs it. The chaos drills (node- and fleet-level)
 # and the cache-trace drill assert their own byte-identical replay, and the
 # fleet drill zero oracle violations.

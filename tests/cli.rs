@@ -1,8 +1,11 @@
 //! The `m3run` command line, driven as a user drives it: bad input is
-//! refused before anything is simulated, and `--profile` draws every series
-//! on one time axis.
+//! refused before anything is simulated, `--profile` draws every series on
+//! one time axis, and an `M3_TRACE` dump reads back.
 
 use std::process::{Command, Output};
+
+use m3::prelude::*;
+use m3::sim::trace::TraceLog;
 
 fn m3run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_m3run"))
@@ -64,4 +67,23 @@ fn profile_rows_share_one_time_axis() {
     };
     assert!(row("C 2").ends_with(" |"), "{stdout}");
     assert!(!row("total").ends_with(" |"), "{stdout}");
+}
+
+#[test]
+fn m3_trace_dump_reads_back_and_replays_clean() {
+    // The dump is one pretty JSON document: it must parse as a trace,
+    // render back to the same text, and replay through the oracle.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("ccc0.trace.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_m3run"))
+        .args(["run", "CCC0"])
+        .env("M3_TRACE", &path)
+        .output()
+        .expect("m3run starts");
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&path).expect("M3_TRACE file written");
+    let trace: TraceLog = serde_json::from_str(&text).expect("dump parses as a trace");
+    assert!(trace.count("monitor.poll") > 0, "the dump holds the run");
+    assert_eq!(serde_json::to_string_pretty(&trace).expect("renders"), text);
+    let violations = Oracle::paper(Some(MonitorConfig::scaled(64 * GIB))).check(&trace);
+    assert!(violations.is_empty(), "{violations:#?}");
 }

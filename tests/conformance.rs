@@ -5,8 +5,9 @@
 //! invariants: threshold adjustment steps and ordering (§4.1), Algorithm 1
 //! victim selection, allocation-rate gating (§5.2), Table 1 eviction
 //! magnitudes, and top-down reclamation ordering (§4.2). These tests assert
-//! that real runs are conformant, that golden traces stay byte-identical,
-//! and that a deliberately broken policy is caught.
+//! that real runs are conformant, that golden traces stay byte-identical
+//! and read back byte for byte, that every event kind's wire format is
+//! pinned, and that a deliberately broken policy is caught.
 //!
 //! Golden snapshots live in `tests/golden/`; regenerate with
 //! `M3_UPDATE_GOLDEN=1 cargo test --test conformance`. On a mismatch the
@@ -20,7 +21,10 @@ use std::path::PathBuf;
 
 use m3::prelude::*;
 use m3::sim::clock::SimDuration;
-use m3::sim::trace::{TraceEvent, TraceLog};
+use m3::sim::trace::{
+    CandidateInfo, EvictReason, GcLayer, PacketBucket, SigKind, ThresholdSide, TraceData,
+    TraceEvent, TraceLog, TraceZone,
+};
 use m3::workloads::apps::AppBlueprint;
 use m3::workloads::hibench;
 
@@ -282,6 +286,366 @@ fn golden_packet_reclaim_replays_conformant() {
         violations.is_empty(),
         "replaying the packet golden must be violation-free, got {violations:#?}"
     );
+}
+
+/// One payload per kind string, every field set away from its default, so a
+/// field that is dropped, renamed, reordered or tagged with the wrong kind
+/// changes the every-kind golden.
+fn every_kind() -> Vec<(&'static str, TraceData)> {
+    use TraceData::*;
+    let candidate = |pid: u64, crit: Criticality| CandidateInfo {
+        pid,
+        spawned_at_ms: 1_500 * pid,
+        rss: 3 * GIB + pid,
+        expected_reclaim: GIB + pid,
+        crit,
+    };
+    let sig = |sig| SignalSent { sig };
+    let adjust = |side| ThresholdAdjust {
+        side,
+        old: 40 * GIB,
+        new: 41 * GIB,
+    };
+    let gc = |layer| Gc {
+        layer,
+        reclaimed: 700 * MIB,
+        returned: 300 * MIB,
+        pause_ms: 42,
+    };
+    let gate = |delayed| AllocGate {
+        delayed,
+        rate: 0.625,
+        elapsed_ms: 750,
+        epoch_ms: 1_200,
+        num_epochs: 3,
+        curve: "Exponential".into(),
+    };
+    vec![
+        (
+            "proc.spawn",
+            ProcSpawn {
+                name: "k-means 1".into(),
+            },
+        ),
+        (
+            "proc.respawn",
+            ProcRespawn {
+                name: "ghost 7".into(),
+            },
+        ),
+        ("proc.exit", ProcExit),
+        ("proc.kill", ProcKill),
+        ("oom.kill", OomKill),
+        ("signal.low", sig(SigKind::Low)),
+        ("signal.high", sig(SigKind::High)),
+        ("signal.kill", sig(SigKind::Kill)),
+        ("signal.dropped", SignalDropped { sig: SigKind::High }),
+        ("signal.delayed", SignalDelayed { sig: SigKind::Kill }),
+        ("mem.madvise", Madvise { bytes: 96 * MIB }),
+        (
+            "monitor.poll",
+            MonitorPoll {
+                zone: TraceZone::Red,
+                used: 55 * GIB,
+                low: 45 * GIB,
+                high: 50 * GIB,
+                degraded: true,
+                low_signalled: vec![3, 4],
+                high_signalled: vec![5],
+                killed: vec![6, 7],
+            },
+        ),
+        (
+            "monitor.zone",
+            ZoneChange {
+                from: TraceZone::Yellow,
+                to: TraceZone::AboveTop,
+            },
+        ),
+        ("threshold.adjust.low", adjust(ThresholdSide::Low)),
+        ("threshold.adjust.high", adjust(ThresholdSide::High)),
+        (
+            "monitor.select",
+            Selection {
+                order: "NewestFirst".into(),
+                target: 2 * GIB,
+                all: true,
+                candidates: vec![
+                    candidate(3, Criticality::Batch),
+                    candidate(4, Criticality::LatencyCritical),
+                ],
+                selected: vec![4, 3],
+            },
+        ),
+        ("watchdog.skip", WatchdogSkip),
+        ("watchdog.escalate", WatchdogEscalate { backoff: 4 }),
+        ("watchdog.resignal", WatchdogResignal { backoff: 8 }),
+        ("monitor.kill", MonitorKill { rss: 6 * GIB }),
+        ("handler.start", HandlerStart { sig: SigKind::Low }),
+        (
+            "handler.end",
+            HandlerEnd {
+                sig: SigKind::High,
+                duration_ms: 230,
+                returned: 512 * MIB,
+            },
+        ),
+        (
+            "evict.blocks",
+            EvictBlocks {
+                before: 120,
+                evicted: 30,
+                bytes: 3_840 * MIB,
+                reason: EvictReason::HighSignal,
+            },
+        ),
+        (
+            "evict.slabs",
+            EvictSlabs {
+                before: 900,
+                evicted: 90,
+                items: 45_000,
+                bytes: 90 * MIB,
+                reason: EvictReason::LowSignal,
+            },
+        ),
+        (
+            "evict.class",
+            EvictClass {
+                chunk: 4_096,
+                before: 300,
+                evicted: 30,
+                items: 7_680,
+                bytes: 30 * MIB,
+                reason: EvictReason::AdmissionDelay,
+            },
+        ),
+        (
+            "cache.stats",
+            CacheStats {
+                requests: 100_000,
+                hits: 81_000,
+                misses: 9_000,
+                negative: 1_200,
+                sets: 7_000,
+                deletes: 3_000,
+                delayed: 250,
+                capacity_items: 640,
+                resident_bytes: 5 * GIB,
+                live_items: 1_200_000,
+                serve_ms: 60_000,
+            },
+        ),
+        ("gc.young", gc(GcLayer::Young)),
+        ("gc.mixed", gc(GcLayer::Mixed)),
+        ("gc.full", gc(GcLayer::Full)),
+        ("gc.go", gc(GcLayer::Go)),
+        ("alloc.delay", gate(true)),
+        ("alloc.admit", gate(false)),
+        (
+            "alloc.batch",
+            AllocBatch {
+                n: 64,
+                delayed: 24,
+                rate: 0.375,
+                elapsed_ms: 900,
+                epoch_ms: 1_800,
+                num_epochs: 2,
+                curve: "Step".into(),
+            },
+        ),
+        (
+            "fleet.pressure",
+            FleetPressure {
+                node: 9,
+                zone: TraceZone::Yellow,
+                used: 47 * GIB,
+                reserved: 52 * GIB,
+                high: 50 * GIB,
+                top: 60 * GIB,
+                escalations: 2,
+            },
+        ),
+        (
+            "fleet.place",
+            FleetPlace {
+                job: 17,
+                node: 9,
+                used: 20 * GIB,
+                demand: 12 * GIB,
+                top: 60 * GIB,
+            },
+        ),
+        (
+            "fleet.defer",
+            FleetDefer {
+                job: 18,
+                attempt: 2,
+                retry_at_ms: 45_000,
+            },
+        ),
+        (
+            "fleet.migrate",
+            FleetMigrate {
+                job: 19,
+                from: 9,
+                to: 11,
+                red_for_ms: 12_000,
+            },
+        ),
+        (
+            "fleet.giveup",
+            FleetGiveUp {
+                job: 20,
+                attempts: 5,
+                demand: 70 * GIB,
+            },
+        ),
+        (
+            "fleet.node_lost",
+            FleetNodeLost {
+                node: 12,
+                jobs_lost: 3,
+            },
+        ),
+        (
+            "fleet.reschedule",
+            FleetReschedule {
+                job: 21,
+                from: 12,
+                retries: 1,
+                retry_at_ms: 95_000,
+                requeued: true,
+            },
+        ),
+        (
+            "fleet.quarantine",
+            FleetQuarantine {
+                node: 13,
+                entered: true,
+                streak: 3,
+            },
+        ),
+        (
+            "sched.class.assign",
+            SchedClassAssign {
+                job: 22,
+                crit: Criticality::LatencyCritical,
+                slo_ms: 5_000,
+            },
+        ),
+        (
+            "sched.class.preempt",
+            SchedClassPreempt {
+                job: 22,
+                crit: Criticality::LatencyCritical,
+                victim: 23,
+                victim_crit: Criticality::Batch,
+                node: 14,
+            },
+        ),
+        (
+            "sched.class.slo",
+            SchedClassSlo {
+                job: 22,
+                crit: Criticality::Batch,
+                slo_ms: 4_000,
+                runtime_ms: 3_500,
+                stall_ms: 120,
+                met: true,
+            },
+        ),
+        (
+            "kill.class",
+            KillClass {
+                crit: Criticality::Batch,
+                candidates: vec![candidate(8, Criticality::Batch)],
+            },
+        ),
+        (
+            "reclaim.packet.enqueue",
+            PacketEnqueue {
+                packet: 2,
+                pkind: "gc_old".into(),
+                bucket: PacketBucket::Collect,
+                deps: vec![1],
+            },
+        ),
+        (
+            "reclaim.packet.start",
+            PacketStart {
+                packet: 2,
+                bucket: PacketBucket::Release,
+                wave: 1,
+            },
+        ),
+        (
+            "reclaim.packet.finish",
+            PacketFinish {
+                packet: 2,
+                bucket: PacketBucket::Collect,
+                bytes: 64 * MIB,
+                returned: 32 * MIB,
+                duration_ms: 7,
+            },
+        ),
+        (
+            "reclaim.packet.stall",
+            PacketStall {
+                packet: 3,
+                waiting_on: 2,
+                wave: 1,
+            },
+        ),
+    ]
+}
+
+#[test]
+fn golden_every_trace_kind() {
+    // The wire format of every event kind, pinned byte for byte: each
+    // payload reports its kind, the log survives a trip through JSON text,
+    // and the rendering equals the committed snapshot.
+    let mut log = TraceLog::new();
+    let mut kinds = std::collections::BTreeSet::new();
+    for (i, (kind, data)) in (1..).zip(every_kind()) {
+        assert_eq!(data.kind(), kind);
+        assert!(kinds.insert(kind), "`{kind}` is listed twice");
+        log.record(SimTime::from_millis(250 * i), i, data);
+    }
+    let text = serde_json::to_string(&log).expect("trace renders");
+    let back: TraceLog = serde_json::from_str(&text).expect("trace parses back");
+    assert_eq!(back.events(), log.events());
+    assert_golden("every_kind.trace.jsonl", &trace_jsonl(&log));
+}
+
+#[test]
+fn every_golden_line_re_renders_byte_for_byte() {
+    // Every committed snapshot reads back: each line parses as an event and
+    // renders to the identical line, so what a tool reads off disk is what
+    // the run wrote.
+    let mut files: Vec<PathBuf> = fs::read_dir(golden_dir())
+        .expect("golden dir")
+        .map(|e| e.expect("golden entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 6, "expected every golden, found {files:?}");
+    for path in files {
+        let text = fs::read_to_string(&path).expect("read golden");
+        for (i, line) in text.lines().enumerate() {
+            let e: TraceEvent = serde_json::from_str(line).unwrap_or_else(|err| {
+                panic!("{}:{} does not parse: {err:?}", path.display(), i + 1)
+            });
+            let again = serde_json::to_string(&e).expect("event renders");
+            assert_eq!(
+                again,
+                line,
+                "{}:{} re-renders differently",
+                path.display(),
+                i + 1
+            );
+        }
+    }
 }
 
 #[test]
