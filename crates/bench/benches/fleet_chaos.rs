@@ -135,7 +135,7 @@ fn main() {
             failed_apps,
             node_lost_apps,
             ..
-        } = res.cluster.mean_runtime_secs();
+        } = res.class_mean();
         let d = &res.degradation;
         rows.push(ChaosRow {
             mtbf_s,

@@ -19,7 +19,7 @@
 use m3_bench::{fmt_runtime, render_table, BenchTimer};
 use m3_sim::clock::SimDuration;
 use m3_sim::units::GIB;
-use m3_workloads::cluster::{run_cluster, ClusterMean, ClusterResult, JobFailure};
+use m3_workloads::cluster::{run_cluster, ClusterMean, JobFailure};
 use m3_workloads::fleet::{fleet_cache_stats, run_fleet_cached, FleetConfig, JobOutcome, NodeSpec};
 use m3_workloads::machine::MachineConfig;
 use m3_workloads::parallel::cache_stats;
@@ -79,19 +79,19 @@ fn run_row(scenario: &Scenario, nodes: usize, fleet: Option<&FleetConfig>) -> Fl
     let setting = Setting::m3(scenario.len());
     let cache_before = cache_stats();
     let started = std::time::Instant::now();
-    let (scheduled, replicated);
-    let (cluster, jobs, violations): (&ClusterResult, &[JobOutcome], usize) = match fleet {
+    let scheduled;
+    let (mean, jobs, violations): (ClusterMean, &[JobOutcome], usize) = match fleet {
         Some(fleet) => {
             scheduled = run_fleet_cached(scenario, &setting, machine(), fleet);
             (
-                &scheduled.cluster,
+                scheduled.class_mean(),
                 &scheduled.jobs,
                 scheduled.violations.len(),
             )
         }
         None => {
-            replicated = run_cluster(scenario, &setting, machine(), nodes);
-            (&replicated, &[], 0)
+            let replicated = run_cluster(scenario, &setting, machine(), nodes);
+            (replicated.mean_runtime_secs(), &[], 0)
         }
     };
     let wall_clock_s = started.elapsed().as_secs_f64();
@@ -101,7 +101,7 @@ fn run_row(scenario: &Scenario, nodes: usize, fleet: Option<&FleetConfig>) -> Fl
         completed_apps,
         failed_apps,
         ..
-    } = cluster.mean_runtime_secs();
+    } = mean;
     FleetRow {
         nodes,
         jobs: scenario.len(),

@@ -8,7 +8,8 @@
 /// that table the macro generates the enum, `kind()` (the variant's kind
 /// string), [`serde::Serialize`] (a map holding `"kind"` first, then the
 /// fields in declaration order) and [`serde::Deserialize`] (the inverse; an
-/// unknown kind or a missing field is a [`serde::DeError`] naming it).
+/// unknown kind, a missing field, or a kind its fields do not give is a
+/// [`serde::DeError`] naming it).
 /// Serializer and deserializer read one field list, so they cannot drift
 /// apart.
 ///
@@ -108,15 +109,22 @@ macro_rules! tagged_enum {
                 c: &::serde::Content,
             ) -> ::std::result::Result<Self, ::serde::DeError> {
                 let kind: ::std::string::String = ::serde::map_field(c, "kind")?;
-                match kind.as_str() {
-                    $( $kind $(| $more)* => ::std::result::Result::Ok(Self::$variant $({ $(
+                let value = match kind.as_str() {
+                    $( $kind $(| $more)* => Self::$variant $({ $(
                         $field: ::serde::map_field(c, ::std::stringify!($field))?,
-                    )* })?), )*
-                    other => ::std::result::Result::Err(::serde::DeError::new(::std::format!(
-                        "unknown {} kind `{other}`",
-                        ::std::stringify!($name)
-                    ))),
+                    )* })?, )*
+                    other => return ::std::result::Result::Err(::serde::DeError::new(
+                        ::std::format!("unknown {} kind `{other}`", ::std::stringify!($name)),
+                    )),
+                };
+                if value.kind() != kind {
+                    return ::std::result::Result::Err(::serde::DeError::new(::std::format!(
+                        "{} kind `{kind}` disagrees with its fields, which give `{}`",
+                        ::std::stringify!($name),
+                        value.kind()
+                    )));
                 }
+                ::std::result::Result::Ok(value)
             }
         }
     };

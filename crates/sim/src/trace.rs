@@ -1115,6 +1115,36 @@ mod tests {
     }
 
     #[test]
+    fn kind_that_disagrees_with_its_fields_is_a_named_error() {
+        // One line per variant whose kind encodes a field: the tag names
+        // one kind, the field another. Each is refused, not relabelled.
+        for (tag, fields, given) in [
+            (
+                "gc.young",
+                r#""layer":"Full","reclaimed":1,"returned":0,"pause_ms":1"#,
+                "gc.full",
+            ),
+            ("signal.low", r#""sig":"Kill""#, "signal.kill"),
+            (
+                "threshold.adjust.high",
+                r#""side":"Low","old":1,"new":2"#,
+                "threshold.adjust.low",
+            ),
+            (
+                "alloc.admit",
+                r#""delayed":true,"rate":0.5,"elapsed_ms":1,"epoch_ms":1,"num_epochs":1,"curve":"Linear""#,
+                "alloc.delay",
+            ),
+        ] {
+            let line = format!(r#"{{"t":1,"pid":1,"kind":"{tag}",{fields}}}"#);
+            let err = serde_json::from_str::<TraceEvent>(&line).expect_err(&line);
+            let err = err.to_string();
+            assert!(err.contains(&format!("`{tag}`")), "{err}");
+            assert!(err.contains(&format!("`{given}`")), "{err}");
+        }
+    }
+
+    #[test]
     fn serialized_event_is_flat_with_kind_first() {
         let ev = TraceEvent {
             t: t(5),

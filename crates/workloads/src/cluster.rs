@@ -34,7 +34,7 @@ pub enum JobFailure {
 }
 
 /// Aggregated outcome of a cluster run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClusterResult {
     /// Per-application runtime: the *slowest node's* runtime, or `None` if
     /// the app failed or was killed on any node.
@@ -376,13 +376,7 @@ mod tests {
     }
 
     fn empty_mean() -> ClusterMean {
-        ClusterResult {
-            app_runtimes_s: Vec::new(),
-            per_node_s: Vec::new(),
-            spread_s: Vec::new(),
-            failures: Vec::new(),
-        }
-        .mean_runtime_secs()
+        ClusterResult::default().mean_runtime_secs()
     }
 
     #[test]

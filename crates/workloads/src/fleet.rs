@@ -21,15 +21,17 @@
 //!   plan changes (the *dirty* rule: any mutation clears the cache).
 //!   Reading the node's state at time `t` is then a timeline lookup, not
 //!   a re-simulation. Idle nodes never simulate at all: a per-size
-//!   summary precomputed at fleet construction answers their probes.
+//!   summary precomputed at fleet construction answers their probes. Every
+//!   node run has one configuration, so a node's final run is the probe of
+//!   its final schedule.
 //! - **Resumed node runs.** Every change to a node is due at the
 //!   scheduler's current time, so a node's run up to its latest change is
 //!   the run of its earlier schedule. A node run that misses the run
 //!   cache clones the checkpoint the fleet kept for that earlier
 //!   schedule, pushes the new entries, advances to the change and
-//!   finishes, instead of simulating from t = 0; a probe keeps a copy
-//!   from before the finish as its own schedule's checkpoint. The outcome
-//!   is byte-identical either way (DESIGN.md §9).
+//!   finishes, instead of simulating from t = 0, and keeps a copy from
+//!   before the finish as its own schedule's checkpoint. The outcome is
+//!   byte-identical either way (DESIGN.md §9).
 //! - **Content-addressed node runs.** The per-node machine config carries
 //!   no node salt and the sub-scenario name carries no node index, so two
 //!   nodes with identical (size, schedule, faults) share one entry in the
@@ -86,12 +88,12 @@ use m3_sim::units::GIB;
 use m3_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::{ClusterResult, JobFailure};
+use crate::cluster::{ClusterMean, ClusterResult, JobFailure};
 use crate::faults::{FaultPlan, FleetDegradationReport, FleetFaultPlan, ProbeFlap};
 use crate::hibench;
 use crate::machine::{MachineConfig, World};
 use crate::parallel::{run_cached_with, run_key, worker_threads, CacheStats, MemoCache};
-use crate::runner::{outcome, run_scenario_with_faults, schedule_entry, ScenarioOutcome};
+use crate::runner::{outcome, schedule_entry, ScenarioOutcome};
 use crate::scenario::{AppKind, Scenario};
 use crate::settings::Setting;
 
@@ -228,11 +230,9 @@ pub struct JobOutcome {
 /// fleet memoization cache hands out shared results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetResult {
-    /// Cluster-level aggregation: final-node runtimes measured from each
-    /// job's arrival. The quadratic `per_node_s`/`spread_s` tables stay
-    /// empty — at 10k nodes × 100k jobs they would dwarf everything else.
-    pub cluster: ClusterResult,
-    /// Per-job scheduler outcomes.
+    /// Per-job scheduler outcomes, each job's runtime measured from its
+    /// arrival on its final node: the one record of each job's outcome,
+    /// which [`FleetResult::class_mean`] aggregates.
     pub jobs: Vec<JobOutcome>,
     /// The scheduler's placement log (`fleet.*` events).
     pub trace: TraceLog,
@@ -245,11 +245,18 @@ pub struct FleetResult {
 }
 
 impl FleetResult {
-    /// [`ClusterResult::mean_runtime_secs`] with the per-class slices
-    /// filled from the per-job outcomes: the mixed-criticality report —
-    /// SLO attainment and stall per criticality class.
-    pub fn class_mean(&self) -> crate::cluster::ClusterMean {
-        self.cluster.mean_runtime_secs().with_classes(&self.jobs)
+    /// [`ClusterResult::mean_runtime_secs`] over the per-job runtimes and
+    /// failures, with the per-class slices filled from the same outcomes:
+    /// the mixed-criticality report — SLO attainment and stall per
+    /// criticality class.
+    pub fn class_mean(&self) -> ClusterMean {
+        ClusterResult {
+            app_runtimes_s: self.jobs.iter().map(|j| j.runtime_s).collect(),
+            failures: self.jobs.iter().map(|j| j.failure).collect(),
+            ..ClusterResult::default()
+        }
+        .mean_runtime_secs()
+        .with_classes(&self.jobs)
     }
 }
 
@@ -266,8 +273,11 @@ pub fn demand_estimate(kind: AppKind) -> u64 {
     }
 }
 
-/// The per-node machine configuration: the base config at this node's
-/// size. A node whose size differs from the base keeps no stale monitor —
+/// The configuration of every run of a node, its probes and so its final
+/// run: the base config at this node's size, with the base's trace
+/// capture, no profile (a fleet reports none), and the pressure summary at
+/// every monitor poll, so one simulation answers probes at every time. A
+/// node whose size differs from the base keeps no stale monitor —
 /// [`MachineConfig::with_setting`] re-scales one to the node. No node
 /// salt: two nodes of the same size running the same schedule under the
 /// same faults are byte-identical simulations, so dropping the salt lets
@@ -277,20 +287,12 @@ pub fn demand_estimate(kind: AppKind) -> u64 {
 fn sched_node_cfg(base: MachineConfig, phys_total: u64) -> MachineConfig {
     let mut cfg = base;
     cfg.node_salt = 0;
+    cfg.sample_period = None;
+    cfg.pressure_timeline = true;
     if cfg.phys_total != phys_total {
         cfg.phys_total = phys_total;
         cfg.monitor = None;
     }
-    cfg
-}
-
-/// A node's probe configuration: no trace and no profile, but the pressure
-/// summary at every monitor poll, so one simulation answers probes at
-/// every time.
-fn probe_cfg(mut cfg: MachineConfig) -> MachineConfig {
-    cfg.sample_period = None;
-    cfg.capture_trace = false;
-    cfg.pressure_timeline = true;
     cfg
 }
 
@@ -446,10 +448,10 @@ struct Fleet<'a> {
     /// The placement time the candidate index was last bulk-refreshed at
     /// (the index decays as simulated time passes — see [`Fleet::refresh`]).
     index_fresh_ms: Option<u64>,
-    /// Worker threads for pre-warming and final runs.
+    /// Worker threads for pre-warming node runs.
     workers: usize,
-    /// Probed node worlds to resume from, by the run-cache key of the
-    /// probe run of the schedule each holds.
+    /// Probed node worlds to resume from, by the run-cache key of the run
+    /// of the schedule each holds.
     checkpoints: Mutex<HashMap<u128, Checkpoint>>,
     /// Test seam: places every arrival on this node without admission
     /// control, so the rebalance tests can co-locate jobs.
@@ -531,14 +533,10 @@ impl<'a> Fleet<'a> {
         self.nodes[node].dead.is_none() && !self.nodes[node].quarantined
     }
 
-    /// The sub-scenario a node's assigned jobs form. Deliberately *not*
-    /// salted with the node index: the name is part of the run-cache key,
-    /// and nodes with identical schedules must share one entry.
-    fn node_scenario(&self, node: usize) -> Scenario {
-        self.scenario_of(&self.nodes[node].apps)
-    }
-
     /// The sub-scenario of `apps`, a prefix of some node's assignments.
+    /// Deliberately *not* salted with the node index: the name is part of
+    /// the run-cache key, and nodes with identical schedules must share one
+    /// entry.
     fn scenario_of(&self, apps: &[(usize, AppKind, SimDuration)]) -> Scenario {
         let classes = apps
             .iter()
@@ -552,29 +550,35 @@ impl<'a> Fleet<'a> {
         .with_classes(classes)
     }
 
-    fn node_cfg(&self, node: usize) -> MachineConfig {
-        sched_node_cfg(self.base_cfg, self.nodes[node].phys_total)
-    }
-
     /// Simulates node `node` over the full horizon (content-addressed
-    /// cache) and returns the outcome. `capture` keeps the node trace and
-    /// profile (the final full runs); probes instead run with
-    /// [`probe_cfg`]. A miss resumes the node's world from a checkpoint
-    /// ([`Fleet::resume`]) unless the run captures a trace or a profile,
-    /// which checkpoints do not hold.
-    fn simulate(&self, node: usize, capture: bool) -> Arc<ScenarioOutcome> {
-        let scenario = self.node_scenario(node);
+    /// cache) and returns the outcome. A miss resumes the node's world
+    /// ([`Fleet::world_at_latest_change`]) instead of simulating from
+    /// t = 0, and keeps a copy of it from before it runs on as this
+    /// schedule's checkpoint. The outcome equals the run from t = 0 byte
+    /// for byte (DESIGN.md §9), which test builds check on every miss.
+    fn simulate(&self, node: usize) -> Arc<ScenarioOutcome> {
+        let scenario = self.scenario_of(&self.nodes[node].apps);
         let setting = Setting::m3(scenario.len());
-        let cfg = self.node_cfg(node);
-        let cfg = if capture { cfg } else { probe_cfg(cfg) };
+        let cfg = sched_node_cfg(self.base_cfg, self.nodes[node].phys_total);
         let faults = &self.nodes[node].faults;
         let mut kept = None;
         let out = run_cached_with(&scenario, &setting, cfg, faults, |cfg| {
-            if cfg.capture_trace || cfg.sample_period.is_some() {
-                return run_scenario_with_faults(&scenario, &setting, cfg, faults);
-            }
-            let (out, world) = self.resume(node, &scenario, &setting, cfg);
-            kept = world;
+            let mut world = self.world_at_latest_change(node, &scenario, &setting, cfg);
+            // The checkpoint is a copy without the timeline, whose prefix
+            // the memoized outcome keeps; the world itself runs on.
+            let prefix = std::mem::take(&mut world.pressure_timeline);
+            kept = Some((world.clone(), prefix.len()));
+            world.pressure_timeline = prefix;
+            let out = outcome(&scenario, &setting, world.finish());
+            #[cfg(test)]
+            assert_eq!(
+                serde_json::to_string(&out).expect("serialize"),
+                serde_json::to_string(&crate::runner::run_scenario_with_faults(
+                    &scenario, &setting, cfg, faults
+                ))
+                .expect("serialize"),
+                "node {node}: a resumed run must equal the run from t = 0"
+            );
             out
         });
         if let Some((world, samples)) = kept {
@@ -592,51 +596,7 @@ impl<'a> Fleet<'a> {
         out
     }
 
-    /// Node `node`'s run under `cfg`, resumed instead of simulated from
-    /// t = 0. `cfg` is the node's probe configuration, or a final run's,
-    /// which differs from it only in recording no pressure timeline: such
-    /// a run resumes under the probe configuration and drops the timeline.
-    /// A probe also returns a copy of the world before it ran on, with its
-    /// timeline length, as its schedule's checkpoint; a final run keeps
-    /// none, since nothing runs after it. The outcome equals
-    /// [`run_scenario_with_faults`]'s byte for byte (DESIGN.md §9), which
-    /// test builds check on every resumed run.
-    fn resume(
-        &self,
-        node: usize,
-        scenario: &Scenario,
-        setting: &Setting,
-        cfg: MachineConfig,
-    ) -> (ScenarioOutcome, Option<(World, usize)>) {
-        let timeline = cfg.pressure_timeline;
-        let mut world = self.world_at_latest_change(node, scenario, setting, probe_cfg(cfg));
-        // The checkpoint is a copy without the timeline, whose prefix the
-        // memoized outcome keeps; the world itself runs on.
-        let kept = timeline.then(|| {
-            let prefix = std::mem::take(&mut world.pressure_timeline);
-            let checkpoint = world.clone();
-            world.pressure_timeline = prefix;
-            (checkpoint, world.pressure_timeline.len())
-        });
-        let mut run = world.finish();
-        if !timeline {
-            run.pressure_timeline = Vec::new();
-        }
-        let out = outcome(scenario, setting, run);
-        #[cfg(test)]
-        {
-            let faults = &self.nodes[node].faults;
-            let fresh = run_scenario_with_faults(scenario, setting, cfg, faults);
-            assert_eq!(
-                serde_json::to_string(&out).expect("serialize"),
-                serde_json::to_string(&fresh).expect("serialize"),
-                "node {node}: a resumed run must equal the run from t = 0"
-            );
-        }
-        (out, kept)
-    }
-
-    /// Node `node`'s world under `probe`, with its whole schedule pushed
+    /// Node `node`'s world under `cfg`, with its whole schedule pushed
     /// and stopped before its latest change instant. Every change to a
     /// node is due at the scheduler's current time, so the schedule is an
     /// earlier schedule plus the entries due at that instant: the world is
@@ -647,7 +607,7 @@ impl<'a> Fleet<'a> {
         node: usize,
         scenario: &Scenario,
         setting: &Setting,
-        probe: MachineConfig,
+        cfg: MachineConfig,
     ) -> World {
         let (apps, faults) = (&self.nodes[node].apps, &self.nodes[node].faults);
         let at = apps
@@ -667,7 +627,7 @@ impl<'a> Fleet<'a> {
         let key = run_key(
             &self.scenario_of(&apps[..k]),
             &Setting::m3(k),
-            probe,
+            cfg,
             &earlier_faults,
         );
         let checkpoint = (self.checkpoints.lock().expect("checkpoints poisoned"))
@@ -688,11 +648,31 @@ impl<'a> Fleet<'a> {
             }
             None => {
                 let schedule = scenario.apps.iter().enumerate().map(entry).collect();
-                World::new(probe, schedule, faults.clone(), &scenario.classes, None)
+                World::new(cfg, schedule, faults.clone(), &scenario.classes, None)
             }
         };
         world.advance_to(SimTime::ZERO + at);
         world
+    }
+
+    /// Pre-warms the probe simulations of the dirty nodes among `nodes` on
+    /// the worker pool. Sound under any worker count: each outcome is a
+    /// pure function of that node's own state, and callers read the warmed
+    /// caches serially in node order.
+    fn warm(&mut self, nodes: &[usize]) {
+        let dirty: Vec<usize> = nodes
+            .iter()
+            .copied()
+            .filter(|&n| !self.nodes[n].apps.is_empty() && self.nodes[n].probe.is_none())
+            .collect();
+        if self.workers > 1 && dirty.len() > 1 {
+            let this: &Fleet = self;
+            let outs =
+                crate::parallel::parallel_map(dirty.clone(), self.workers, |n| this.simulate(n));
+            for (&n, out) in dirty.iter().zip(outs) {
+                self.nodes[n].probe = Some(out);
+            }
+        }
     }
 
     /// The node's probe simulation, computed only if the node is dirty.
@@ -700,9 +680,27 @@ impl<'a> Fleet<'a> {
         if let Some(out) = &self.nodes[node].probe {
             return Arc::clone(out);
         }
-        let out = self.simulate(node, false);
+        let out = self.simulate(node);
         self.nodes[node].probe = Some(Arc::clone(&out));
         out
+    }
+
+    /// `(slot, job, kind)` of every job assigned to `node` and alive on it
+    /// at `t_ms`, by the node's probe simulation.
+    fn residents(&mut self, node: usize, t_ms: u64) -> Vec<(usize, usize, AppKind)> {
+        if self.nodes[node].apps.is_empty() {
+            return Vec::new();
+        }
+        let out = self.probe_outcome(node);
+        self.nodes[node]
+            .apps
+            .iter()
+            .enumerate()
+            .filter(|&(slot, &(job, _, _))| {
+                self.assignment[job] == Some((node, slot)) && out.run.apps[slot].alive_at(t_ms)
+            })
+            .map(|(slot, &(job, kind, _))| (slot, job, kind))
+            .collect()
     }
 
     /// Reads node `node`'s state at time `t` — the incremental-probe read.
@@ -1040,22 +1038,11 @@ impl<'a> Fleet<'a> {
         let mut best: Option<(usize, usize)> = None; // (victim count, node)
         let mut best_victims: Vec<(usize, usize, AppKind)> = Vec::new();
         for node in 0..self.nodes.len() {
-            if !self.available(node) || self.nodes[node].apps.is_empty() {
+            if !self.available(node) {
                 continue;
             }
-            let out = self.probe_outcome(node);
-            let mut evictable: Vec<(usize, usize, AppKind)> = self.nodes[node]
-                .apps
-                .iter()
-                .enumerate()
-                .filter(|&(slot, &(res, _, _))| {
-                    self.assignment[res] == Some((node, slot))
-                        && self.scenario.class_of(res).crit == Criticality::Batch
-                        && out.run.apps[slot].alive_at(t_ms)
-                })
-                .map(|(slot, &(res, kind, _))| (slot, res, kind))
-                .collect();
-            drop(out);
+            let mut evictable = self.residents(node, t_ms);
+            evictable.retain(|&(_, res, _)| self.scenario.class_of(res).crit == Criticality::Batch);
             if evictable.is_empty() {
                 continue;
             }
@@ -1081,12 +1068,10 @@ impl<'a> Fleet<'a> {
         let (_, node) = best?;
         let mut freed = 0u64;
         for &(slot, victim, kind) in &best_victims {
-            self.nodes[node].faults = std::mem::take(&mut self.nodes[node].faults)
-                .with_crash(t.saturating_since(SimTime::ZERO), slot);
+            self.crash(node, slot, t);
             self.assignment[victim] = None;
             self.reschedules[victim] += 1;
             freed = freed.saturating_add(demand_estimate(kind));
-            let retry_at = t_ms + self.backoff_ms(victim, self.reschedules[victim]);
             self.trace.record(
                 t,
                 victim as u64,
@@ -1098,26 +1083,8 @@ impl<'a> Fleet<'a> {
                     node: node as u64,
                 },
             );
-            self.trace.record(
-                t,
-                victim as u64,
-                TraceData::FleetReschedule {
-                    job: victim as u64,
-                    from: node as u64,
-                    retries: self.reschedules[victim] as u64,
-                    retry_at_ms: retry_at,
-                    requeued: true,
-                },
-            );
-            queue.insert(
-                (retry_at, CLASS_PLACE, victim as u64),
-                Event::Place {
-                    job: victim,
-                    attempt: 0,
-                },
-            );
+            self.requeue(victim, node, t, queue);
         }
-        self.nodes[node].probe = None;
         let est = self.nodes[node].index_effective.saturating_sub(freed);
         self.update_index(node, est);
         Some(node)
@@ -1295,24 +1262,7 @@ impl<'a> Fleet<'a> {
         // the rebalance cadence is exactly the health-check cadence their
         // re-admission streak builds on.
         due_nodes.retain(|&n| self.nodes[n].dead.is_none());
-        // Pre-warm the dirty nodes' probe simulations on the worker pool.
-        // Sound under any worker count: each outcome is a pure function of
-        // that node's own state, and everything below reads the warmed
-        // caches serially in node order.
-        let dirty: Vec<usize> = due_nodes
-            .iter()
-            .copied()
-            .filter(|&n| !self.nodes[n].apps.is_empty() && self.nodes[n].probe.is_none())
-            .collect();
-        if self.workers > 1 && dirty.len() > 1 {
-            let this: &Fleet = self;
-            let outs = crate::parallel::parallel_map(dirty.clone(), self.workers, |n| {
-                this.simulate(n, false)
-            });
-            for (&n, out) in dirty.iter().zip(outs) {
-                self.nodes[n].probe = Some(out);
-            }
-        }
+        self.warm(&due_nodes);
         let mut views: HashMap<usize, NodeView> = HashMap::new();
         for &node in &due_nodes {
             let v = self.probe(node, t);
@@ -1324,7 +1274,7 @@ impl<'a> Fleet<'a> {
             let Some(since) = self.nodes[node].red_since else {
                 continue;
             };
-            if t_ms.saturating_sub(since) < grace || self.nodes[node].apps.is_empty() {
+            if t_ms.saturating_sub(since) < grace {
                 continue;
             }
             let red_for = t_ms.saturating_sub(since);
@@ -1333,24 +1283,14 @@ impl<'a> Fleet<'a> {
             // Standard before LatencyCritical — and within a class the
             // lowest-priority (latest-arriving) one. Unclassified
             // scenarios collapse to the pure latest-arriving rule.
-            let out = self.probe_outcome(node);
-            let victim = self.nodes[node]
-                .apps
-                .iter()
-                .enumerate()
-                .filter(|&(slot, &(job, _, _))| {
-                    self.assignment[job] == Some((node, slot))
-                        && self.migrations[job] < MAX_MIGRATIONS
-                        && out.run.apps[slot].alive_at(t_ms)
-                })
-                .max_by_key(|&(_, &(job, _, _))| {
-                    (self.scenario.class_of(job).crit.expendability(), job)
-                })
-                .map(|(slot, &(job, kind, _))| (slot, job, kind));
+            let victim = self
+                .residents(node, t_ms)
+                .into_iter()
+                .filter(|&(_, job, _)| self.migrations[job] < MAX_MIGRATIONS)
+                .max_by_key(|&(_, job, _)| (self.scenario.class_of(job).crit.expendability(), job));
             let Some((slot, job, kind)) = victim else {
                 continue;
             };
-            drop(out);
             // Target: least-pressured feasible node other than the source,
             // found by the same bounded scan placement uses (views probed
             // this check are reused, not re-recorded).
@@ -1383,9 +1323,7 @@ impl<'a> Fleet<'a> {
             let Some(target) = self.pick(&candidates) else {
                 continue; // nowhere better to go: migrating would not help
             };
-            self.nodes[node].faults = std::mem::take(&mut self.nodes[node].faults)
-                .with_crash(t.saturating_since(SimTime::ZERO), slot);
-            self.nodes[node].probe = None;
+            self.crash(node, slot, t);
             let est = self.nodes[node].index_effective.saturating_sub(demand);
             self.update_index(node, est);
             self.migrations[job] += 1;
@@ -1401,6 +1339,38 @@ impl<'a> Fleet<'a> {
             );
             self.assign(job, kind, target, t);
         }
+    }
+
+    /// Crashes the job in `slot` of `node`'s app list at `t`, the
+    /// scheduler's current time, and clears the node's probe.
+    fn crash(&mut self, node: usize, slot: usize, t: SimTime) {
+        let faults = std::mem::take(&mut self.nodes[node].faults);
+        self.nodes[node].faults = faults.with_crash(t.saturating_since(SimTime::ZERO), slot);
+        self.nodes[node].probe = None;
+    }
+
+    /// Re-enters `job`, just lost from node `from`, into the arrival queue
+    /// after its node-loss backoff, with a fresh admission attempt count
+    /// (its defer budget is per placement attempt), and records the
+    /// `fleet.reschedule` event.
+    fn requeue(&mut self, job: usize, from: usize, t: SimTime, queue: &mut EventQueue) {
+        let retries = self.reschedules[job];
+        let retry_at = t.as_millis() + self.backoff_ms(job, retries);
+        self.trace.record(
+            t,
+            job as u64,
+            TraceData::FleetReschedule {
+                job: job as u64,
+                from: from as u64,
+                retries: retries as u64,
+                retry_at_ms: retry_at,
+                requeued: true,
+            },
+        );
+        queue.insert(
+            (retry_at, CLASS_PLACE, job as u64),
+            Event::Place { job, attempt: 0 },
+        );
     }
 
     /// The deterministic retry backoff for a job's `retries`-th node-loss
@@ -1429,18 +1399,7 @@ impl<'a> Fleet<'a> {
         let t_ms = t.as_millis();
         // Which residents are alive is read from the pre-crash probe
         // simulation — before the crash faults below invalidate it.
-        let mut lost: Vec<(usize, usize, AppKind)> = Vec::new();
-        if !self.nodes[node].apps.is_empty() {
-            let out = self.probe_outcome(node);
-            for (slot, &(job, kind, _)) in self.nodes[node].apps.iter().enumerate() {
-                if self.assignment[job] != Some((node, slot)) {
-                    continue;
-                }
-                if out.run.apps[slot].alive_at(t_ms) {
-                    lost.push((slot, job, kind));
-                }
-            }
-        }
+        let lost = self.residents(node, t_ms);
         self.nodes[node].dead = Some(t_ms);
         self.nodes[node].red_since = None;
         self.set_indexed(node, false);
@@ -1453,12 +1412,8 @@ impl<'a> Fleet<'a> {
                 jobs_lost: lost.len() as u64,
             },
         );
-        for &(slot, _, _) in &lost {
-            self.nodes[node].faults = std::mem::take(&mut self.nodes[node].faults)
-                .with_crash(t.saturating_since(SimTime::ZERO), slot);
-        }
-        self.nodes[node].probe = None;
-        for (_, job, kind) in lost {
+        for (slot, job, kind) in lost {
+            self.crash(node, slot, t);
             self.assignment[job] = None;
             self.degradation.jobs_lost += 1;
             self.reschedules[job] += 1;
@@ -1488,25 +1443,8 @@ impl<'a> Fleet<'a> {
                 );
                 continue;
             }
-            let retry_at = t_ms + self.backoff_ms(job, retries);
             self.degradation.jobs_rescheduled += 1;
-            self.trace.record(
-                t,
-                job as u64,
-                TraceData::FleetReschedule {
-                    job: job as u64,
-                    from: node as u64,
-                    retries: retries as u64,
-                    retry_at_ms: retry_at,
-                    requeued: true,
-                },
-            );
-            // The job re-enters the arrival queue with a fresh admission
-            // attempt count (its defer budget is per-placement-attempt).
-            queue.insert(
-                (retry_at, CLASS_PLACE, job as u64),
-                Event::Place { job, attempt: 0 },
-            );
+            self.requeue(job, node, t, queue);
         }
     }
 
@@ -1519,26 +1457,18 @@ impl<'a> Fleet<'a> {
     fn on_restart(&mut self, t: SimTime) {
         self.degradation.scheduler_restarts += 1;
         self.index.clear();
-        self.index_fresh_ms = None;
         for node in 0..self.nodes.len() {
             self.nodes[node].red_since = None;
-            self.nodes[node].indexed = false;
-        }
-        for node in 0..self.nodes.len() {
-            if !self.available(node) {
-                continue;
+            self.nodes[node].indexed = self.available(node);
+            if self.nodes[node].indexed {
+                self.index.insert((self.nodes[node].index_key, node as u32));
+                self.degradation.index_rebuild_nodes += 1;
             }
-            let effective = match self.endpoint(node, t) {
-                ProbeRead::Fresh(v) | ProbeRead::Stale(v) => v.effective(),
-                ProbeRead::Unreachable => u64::MAX,
-            };
-            let key = index_key(effective, self.nodes[node].top);
-            self.nodes[node].index_key = key;
-            self.nodes[node].index_effective = effective;
-            self.nodes[node].indexed = true;
-            self.index.insert((key, node as u32));
-            self.degradation.index_rebuild_nodes += 1;
         }
+        self.refresh(t, 0);
+        // The stamp dies with the old process too, so the next placement
+        // still sweeps, and counts that sweep's stale and failed reads.
+        self.index_fresh_ms = None;
     }
 
     /// Builds the event queue (arrivals + fault injections + rebalance
@@ -1623,8 +1553,11 @@ type EventQueue = BTreeMap<(u64, u8, u64), Event>;
 /// fault plan ([`FleetConfig::faults`]).
 ///
 /// Requires an M3 `setting` — placement reacts to monitor pressure. Each
-/// job is admitted onto one node, and the returned [`ClusterResult`] holds
-/// final-node runtimes measured from each job's *arrival*. Injected faults
+/// job is admitted onto one node, and [`FleetResult::jobs`] holds each
+/// job's outcome on its final node, its runtime measured from its
+/// *arrival*. Every node run takes `machine_cfg` at the node's size, with
+/// no profile; its node trace is captured and checked when `machine_cfg`
+/// captures one. Injected faults
 /// — node crashes, flapping probe endpoints, delayed placements, scheduler
 /// restarts — are accounted in [`FleetResult::degradation`], and
 /// [`FleetOracle`]'s recovery invariants run on every trace.
@@ -1639,8 +1572,7 @@ pub fn run_fleet(
 
 /// [`run_fleet`] with an explicit worker count. The result is bit-identical
 /// for every `workers` value (the worker-count proptest pins this down);
-/// the count only decides how many threads pre-warm node simulations and
-/// run the final full-length node runs.
+/// the count only decides how many threads pre-warm node simulations.
 pub fn run_fleet_with_workers(
     scenario: &Scenario,
     setting: &Setting,
@@ -1659,23 +1591,23 @@ pub fn run_fleet_with_workers(
     finish(state)
 }
 
-/// Folds a scheduled fleet into its result. Each non-empty node makes one
-/// final full-length run, per-job outcomes come from those runs, and the
-/// fleet oracle checks the placement log.
+/// Folds a scheduled fleet into its result. Each non-empty node's final
+/// run is the probe of its final schedule, per-job outcomes come from
+/// those runs, and the fleet oracle checks the placement log.
 fn finish(mut state: Fleet) -> FleetResult {
     let (scenario, fleet) = (state.scenario, state.fleet);
     let njobs = scenario.len();
 
-    // Final full-length run per non-empty node, in parallel via the node
-    // cache; then fold per-job outcomes out of each job's final node.
-    let finals: Vec<Option<Arc<ScenarioOutcome>>> =
-        crate::parallel::parallel_map((0..state.nodes.len()).collect(), state.workers, |node| {
-            (!state.nodes[node].apps.is_empty()).then(|| state.simulate(node, true))
-        });
+    // Warm the nodes whose final schedule no probe has read yet, then fold
+    // per-job outcomes out of each job's final node.
+    let nodes: Vec<usize> = (0..state.nodes.len()).collect();
+    state.warm(&nodes);
+    let finals: Vec<Option<Arc<ScenarioOutcome>>> = nodes
+        .into_iter()
+        .map(|node| (!state.nodes[node].apps.is_empty()).then(|| state.probe_outcome(node)))
+        .collect();
 
     let mut jobs = Vec::with_capacity(njobs);
-    let mut app_runtimes_s = Vec::with_capacity(njobs);
-    let mut failures = Vec::with_capacity(njobs);
     for job in 0..njobs {
         let arrival = SimTime::ZERO + scenario.apps[job].1;
         let class = scenario.class_of(job);
@@ -1734,17 +1666,7 @@ fn finish(mut state: Fleet) -> FleetResult {
             stall_ms,
             slo_met,
         });
-        app_runtimes_s.push(runtime_s);
-        failures.push(failure);
     }
-    // No per-node runtime matrix in scheduler mode: it is O(jobs × nodes)
-    // and the per-job outcomes above carry the same information.
-    let cluster = ClusterResult {
-        app_runtimes_s,
-        per_node_s: Vec::new(),
-        spread_s: Vec::new(),
-        failures,
-    };
 
     let mut violations = FleetOracle::new(fleet.grace.as_millis())
         .with_defer_interval(fleet.defer_interval.as_millis())
@@ -1753,7 +1675,6 @@ fn finish(mut state: Fleet) -> FleetResult {
         violations.extend(out.run.violations.iter().cloned());
     }
     FleetResult {
-        cluster,
         jobs,
         trace: state.trace,
         violations,
@@ -1868,7 +1789,7 @@ mod tests {
         let nodes: Vec<Option<usize>> = res.jobs.iter().map(|j| j.node).collect();
         assert_eq!(nodes, vec![Some(0), Some(1), Some(2)]);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
-        assert!(res.cluster.mean_runtime_secs().all_completed());
+        assert!(res.class_mean().all_completed());
     }
 
     #[test]
@@ -1897,8 +1818,8 @@ mod tests {
         let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
         assert_eq!(res.jobs[1].failure, Some(JobFailure::GaveUp));
         assert_eq!(res.jobs[1].node, None);
-        assert_eq!(res.cluster.app_runtimes_s[1], None);
-        let mean = res.cluster.mean_runtime_secs();
+        assert_eq!(res.jobs[1].runtime_s, None);
+        let mean = res.class_mean();
         assert_eq!(mean.completed_apps, 1);
         assert_eq!(mean.failed_apps, 1);
         assert_eq!(mean.gave_up_apps, 1, "the failure reason is typed");
@@ -2298,7 +2219,7 @@ mod tests {
         assert_eq!(res.degradation.jobs_rescheduled, 0);
         assert_eq!(res.jobs[0].node, None);
         assert_eq!(res.jobs[0].failure, Some(JobFailure::NodeLost));
-        let mean = res.cluster.mean_runtime_secs();
+        let mean = res.class_mean();
         assert_eq!(mean.node_lost_apps, 1);
         assert!(res.trace.events().iter().any(|e| matches!(
             e.data,

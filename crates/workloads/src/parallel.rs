@@ -346,6 +346,7 @@ mod tests {
     use m3_sim::clock::SimDuration;
     use m3_sim::trace::Criticality;
     use m3_sim::units::GIB;
+    use proptest::prelude::*;
     use serde::Serialize;
 
     #[test]
@@ -606,5 +607,46 @@ mod tests {
         assert!(delta.hits >= 1);
         assert!(delta.misses >= 1);
         assert!(delta.hit_rate() > 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A local cache (no other test shares its counters) against a
+        /// model of first-stored values, under random lookups. A lookup
+        /// with `reenter` set looks its own key up again inside its compute
+        /// and stores first: the race of two computes of one key, where the
+        /// first store wins. Every lookup returns the model's value, every
+        /// hit the very `Arc` the key's first lookup returned, and the
+        /// counters count each hit and miss.
+        #[test]
+        fn memo_cache_keeps_the_first_stored_value(
+            ops in proptest::collection::vec((0u8..8, any::<u64>(), proptest::bool::ANY), 1..64),
+        ) {
+            let cache: MemoCache<u64> = MemoCache::new();
+            let mut model: HashMap<u8, Arc<u64>> = HashMap::new();
+            let mut want = CacheStats::default();
+            for (key, value, reenter) in ops {
+                let got = cache.get_or_compute(&key, || {
+                    if reenter {
+                        cache.get_or_compute(&key, || value ^ 1);
+                    }
+                    value
+                });
+                match model.get(&key) {
+                    Some(first) => {
+                        want.hits += 1;
+                        prop_assert!(Arc::ptr_eq(&got, first), "key {}", key);
+                    }
+                    None => {
+                        want.misses += if reenter { 2 } else { 1 };
+                        let stored = if reenter { value ^ 1 } else { value };
+                        prop_assert_eq!(*got, stored);
+                        model.insert(key, got);
+                    }
+                }
+                prop_assert_eq!(cache.stats(), want);
+            }
+        }
     }
 }

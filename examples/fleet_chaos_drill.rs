@@ -49,9 +49,10 @@ fn main() {
     println!("\n{:<6} {:>10} {:>10}", "job", "clean (s)", "chaos (s)");
     for i in 0..scenario.len() {
         let cell = |r: &FleetResult| {
-            r.cluster.app_runtimes_s[i]
+            r.jobs[i]
+                .runtime_s
                 .map(|s| format!("{s:.0}"))
-                .unwrap_or_else(|| format!("{:?}", r.cluster.failures[i].unwrap()))
+                .unwrap_or_else(|| format!("{:?}", r.jobs[i].failure.unwrap()))
         };
         println!("{:<6} {:>10} {:>10}", i, cell(&clean), cell(&chaos));
     }

@@ -45,7 +45,7 @@ fn main() {
         );
     }
 
-    let mean = res.cluster.mean_runtime_secs();
+    let mean = res.class_mean();
     println!(
         "\nmean runtime {} over {} completed app(s), {} failed",
         mean.mean_secs.map_or("-".into(), |s| format!("{s:.0} s")),

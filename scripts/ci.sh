@@ -59,6 +59,8 @@ for fig in $payloads; do
         M3_CACHE_TRACE_BUDGET_S=60 M3_MIXED_CRIT_BUDGET_S=60 \
         cargo bench -p m3-bench --bench "$fig"
 done
+# A differing payload prints its differing key paths (at most 20), with the
+# committed and the fresh value of each.
 # shellcheck disable=SC2086 # one argument per payload name
 python3 - $payloads <<'PY'
 import json, sys
@@ -70,6 +72,17 @@ def strip(v):
         return [strip(x) for x in v]
     return v
 
+def paths(a, b, at="$"):
+    """Yields (path, committed, fresh) for every leaf where a and b differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(a.keys() | b.keys()):
+            yield from paths(a.get(k, "<absent>"), b.get(k, "<absent>"), f"{at}.{k}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from paths(x, y, f"{at}[{i}]")
+    elif a != b:
+        yield at, a, b
+
 differ = []
 for fig in sys.argv[1:]:
     committed, fresh = (
@@ -78,6 +91,12 @@ for fig in sys.argv[1:]:
     )
     if committed != fresh:
         differ.append(fig)
+        print(f"BENCH_{fig}.json differs:", file=sys.stderr)
+        for i, (at, a, b) in enumerate(paths(committed, fresh)):
+            if i == 20:
+                print("  ...", file=sys.stderr)
+                break
+            print(f"  {at}: committed {json.dumps(a)}, fresh {json.dumps(b)}", file=sys.stderr)
 if differ:
     sys.exit(f"payloads differ from results/ outside their wall clocks: {differ}")
 PY
