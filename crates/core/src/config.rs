@@ -10,12 +10,37 @@ use crate::selection::SortOrder;
 /// world loop polls the monitor and enforces container limits on this grid.
 pub const POLL_PERIOD: SimDuration = SimDuration::from_secs(1);
 
-/// All tunables of the M3 monitor.
+/// Sliding window length, in polls, over which the threshold algorithm
+/// computes its above/below ratios (§5.2).
+pub const WINDOW: usize = 32;
+
+/// Target ratio of time above : below the high threshold (resp. the top),
+/// as the "above" share: 1:32 (§5.2).
+pub const RATIO_TARGET: f64 = 1.0 / 32.0;
+
+/// How long the system may stay above top, with everyone signalled, before
+/// the monitor starts killing processes (§6).
+pub const KILL_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// Reclamation watchdog: a participant high-signalled this many consecutive
+/// polls with zero reclaimed bytes is escalated — re-signalled with bounded
+/// backoff and deprioritized into the kill ordering.
+pub const WATCHDOG_POLLS: u32 = 5;
+
+/// Upper bound, in polls, of the watchdog's exponential re-signal backoff
+/// for escalated participants.
+pub const WATCHDOG_BACKOFF_MAX: u32 = 8;
+
+/// The settable parameters of the M3 monitor.
 ///
 /// The defaults mirror the paper's evaluation machine (§6): top of memory at
-/// 62 GB of 64 GB, thresholds initialised to 50/55 GB, both ratio targets
-/// 1:32 over a 32-poll sliding window and 2 % adjustment steps. The monitor
-/// polls every [`POLL_PERIOD`].
+/// 62 GB of 64 GB, thresholds initialised to 50/55 GB and 2 % adjustment
+/// steps. What the paper fixes once is a constant, not a field: the monitor
+/// polls every [`POLL_PERIOD`], both ratio targets are [`RATIO_TARGET`]
+/// (1:32) over a [`WINDOW`]-poll sliding window, it kills after
+/// [`KILL_TIMEOUT`] above top, and its watchdog escalates after
+/// [`WATCHDOG_POLLS`] silent polls with backoff capped at
+/// [`WATCHDOG_BACKOFF_MAX`].
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct MonitorConfig {
     /// Top of memory: the acceptable application memory ceiling, at or just
@@ -26,32 +51,16 @@ pub struct MonitorConfig {
     pub initial_low: u64,
     /// Initial high threshold.
     pub initial_high: u64,
-    /// Sliding window length, in polls, over which the above/below ratios
-    /// are computed.
-    pub window: usize,
-    /// Target ratio of time above : below the high threshold (resp. the
-    /// top), expressed as the "above" share, e.g. `1.0 / 32.0`.
-    pub ratio_target: f64,
     /// Threshold adjustment step as a fraction of `top`.
     pub step_fraction: f64,
     /// Algorithm 1 sort order (the paper's evaluation uses newest-first).
     pub sort_order: SortOrder,
-    /// How long the system may stay above top (with everyone signalled)
-    /// before the monitor starts killing processes.
-    pub kill_timeout: SimDuration,
     /// If false, thresholds stay at their initial values (paper Fig. 10's
     /// "static thresholds" baseline).
     pub adaptive: bool,
     /// Ablation switch: if true, the red zone signals *every* registered
     /// process instead of running Algorithm 1's selective notification.
     pub signal_all: bool,
-    /// Reclamation watchdog: a participant high-signalled this many
-    /// consecutive polls with zero reclaimed bytes is escalated — re-signalled
-    /// with bounded backoff and deprioritized into the kill ordering.
-    pub watchdog_polls: u32,
-    /// Upper bound, in polls, of the watchdog's exponential re-signal
-    /// backoff for escalated participants.
-    pub watchdog_backoff_max: u32,
 }
 
 impl MonitorConfig {
@@ -72,15 +81,10 @@ impl MonitorConfig {
             top: phys_total / 32 * 31,
             initial_low: phys_total / 32 * 25,
             initial_high: phys_total / 32 * 27,
-            window: 32,
-            ratio_target: 1.0 / 32.0,
             step_fraction: 0.02,
             sort_order: SortOrder::NewestFirst,
-            kill_timeout: SimDuration::from_secs(30),
             adaptive: true,
             signal_all: false,
-            watchdog_polls: 5,
-            watchdog_backoff_max: 8,
         }
     }
 
@@ -93,24 +97,14 @@ impl MonitorConfig {
     ///
     /// # Panics
     ///
-    /// Panics if thresholds are not ordered `low <= high <= top` or the
-    /// window/ratio are degenerate. Call once at construction sites.
+    /// Panics if thresholds are not ordered `low <= high <= top`. Call once
+    /// at construction sites.
     pub fn validate(&self) {
         assert!(
             self.initial_low <= self.initial_high,
             "low must not exceed high"
         );
         assert!(self.initial_high <= self.top, "high must not exceed top");
-        assert!(self.window > 0, "window must be non-empty");
-        assert!(
-            self.ratio_target > 0.0 && self.ratio_target < 1.0,
-            "ratio target must be in (0, 1)"
-        );
-        assert!(self.watchdog_polls > 0, "watchdog needs at least one poll");
-        assert!(
-            self.watchdog_backoff_max >= 1,
-            "backoff cap must allow re-signalling"
-        );
     }
 }
 
@@ -124,9 +118,10 @@ mod tests {
         assert_eq!(c.top, 62 * GIB);
         assert_eq!(c.initial_low, 50 * GIB);
         assert_eq!(c.initial_high, 55 * GIB);
-        assert_eq!(c.window, 32);
-        assert!((c.ratio_target - 1.0 / 32.0).abs() < 1e-12);
+        assert_eq!(WINDOW, 32);
+        assert!((RATIO_TARGET - 1.0 / 32.0).abs() < 1e-12);
         assert_eq!(POLL_PERIOD, SimDuration::from_secs(1));
+        assert_eq!(KILL_TIMEOUT, SimDuration::from_secs(30));
         assert!((c.step_fraction - 0.02).abs() < 1e-12);
         assert_eq!(c.sort_order, SortOrder::NewestFirst);
         assert!(c.adaptive);

@@ -29,7 +29,8 @@
 //!   `allow_rate = min(elapsed / (epoch_len × NUM_epochs), 100 %)` (§4.2).
 //! - [`layer`] — the participant trait applications implement, plus the
 //!   signal/outcome vocabulary shared with the monitor.
-//! - [`config`] — every tunable with the paper's §6 defaults.
+//! - [`config`] — the monitor's settable parameters with the paper's §6
+//!   defaults, and the constants the paper fixes once.
 //! - [`scheduler`] — the work-packet reclamation scheduler: handlers are
 //!   decomposed into typed packets in ordered Prepare → Collect → Release
 //!   buckets with explicit dependencies, drained deterministically.
@@ -45,7 +46,10 @@ pub mod selection;
 pub mod thresholds;
 
 pub use alloc::{AdaptiveAllocator, GateSnapshot, RateCurve};
-pub use config::{MonitorConfig, POLL_PERIOD};
+pub use config::{
+    MonitorConfig, KILL_TIMEOUT, POLL_PERIOD, RATIO_TARGET, WATCHDOG_BACKOFF_MAX, WATCHDOG_POLLS,
+    WINDOW,
+};
 pub use layer::{M3Participant, SignalOutcome, ThresholdSignal};
 pub use monitor::{Monitor, PollReport, PressureSummary, Zone, MONITOR_PID};
 pub use registry::{PidFile, Registry};

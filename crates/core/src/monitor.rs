@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::config::MonitorConfig;
+use crate::config::{MonitorConfig, KILL_TIMEOUT, WATCHDOG_BACKOFF_MAX, WATCHDOG_POLLS};
 use crate::reclaim::ReclaimTracker;
 use crate::selection::{select_processes, sort_candidates, Candidate};
 use crate::thresholds::AdaptiveThresholds;
@@ -86,7 +86,7 @@ pub struct MonitorStats {
     /// Polls that observed usage above the top of memory.
     pub polls_above_top: u64,
     /// Participants escalated by the reclamation watchdog (high-signalled
-    /// `watchdog_polls` consecutive polls with zero reclaim).
+    /// [`WATCHDOG_POLLS`] consecutive polls with zero reclaim).
     pub watchdog_escalations: u64,
     /// Backed-off re-signals sent to already-escalated participants.
     pub watchdog_resignals: u64,
@@ -426,7 +426,7 @@ impl Monitor {
                 });
                 report.high_signalled = self.send_high_watchdogged(os, all);
                 let since = *self.above_top_since.get_or_insert(now);
-                if now.saturating_since(since) >= self.cfg.kill_timeout {
+                if now.saturating_since(since) >= KILL_TIMEOUT {
                     report.killed = self.kill_down_to_top(os, used);
                     self.above_top_since = None;
                 }
@@ -452,13 +452,12 @@ impl Monitor {
     /// Sends the high signal through the reclamation watchdog.
     ///
     /// Every signalled participant earns a strike; `note_reclamation` with
-    /// positive bytes clears them. At `watchdog_polls` consecutive strikes
+    /// positive bytes clears them. At [`WATCHDOG_POLLS`] consecutive strikes
     /// the participant is escalated: further signals are spaced by an
-    /// exponential backoff capped at `watchdog_backoff_max` polls (there is
+    /// exponential backoff capped at [`WATCHDOG_BACKOFF_MAX`] polls (there is
     /// no point hammering a non-responder every second), and the kill
     /// ordering prefers it. Returns the pids actually signalled.
     fn send_high_watchdogged(&mut self, os: &mut Kernel, targets: Vec<Pid>) -> Vec<Pid> {
-        let (k, backoff_max) = (self.cfg.watchdog_polls, self.cfg.watchdog_backoff_max);
         let mut sent = Vec::new();
         for pid in targets {
             let e = self.watchdog.entry(pid).or_default();
@@ -468,7 +467,7 @@ impl Monitor {
                     os.record_trace(pid, TraceData::WatchdogSkip);
                     continue;
                 }
-                e.backoff = e.backoff.saturating_mul(2).clamp(1, backoff_max);
+                e.backoff = e.backoff.saturating_mul(2).clamp(1, WATCHDOG_BACKOFF_MAX);
                 e.cooldown = e.backoff;
                 self.stats.watchdog_resignals += 1;
                 os.record_trace(
@@ -479,7 +478,7 @@ impl Monitor {
                 );
             } else {
                 e.strikes += 1;
-                if e.strikes >= k {
+                if e.strikes >= WATCHDOG_POLLS {
                     e.escalated = true;
                     e.backoff = 1;
                     e.cooldown = 0;
@@ -547,7 +546,6 @@ impl Monitor {
 mod tests {
     use super::*;
     use m3_os::KernelConfig;
-    use m3_sim::clock::SimDuration;
     use m3_sim::units::GIB;
 
     fn setup() -> (Kernel, Monitor) {
@@ -602,8 +600,7 @@ mod tests {
         let p = os.spawn("hoarder");
         mon.register(p);
         os.grow(p, 58 * GIB).unwrap(); // red: high-signalled, never reclaims
-        let polls = mon.config().watchdog_polls + 1;
-        for i in 0..polls as u64 {
+        for i in 0..=u64::from(WATCHDOG_POLLS) {
             mon.poll(&mut os, t(i));
         }
         assert!(mon.stats.watchdog_escalations > 0);
@@ -696,7 +693,7 @@ mod tests {
         assert_eq!(r.high_signalled, vec![a, b]);
         assert!(r.killed.is_empty(), "grace period first");
         // Still above top after the kill timeout: newest-first kills b.
-        let r2 = mon.poll(&mut os, t(10 + 30));
+        let r2 = mon.poll(&mut os, t(10) + KILL_TIMEOUT);
         assert_eq!(r2.killed, vec![b]);
         assert!(!os.is_alive(b));
         assert!(os.is_alive(a));
@@ -794,44 +791,49 @@ mod tests {
     #[test]
     fn watchdog_escalates_after_k_silent_polls_and_backs_off() {
         let (mut os, _) = setup();
+        // Static thresholds keep 56 GiB red for the whole run (adaptive
+        // ones would raise the high threshold past it once the window
+        // fills).
         let mut cfg = MonitorConfig::paper_64gb();
-        cfg.watchdog_polls = 3;
-        cfg.watchdog_backoff_max = 4;
+        cfg.adaptive = false;
         let mut mon = Monitor::new(cfg);
         let a = os.spawn("a");
         mon.register(a);
         os.grow(a, 56 * GIB).unwrap(); // red zone, a is always selected
-        for i in 0..3 {
+        let k = u64::from(WATCHDOG_POLLS);
+        for i in 0..k {
             let r = mon.poll(&mut os, t(i));
             assert_eq!(r.high_signalled, vec![a], "strike {i} still signals");
             os.take_signals(a);
         }
-        assert!(mon.is_deprioritized(a), "3 silent polls escalate");
+        assert!(mon.is_deprioritized(a), "k silent polls escalate");
         assert_eq!(mon.stats.watchdog_escalations, 1);
-        // Escalated: the next poll re-signals (backoff 1), then cooldowns
-        // space the re-signals out.
-        let signalled: Vec<bool> = (3..10)
-            .map(|i| !mon.poll(&mut os, t(i)).high_signalled.is_empty())
+        // Escalated: the next poll re-signals, then cooldowns space the
+        // re-signals out, doubling up to the cap.
+        let signalled: Vec<u64> = (k..k + 64)
+            .filter(|&i| !mon.poll(&mut os, t(i)).high_signalled.is_empty())
             .collect();
-        assert!(signalled[0], "first backed-off re-signal");
-        assert!(
-            signalled.iter().filter(|&&s| s).count() < signalled.len(),
-            "backoff must skip polls"
+        assert_eq!(signalled[0], k, "first backed-off re-signal");
+        let skipped: Vec<u64> = signalled.windows(2).map(|w| w[1] - w[0] - 1).collect();
+        assert!(skipped[0] > 0, "backoff must skip polls");
+        assert!(skipped.windows(2).all(|w| w[0] <= w[1]), "{skipped:?}");
+        assert_eq!(
+            skipped.last().copied(),
+            Some(u64::from(WATCHDOG_BACKOFF_MAX)),
+            "the backoff stops growing at its cap"
         );
         assert!(mon.stats.watchdog_resignals >= 1);
     }
 
     #[test]
     fn reclamation_forgives_the_watchdog() {
-        let (mut os, _) = setup();
-        let mut cfg = MonitorConfig::paper_64gb();
-        cfg.watchdog_polls = 2;
-        let mut mon = Monitor::new(cfg);
+        let (mut os, mut mon) = setup();
         let a = os.spawn("a");
         mon.register(a);
         os.grow(a, 56 * GIB).unwrap();
-        mon.poll(&mut os, t(0));
-        mon.poll(&mut os, t(1));
+        for i in 0..u64::from(WATCHDOG_POLLS) {
+            mon.poll(&mut os, t(i));
+        }
         assert!(mon.is_deprioritized(a));
         mon.note_reclamation(a, GIB);
         assert!(!mon.is_deprioritized(a), "cooperation de-escalates");
@@ -839,10 +841,7 @@ mod tests {
 
     #[test]
     fn escalated_participant_dies_first_despite_sort_order() {
-        let (mut os, _) = setup();
-        let mut cfg = MonitorConfig::paper_64gb();
-        cfg.watchdog_polls = 2;
-        let mut mon = Monitor::new(cfg);
+        let (mut os, mut mon) = setup();
         os.set_time(t(0));
         let uncoop = os.spawn("uncooperative");
         os.set_time(t(100));
@@ -853,14 +852,19 @@ mod tests {
         os.grow(coop, 30 * GIB).unwrap(); // 63 GiB > top (62)
 
         // Above top: both signalled; only `coop` ever reclaims.
-        mon.poll(&mut os, t(101));
-        mon.note_reclamation(coop, GIB / 2);
-        assert!(!mon.is_deprioritized(uncoop), "one strike is not enough");
-        // Second silent poll escalates `uncoop` (coop's record was cleared
-        // by its reclamation) and the kill timeout fires in the same poll.
-        // NewestFirst alone would kill `coop` (newest); the watchdog must
-        // redirect the escalation to the non-cooperator.
-        let r = mon.poll(&mut os, t(101 + 30));
+        for i in 0..u64::from(WATCHDOG_POLLS) - 1 {
+            mon.poll(&mut os, t(101 + i));
+            mon.note_reclamation(coop, GIB / 2);
+        }
+        assert!(
+            !mon.is_deprioritized(uncoop),
+            "k - 1 strikes are not enough"
+        );
+        // The next silent poll escalates `uncoop` (coop's record was
+        // cleared by its reclamation) and the kill timeout fires in the
+        // same poll. NewestFirst alone would kill `coop` (newest); the
+        // watchdog must redirect the escalation to the non-cooperator.
+        let r = mon.poll(&mut os, t(101) + KILL_TIMEOUT);
         assert!(mon.stats.watchdog_escalations >= 1);
         assert_eq!(r.killed, vec![uncoop]);
         assert!(os.is_alive(coop));
@@ -881,7 +885,7 @@ mod tests {
         mon.poll(&mut os, t(101));
         // Newest-first posture alone would kill `critical` (spawned last);
         // criticality must redirect the kill onto the batch job.
-        let r = mon.poll(&mut os, t(101 + 30));
+        let r = mon.poll(&mut os, t(101) + KILL_TIMEOUT);
         assert_eq!(r.killed, vec![batch]);
         assert!(os.is_alive(critical));
     }
@@ -901,16 +905,13 @@ mod tests {
         os.grow(older, 31 * GIB).unwrap();
         os.grow(newer, 32 * GIB).unwrap();
         mon.poll(&mut os, t(101));
-        let r = mon.poll(&mut os, t(101 + 30));
+        let r = mon.poll(&mut os, t(101) + KILL_TIMEOUT);
         assert_eq!(r.killed, vec![newer], "one class kills the newest");
     }
 
     #[test]
     fn escalation_never_jumps_a_class_boundary() {
-        let (mut os, _) = setup();
-        let mut cfg = MonitorConfig::paper_64gb();
-        cfg.watchdog_polls = 2;
-        let mut mon = Monitor::new(cfg);
+        let (mut os, mut mon) = setup();
         os.set_time(t(0));
         let uncoop = os.spawn("uncooperative-critical");
         os.set_time(t(100));
@@ -919,9 +920,11 @@ mod tests {
         mon.register_with_class(batch, Criticality::Batch);
         os.grow(uncoop, 33 * GIB).unwrap();
         os.grow(batch, 30 * GIB).unwrap(); // 63 GiB > top (62)
-        mon.poll(&mut os, t(101));
-        mon.note_reclamation(batch, GIB / 2);
-        let r = mon.poll(&mut os, t(101 + 30));
+        for i in 0..u64::from(WATCHDOG_POLLS) - 1 {
+            mon.poll(&mut os, t(101 + i));
+            mon.note_reclamation(batch, GIB / 2);
+        }
+        let r = mon.poll(&mut os, t(101) + KILL_TIMEOUT);
         assert!(mon.is_deprioritized(uncoop));
         // Even escalated, a latency-critical job outlives batch residents.
         assert_eq!(r.killed, vec![batch]);
@@ -942,16 +945,15 @@ mod tests {
     }
 
     #[test]
-    fn kill_timeout_honours_config() {
-        let (mut os, _) = setup();
-        let mut cfg = MonitorConfig::paper_64gb();
-        cfg.kill_timeout = SimDuration::from_secs(5);
-        let mut mon = Monitor::new(cfg);
+    fn kill_waits_out_the_kill_timeout() {
+        let (mut os, mut mon) = setup();
         let a = os.spawn("a");
         mon.register(a);
         os.grow(a, 63 * GIB).unwrap();
         mon.poll(&mut os, t(0));
-        assert!(mon.poll(&mut os, t(4)).killed.is_empty());
-        assert_eq!(mon.poll(&mut os, t(5)).killed, vec![a]);
+        let timeout = t(0) + KILL_TIMEOUT;
+        let just_before = SimTime::from_millis(timeout.as_millis() - 1);
+        assert!(mon.poll(&mut os, just_before).killed.is_empty());
+        assert_eq!(mon.poll(&mut os, timeout).killed, vec![a]);
     }
 }

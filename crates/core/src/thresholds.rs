@@ -20,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-use crate::config::MonitorConfig;
+use crate::config::{MonitorConfig, RATIO_TARGET, WINDOW};
 
 /// One poll's classification, as remembered by the sliding window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,8 +48,6 @@ pub struct AdaptiveThresholds {
     high: u64,
     top: u64,
     step: u64,
-    ratio_target: f64,
-    window: usize,
     adaptive: bool,
     records: VecDeque<PollRecord>,
     /// Records in the window with `above_high` set.
@@ -67,10 +65,8 @@ impl AdaptiveThresholds {
             high: cfg.initial_high,
             top: cfg.top,
             step: cfg.step(),
-            ratio_target: cfg.ratio_target,
-            window: cfg.window,
             adaptive: cfg.adaptive,
-            records: VecDeque::with_capacity(cfg.window),
+            records: VecDeque::with_capacity(WINDOW),
             above_high: 0,
             above_top: 0,
         }
@@ -110,7 +106,7 @@ impl AdaptiveThresholds {
     pub fn observe(&mut self, used: u64) -> ThresholdUpdate {
         // Keep the flagged-record counts in step with the window, so each
         // fraction below is O(1).
-        if self.records.len() == self.window {
+        if self.records.len() == WINDOW {
             let old = self.records.pop_front().expect("window is full");
             self.above_high -= usize::from(old.above_high);
             self.above_top -= usize::from(old.above_top);
@@ -122,17 +118,17 @@ impl AdaptiveThresholds {
         self.above_high += usize::from(record.above_high);
         self.above_top += usize::from(record.above_top);
         self.records.push_back(record);
-        if !self.adaptive || self.records.len() < self.window {
+        if !self.adaptive || self.records.len() < WINDOW {
             return ThresholdUpdate::default();
         }
         let (low0, high0) = (self.low, self.high);
 
         // Low threshold: temper how often the high threshold is reached.
         let red = self.red_fraction();
-        if red > self.ratio_target && used > self.high {
+        if red > RATIO_TARGET && used > self.high {
             // Reached high too often and pressure persists: warn earlier.
             self.low = self.low.saturating_sub(self.step);
-        } else if red < self.ratio_target && used >= self.low {
+        } else if red < RATIO_TARGET && used >= self.low {
             // High rarely reached and the low threshold is actually in play:
             // relax it to avoid unnecessary signals.
             self.low = (self.low + self.step).min(self.high);
@@ -143,11 +139,11 @@ impl AdaptiveThresholds {
         // zone, so the raise guard is "usage at least at the low threshold"
         // (in green nothing adjusts: memory is simply not in demand).
         let over_top = self.above_top_fraction();
-        if over_top > self.ratio_target && used > self.top {
+        if over_top > RATIO_TARGET && used > self.top {
             // Operating above top too often: signal sooner. (This does not
             // change how much is reclaimed, only when reclamation starts.)
             self.high = self.high.saturating_sub(self.step).max(self.low);
-        } else if over_top < self.ratio_target && used >= self.low {
+        } else if over_top < RATIO_TARGET && used >= self.low {
             // Never reaching top: utilization headroom exists, raise high —
             // but keep one step of red band below top, so Algorithm 1's
             // selective notification still has room to act before the
@@ -163,10 +159,10 @@ impl AdaptiveThresholds {
     }
 
     /// Debug invariant: the running counts equal a recount of the window,
-    /// which never outgrows its configured length.
+    /// which never outgrows [`WINDOW`].
     #[cfg(test)]
     fn check_invariants(&self) {
-        assert!(self.records.len() <= self.window);
+        assert!(self.records.len() <= WINDOW);
         let high = self.records.iter().filter(|r| r.above_high).count();
         let top = self.records.iter().filter(|r| r.above_top).count();
         assert_eq!(self.above_high, high, "above-high count drifted");
@@ -188,8 +184,6 @@ mod tests {
         high: u64,
         top: u64,
         step: u64,
-        ratio_target: f64,
-        window: usize,
         adaptive: bool,
         records: VecDeque<PollRecord>,
     }
@@ -201,8 +195,6 @@ mod tests {
                 high: cfg.initial_high,
                 top: cfg.top,
                 step: cfg.step(),
-                ratio_target: cfg.ratio_target,
-                window: cfg.window,
                 adaptive: cfg.adaptive,
                 records: VecDeque::new(),
             }
@@ -216,27 +208,27 @@ mod tests {
         }
 
         fn observe(&mut self, used: u64) -> ThresholdUpdate {
-            if self.records.len() == self.window {
+            if self.records.len() == WINDOW {
                 self.records.pop_front();
             }
             self.records.push_back(PollRecord {
                 above_high: used > self.high,
                 above_top: used > self.top,
             });
-            if !self.adaptive || self.records.len() < self.window {
+            if !self.adaptive || self.records.len() < WINDOW {
                 return ThresholdUpdate::default();
             }
             let (low0, high0) = (self.low, self.high);
             let red = self.fraction(|r| r.above_high);
-            if red > self.ratio_target && used > self.high {
+            if red > RATIO_TARGET && used > self.high {
                 self.low = self.low.saturating_sub(self.step);
-            } else if red < self.ratio_target && used >= self.low {
+            } else if red < RATIO_TARGET && used >= self.low {
                 self.low = (self.low + self.step).min(self.high);
             }
             let over_top = self.fraction(|r| r.above_top);
-            if over_top > self.ratio_target && used > self.top {
+            if over_top > RATIO_TARGET && used > self.top {
                 self.high = self.high.saturating_sub(self.step).max(self.low);
-            } else if over_top < self.ratio_target && used >= self.low {
+            } else if over_top < RATIO_TARGET && used >= self.low {
                 self.high = (self.high + self.step).min(self.top.saturating_sub(self.step));
             }
             ThresholdUpdate {
@@ -252,13 +244,9 @@ mod tests {
         #[test]
         fn counted_window_matches_a_recount(
             usage in proptest::collection::vec(0u64..72, 1..400),
-            window in 1usize..40,
-            ratio_den in 2u64..40,
             adaptive in proptest::bool::ANY,
         ) {
             let mut c = cfg();
-            c.window = window;
-            c.ratio_target = 1.0 / ratio_den as f64;
             c.adaptive = adaptive;
             let mut counted = AdaptiveThresholds::new(&c);
             let mut recount = RecountThresholds::new(&c);
@@ -283,7 +271,7 @@ mod tests {
     }
 
     fn fill_window(t: &mut AdaptiveThresholds, used: u64) {
-        for _ in 0..32 {
+        for _ in 0..WINDOW {
             t.observe(used);
         }
     }
@@ -435,14 +423,6 @@ mod tests {
         // A green-zone poll moves nothing and reports nothing.
         let red_gone: Vec<ThresholdUpdate> = (0..32).map(|_| t.observe(GIB)).collect();
         assert_eq!(*red_gone.last().unwrap(), ThresholdUpdate::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be non-empty")]
-    fn zero_width_window_fails_construction() {
-        let mut c = cfg();
-        c.window = 0;
-        AdaptiveThresholds::new(&c);
     }
 
     #[test]

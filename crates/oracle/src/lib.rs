@@ -59,7 +59,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use m3_core::alloc::RateCurve;
-use m3_core::config::MonitorConfig;
+use m3_core::config::{MonitorConfig, KILL_TIMEOUT};
 use m3_core::monitor::{DEGRADED_MARGIN_FRACTION, MAX_DEGRADED_WIDENING};
 use m3_core::selection::{select_processes, Candidate, SortOrder};
 use m3_core::thresholds::AdaptiveThresholds;
@@ -123,9 +123,9 @@ impl Oracle {
 /// - **`fleet.defer.progress`** — every deferred job is eventually placed
 ///   or explicitly given up on; no job is silently dropped.
 /// - **`fleet.defer.latency`** — a deferred job's next admission attempt
-///   happens no later than the retry time the defer announced, and (when
-///   the oracle knows the scheduler's defer interval) the announced retry
-///   is no further out than that interval.
+///   happens no later than the retry time the defer announced, and the
+///   announced retry is no further out than the scheduler's defer
+///   interval.
 /// - **`fleet.giveup.starvation`** — a job is never given up on while some
 ///   node's latest snapshot is green/yellow with room for the job's demand
 ///   (`max(used, reserved) + demand <= top`): bounded placement scans must
@@ -159,10 +159,9 @@ impl Oracle {
 pub struct FleetOracle {
     /// Grace window a node must stay red before migration is allowed, ms.
     pub grace_ms: u64,
-    /// The scheduler's defer interval, ms, when known: bounds how far out
-    /// a defer may announce its retry. `None` skips that half of the
-    /// latency check (independent replays of a bare trace).
-    pub defer_interval_ms: Option<u64>,
+    /// The scheduler's defer interval, ms: bounds how far out a defer may
+    /// announce its retry.
+    pub defer_interval_ms: u64,
 }
 
 /// A node's latest pressure snapshot as the fleet oracle replays it.
@@ -175,19 +174,13 @@ struct NodeSnap {
 }
 
 impl FleetOracle {
-    /// An oracle for a scheduler configured with the given grace window.
-    pub fn new(grace_ms: u64) -> Self {
+    /// An oracle for a scheduler with the given grace window and defer
+    /// interval.
+    pub fn new(grace_ms: u64, defer_interval_ms: u64) -> Self {
         FleetOracle {
             grace_ms,
-            defer_interval_ms: None,
+            defer_interval_ms,
         }
-    }
-
-    /// Also checks announced retry times against the scheduler's
-    /// configured defer interval.
-    pub fn with_defer_interval(mut self, defer_interval_ms: u64) -> Self {
-        self.defer_interval_ms = Some(defer_interval_ms);
-        self
     }
 
     /// `fleet.defer.latency`: resolving event for `job` at `at` ms against
@@ -322,18 +315,17 @@ impl FleetOracle {
                     // A retry that itself defers resolves the previous
                     // pending defer (and must itself be on time).
                     Self::check_defer_latency(&mut out, pending_defer.remove(job), *job, at, e.pid);
-                    if let Some(interval) = self.defer_interval_ms {
-                        if retry_at_ms.saturating_sub(at) > interval {
-                            out.push(Violation {
-                                invariant: "fleet.defer.latency".into(),
-                                at_ms: at,
-                                pid: e.pid,
-                                message: format!(
-                                    "job {job} deferred at {at} ms announced retry at \
-                                     {retry_at_ms} ms, beyond the {interval} ms defer interval"
-                                ),
-                            });
-                        }
+                    let interval = self.defer_interval_ms;
+                    if retry_at_ms.saturating_sub(at) > interval {
+                        out.push(Violation {
+                            invariant: "fleet.defer.latency".into(),
+                            at_ms: at,
+                            pid: e.pid,
+                            message: format!(
+                                "job {job} deferred at {at} ms announced retry at \
+                                 {retry_at_ms} ms, beyond the {interval} ms defer interval"
+                            ),
+                        });
                     }
                     pending_defer.insert(*job, (at, *retry_at_ms));
                 }
@@ -1408,8 +1400,8 @@ impl<'a> Checker<'a> {
         if zone == TraceZone::AboveTop {
             let since = *self.above_top_since.get_or_insert(ms);
             if !killed.is_empty() {
-                if let Some(cfg) = &self.oracle.monitor {
-                    let grace = cfg.kill_timeout.as_millis();
+                if self.oracle.monitor.is_some() {
+                    let grace = KILL_TIMEOUT.as_millis();
                     if ms.saturating_sub(since) < grace {
                         self.flag(
                             "kill.grace",
@@ -2685,9 +2677,12 @@ mod tests {
     // ---- FleetOracle --------------------------------------------------
 
     const GRACE_MS: u64 = 10_000;
+    /// A defer interval no test defer below reaches, except the one that
+    /// checks it.
+    const DEFER_INTERVAL_MS: u64 = 120_000;
 
     fn fleet_oracle() -> FleetOracle {
-        FleetOracle::new(GRACE_MS)
+        FleetOracle::new(GRACE_MS, DEFER_INTERVAL_MS)
     }
 
     fn pressure(node: u64, zone: TraceZone) -> TraceData {
@@ -2982,7 +2977,7 @@ mod tests {
         );
         log.record(t(5), 0, pressure(0, TraceZone::Green));
         log.record(t(5), 0, place(0, 0));
-        let v = fleet_oracle().with_defer_interval(3_000).check(&log);
+        let v = FleetOracle::new(GRACE_MS, 3_000).check(&log);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].invariant, "fleet.defer.latency");
         assert!(v[0].message.contains("defer interval"));

@@ -8,8 +8,8 @@
 //!   ([`SimRng`]) so every experiment is reproducible bit-for-bit.
 //! - [`queue`]: a stable-order future-event queue ([`EventQueue`]) used for
 //!   delayed application starts, monitor polls and timeouts.
-//! - [`metrics`]: time series and marks that capture the memory profiles
-//!   the paper's figures plot.
+//! - [`metrics`]: time series that capture the memory profiles the
+//!   paper's figures plot.
 //! - [`trace`]: a structured event log (signals sent, GCs performed,
 //!   evictions, ...) used by tests and the experiment harness.
 //! - [`tagged_enum!`]: declares an enum and its `"kind"`-tagged wire

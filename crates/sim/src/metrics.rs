@@ -1,8 +1,9 @@
 //! Time series and memory profiles.
 //!
-//! The paper's figures are memory profiles: physical memory per process,
-//! thresholds, and signal marks, sampled over time. [`TimeSeries`] captures
-//! exactly that.
+//! The paper's figures are memory profiles: physical memory per process
+//! and thresholds, sampled over time. [`TimeSeries`] captures exactly that.
+//! The signal arrows the figures overlay are the run trace's `signal.*`
+//! and `monitor.kill` events.
 
 use std::fmt::Write as _;
 
@@ -110,22 +111,11 @@ impl TimeSeries {
     }
 }
 
-/// A mark on a memory profile, e.g. "high-threshold signal sent at t".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Mark {
-    /// When the event happened.
-    pub t: SimTime,
-    /// Event kind label (e.g. `"low-signal"`).
-    pub kind: String,
-}
-
-/// A bundle of series and marks constituting one figure panel.
+/// A bundle of series constituting one figure panel.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Profile {
     /// All series, keyed by insertion order.
     pub series: Vec<TimeSeries>,
-    /// Point events overlaid on the series (signal arrows in the paper).
-    pub marks: Vec<Mark>,
 }
 
 impl Profile {
@@ -157,14 +147,6 @@ impl Profile {
     /// Looks up a series by name.
     pub fn series(&self, name: &str) -> Option<&TimeSeries> {
         self.series.iter().find(|s| s.name == name)
-    }
-
-    /// Records a point event.
-    pub fn mark(&mut self, t: SimTime, kind: impl Into<String>) {
-        self.marks.push(Mark {
-            t,
-            kind: kind.into(),
-        });
     }
 
     /// Draws the profile as an ASCII strip chart, so a figure's shape is
@@ -215,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_series_and_marks() {
+    fn profile_series_by_name() {
         let mut p = Profile::new();
         p.series_mut("a").push(SimTime::ZERO, 1.0);
         p.series_mut("a").push(SimTime::from_secs(1), 2.0);
@@ -223,11 +205,6 @@ mod tests {
         assert_eq!(p.series.len(), 2);
         assert_eq!(p.series("a").unwrap().len(), 2);
         assert!(p.series("missing").is_none());
-        p.mark(SimTime::from_secs(1), "low-signal");
-        p.mark(SimTime::from_secs(2), "low-signal");
-        p.mark(SimTime::from_secs(3), "high-signal");
-        let kinds: Vec<&str> = p.marks.iter().map(|m| m.kind.as_str()).collect();
-        assert_eq!(kinds, ["low-signal", "low-signal", "high-signal"]);
     }
 
     #[test]

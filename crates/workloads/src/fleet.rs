@@ -9,6 +9,14 @@
 //! *migrated* off a node whose monitor stays in the red zone beyond a grace
 //! window (the direction MURS/SARA argue service stacks must go).
 //!
+//! The scheduler's timing and health policy is fixed, as the paper fixes
+//! its monitor's: a [`GRACE`] window of 60 s, a [`DEFER_INTERVAL`] of
+//! 120 s, rebalance checks every 60 s, three node-loss requeues with a
+//! 30-s backoff base, a 120-s stale window for flapping endpoints, and
+//! quarantine after two failed reads, lifted after three healthy ones.
+//! [`FleetConfig`] holds only what callers vary: the nodes, the fault
+//! plan, the defer budget and the number of rebalance checks.
+//!
 //! # Scaling model (DESIGN.md §13)
 //!
 //! The scheduler targets O(10k) nodes and O(100k) jobs on one machine, so
@@ -49,8 +57,9 @@
 //! - **Batched pressure refresh.** Each rebalance check refreshes
 //!   `REFRESH_SHARDS` (1) range of `SHARD_SIZE` (64) nodes round-robin
 //!   rather than the whole fleet, and pre-warms the dirty nodes'
-//!   simulations on the worker pool ([`crate::parallel::parallel_map`])
-//!   before reading them serially in node order.
+//!   simulations on the worker pool ([`crate::parallel::parallel_map`]),
+//!   one node per distinct run, before reading them serially in node
+//!   order.
 //!
 //! # Determinism
 //!
@@ -76,7 +85,7 @@
 //! its previous checkpoint.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use m3_core::config::MonitorConfig;
@@ -114,6 +123,9 @@ impl NodeSpec {
 }
 
 /// Fleet scheduler configuration. Part of the fleet-level memoization key.
+///
+/// The scheduler's timing and health policy is fixed, not configured:
+/// [`GRACE`], [`DEFER_INTERVAL`] and the private constants beside them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// The worker nodes (heterogeneous sizes allowed).
@@ -122,31 +134,11 @@ pub struct FleetConfig {
     /// endpoints, delayed placements, scheduler restarts. The plan indexes
     /// [`FleetConfig::nodes`]; empty for a clean run.
     pub faults: FleetFaultPlan,
-    /// How long a node must stay red before the rebalancer may migrate a
-    /// job off it.
-    pub grace: SimDuration,
-    /// How long a deferred job waits before retrying admission.
-    pub defer_interval: SimDuration,
     /// Admission retries before the scheduler gives up on a job.
     pub max_defers: u32,
-    /// Cadence of the red-zone rebalance checks.
-    pub rebalance_period: SimDuration,
-    /// Number of rebalance checks scheduled (bounds the event horizon).
+    /// Number of rebalance checks scheduled, one every 60 s (bounds the
+    /// event horizon).
     pub rebalance_checks: u32,
-    /// Times a job lost to node death may re-enter the arrival queue
-    /// before the scheduler abandons it as orphaned.
-    pub retry_budget: u32,
-    /// Base delay of the node-loss retry backoff; retry `k` waits
-    /// `base * 2^(k-1)` plus deterministic jitter in `[0, base)`.
-    pub backoff_base: SimDuration,
-    /// How old a flapping endpoint's stale summary may be before the
-    /// scheduler refuses it and forces an authoritative re-read.
-    pub stale_window: SimDuration,
-    /// Consecutive forced re-reads before a flapping node is quarantined.
-    pub quarantine_after: u32,
-    /// Consecutive healthy probes a quarantined node must answer before
-    /// it is re-admitted as a placement target.
-    pub quarantine_healthy: u32,
 }
 
 impl FleetConfig {
@@ -155,16 +147,8 @@ impl FleetConfig {
         FleetConfig {
             nodes: vec![NodeSpec { phys_total }; n],
             faults: FleetFaultPlan::none(),
-            grace: SimDuration::from_secs(60),
-            defer_interval: SimDuration::from_secs(120),
             max_defers: 30,
-            rebalance_period: SimDuration::from_secs(60),
             rebalance_checks: 40,
-            retry_budget: 3,
-            backoff_base: SimDuration::from_secs(30),
-            stale_window: SimDuration::from_secs(120),
-            quarantine_after: 2,
-            quarantine_healthy: 3,
         }
     }
 
@@ -174,6 +158,28 @@ impl FleetConfig {
     }
 }
 
+/// How long a node must stay red before the rebalancer may migrate a job
+/// off it. A replay of a fleet trace builds its [`FleetOracle`] from this
+/// and [`DEFER_INTERVAL`].
+pub const GRACE: SimDuration = SimDuration::from_secs(60);
+/// How long a deferred job waits before retrying admission.
+pub const DEFER_INTERVAL: SimDuration = SimDuration::from_secs(120);
+/// Cadence of the red-zone rebalance checks.
+const REBALANCE_PERIOD: SimDuration = SimDuration::from_secs(60);
+/// Times a job lost to node death may re-enter the arrival queue before
+/// the scheduler abandons it as orphaned.
+const RETRY_BUDGET: u32 = 3;
+/// Base delay of the node-loss retry backoff; retry `k` waits
+/// `base * 2^(k-1)` plus deterministic jitter in `[0, base)`.
+const BACKOFF_BASE: SimDuration = SimDuration::from_secs(30);
+/// How old a flapping endpoint's stale summary may be before the scheduler
+/// refuses it and forces an authoritative re-read.
+const STALE_WINDOW: SimDuration = SimDuration::from_secs(120);
+/// Consecutive forced re-reads before a flapping node is quarantined.
+const QUARANTINE_AFTER: u32 = 2;
+/// Consecutive healthy probes a quarantined node must answer before it is
+/// re-admitted as a placement target.
+const QUARANTINE_HEALTHY: u32 = 3;
 /// Migrations allowed per job (a migration restarts the job).
 const MAX_MIGRATIONS: u32 = 1;
 /// Nodes per rebalance range: each rebalance check refreshes
@@ -362,8 +368,6 @@ struct NodeState {
     /// Advisory effective-load estimate backing the candidate index; healed to
     /// the authoritative value on every probe.
     index_effective: u64,
-    /// The node's current key in the candidate index.
-    index_key: u64,
     /// When the node died, ms since the epoch (`None` = alive).
     dead: Option<u64>,
     /// True while the node is quarantined for flapping probes: deindexed
@@ -373,9 +377,15 @@ struct NodeState {
     fail_streak: u32,
     /// Consecutive healthy probes while quarantined.
     healthy_streak: u32,
-    /// Whether the node currently sits in the candidate index
-    /// (dead and quarantined nodes do not).
-    indexed: bool,
+}
+
+impl NodeState {
+    /// The node's candidate-index key: its estimated load over its top in
+    /// 2^20 fixed point. Advisory ordering only — admission never reads it.
+    fn index_key(&self) -> u64 {
+        ((self.index_effective as u128 * (1u128 << 20)) / self.top.max(1) as u128)
+            .min(u64::MAX as u128) as u64
+    }
 }
 
 /// One node's state as seen by a scheduling decision at some instant.
@@ -406,17 +416,10 @@ enum ProbeRead {
     /// The endpoint is healthy: the view is authoritative at `t`.
     Fresh(NodeView),
     /// The endpoint is flapping but its stale summary (captured at flap
-    /// start) is inside [`FleetConfig::stale_window`] — tolerated.
+    /// start) is inside [`STALE_WINDOW`] — tolerated.
     Stale(NodeView),
     /// The endpoint is flapping and its summary is too old to act on.
     Unreachable,
-}
-
-/// The candidate-index key for a node at estimated load `effective`: the
-/// `effective / top` ratio in 2^20 fixed point. Advisory ordering only —
-/// admission never reads it.
-fn index_key(effective: u64, top: u64) -> u64 {
-    ((effective as u128 * (1u128 << 20)) / top.max(1) as u128).min(u64::MAX as u128) as u64
 }
 
 struct Fleet<'a> {
@@ -438,9 +441,9 @@ struct Fleet<'a> {
     flaps: HashMap<usize, Vec<ProbeFlap>>,
     /// Running cost of the injected faults.
     degradation: FleetDegradationReport,
-    /// The candidate index: `(index_key, node)` for every indexed node,
-    /// ascending = least estimated pressure first, ties to the lower node
-    /// index.
+    /// The candidate index: `(index_key, node)` for every available node
+    /// (alive and not quarantined), ascending = least estimated pressure
+    /// first, ties to the lower node index.
     index: BTreeSet<(u64, u32)>,
     /// Precomputed idle summary per distinct node size: what a probe of a
     /// node with nothing assigned answers, without ever simulating.
@@ -494,12 +497,10 @@ impl<'a> Fleet<'a> {
                 probe: None,
                 top: summary.top,
                 index_effective: 0,
-                index_key: 0,
                 dead: None,
                 quarantined: false,
                 fail_streak: 0,
                 healthy_streak: 0,
-                indexed: true,
             });
         }
         let index = (0..nodes.len() as u32).map(|n| (0u64, n)).collect();
@@ -548,6 +549,14 @@ impl<'a> Fleet<'a> {
             classes: Vec::new(),
         }
         .with_classes(classes)
+    }
+
+    /// The run-cache key of node `node`'s run of its current schedule.
+    fn run_key_of(&self, node: usize) -> u128 {
+        let scenario = self.scenario_of(&self.nodes[node].apps);
+        let setting = Setting::m3(scenario.len());
+        let cfg = sched_node_cfg(self.base_cfg, self.nodes[node].phys_total);
+        run_key(&scenario, &setting, cfg, &self.nodes[node].faults)
     }
 
     /// Simulates node `node` over the full horizon (content-addressed
@@ -658,14 +667,22 @@ impl<'a> Fleet<'a> {
     /// Pre-warms the probe simulations of the dirty nodes among `nodes` on
     /// the worker pool. Sound under any worker count: each outcome is a
     /// pure function of that node's own state, and callers read the warmed
-    /// caches serially in node order.
+    /// caches serially in node order. Only the first dirty node of each
+    /// distinct run is warmed; its twins read that run from the run cache
+    /// when they are probed, so no two workers simulate one run and the
+    /// run cache counts what it counts at one worker.
     fn warm(&mut self, nodes: &[usize]) {
+        if self.workers <= 1 {
+            return;
+        }
+        let mut runs = HashSet::new();
         let dirty: Vec<usize> = nodes
             .iter()
             .copied()
             .filter(|&n| !self.nodes[n].apps.is_empty() && self.nodes[n].probe.is_none())
+            .filter(|&n| runs.insert(self.run_key_of(n)))
             .collect();
-        if self.workers > 1 && dirty.len() > 1 {
+        if dirty.len() > 1 {
             let this: &Fleet = self;
             let outs =
                 crate::parallel::parallel_map(dirty.clone(), self.workers, |n| this.simulate(n));
@@ -752,7 +769,7 @@ impl<'a> Fleet<'a> {
     /// Reads node `node`'s probe endpoint at time `t`. Outside a flap
     /// window this is the authoritative view; inside one, the endpoint
     /// serves the summary it captured when the flap started — accepted
-    /// while younger than [`FleetConfig::stale_window`], refused after.
+    /// while younger than [`STALE_WINDOW`], refused after.
     /// Every stale acceptance and every refusal is counted in the
     /// degradation report.
     fn endpoint(&mut self, node: usize, t: SimTime) -> ProbeRead {
@@ -760,7 +777,7 @@ impl<'a> Fleet<'a> {
             None => ProbeRead::Fresh(self.view(node, t)),
             Some(f) => {
                 let age = t.as_millis().saturating_sub(f.start.as_millis());
-                if age <= self.fleet.stale_window.as_millis() {
+                if age <= STALE_WINDOW.as_millis() {
                     self.degradation.stale_probe_decisions += 1;
                     let frozen = SimTime::from_millis(f.start.as_millis());
                     ProbeRead::Stale(self.view(node, frozen))
@@ -784,7 +801,7 @@ impl<'a> Fleet<'a> {
             }
             self.nodes[node].healthy_streak += 1;
             let streak = self.nodes[node].healthy_streak;
-            if streak < self.fleet.quarantine_healthy.max(1) {
+            if streak < QUARANTINE_HEALTHY {
                 return;
             }
             self.nodes[node].quarantined = false;
@@ -805,7 +822,7 @@ impl<'a> Fleet<'a> {
             self.nodes[node].healthy_streak = 0;
             self.nodes[node].fail_streak += 1;
             let streak = self.nodes[node].fail_streak;
-            if self.nodes[node].quarantined || streak < self.fleet.quarantine_after.max(1) {
+            if self.nodes[node].quarantined || streak < QUARANTINE_AFTER {
                 return;
             }
             self.nodes[node].quarantined = true;
@@ -867,62 +884,39 @@ impl<'a> Fleet<'a> {
         view
     }
 
-    /// Moves `node` to its new position in the candidate index.
-    /// Deindexed nodes (dead or quarantined) keep their key current without
-    /// ever re-entering the index — only [`Fleet::set_indexed`] re-admits.
+    /// Sets `node`'s load estimate and moves it to its new key in the
+    /// candidate index. Unavailable nodes (dead or quarantined) keep their
+    /// estimate current without re-entering the index — only
+    /// [`Fleet::set_indexed`] re-admits.
     fn update_index(&mut self, node: usize, effective: u64) {
-        let key = index_key(effective, self.nodes[node].top);
-        let old = self.nodes[node].index_key;
-        if key != old {
-            if self.nodes[node].indexed {
-                self.index.remove(&(old, node as u32));
-                self.index.insert((key, node as u32));
-            }
-            self.nodes[node].index_key = key;
-        }
+        let old = self.nodes[node].index_key();
         self.nodes[node].index_effective = effective;
+        let key = self.nodes[node].index_key();
+        if key != old && self.available(node) {
+            self.index.remove(&(old, node as u32));
+            self.index.insert((key, node as u32));
+        }
     }
 
-    /// Inserts or removes `node` from the candidate index.
+    /// Inserts `node` into the candidate index, or removes it.
     fn set_indexed(&mut self, node: usize, on: bool) {
-        if self.nodes[node].indexed == on {
-            return;
-        }
-        let entry = (self.nodes[node].index_key, node as u32);
+        let entry = (self.nodes[node].index_key(), node as u32);
         if on {
             self.index.insert(entry);
         } else {
             self.index.remove(&entry);
         }
-        self.nodes[node].indexed = on;
     }
 
-    /// Asserts the candidate index's invariants: it holds exactly
-    /// `(index_key, node)` for the indexed nodes, a node is indexed exactly
-    /// when it is alive and not quarantined, and each node's key is the key
-    /// of its current load estimate.
+    /// Asserts the candidate index's invariant: it holds exactly
+    /// `(index_key, node)` for the available nodes.
     #[cfg(test)]
     fn check_index(&self) {
-        let want: BTreeSet<(u64, u32)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| st.indexed)
-            .map(|(n, st)| (st.index_key, n as u32))
+        let want: BTreeSet<(u64, u32)> = (0..self.nodes.len())
+            .filter(|&n| self.available(n))
+            .map(|n| (self.nodes[n].index_key(), n as u32))
             .collect();
         assert_eq!(self.index, want, "the index disagrees with its nodes");
-        for (n, st) in self.nodes.iter().enumerate() {
-            assert_eq!(
-                st.indexed,
-                st.dead.is_none() && !st.quarantined,
-                "node {n}: indexed must mean alive and not quarantined"
-            );
-            assert_eq!(
-                st.index_key,
-                index_key(st.index_effective, st.top),
-                "node {n}: stale index key"
-            );
-        }
     }
 
     /// The bounded placement scan order: the least-estimated
@@ -1223,8 +1217,7 @@ impl<'a> Fleet<'a> {
                 );
             }
             None => {
-                let retry =
-                    SimTime::from_millis(t.as_millis() + self.fleet.defer_interval.as_millis());
+                let retry = SimTime::from_millis(t.as_millis() + DEFER_INTERVAL.as_millis());
                 self.trace.record(
                     t,
                     job as u64,
@@ -1268,7 +1261,7 @@ impl<'a> Fleet<'a> {
             let v = self.probe(node, t);
             views.insert(node, v);
         }
-        let grace = self.fleet.grace.as_millis();
+        let grace = GRACE.as_millis();
         let t_ms = t.as_millis();
         for &node in &due_nodes {
             let Some(since) = self.nodes[node].red_since else {
@@ -1379,7 +1372,7 @@ impl<'a> Fleet<'a> {
     /// `(BACKOFF_SEED, job, retries)`, so replays are byte-identical and
     /// co-lost jobs do not thunder back in lockstep.
     fn backoff_ms(&self, job: usize, retries: u32) -> u64 {
-        let base = self.fleet.backoff_base.as_millis().max(1);
+        let base = BACKOFF_BASE.as_millis();
         let exp = base.saturating_mul(1 << (retries.saturating_sub(1)).min(5));
         let seed = BACKOFF_SEED
             ^ (job as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -1418,7 +1411,7 @@ impl<'a> Fleet<'a> {
             self.degradation.jobs_lost += 1;
             self.reschedules[job] += 1;
             let retries = self.reschedules[job];
-            if retries > self.fleet.retry_budget {
+            if retries > RETRY_BUDGET {
                 self.orphaned[job] = true;
                 self.degradation.jobs_orphaned += 1;
                 self.trace.record(
@@ -1459,9 +1452,8 @@ impl<'a> Fleet<'a> {
         self.index.clear();
         for node in 0..self.nodes.len() {
             self.nodes[node].red_since = None;
-            self.nodes[node].indexed = self.available(node);
-            if self.nodes[node].indexed {
-                self.index.insert((self.nodes[node].index_key, node as u32));
+            if self.available(node) {
+                self.set_indexed(node, true);
                 self.degradation.index_rebuild_nodes += 1;
             }
         }
@@ -1525,7 +1517,7 @@ impl<'a> Fleet<'a> {
         for k in 1..=self.fleet.rebalance_checks {
             queue.insert(
                 (
-                    self.fleet.rebalance_period.as_millis() * k as u64,
+                    REBALANCE_PERIOD.as_millis() * k as u64,
                     CLASS_REBALANCE,
                     k as u64,
                 ),
@@ -1595,7 +1587,7 @@ pub fn run_fleet_with_workers(
 /// run is the probe of its final schedule, per-job outcomes come from
 /// those runs, and the fleet oracle checks the placement log.
 fn finish(mut state: Fleet) -> FleetResult {
-    let (scenario, fleet) = (state.scenario, state.fleet);
+    let scenario = state.scenario;
     let njobs = scenario.len();
 
     // Warm the nodes whose final schedule no probe has read yet, then fold
@@ -1668,9 +1660,8 @@ fn finish(mut state: Fleet) -> FleetResult {
         });
     }
 
-    let mut violations = FleetOracle::new(fleet.grace.as_millis())
-        .with_defer_interval(fleet.defer_interval.as_millis())
-        .check(&state.trace);
+    let mut violations =
+        FleetOracle::new(GRACE.as_millis(), DEFER_INTERVAL.as_millis()).check(&state.trace);
     for out in finals.iter().flatten() {
         violations.extend(out.run.violations.iter().cloned());
     }
@@ -1729,30 +1720,32 @@ mod tests {
         f
     }
 
-    /// Runs `scenario` with every arrival placed on `node`, admission
-    /// control skipped (the [`Fleet::pin`] seam).
-    fn run_pinned(scenario: &Scenario, fleet: &FleetConfig, node: usize) -> FleetResult {
-        let mut state = Fleet::new(scenario, quick_cfg(), fleet, 1);
-        state.pin = Some(node);
-        state.run_events();
-        finish(state)
+    /// The node config of the rebalance tests: the paper's monitor with
+    /// static thresholds. Adaptive ones chase a co-located pair's usage
+    /// and leave the red zone within seconds, well inside [`GRACE`].
+    fn static_cfg() -> MachineConfig {
+        let mut cfg = quick_cfg();
+        cfg.monitor = Some(MonitorConfig {
+            adaptive: false,
+            ..MonitorConfig::paper_64gb()
+        });
+        cfg
     }
 
-    /// The two-node fleet on which the rebalance tests pin both jobs to
-    /// node 0: an eager grace window and frequent checks.
-    fn eager_rebalance_fleet() -> FleetConfig {
-        let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
-        fleet.grace = SimDuration::ZERO;
-        fleet.rebalance_period = SimDuration::from_secs(1);
-        fleet.rebalance_checks = 150;
-        fleet
+    /// `scenario` scheduled on the rebalance tests' two nodes under
+    /// [`static_cfg`], every arrival placed on node 0 with admission
+    /// control skipped (the [`Fleet::pin`] seam). Returns the fleet after
+    /// its last event.
+    fn pinned<'a>(scenario: &'a Scenario, fleet: &'a FleetConfig) -> Fleet<'a> {
+        let mut state = Fleet::new(scenario, static_cfg(), fleet, 1);
+        state.pin = Some(0);
+        state.run_events();
+        state
     }
 
     /// The cluster oracle's verdict on `trace`, as `run_fleet` checks it.
-    fn fleet_violations(fleet: &FleetConfig, trace: &TraceLog) -> Vec<Violation> {
-        FleetOracle::new(fleet.grace.as_millis())
-            .with_defer_interval(fleet.defer_interval.as_millis())
-            .check(trace)
+    fn fleet_violations(trace: &TraceLog) -> Vec<Violation> {
+        FleetOracle::new(GRACE.as_millis(), DEFER_INTERVAL.as_millis()).check(trace)
     }
 
     /// `trace` with only the events `keep` maps to `Some`.
@@ -1920,7 +1913,7 @@ mod tests {
         let setting = Setting::m3(1);
         let a = run_fleet_cached(&scenario, &setting, cfg, &small_fleet());
         let mut other = small_fleet();
-        other.defer_interval = SimDuration::from_secs(99);
+        other.max_defers += 1;
         let b = run_fleet_cached(&scenario, &setting, cfg, &other);
         assert!(
             !Arc::ptr_eq(&a, &b),
@@ -1953,7 +1946,7 @@ mod tests {
         let stripped = rewritten(&res.trace, |d| {
             (!matches!(d, TraceData::FleetPressure { .. })).then(|| d.clone())
         });
-        let violations = fleet_violations(&fleet, &stripped);
+        let violations = fleet_violations(&stripped);
         let flagged = violations
             .iter()
             .filter(|v| v.invariant == "fleet.place.red")
@@ -1966,28 +1959,25 @@ mod tests {
 
     #[test]
     fn red_node_triggers_migration_onto_the_idle_one() {
-        // Pinning co-locates both n-weight jobs on node 0, which
-        // pushes it into the red zone; with an eager grace window the
-        // rebalancer must migrate the newest job to the idle node. (The
-        // adaptive thresholds chase usage within seconds, so red streaks
-        // are transient — a zero grace window is what makes the check
-        // deterministic; grace *enforcement* is covered by the oracle's
-        // unit tests.)
+        // Pinning co-locates both n-weight jobs on node 0, which pushes it
+        // into the red zone. Under static thresholds it stays red past the
+        // grace window, and the rebalancer must migrate the newest job to
+        // the idle node.
         let scenario = Scenario::uniform("WW", 60);
-        let res = run_pinned(&scenario, &eager_rebalance_fleet(), 0);
+        let fleet = FleetConfig::homogeneous(2, 64 * GIB);
+        let res = finish(pinned(&scenario, &fleet));
         assert_eq!(res.jobs[1].migrations, 1, "newest job is the victim");
         assert_eq!(res.jobs[1].node, Some(1), "it restarts on the idle node");
         assert_eq!(res.jobs[0].migrations, 0, "the older job stays put");
-        assert!(res
-            .trace
-            .events()
-            .iter()
-            .any(|e| matches!(e.data, TraceData::FleetMigrate { .. })));
+        let red_for = res.trace.events().iter().find_map(|e| match e.data {
+            TraceData::FleetMigrate { red_for_ms, .. } => Some(red_for_ms),
+            _ => None,
+        });
         assert!(
-            res.violations.is_empty(),
-            "an eager-grace migration is still conformant: {:?}",
-            res.violations
+            red_for.is_some_and(|ms| ms >= GRACE.as_millis()),
+            "the migration waits out the grace window: {red_for:?}"
         );
+        assert!(res.violations.is_empty(), "{:?}", res.violations);
     }
 
     #[test]
@@ -2015,8 +2005,7 @@ mod tests {
         // latency-critical k-means arrives a minute later. Without
         // preemption the k-means would defer until the n-weight finishes;
         // with it, the batch job is evicted, re-queued, and the critical
-        // job takes the node. Long victim backoff keeps the evicted batch
-        // job from racing back onto the node before the critical one.
+        // job takes the node.
         let scenario = Scenario::uniform("WM", 60).with_classes(vec![
             JobClass::new(Criticality::Batch, 0),
             JobClass::new(Criticality::LatencyCritical, 0),
@@ -2024,7 +2013,6 @@ mod tests {
         let mut fleet = FleetConfig::homogeneous(1, 64 * GIB);
         fleet.rebalance_checks = 0;
         fleet.max_defers = 200;
-        fleet.backoff_base = SimDuration::from_secs(600);
         let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         let preempts = res
@@ -2042,11 +2030,11 @@ mod tests {
                 )
             })
             .count();
-        assert!(preempts >= 1, "the critical job must preempt the batch one");
+        assert_eq!(preempts, 1, "the critical job must preempt the batch one");
         assert_eq!(res.jobs[1].failure, None, "the critical job completes");
         assert_eq!(res.jobs[1].crit, Criticality::LatencyCritical);
-        assert!(
-            res.jobs[0].reschedules >= 1,
+        assert_eq!(
+            res.jobs[0].reschedules, 1,
             "the batch victim re-enters the queue"
         );
         assert!(
@@ -2086,7 +2074,6 @@ mod tests {
             JobClass::new(Criticality::Batch, 0),
             JobClass::new(Criticality::LatencyCritical, 0),
         ]);
-        fleet.backoff_base = SimDuration::from_secs(600);
         let res = run_fleet(&scenario, &Setting::m3(2), quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         let class = |job: u64| match job {
@@ -2112,7 +2099,7 @@ mod tests {
             }
             Some(d)
         });
-        let violations = fleet_violations(&fleet, &relabelled);
+        let violations = fleet_violations(&relabelled);
         assert!(
             !violations.is_empty()
                 && violations
@@ -2125,14 +2112,16 @@ mod tests {
     #[test]
     fn migration_victim_is_the_most_expendable_resident() {
         // The co-location scenario of `red_node_triggers_migration`, with
-        // classes: the *older* job is Standard, the newer one critical.
-        // The class-aware rebalancer must invert the legacy
-        // latest-arriving choice and move the more-expendable older job.
-        let scenario = Scenario::uniform("WW", 60).with_classes(vec![
+        // classes and the second job 30 s after the first: the *older* job
+        // is Standard, the newer one critical. The class-aware rebalancer
+        // must invert the legacy latest-arriving choice and move the
+        // more-expendable older job.
+        let scenario = Scenario::uniform("WW", 30).with_classes(vec![
             JobClass::new(Criticality::Standard, 0),
             JobClass::new(Criticality::LatencyCritical, 0),
         ]);
-        let res = run_pinned(&scenario, &eager_rebalance_fleet(), 0);
+        let fleet = FleetConfig::homogeneous(2, 64 * GIB);
+        let res = finish(pinned(&scenario, &fleet));
         assert_eq!(res.jobs[0].migrations, 1, "the standard job is the victim");
         assert_eq!(res.jobs[1].migrations, 0, "the critical job stays put");
         assert!(res.violations.is_empty(), "{:?}", res.violations);
@@ -2208,15 +2197,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_retry_budget_orphans_lost_jobs() {
+    fn spent_retry_budget_orphans_lost_jobs() {
+        // Nodes 0-3 die one after another while the job runs on each: the
+        // first `RETRY_BUDGET` (3) losses requeue it, and the fourth
+        // orphans it.
         let scenario = Scenario::uniform("M", 0);
-        let mut fleet = small_fleet();
-        fleet.retry_budget = 0;
-        fleet.faults = FleetFaultPlan::none().with_node_crash(SimDuration::from_secs(60), 0);
+        let mut fleet = FleetConfig::homogeneous(5, 64 * GIB);
+        fleet.rebalance_checks = 10;
+        for (node, at) in [60, 300, 600, 1_000].into_iter().enumerate() {
+            fleet.faults = fleet
+                .faults
+                .with_node_crash(SimDuration::from_secs(at), node);
+        }
         let res = run_fleet(&scenario, &Setting::m3(1), quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
+        assert_eq!(res.degradation.jobs_lost, u64::from(RETRY_BUDGET) + 1);
         assert_eq!(res.degradation.jobs_orphaned, 1);
-        assert_eq!(res.degradation.jobs_rescheduled, 0);
+        assert_eq!(res.degradation.jobs_rescheduled, u64::from(RETRY_BUDGET));
         assert_eq!(res.jobs[0].node, None);
         assert_eq!(res.jobs[0].failure, Some(JobFailure::NodeLost));
         let mean = res.class_mean();
@@ -2238,16 +2235,12 @@ mod tests {
 
     #[test]
     fn flapping_node_is_quarantined_and_readmitted() {
-        // Node 1's endpoint flaps for 1000 s with a 10 s stale window: the
-        // rebalance sweep's forced re-reads quarantine it, and after the
-        // flap ends its healthy probes re-admit it. The single job placed
-        // at t=0 is unaffected.
+        // Node 1's endpoint flaps from 30 s to 1,030 s. Once its summary
+        // is older than the stale window, the rebalance sweep's forced
+        // re-reads quarantine it, and after the flap ends its healthy
+        // probes re-admit it. The single job placed at t=0 is unaffected.
         let scenario = Scenario::uniform("M", 0);
         let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
-        fleet.stale_window = SimDuration::from_secs(10);
-        fleet.quarantine_after = 1;
-        fleet.quarantine_healthy = 3;
-        fleet.rebalance_period = SimDuration::from_secs(60);
         fleet.rebalance_checks = 30;
         fleet.faults = FleetFaultPlan::none().with_flap(
             1,
@@ -2258,43 +2251,34 @@ mod tests {
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert_eq!(res.degradation.quarantine_episodes, 1);
         assert!(res.degradation.probe_failures > 0);
-        let entered = res.trace.events().iter().any(|e| {
-            matches!(
-                e.data,
+        let at = |entered: bool| {
+            res.trace.events().iter().find_map(|e| match e.data {
                 TraceData::FleetQuarantine {
                     node: 1,
-                    entered: true,
+                    entered: x,
                     ..
-                }
-            )
-        });
-        let exited = res.trace.events().iter().any(|e| {
-            matches!(
-                e.data,
-                TraceData::FleetQuarantine {
-                    node: 1,
-                    entered: false,
-                    ..
-                }
-            )
-        });
-        assert!(entered, "the flapping node must be quarantined");
-        assert!(exited, "healthy probes after the flap must re-admit it");
+                } if x == entered => Some(e.t.as_secs()),
+                _ => None,
+            })
+        };
+        // The summary turns stale at 150 s, so the checks at 180 and 240 s
+        // fail their reads; three healthy checks follow the flap.
+        assert_eq!(at(true), Some(240), "the flapping node must be quarantined");
+        assert_eq!(at(false), Some(1_200), "healthy probes must re-admit it");
         assert_eq!(res.jobs[0].failure, None);
     }
 
     #[test]
     fn stale_probes_are_tolerated_inside_the_window() {
-        // Both nodes flap from t=0, but the stale window is generous: every
+        // Both nodes flap from t=0 for exactly the stale window: every
         // read is served from the flap-start summary, nothing fails, and
         // nothing is quarantined.
         let scenario = Scenario::uniform("M", 0);
         let mut fleet = FleetConfig::homogeneous(2, 64 * GIB);
-        fleet.stale_window = SimDuration::from_secs(10_000);
         fleet.rebalance_checks = 5;
         fleet.faults = FleetFaultPlan::none()
-            .with_flap(0, SimDuration::ZERO, SimDuration::from_secs(1_000))
-            .with_flap(1, SimDuration::ZERO, SimDuration::from_secs(1_000));
+            .with_flap(0, SimDuration::ZERO, STALE_WINDOW)
+            .with_flap(1, SimDuration::ZERO, STALE_WINDOW);
         let res = run_fleet(&scenario, &Setting::m3(1), quick_cfg(), &fleet);
         assert!(res.violations.is_empty(), "{:?}", res.violations);
         assert!(res.degradation.stale_probe_decisions > 0);
@@ -2388,10 +2372,8 @@ mod tests {
         // survive serde round trips (they feed the content-addressed node
         // cache key).
         let scenario = Scenario::uniform("WW", 60);
-        let fleet = eager_rebalance_fleet();
-        let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, 1);
-        state.pin = Some(0);
-        state.run_events();
+        let fleet = FleetConfig::homogeneous(2, 64 * GIB);
+        let state = pinned(&scenario, &fleet);
         let with_faults: Vec<&FaultPlan> = state
             .nodes
             .iter()
@@ -2453,15 +2435,10 @@ mod tests {
             crashes in proptest::collection::vec((0u64..1_500, target_node()), 0..3),
             flaps in proptest::collection::vec((target_node(), 0u64..900, 30u64..1_200), 0..6),
             restarts in proptest::collection::vec(0u64..1_500, 0..3),
-            (stale_s, quarantine_after, quarantine_healthy) in (0u64..60, 1u32..3, 1u32..4),
         ) {
             let codes: String = jobs.iter().map(|&k| ['M', 'P', 'W', 'C'][k]).collect();
             let scenario = Scenario::uniform(&codes, gap_s);
             let mut fleet = FleetConfig::homogeneous(nodes, 64 * GIB);
-            fleet.stale_window = SimDuration::from_secs(stale_s);
-            fleet.quarantine_after = quarantine_after;
-            fleet.quarantine_healthy = quarantine_healthy;
-            fleet.rebalance_period = SimDuration::from_secs(60);
             fleet.rebalance_checks = 25;
             let mut faults = FleetFaultPlan::none();
             for &(at, node) in &crashes {

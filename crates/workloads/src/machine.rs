@@ -737,17 +737,6 @@ impl World {
                         });
                     }
                 }
-                if self.cfg.sample_period.is_some() {
-                    for _ in &report.low_signalled {
-                        self.profile.mark(now, "signal.low");
-                    }
-                    for _ in &report.high_signalled {
-                        self.profile.mark(now, "signal.high");
-                    }
-                    for _ in &report.killed {
-                        self.profile.mark(now, "kill");
-                    }
-                }
             }
         }
 

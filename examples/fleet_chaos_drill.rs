@@ -16,6 +16,7 @@
 //! as a CI smoke test for fleet-level self-healing.
 
 use m3::prelude::*;
+use m3::workloads::fleet::{DEFER_INTERVAL, GRACE};
 
 fn main() {
     let scenario = fleet_canonical();
@@ -92,7 +93,8 @@ fn main() {
         "the chaotic run must pass the fleet oracle: {:#?}",
         chaos.violations
     );
-    let replay = FleetOracle::new(fleet.grace.as_millis()).check(&chaos.trace);
+    let replay =
+        FleetOracle::new(GRACE.as_millis(), DEFER_INTERVAL.as_millis()).check(&chaos.trace);
     assert!(replay.is_empty(), "independent oracle replay: {replay:#?}");
     println!("\nfleet oracle: zero violations (run + independent replay)");
 

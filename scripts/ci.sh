@@ -59,15 +59,20 @@ for fig in $payloads; do
         M3_CACHE_TRACE_BUDGET_S=60 M3_MIXED_CRIT_BUDGET_S=60 \
         cargo bench -p m3-bench --bench "$fig"
 done
-# A differing payload prints its differing key paths (at most 20), with the
-# committed and the fresh value of each.
-# shellcheck disable=SC2086 # one argument per payload name
-python3 - $payloads <<'PY'
+# `compare_payloads DIR SKIP FIG...` fails unless every key of each
+# DIR/BENCH_FIG.json, except those with "wall" in their name and those
+# named SKIP, equals the committed results/BENCH_FIG.json. A differing
+# payload prints its differing key paths (at most 20), with the committed
+# and the fresh value of each.
+compare_payloads() {
+    python3 - "$@" <<'PY'
 import json, sys
+
+fresh_dir, skip, figs = sys.argv[1], sys.argv[2], sys.argv[3:]
 
 def strip(v):
     if isinstance(v, dict):
-        return {k: strip(x) for k, x in v.items() if "wall" not in k}
+        return {k: strip(x) for k, x in v.items() if "wall" not in k and k != skip}
     if isinstance(v, list):
         return [strip(x) for x in v]
     return v
@@ -84,10 +89,10 @@ def paths(a, b, at="$"):
         yield at, a, b
 
 differ = []
-for fig in sys.argv[1:]:
+for fig in figs:
     committed, fresh = (
         strip(json.load(open(f"{d}/BENCH_{fig}.json")))
-        for d in ("results", "target/ci-results")
+        for d in ("results", fresh_dir)
     )
     if committed != fresh:
         differ.append(fig)
@@ -98,8 +103,18 @@ for fig in sys.argv[1:]:
                 break
             print(f"  {at}: committed {json.dumps(a)}, fresh {json.dumps(b)}", file=sys.stderr)
 if differ:
-    sys.exit(f"payloads differ from results/ outside their wall clocks: {differ}")
+    sys.exit(f"payloads in {fresh_dir} differ from results/ outside their wall clocks: {differ}")
 PY
+}
+# shellcheck disable=SC2086 # one argument per payload name
+compare_payloads target/ci-results "" $payloads
+# A fleet's node runs must not depend on the worker count: each distinct
+# node run is simulated once however many workers warm the nodes, so
+# fleet_scale regenerated at two workers equals the committed one-worker
+# file in every key but the wall clocks and the recorded worker count.
+M3_JOBS=2 M3_RESULTS_DIR=target/ci-results-2-workers M3_FLEET_SCALE_BUDGET_S=60 \
+    cargo bench -p m3-bench --bench fleet_scale
+compare_payloads target/ci-results-2-workers workers fleet_scale
 # Work-packet reclamation smoke: the fig6/fig7 packetized sweep at a
 # reduced salt spread. The bench is the conformance step — it asserts
 # byte-identical results at 1 vs 8 workers, zero oracle violations

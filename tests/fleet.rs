@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use m3::prelude::*;
 use m3::sim::trace::TraceLog;
-use m3::workloads::fleet::fleet_cache_stats;
+use m3::workloads::fleet::{fleet_cache_stats, DEFER_INTERVAL, GRACE};
 use m3::workloads::scenario::fleet_scenarios;
 
 fn machine() -> MachineConfig {
@@ -130,7 +130,8 @@ fn conformant_fleet_runs_have_zero_violations() {
             );
         }
         // An independent replay through a fresh oracle agrees.
-        let again = FleetOracle::new(fleet3().grace.as_millis()).check(&res.trace);
+        let again =
+            FleetOracle::new(GRACE.as_millis(), DEFER_INTERVAL.as_millis()).check(&res.trace);
         assert!(
             again.is_empty(),
             "{}: independent replay: {again:#?}",
@@ -254,7 +255,7 @@ fn chaotic_fleet_run_is_conformant_and_fully_accounted() {
     }
     assert_eq!(node_lost, 1, "the crash must be traced");
     // An independent replay through a fresh oracle agrees.
-    let again = FleetOracle::new(fleet.grace.as_millis()).check(&res.trace);
+    let again = FleetOracle::new(GRACE.as_millis(), DEFER_INTERVAL.as_millis()).check(&res.trace);
     assert!(again.is_empty(), "independent replay: {again:#?}");
     // Chaos runs are deterministic and serde-stable end to end, and the
     // memo cache answers a faulted config with the uncached result.

@@ -46,7 +46,6 @@ fn fleet_strategy() -> impl Strategy<Value = FleetConfig> {
             // At least one node a job of any kind fits on.
             fleet.nodes[0].phys_total = 64 * GIB;
             fleet.max_defers = max_defers;
-            fleet.defer_interval = SimDuration::from_secs(60);
             fleet.rebalance_checks = checks;
             fleet
         })
