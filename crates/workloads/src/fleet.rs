@@ -45,7 +45,11 @@
 //!   nodes with identical (size, schedule, faults) share one entry in the
 //!   process-wide run cache, and one checkpoint. Wave-shaped arrivals
 //!   over homogeneous nodes collapse thousands of node simulations into a
-//!   handful of distinct ones.
+//!   handful of distinct ones. A node keeps its run's cache key as its
+//!   schedule grows, absorbing each appended job or crash in O(1), so a
+//!   probe looks its run up without building or fingerprinting its
+//!   inputs; two nodes share a key exactly when they share the inputs'
+//!   content key (DESIGN.md §9).
 //! - **Ordered placement index.** One `BTreeSet` candidate index orders
 //!   the nodes by an *advisory* effective-load key. Placement probes the
 //!   first `PROBE_BUDGET` (16) entries, the least-estimated nodes
@@ -101,9 +105,9 @@ use crate::cluster::{ClusterMean, ClusterResult, JobFailure};
 use crate::faults::{FaultPlan, FleetDegradationReport, FleetFaultPlan, ProbeFlap};
 use crate::hibench;
 use crate::machine::{MachineConfig, World};
-use crate::parallel::{run_cached_with, run_key, worker_threads, CacheStats, MemoCache};
+use crate::parallel::{worker_threads, CacheStats, Fingerprint, MemoCache, RUN_CACHE};
 use crate::runner::{outcome, schedule_entry, ScenarioOutcome};
-use crate::scenario::{AppKind, Scenario};
+use crate::scenario::{AppKind, JobClass, Scenario};
 use crate::settings::Setting;
 
 /// One worker node of the fleet.
@@ -322,6 +326,125 @@ impl Checkpoint {
     }
 }
 
+/// The first word of every fleet node key: a tag past the value tags 1–8
+/// of [`Fingerprint::content`], so a node key and the run cache's content
+/// keys part at word 0 (DESIGN.md §9).
+const TAG_NODE_KEY: u64 = 9;
+/// The first word of an app step and of a crash step.
+const TAG_APP: u64 = 10;
+const TAG_CRASH: u64 = 11;
+/// The tags of the app count and the crash count that close a key.
+const TAG_APPS: u64 = 12;
+const TAG_CRASHES: u64 = 13;
+
+/// The fingerprint of what the content key of a node run holds constant
+/// over one fleet run at one node size: the sub-scenario's name, the node
+/// config `cfg`, and the regime and per-app config [`Setting::m3`] repeats
+/// for every app.
+fn key_header(name: &str, cfg: &MachineConfig) -> u128 {
+    let setting = Setting::m3(1);
+    let mut fp = Fingerprint(0);
+    fp.halves(TAG_NODE_KEY, 0);
+    fp.content(&name.serialize());
+    fp.content(&cfg.serialize());
+    fp.content(&setting.kind.serialize());
+    fp.content(&setting.per_app[0].serialize());
+    fp.0
+}
+
+/// Running fingerprints of a node schedule's two lists (DESIGN.md §9).
+/// They are kept apart because a run sees two lists, not the order in
+/// which a fleet instant interleaved them.
+#[derive(Clone, Copy, Default)]
+struct Streams {
+    /// One step per assigned job: `(kind, start, class)`.
+    apps: u128,
+    napps: u64,
+    /// One step per crash: `(target, at)`.
+    crashes: u128,
+    ncrashes: u64,
+}
+
+impl Streams {
+    /// This schedule's run-cache key under `header`: the app state, a
+    /// tagged app count, the crash state and a tagged crash count.
+    fn key(&self, header: u128) -> u128 {
+        let mut fp = Fingerprint(header);
+        fp.word(self.apps);
+        fp.halves(TAG_APPS, self.napps);
+        fp.word(self.crashes);
+        fp.halves(TAG_CRASHES, self.ncrashes);
+        fp.0
+    }
+}
+
+/// A node's run-cache keys, each appended job or crash absorbed in O(1):
+/// the key of its schedule's run, and the key of the earlier schedule
+/// that run resumes from (DESIGN.md §13).
+struct NodeKey {
+    /// [`key_header`] at the node's size.
+    header: u128,
+    /// The whole schedule.
+    now: Streams,
+    /// The schedule without its entries due at `changed_at`.
+    earlier: Streams,
+    /// The latest instant an entry was appended at.
+    changed_at: SimDuration,
+}
+
+impl NodeKey {
+    fn new(header: u128) -> Self {
+        NodeKey {
+            header,
+            now: Streams::default(),
+            earlier: Streams::default(),
+            changed_at: SimDuration::ZERO,
+        }
+    }
+
+    /// The streams to append an entry due at `at` to. Entries come in
+    /// time order; the first one at a new instant makes the schedule so
+    /// far the earlier one.
+    fn change(&mut self, at: SimDuration) -> &mut Streams {
+        debug_assert!(at >= self.changed_at, "a node's entries come in time order");
+        if at > self.changed_at {
+            self.earlier = self.now;
+            self.changed_at = at;
+        }
+        &mut self.now
+    }
+
+    fn push_app(&mut self, kind: AppKind, start: SimDuration, class: JobClass) {
+        let now = self.change(start);
+        let mut fp = Fingerprint(now.apps);
+        fp.halves(TAG_APP, kind as u64);
+        fp.halves(0, start.as_millis());
+        fp.halves(class.crit as u64, class.slo_ms);
+        now.apps = fp.0;
+        now.napps += 1;
+    }
+
+    fn push_crash(&mut self, at: SimDuration, target: usize) {
+        let now = self.change(at);
+        let mut fp = Fingerprint(now.crashes);
+        fp.halves(TAG_CRASH, target as u64);
+        fp.halves(0, at.as_millis());
+        now.crashes = fp.0;
+        now.ncrashes += 1;
+    }
+
+    /// The run-cache key of the node's run of its schedule.
+    fn run(&self) -> u128 {
+        self.now.key(self.header)
+    }
+
+    /// The key of the earlier schedule's run, whose checkpoint the node's
+    /// run resumes from.
+    fn resume(&self) -> u128 {
+        self.earlier.key(self.header)
+    }
+}
+
 /// Scheduler event classes, ordered within one instant: faults fire first
 /// (a node dead at time `t` is dead for every decision at `t`), then the
 /// scheduler restart, then placement attempts (arrivals and retries), then
@@ -357,6 +480,8 @@ struct NodeState {
     apps: Vec<(usize, AppKind, SimDuration)>,
     /// Accumulated migration crashes on this node.
     faults: FaultPlan,
+    /// The run-cache keys of `apps` and `faults`, kept as they grow.
+    key: NodeKey,
     /// When the node's probes turned contiguously red, ms.
     red_since: Option<u64>,
     /// Memoized full-horizon probe simulation; `None` = dirty (the
@@ -460,6 +585,11 @@ struct Fleet<'a> {
     /// control, so the rebalance tests can co-locate jobs.
     #[cfg(test)]
     pin: Option<usize>,
+    /// Every node key [`Fleet::simulate`] looked up, mapped to its
+    /// schedule's content key, and back: the two key families must
+    /// partition the schedules alike ([`Fleet::check_key`]).
+    #[cfg(test)]
+    key_pairs: Mutex<[HashMap<u128, u128>; 2]>,
 }
 
 impl<'a> Fleet<'a> {
@@ -479,20 +609,26 @@ impl<'a> Fleet<'a> {
                 degradation.faults_unapplied += 1;
             }
         }
-        let mut idle: HashMap<u64, PressureSummary> = HashMap::new();
+        // Per distinct node size: the idle summary and the node key header.
+        let name = format!("{}::sched", scenario.name);
+        let mut sizes: HashMap<u64, (PressureSummary, u128)> = HashMap::new();
         let mut nodes = Vec::with_capacity(fleet.nodes.len());
         for spec in &fleet.nodes {
-            let summary = *idle.entry(spec.phys_total).or_insert_with(|| {
+            let (summary, header) = *sizes.entry(spec.phys_total).or_insert_with(|| {
                 let cfg = sched_node_cfg(base_cfg, spec.phys_total).with_setting(&Setting::m3(0));
                 let monitor = cfg
                     .monitor
                     .unwrap_or_else(|| MonitorConfig::scaled(cfg.phys_total));
-                Monitor::new(monitor).pressure_summary(0)
+                (
+                    Monitor::new(monitor).pressure_summary(0),
+                    key_header(&name, &cfg),
+                )
             });
             nodes.push(NodeState {
                 phys_total: spec.phys_total,
                 apps: Vec::new(),
                 faults: FaultPlan::none(),
+                key: NodeKey::new(header),
                 red_since: None,
                 probe: None,
                 top: summary.top,
@@ -504,6 +640,7 @@ impl<'a> Fleet<'a> {
             });
         }
         let index = (0..nodes.len() as u32).map(|n| (0u64, n)).collect();
+        let idle = sizes.into_iter().map(|(size, (s, _))| (size, s)).collect();
         Fleet {
             scenario,
             base_cfg,
@@ -525,6 +662,8 @@ impl<'a> Fleet<'a> {
             checkpoints: Mutex::new(HashMap::new()),
             #[cfg(test)]
             pin: None,
+            #[cfg(test)]
+            key_pairs: Mutex::default(),
         }
     }
 
@@ -534,10 +673,10 @@ impl<'a> Fleet<'a> {
         self.nodes[node].dead.is_none() && !self.nodes[node].quarantined
     }
 
-    /// The sub-scenario of `apps`, a prefix of some node's assignments.
-    /// Deliberately *not* salted with the node index: the name is part of
-    /// the run-cache key, and nodes with identical schedules must share one
-    /// entry.
+    /// The sub-scenario of `apps`, a node's assignments. Deliberately
+    /// *not* salted with the node index: the name is part of the run's
+    /// content key (and of [`key_header`]), and nodes with identical
+    /// schedules must share one entry.
     fn scenario_of(&self, apps: &[(usize, AppKind, SimDuration)]) -> Scenario {
         let classes = apps
             .iter()
@@ -551,27 +690,24 @@ impl<'a> Fleet<'a> {
         .with_classes(classes)
     }
 
-    /// The run-cache key of node `node`'s run of its current schedule.
-    fn run_key_of(&self, node: usize) -> u128 {
-        let scenario = self.scenario_of(&self.nodes[node].apps);
-        let setting = Setting::m3(scenario.len());
-        let cfg = sched_node_cfg(self.base_cfg, self.nodes[node].phys_total);
-        run_key(&scenario, &setting, cfg, &self.nodes[node].faults)
-    }
-
-    /// Simulates node `node` over the full horizon (content-addressed
-    /// cache) and returns the outcome. A miss resumes the node's world
+    /// Simulates node `node` over the full horizon (run cache, by the
+    /// node's incremental key) and returns the outcome. A miss builds the
+    /// node's sub-scenario and config, resumes the node's world
     /// ([`Fleet::world_at_latest_change`]) instead of simulating from
     /// t = 0, and keeps a copy of it from before it runs on as this
     /// schedule's checkpoint. The outcome equals the run from t = 0 byte
-    /// for byte (DESIGN.md §9), which test builds check on every miss.
+    /// for byte (DESIGN.md §9), which test builds check on every miss;
+    /// they check the key against the content key on every call.
     fn simulate(&self, node: usize) -> Arc<ScenarioOutcome> {
-        let scenario = self.scenario_of(&self.nodes[node].apps);
-        let setting = Setting::m3(scenario.len());
-        let cfg = sched_node_cfg(self.base_cfg, self.nodes[node].phys_total);
-        let faults = &self.nodes[node].faults;
+        let state = &self.nodes[node];
+        let key = state.key.run();
+        #[cfg(test)]
+        self.check_key(node, key);
         let mut kept = None;
-        let out = run_cached_with(&scenario, &setting, cfg, faults, |cfg| {
+        let out = RUN_CACHE.get_or_compute_by_key(key, || {
+            let scenario = self.scenario_of(&state.apps);
+            let setting = Setting::m3(scenario.len());
+            let cfg = sched_node_cfg(self.base_cfg, state.phys_total).with_setting(&setting);
             let mut world = self.world_at_latest_change(node, &scenario, &setting, cfg);
             // The checkpoint is a copy without the timeline, whose prefix
             // the memoized outcome keeps; the world itself runs on.
@@ -583,7 +719,10 @@ impl<'a> Fleet<'a> {
             assert_eq!(
                 serde_json::to_string(&out).expect("serialize"),
                 serde_json::to_string(&crate::runner::run_scenario_with_faults(
-                    &scenario, &setting, cfg, faults
+                    &scenario,
+                    &setting,
+                    cfg,
+                    &state.faults
                 ))
                 .expect("serialize"),
                 "node {node}: a resumed run must equal the run from t = 0"
@@ -591,7 +730,6 @@ impl<'a> Fleet<'a> {
             out
         });
         if let Some((world, samples)) = kept {
-            let key = run_key(&scenario, &setting, cfg, faults);
             let checkpoint = Checkpoint {
                 world,
                 outcome: Arc::clone(&out),
@@ -605,12 +743,13 @@ impl<'a> Fleet<'a> {
         out
     }
 
-    /// Node `node`'s world under `cfg`, with its whole schedule pushed
-    /// and stopped before its latest change instant. Every change to a
-    /// node is due at the scheduler's current time, so the schedule is an
-    /// earlier schedule plus the entries due at that instant: the world is
-    /// a copy of the earlier schedule's checkpoint given those entries (a
-    /// fresh world without one), advanced to the instant.
+    /// Node `node`'s world under `cfg`, with its whole schedule
+    /// (`scenario`) pushed and stopped before its latest change instant.
+    /// Every change to a node is due at the scheduler's current time, so
+    /// the schedule is an earlier schedule plus the entries due at that
+    /// instant: the world is a copy of the earlier schedule's checkpoint
+    /// given those entries (a fresh world without one), advanced to the
+    /// instant.
     fn world_at_latest_change(
         &self,
         node: usize,
@@ -618,35 +757,16 @@ impl<'a> Fleet<'a> {
         setting: &Setting,
         cfg: MachineConfig,
     ) -> World {
-        let (apps, faults) = (&self.nodes[node].apps, &self.nodes[node].faults);
-        let at = apps
-            .iter()
-            .map(|a| a.2)
-            .chain(faults.events.iter().map(|e| e.at))
-            .max()
-            .expect("a simulated node has a schedule");
-        debug_assert!(apps.windows(2).all(|w| w[0].2 <= w[1].2));
-        debug_assert!(faults.events.windows(2).all(|w| w[0].at <= w[1].at));
-        let k = apps.partition_point(|a| a.2 < at);
-        let m = faults.events.partition_point(|e| e.at < at);
-        let earlier_faults = FaultPlan {
-            events: faults.events[..m].to_vec(),
-            ..faults.clone()
-        };
-        let key = run_key(
-            &self.scenario_of(&apps[..k]),
-            &Setting::m3(k),
-            cfg,
-            &earlier_faults,
-        );
+        let (key, faults) = (&self.nodes[node].key, &self.nodes[node].faults);
         let checkpoint = (self.checkpoints.lock().expect("checkpoints poisoned"))
-            .get(&key)
+            .get(&key.resume())
             .map(Checkpoint::resume);
         let entry = |(i, &(kind, start)): (usize, &(AppKind, SimDuration))| {
             schedule_entry(setting, i, kind, start)
         };
         let mut world = match checkpoint {
             Some(mut world) => {
+                let (k, m) = (key.earlier.napps as usize, key.earlier.ncrashes as usize);
                 for (i, app) in scenario.apps.iter().enumerate().skip(k) {
                     world.push_app(entry((i, app)), scenario.class_of(i));
                 }
@@ -660,8 +780,46 @@ impl<'a> Fleet<'a> {
                 World::new(cfg, schedule, faults.clone(), &scenario.classes, None)
             }
         };
-        world.advance_to(SimTime::ZERO + at);
+        world.advance_to(SimTime::ZERO + key.changed_at);
         world
+    }
+
+    /// The run cache's content key of the run of `apps` under `faults` on a
+    /// node of `phys_total` bytes, as [`crate::parallel::run_key`] derives
+    /// it: the reference the incremental node keys are checked against.
+    #[cfg(test)]
+    fn content_key(
+        &self,
+        phys_total: u64,
+        apps: &[(usize, AppKind, SimDuration)],
+        faults: &FaultPlan,
+    ) -> u128 {
+        crate::parallel::run_key(
+            &self.scenario_of(apps),
+            &Setting::m3(apps.len()),
+            sched_node_cfg(self.base_cfg, phys_total),
+            faults,
+        )
+    }
+
+    /// Asserts that `key`, node `node`'s key, and its schedule's content
+    /// key map one to one, over every key this fleet run has looked up.
+    #[cfg(test)]
+    fn check_key(&self, node: usize, key: u128) {
+        let n = &self.nodes[node];
+        let content = self.content_key(n.phys_total, &n.apps, &n.faults);
+        let mut pairs = self.key_pairs.lock().expect("key pairs poisoned");
+        let [by_node, by_content] = &mut *pairs;
+        assert_eq!(
+            *by_node.entry(key).or_insert(content),
+            content,
+            "node {node}: one node key for two content keys"
+        );
+        assert_eq!(
+            *by_content.entry(content).or_insert(key),
+            key,
+            "node {node}: one content key for two node keys"
+        );
     }
 
     /// Pre-warms the probe simulations of the dirty nodes among `nodes` on
@@ -680,7 +838,7 @@ impl<'a> Fleet<'a> {
             .iter()
             .copied()
             .filter(|&n| !self.nodes[n].apps.is_empty() && self.nodes[n].probe.is_none())
-            .filter(|&n| runs.insert(self.run_key_of(n)))
+            .filter(|&n| runs.insert(self.nodes[n].key.run()))
             .collect();
         if dirty.len() > 1 {
             let this: &Fleet = self;
@@ -988,10 +1146,11 @@ impl<'a> Fleet<'a> {
     /// cache is invalidated (its schedule changed) and its advisory index
     /// estimate grows by the job's demand.
     fn assign(&mut self, job: usize, kind: AppKind, node: usize, t: SimTime) {
+        let start = t.saturating_since(SimTime::ZERO);
         let slot = self.nodes[node].apps.len();
-        self.nodes[node]
-            .apps
-            .push((job, kind, t.saturating_since(SimTime::ZERO)));
+        self.nodes[node].apps.push((job, kind, start));
+        let class = self.scenario.class_of(job);
+        self.nodes[node].key.push_app(kind, start, class);
         self.assignment[job] = Some((node, slot));
         self.nodes[node].probe = None;
         let est = self.nodes[node]
@@ -1337,8 +1496,10 @@ impl<'a> Fleet<'a> {
     /// Crashes the job in `slot` of `node`'s app list at `t`, the
     /// scheduler's current time, and clears the node's probe.
     fn crash(&mut self, node: usize, slot: usize, t: SimTime) {
+        let at = t.saturating_since(SimTime::ZERO);
         let faults = std::mem::take(&mut self.nodes[node].faults);
-        self.nodes[node].faults = faults.with_crash(t.saturating_since(SimTime::ZERO), slot);
+        self.nodes[node].faults = faults.with_crash(at, slot);
+        self.nodes[node].key.push_crash(at, slot);
         self.nodes[node].probe = None;
     }
 
@@ -2288,6 +2449,40 @@ mod tests {
     }
 
     #[test]
+    fn unreachable_node_is_scanned_after_its_healthy_peers() {
+        // Node 0's endpoint flaps from t = 0, so the sweep at the only
+        // arrival, 180 s in, finds its summary past the stale window and
+        // gives the idle node the pessimal index key. The bounded scan
+        // then collects its `PLACE_CANDIDATES` from nodes 1-4 and stops
+        // before it reaches node 0.
+        let scenario = Scenario {
+            name: "M at 180".into(),
+            apps: vec![(AppKind::KMeans, SimDuration::from_secs(180))],
+            classes: Vec::new(),
+        };
+        let mut fleet = FleetConfig::homogeneous(PLACE_CANDIDATES + 1, 64 * GIB);
+        fleet.rebalance_checks = 0;
+        fleet.faults =
+            FleetFaultPlan::none().with_flap(0, SimDuration::ZERO, SimDuration::from_secs(1_000));
+        let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, 1);
+        state.run_events();
+        let probed: Vec<u64> = (state.trace.events().iter())
+            .filter_map(|e| match e.data {
+                TraceData::FleetPressure { node, .. } => Some(node),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            probed,
+            [1, 2, 3, 4],
+            "the scan probes the healthy peers only"
+        );
+        assert_eq!(state.nodes[0].fail_streak, 0, "no probe read node 0");
+        assert_eq!(state.degradation.probe_failures, 1, "the sweep's read");
+        assert_eq!(state.assignment[0], Some((1, 0)));
+    }
+
+    #[test]
     fn scheduler_restart_rebuilds_the_index() {
         let scenario = fleet_canonical();
         let mut fleet = small_fleet();
@@ -2460,6 +2655,155 @@ mod tests {
                 res.degradation.jobs_lost,
                 res.degradation.jobs_rescheduled + res.degradation.jobs_orphaned
             );
+        }
+    }
+
+    // ---- node keys ----------------------------------------------------
+
+    #[test]
+    fn node_key_absorbs_each_stream_then_its_count() {
+        // DESIGN.md §9: after the header, a node key absorbs the app
+        // stream's state, the tagged app count, the crash stream's state
+        // and the tagged crash count; each stream starts at zero and each
+        // step with its tag.
+        let scenario =
+            Scenario::uniform("W", 0).with_classes(vec![JobClass::new(Criticality::Batch, 7)]);
+        let fleet = FleetConfig::homogeneous(1, 64 * GIB);
+        let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, 1);
+        let t = SimTime::from_millis(60_500);
+        state.assign(0, AppKind::NWeight, 0, t);
+        state.crash(0, 0, t);
+        let mut apps = Fingerprint(0);
+        apps.halves(TAG_APP, AppKind::NWeight as u64);
+        apps.halves(0, 60_500);
+        apps.halves(Criticality::Batch as u64, 7);
+        let mut crashes = Fingerprint(0);
+        crashes.halves(TAG_CRASH, 0);
+        crashes.halves(0, 60_500);
+        let mut key = Fingerprint(state.nodes[0].key.header);
+        key.word(apps.0);
+        key.halves(TAG_APPS, 1);
+        key.word(crashes.0);
+        key.halves(TAG_CRASHES, 1);
+        assert_eq!(state.nodes[0].key.run(), key.0);
+        let mut empty = Fingerprint(state.nodes[0].key.header);
+        empty.word(0);
+        empty.halves(TAG_APPS, 0);
+        empty.word(0);
+        empty.halves(TAG_CRASHES, 0);
+        assert_eq!(
+            state.nodes[0].key.resume(),
+            empty.0,
+            "it resumes from nothing"
+        );
+    }
+
+    /// The jobs of the key-partition proptest: jobs `2i` and `2i + 1` are
+    /// one kind, and only the odd one declares a class.
+    fn classed_pairs() -> Scenario {
+        let kinds = [AppKind::KMeans, AppKind::NWeight, AppKind::GoCache];
+        let classes = [
+            JobClass::new(Criticality::Batch, 0),
+            JobClass::new(Criticality::LatencyCritical, 60_000),
+            JobClass::new(Criticality::Standard, 5_000),
+        ];
+        Scenario {
+            name: "keys".into(),
+            apps: kinds
+                .iter()
+                .flat_map(|&k| [(k, SimDuration::ZERO); 2])
+                .collect(),
+            classes: Vec::new(),
+        }
+        .with_classes(
+            classes
+                .iter()
+                .flat_map(|&c| [JobClass::default(), c])
+                .collect(),
+        )
+    }
+
+    /// The change instants of the key-partition proptest, ms: three on
+    /// the 100-ms tick grid and one off it.
+    const KEY_INSTANTS_MS: [u64; 4] = [0, 60_000, 60_050, 120_000];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random append sequences on six nodes, three of 64 GiB and three
+        /// of 32 GiB, with nothing simulated. Each step lands at one of
+        /// four shared instants on every node its mask picks (or on all of
+        /// them): a job of one of three kinds, of the default or of a
+        /// declared class per node, a crash of a resident, or both at one
+        /// instant, in either order per node. After every step, each
+        /// touched node's schedule and the earlier schedule its run would
+        /// resume from are keyed both ways, the earlier one's content key
+        /// from its entries due before the latest instant. For every two
+        /// schedules, the node keys are equal exactly when the content keys
+        /// are.
+        #[test]
+        fn node_keys_partition_schedules_as_content_keys_do(
+            steps in proptest::collection::vec(
+                (
+                    (0usize..4, 0u8..3, 0usize..3, 0usize..4),
+                    (proptest::bool::ANY, any::<u8>(), any::<u8>(), any::<u8>()),
+                ),
+                1..10,
+            ),
+        ) {
+            let scenario = classed_pairs();
+            let mut fleet = FleetConfig::homogeneous(6, 64 * GIB);
+            for spec in &mut fleet.nodes[3..] {
+                spec.phys_total = 32 * GIB;
+            }
+            let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, 1);
+            let mut steps = steps;
+            steps.sort_by_key(|&((at, ..), _)| at); // stable: an instant keeps its draw order
+            let mut keys: Vec<(u128, u128)> = Vec::new();
+            for ((at, op, kind, slot), (all, mask, classed, crash_first)) in steps {
+                let t = SimTime::from_millis(KEY_INSTANTS_MS[at]);
+                for node in (0..6).filter(|&n| all || mask >> n & 1 == 1) {
+                    let residents = state.nodes[node].apps.len();
+                    let crash = op != 0 && residents > 0;
+                    let app = op != 1;
+                    if !crash && !app {
+                        continue;
+                    }
+                    let first = crash_first >> node & 1 == 1;
+                    if crash && first {
+                        state.crash(node, slot % residents, t);
+                    }
+                    if app {
+                        let job = 2 * kind + usize::from(classed >> node & 1 == 1);
+                        state.assign(job, scenario.apps[job].0, node, t);
+                    }
+                    if crash && !first {
+                        state.crash(node, slot % residents, t);
+                    }
+                    let n = &state.nodes[node];
+                    keys.push((n.key.run(), state.content_key(n.phys_total, &n.apps, &n.faults)));
+                    let before = n.key.changed_at;
+                    let k = n.apps.partition_point(|a| a.2 < before);
+                    let earlier = FaultPlan {
+                        events: n.faults.events.iter().filter(|e| e.at < before).cloned().collect(),
+                        ..FaultPlan::none()
+                    };
+                    keys.push((n.key.resume(), state.content_key(n.phys_total, &n.apps[..k], &earlier)));
+                }
+            }
+            for (i, a) in keys.iter().enumerate() {
+                for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                    prop_assert_eq!(
+                        a.0 == b.0,
+                        a.1 == b.1,
+                        "schedules {} and {}: node keys equal {}, content keys equal {}",
+                        i,
+                        j,
+                        a.0 == b.0,
+                        a.1 == b.1
+                    );
+                }
+            }
         }
     }
 }

@@ -13,7 +13,9 @@
 //!   inputs' value tree hands back a shared [`Arc`] of a previous identical
 //!   run. Grid searches revisit the same configuration many times across
 //!   coordinate-descent passes, and the fleet re-probes the same node
-//!   schedules; those revisits are free.
+//!   schedules; those revisits are free. The fleet keys its node runs by a
+//!   running fingerprint of each node's schedule instead, which partitions
+//!   them as the content key does (DESIGN.md §9).
 //!
 //! Both are sound because the simulator is deterministic: a run's output is
 //! bit-identical no matter which thread computes it, or whether it is
@@ -165,7 +167,12 @@ impl<V> MemoCache<V> {
         key: &K,
         compute: impl FnOnce() -> V,
     ) -> Arc<V> {
-        let key = fingerprint(&key.serialize());
+        self.get_or_compute_by_key(fingerprint(&key.serialize()), compute)
+    }
+
+    /// [`MemoCache::get_or_compute`] under a key the caller has already
+    /// computed (the fleet keeps its node runs' keys incrementally).
+    pub(crate) fn get_or_compute_by_key(&self, key: u128, compute: impl FnOnce() -> V) -> Arc<V> {
         if let Some(hit) = self.map().lock().expect("memo cache poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
@@ -209,15 +216,20 @@ fn fingerprint(c: &Content) -> u128 {
 /// ⌊2¹²⁸/φ⌋ + 1: odd, so multiplying by it permutes `u128`.
 const MIX: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835;
 
-struct Fingerprint(u128);
+/// The running state of a fingerprint: [`fingerprint`]'s absorption step,
+/// open to the fleet's incremental node keys (DESIGN.md §9), whose first
+/// word carries a tag past the value tags 1–8 of [`Fingerprint::content`].
+pub(crate) struct Fingerprint(pub(crate) u128);
 
 impl Fingerprint {
-    fn word(&mut self, w: u128) {
+    /// Absorbs one word: `s ← g((s ⊕ w) · M)`, a bijection of the state.
+    pub(crate) fn word(&mut self, w: u128) {
         let s = (self.0 ^ w).wrapping_mul(MIX);
         self.0 = s ^ (s >> 64);
     }
 
-    fn halves(&mut self, high: u64, low: u64) {
+    /// Absorbs the word with `high` in its high half and `low` in its low.
+    pub(crate) fn halves(&mut self, high: u64, low: u64) {
         self.word(u128::from(high) << 64 | u128::from(low));
     }
 
@@ -229,7 +241,8 @@ impl Fingerprint {
         }
     }
 
-    fn content(&mut self, c: &Content) {
+    /// Absorbs the canonical word stream of the value tree `c`.
+    pub(crate) fn content(&mut self, c: &Content) {
         match c {
             Content::Null => self.halves(1, 0),
             Content::Bool(b) => self.halves(2, u64::from(*b)),
@@ -268,11 +281,13 @@ impl<V> Default for MemoCache<V> {
     }
 }
 
-static CACHE: MemoCache<ScenarioOutcome> = MemoCache::new();
+/// The run cache: [`run_scenario_cached_faulted`]'s, and the fleet's for
+/// its node runs.
+pub(crate) static RUN_CACHE: MemoCache<ScenarioOutcome> = MemoCache::new();
 
 /// Current totals of the run memoization cache.
 pub fn cache_stats() -> CacheStats {
-    CACHE.stats()
+    RUN_CACHE.stats()
 }
 
 /// Like [`run_scenario`](crate::runner::run_scenario), but content-addressed: the fingerprint of the
@@ -299,27 +314,16 @@ pub fn run_scenario_cached_faulted(
     machine_cfg: MachineConfig,
     faults: &FaultPlan,
 ) -> Arc<ScenarioOutcome> {
-    run_cached_with(scenario, setting, machine_cfg, faults, |cfg| {
+    let cfg = machine_cfg.with_setting(setting);
+    RUN_CACHE.get_or_compute(&(scenario, setting, &cfg, faults), || {
         run_scenario_with_faults(scenario, setting, cfg, faults)
     })
 }
 
-/// [`run_scenario_cached_faulted`] with the run on a miss computed by
-/// `run`, which receives the normalized config and must return exactly what
-/// [`run_scenario_with_faults`] would (the fleet resumes node runs from
-/// checkpoints this way).
-pub(crate) fn run_cached_with(
-    scenario: &Scenario,
-    setting: &Setting,
-    machine_cfg: MachineConfig,
-    faults: &FaultPlan,
-    run: impl FnOnce(MachineConfig) -> ScenarioOutcome,
-) -> Arc<ScenarioOutcome> {
-    let cfg = machine_cfg.with_setting(setting);
-    CACHE.get_or_compute(&(scenario, setting, &cfg, faults), || run(cfg))
-}
-
-/// The run cache's key for a run, without a lookup.
+/// The run cache's key for a run, as [`run_scenario_cached_faulted`]
+/// derives it: the reference the fleet's incremental node keys are
+/// checked against.
+#[cfg(test)]
 pub(crate) fn run_key(
     scenario: &Scenario,
     setting: &Setting,

@@ -109,12 +109,21 @@ PY
 # shellcheck disable=SC2086 # one argument per payload name
 compare_payloads target/ci-results "" $payloads
 # A fleet's node runs must not depend on the worker count: each distinct
-# node run is simulated once however many workers warm the nodes, so
-# fleet_scale regenerated at two workers equals the committed one-worker
-# file in every key but the wall clocks and the recorded worker count.
-M3_JOBS=2 M3_RESULTS_DIR=target/ci-results-2-workers M3_FLEET_SCALE_BUDGET_S=60 \
-    cargo bench -p m3-bench --bench fleet_scale
-compare_payloads target/ci-results-2-workers workers fleet_scale
+# node run is simulated once however many workers warm the nodes, so the
+# fleet payloads regenerated at two workers equal the committed one-worker
+# files in every key but the wall clocks and the recorded worker count.
+# fleet_scale's node runs hold jobs only; fleet_chaos's crashes and
+# mixed_criticality's preemptions and classes fill the rest of a node
+# run's key.
+fleet_payloads="fleet_scale fleet_chaos mixed_criticality"
+for fig in $fleet_payloads; do
+    M3_JOBS=2 M3_RESULTS_DIR=target/ci-results-2-workers \
+        M3_FLEET_SCALE_BUDGET_S=60 M3_FLEET_CHAOS_BUDGET_S=120 \
+        M3_MIXED_CRIT_BUDGET_S=60 \
+        cargo bench -p m3-bench --bench "$fig"
+done
+# shellcheck disable=SC2086 # one argument per payload name
+compare_payloads target/ci-results-2-workers workers $fleet_payloads
 # Work-packet reclamation smoke: the fig6/fig7 packetized sweep at a
 # reduced salt spread. The bench is the conformance step — it asserts
 # byte-identical results at 1 vs 8 workers, zero oracle violations
