@@ -288,6 +288,47 @@ fn golden_packet_reclaim_replays_conformant() {
     );
 }
 
+#[test]
+fn golden_cache_trace() {
+    // The key-granular cache path: the M3 trace-cache node exactly as
+    // `run_cache_trace` builds it, on a small hot-key-shift trace, and the
+    // outcome of every cache policy at that size. The slab store, the trace
+    // generator and the node sizing all feed both snapshots, and the
+    // static-limit outcome covers capacity recycling.
+    use m3::workloads::kvtrace::node_phys_bytes;
+    let twl = TraceWorkload {
+        key_space: 30_000,
+        total_ops: 200_000,
+        phase_ops: 50_000,
+        ..TraceWorkload::smoke(TrafficPattern::HotKeyShift)
+    };
+    let phys = node_phys_bytes(&twl);
+    let mut cfg = MachineConfig::scaled(phys, true);
+    cfg.sample_period = None;
+    cfg.max_time = SimDuration::from_secs(60_000);
+    let res = Machine::new(cfg).run(vec![(
+        "memcached-trace".into(),
+        SimDuration::ZERO,
+        AppBlueprint::TraceCache {
+            workload: twl,
+            max_bytes: 0,
+            m3_mode: true,
+        },
+    )]);
+    assert_conformant("golden-cache-trace", &res);
+    assert!(res.trace.count("evict.class") > 0, "the store must evict");
+    let outcomes: Vec<CacheTraceOutcome> = CachePolicy::ALL
+        .iter()
+        .map(|&policy| run_cache_trace(twl, policy))
+        .collect();
+    assert_eq!(outcomes[0].end_ms, res.end.as_millis(), "the M3 node ran");
+    assert!(outcomes[2].capacity_items > 0, "the cap forces recycling");
+    assert_golden("cache_trace.trace.jsonl", &trace_jsonl(&res.trace));
+    let mut text = serde_json::to_string_pretty(&outcomes).expect("outcomes render");
+    text.push('\n');
+    assert_golden("cache_trace.outcomes.json", &text);
+}
+
 /// One payload per kind string, every field set away from its default, so a
 /// field that is dropped, renamed, reordered or tagged with the wrong kind
 /// changes the every-kind golden.
