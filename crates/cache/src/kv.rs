@@ -37,6 +37,10 @@ const MAX_BATCH: u64 = 20_000;
 /// Trace-mode ops applied before the allocation gate settles a batch.
 const TRACE_BATCH: u64 = 4096;
 
+/// Keys ahead of the one being preloaded whose index slot is prefetched:
+/// the preload knows its next keys, so their cache misses overlap.
+const PREFETCH_AHEAD: u64 = 16;
+
 /// Upper bound on trace-mode ops between periodic `cache.stats` snapshots.
 /// Short traces snapshot every tenth of the run instead, so even a server
 /// the OOM killer takes down early leaves progress counters in the trace.
@@ -235,8 +239,10 @@ impl KvApp {
             ..KvWorkload::paper_memtier()
         };
         let mut app = KvApp::new(backend, wl, max_bytes, m3_mode);
+        let mut store = KeyedSlabCache::new(cap);
+        store.reserve(twl.preload_items());
         app.engine = Some(Box::new(TraceEngine {
-            store: KeyedSlabCache::new(cap),
+            store,
             gen: TraceGen::new(twl),
             serve_started: None,
             next_stats_at: trace_stats_every(twl.total_ops),
@@ -497,7 +503,11 @@ impl KvApp {
             && fx.chunk_bytes < budget_bytes
             && loaded < MAX_BATCH
         {
-            let fp = twl.fp_of(self.preloaded + loaded);
+            let key = self.preloaded + loaded;
+            if key + PREFETCH_AHEAD < target {
+                e.store.prefetch(twl.fp_of(key + PREFETCH_AHEAD));
+            }
+            let fp = twl.fp_of(key);
             let out = e.store.insert(fp, twl.value_bytes(fp));
             if out.chunk_bytes > 0 {
                 fx.attempts += 1;

@@ -9,8 +9,10 @@
 //!   that fits `value + overhead`.
 //! - **Sharded fingerprint index**: 64 open-addressing shards keyed by the
 //!   top bits of a 64-bit key fingerprint — no string keys anywhere on the
-//!   hot path. Linear probing with backward-shift deletion keeps probes
-//!   short without tombstones.
+//!   hot path. A slot is 8 bytes: the fingerprint's low 32 bits, which
+//!   name its home slot and tag it, and the arena index; a tag match is
+//!   confirmed against the arena entry. Linear probing with backward-shift
+//!   deletion keeps probes short without tombstones.
 //! - **Intrusive per-class LRU**: entries live in one arena and link by
 //!   `u32` index, so a get/insert/delete does zero heap allocation.
 //! - **Slab-granular eviction**: when M3 demands bytes back, whole slabs
@@ -39,6 +41,19 @@ pub const ITEM_OVERHEAD: u64 = 56;
 /// Smallest chunk class, bytes.
 pub const MIN_CHUNK: u64 = 64;
 
+/// Slab size of [`KeyedSlabCache::new`], bytes.
+pub const SLAB_BYTES: u64 = 1 << 20;
+
+/// The chunk an item of `value_bytes` occupies in a store of `slab_bytes`
+/// slabs: the smallest power of two that fits the value and its
+/// [`ITEM_OVERHEAD`], at least [`MIN_CHUNK`] and at most one slab.
+#[inline]
+pub fn chunk_bytes(value_bytes: u64, slab_bytes: u64) -> u64 {
+    (value_bytes + ITEM_OVERHEAD)
+        .next_power_of_two()
+        .clamp(MIN_CHUNK, slab_bytes)
+}
+
 /// One resident item. `prev`/`next` link the class LRU (head = most
 /// recently used); freed entries chain through `next` on the free list.
 #[derive(Debug, Clone, Copy)]
@@ -49,38 +64,56 @@ struct Entry {
     class: u8,
 }
 
-/// One open-addressing index shard mapping fingerprint → arena index.
+/// One index slot: the low 32 bits of a key's fingerprint, which name its
+/// home slot and tag it, and its arena index (`NONE` when empty).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    lo: u32,
+    idx: u32,
+}
+
+const EMPTY: Slot = Slot { lo: 0, idx: NONE };
+
+/// One open-addressing index shard mapping fingerprint → arena index. A
+/// slot holds only the fingerprint's low 32 bits; a tag match is confirmed
+/// against the arena entry's full fingerprint.
 #[derive(Debug, Clone)]
 struct Shard {
-    fps: Vec<u64>,
-    idxs: Vec<u32>,
+    slots: Vec<Slot>,
     live: usize,
 }
 
 impl Shard {
     fn new() -> Self {
         Shard {
-            fps: vec![0; SHARD_MIN_CAP],
-            idxs: vec![NONE; SHARD_MIN_CAP],
+            slots: vec![EMPTY; SHARD_MIN_CAP],
             live: 0,
         }
     }
 
     #[inline]
     fn mask(&self) -> usize {
-        self.fps.len() - 1
+        self.slots.len() - 1
+    }
+
+    /// The home slot of a fingerprint (a shard never exceeds 2^32 slots).
+    #[inline]
+    fn home(&self, fp: u64) -> usize {
+        fp as u32 as usize & self.mask()
     }
 
     /// Finds the slot holding `fp`, or `None`.
     #[inline]
-    fn find_slot(&self, fp: u64) -> Option<usize> {
+    fn find_slot(&self, fp: u64, entries: &[Entry]) -> Option<usize> {
         let mask = self.mask();
-        let mut i = (fp as usize) & mask;
+        let lo = fp as u32;
+        let mut i = lo as usize & mask;
         loop {
-            if self.idxs[i] == NONE {
+            let s = self.slots[i];
+            if s.idx == NONE {
                 return None;
             }
-            if self.fps[i] == fp {
+            if s.lo == lo && entries[s.idx as usize].fp == fp {
                 return Some(i);
             }
             i = (i + 1) & mask;
@@ -88,67 +121,80 @@ impl Shard {
     }
 
     #[inline]
-    fn get(&self, fp: u64) -> Option<u32> {
-        self.find_slot(fp).map(|i| self.idxs[i])
+    fn get(&self, fp: u64, entries: &[Entry]) -> Option<u32> {
+        self.find_slot(fp, entries).map(|i| self.slots[i].idx)
     }
 
-    fn insert(&mut self, fp: u64, idx: u32) {
-        if (self.live + 1) * 4 > self.fps.len() * 3 {
-            self.grow();
+    /// Indexes arena entry `idx`, whose fingerprint is `fp`.
+    fn insert(&mut self, fp: u64, idx: u32, entries: &[Entry]) {
+        if (self.live + 1) * 4 > self.slots.len() * 3 {
+            self.resize(self.slots.len() * 2);
         }
         let mask = self.mask();
-        let mut i = (fp as usize) & mask;
-        while self.idxs[i] != NONE {
-            debug_assert_ne!(self.fps[i], fp, "duplicate fingerprint insert");
+        let lo = fp as u32;
+        let mut i = lo as usize & mask;
+        while self.slots[i].idx != NONE {
+            debug_assert_ne!(
+                entries[self.slots[i].idx as usize].fp, fp,
+                "duplicate fingerprint insert"
+            );
             i = (i + 1) & mask;
         }
-        self.fps[i] = fp;
-        self.idxs[i] = idx;
+        self.slots[i] = Slot { lo, idx };
         self.live += 1;
     }
 
     /// Removes `fp`, backward-shifting the probe run so lookups never need
     /// tombstones. Returns the arena index that was stored.
-    fn remove(&mut self, fp: u64) -> Option<u32> {
-        let mut i = self.find_slot(fp)?;
-        let out = self.idxs[i];
+    fn remove(&mut self, fp: u64, entries: &[Entry]) -> Option<u32> {
+        let mut i = self.find_slot(fp, entries)?;
+        let out = self.slots[i].idx;
         let mask = self.mask();
         let mut j = i;
         loop {
             j = (j + 1) & mask;
-            if self.idxs[j] == NONE {
+            let s = self.slots[j];
+            if s.idx == NONE {
                 break;
             }
-            let ideal = (self.fps[j] as usize) & mask;
+            let ideal = s.lo as usize & mask;
             // Slot j may shift into the hole at i only if i lies within
             // j's probe run (cyclically between its ideal slot and j).
             if (j.wrapping_sub(ideal) & mask) >= (j.wrapping_sub(i) & mask) {
-                self.fps[i] = self.fps[j];
-                self.idxs[i] = self.idxs[j];
+                self.slots[i] = s;
                 i = j;
             }
         }
-        self.idxs[i] = NONE;
-        self.fps[i] = 0;
+        self.slots[i] = EMPTY;
         self.live -= 1;
         Some(out)
     }
 
-    fn grow(&mut self) {
-        let new_cap = self.fps.len() * 2;
-        let old_fps = std::mem::replace(&mut self.fps, vec![0; new_cap]);
-        let old_idxs = std::mem::replace(&mut self.idxs, vec![NONE; new_cap]);
+    /// Grows the shard once so it holds `items` at no more than 3/4 load.
+    fn reserve(&mut self, items: usize) {
+        let cap = (items * 4).div_ceil(3).next_power_of_two();
+        if cap > self.slots.len() {
+            self.resize(cap);
+        }
+    }
+
+    /// Rehashes into `new_cap` slots, placing each slot by its home.
+    fn resize(&mut self, new_cap: usize) {
+        assert!(
+            new_cap as u64 <= 1 << 32,
+            "a shard's home slot is the fingerprint's low 32 bits"
+        );
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap]);
         let mask = new_cap - 1;
-        for (fp, idx) in old_fps.into_iter().zip(old_idxs) {
-            if idx == NONE {
+        for s in old {
+            if s.idx == NONE {
                 continue;
             }
-            let mut i = (fp as usize) & mask;
-            while self.idxs[i] != NONE {
+            let mut i = s.lo as usize & mask;
+            while self.slots[i].idx != NONE {
                 i = (i + 1) & mask;
             }
-            self.fps[i] = fp;
-            self.idxs[i] = idx;
+            self.slots[i] = s;
         }
     }
 }
@@ -252,13 +298,13 @@ pub struct KeyedSlabCache {
 }
 
 impl KeyedSlabCache {
-    /// Creates an empty store with 1 MiB slabs.
+    /// Creates an empty store with 1 MiB ([`SLAB_BYTES`]) slabs.
     ///
     /// # Panics
     ///
     /// Panics unless `max_bytes` holds at least one slab.
     pub fn new(max_bytes: u64) -> Self {
-        Self::with_slab_bytes(max_bytes, 1 << 20)
+        Self::with_slab_bytes(max_bytes, SLAB_BYTES)
     }
 
     /// Creates an empty store with the given power-of-two slab size.
@@ -325,16 +371,8 @@ impl KeyedSlabCache {
     /// The slab class index for a value of `value_bytes`.
     #[inline]
     pub fn class_for(&self, value_bytes: u64) -> usize {
-        let need = (value_bytes + ITEM_OVERHEAD)
-            .next_power_of_two()
-            .clamp(MIN_CHUNK, self.slab_bytes);
-        (need.trailing_zeros() - MIN_CHUNK.trailing_zeros()) as usize
-    }
-
-    /// The chunk size an item of `value_bytes` occupies.
-    #[inline]
-    pub fn chunk_bytes_for(&self, value_bytes: u64) -> u64 {
-        self.classes[self.class_for(value_bytes)].chunk
+        let chunk = chunk_bytes(value_bytes, self.slab_bytes);
+        (chunk.trailing_zeros() - MIN_CHUNK.trailing_zeros()) as usize
     }
 
     /// Per-class occupancy views (all classes, ascending chunk size).
@@ -355,14 +393,45 @@ impl KeyedSlabCache {
         (fp >> 58) as usize & (SHARDS - 1)
     }
 
+    /// Sizes the store for `items` keys: every shard grows once to hold
+    /// its share at no more than 3/4 load, and the arena takes `items`
+    /// entries, so filling that many keys neither rehashes nor regrows.
+    pub(crate) fn reserve(&mut self, items: u64) {
+        let per_shard = (items as usize).div_ceil(SHARDS);
+        for shard in &mut self.shards {
+            shard.reserve(per_shard);
+        }
+        self.entries.reserve(items as usize);
+    }
+
+    /// Hints the CPU to fetch the home index slot of `fp`, so a later
+    /// lookup or insert of `fp` finds it in cache. Changes nothing.
+    #[inline]
+    pub(crate) fn prefetch(&self, fp: u64) {
+        let shard = &self.shards[Self::shard_of(fp)];
+        let slot: *const Slot = &shard.slots[shard.home(fp)];
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a prefetch is a hint: it never faults, whatever the
+        // address, and changes no program state. The pointer comes from a
+        // bounds-checked slot reference besides.
+        unsafe {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(slot.cast::<i8>());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = slot;
+    }
+
     /// True if the key is resident (does not touch the LRU).
     pub fn contains(&self, fp: u64) -> bool {
-        self.shards[Self::shard_of(fp)].get(fp).is_some()
+        self.shards[Self::shard_of(fp)]
+            .get(fp, &self.entries)
+            .is_some()
     }
 
     /// Looks up a key; on a hit, moves it to the front of its class LRU.
     pub fn get(&mut self, fp: u64) -> bool {
-        match self.shards[Self::shard_of(fp)].get(fp) {
+        match self.shards[Self::shard_of(fp)].get(fp, &self.entries) {
             Some(idx) => {
                 self.touch(idx);
                 true
@@ -373,7 +442,7 @@ impl KeyedSlabCache {
 
     /// Removes a key. Its chunk returns to the class free list.
     pub fn delete(&mut self, fp: u64) -> bool {
-        match self.shards[Self::shard_of(fp)].remove(fp) {
+        match self.shards[Self::shard_of(fp)].remove(fp, &self.entries) {
             Some(idx) => {
                 let class = self.entries[idx as usize].class as usize;
                 self.unlink(idx);
@@ -394,7 +463,7 @@ impl KeyedSlabCache {
     pub fn insert(&mut self, fp: u64, value_bytes: u64) -> InsertOutcome {
         let mut out = InsertOutcome::default();
         let class = self.class_for(value_bytes);
-        if let Some(idx) = self.shards[Self::shard_of(fp)].get(fp) {
+        if let Some(idx) = self.shards[Self::shard_of(fp)].get(fp, &self.entries) {
             let old = self.entries[idx as usize].class as usize;
             if old == class {
                 // Same-class overwrite reuses the chunk in place.
@@ -402,7 +471,7 @@ impl KeyedSlabCache {
                 return out;
             }
             // The value moved across classes: free the old chunk first.
-            self.shards[Self::shard_of(fp)].remove(fp);
+            self.shards[Self::shard_of(fp)].remove(fp, &self.entries);
             self.unlink(idx);
             self.release_entry(idx);
             self.classes[old].live -= 1;
@@ -425,7 +494,7 @@ impl KeyedSlabCache {
             // At capacity: recycle this class's own LRU tail.
             let tail = self.classes[class].tail;
             let victim_fp = self.entries[tail as usize].fp;
-            self.shards[Self::shard_of(victim_fp)].remove(victim_fp);
+            self.shards[Self::shard_of(victim_fp)].remove(victim_fp, &self.entries);
             self.unlink(tail);
             self.release_entry(tail);
             self.classes[class].live -= 1;
@@ -452,7 +521,7 @@ impl KeyedSlabCache {
         }
 
         let idx = self.acquire_entry(fp, class as u8);
-        self.shards[Self::shard_of(fp)].insert(fp, idx);
+        self.shards[Self::shard_of(fp)].insert(fp, idx, &self.entries);
         self.push_front(class, idx);
         self.classes[class].live += 1;
         self.live += 1;
@@ -536,7 +605,7 @@ impl KeyedSlabCache {
             let tail = self.classes[class].tail;
             debug_assert_ne!(tail, NONE);
             let fp = self.entries[tail as usize].fp;
-            self.shards[Self::shard_of(fp)].remove(fp);
+            self.shards[Self::shard_of(fp)].remove(fp, &self.entries);
             self.unlink(tail);
             self.release_entry(tail);
             self.classes[class].live -= 1;
@@ -656,9 +725,9 @@ impl KeyedSlabCache {
 
     /// Debug invariant: per-class occupancy is consistent with the slab
     /// layout and the global counters; each class LRU is a well-formed
-    /// doubly linked list holding exactly its live items; and the
-    /// fingerprint index, the LRU lists and the free list partition the
-    /// arena.
+    /// doubly linked list holding exactly its live items; the fingerprint
+    /// index, the LRU lists and the free list partition the arena; and a
+    /// lookup from its home slot finds every indexed key.
     #[cfg(test)]
     fn check_invariants(&self) {
         let mut live = 0;
@@ -699,15 +768,18 @@ impl KeyedSlabCache {
         let mut indexed = 0;
         for (s, shard) in self.shards.iter().enumerate() {
             let mut occupied = 0;
-            for (&fp, &idx) in shard.fps.iter().zip(&shard.idxs) {
-                if idx == NONE {
+            for (i, slot) in shard.slots.iter().enumerate() {
+                if slot.idx == NONE {
                     continue;
                 }
                 occupied += 1;
+                let fp = self.entries[slot.idx as usize].fp;
                 assert_eq!(Self::shard_of(fp), s, "fingerprint in the wrong shard");
+                assert_eq!(slot.lo, fp as u32, "index and arena disagree");
                 assert_eq!(
-                    self.entries[idx as usize].fp, fp,
-                    "index and arena disagree"
+                    shard.find_slot(fp, &self.entries),
+                    Some(i),
+                    "a lookup from the home slot misses an indexed key"
                 );
             }
             assert_eq!(occupied, shard.live, "shard count is stale");
@@ -729,7 +801,7 @@ impl KeyedSlabCache {
 mod tests {
     use super::*;
     use m3_sim::rng::SimRng;
-    use m3_sim::units::{KIB, MIB};
+    use m3_sim::units::{GIB, KIB, MIB};
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -744,15 +816,20 @@ mod tests {
     #[test]
     fn class_geometry() {
         let c = KeyedSlabCache::new(64 * MIB);
-        assert_eq!(c.chunk_bytes_for(0), 64);
-        assert_eq!(c.chunk_bytes_for(8), 64);
-        assert_eq!(c.chunk_bytes_for(9), 128);
-        assert_eq!(c.chunk_bytes_for(72), 128);
-        assert_eq!(c.chunk_bytes_for(968), 1024, "968 + 56 overhead = 1 KiB");
-        assert_eq!(c.chunk_bytes_for(1000), 2048, "overhead tips the class");
-        assert_eq!(c.chunk_bytes_for(MIB), MIB);
-        assert_eq!(c.chunk_bytes_for(8 * MIB), MIB, "oversize caps at slab");
-        assert_eq!(c.class_views().len(), 15);
+        let chunk = |v| chunk_bytes(v, c.slab_bytes());
+        assert_eq!(chunk(0), 64);
+        assert_eq!(chunk(8), 64);
+        assert_eq!(chunk(9), 128);
+        assert_eq!(chunk(72), 128);
+        assert_eq!(chunk(968), 1024, "968 + 56 overhead = 1 KiB");
+        assert_eq!(chunk(1000), 2048, "overhead tips the class");
+        assert_eq!(chunk(MIB), MIB);
+        assert_eq!(chunk(8 * MIB), MIB, "oversize caps at slab");
+        let views = c.class_views();
+        assert_eq!(views.len(), 15);
+        for v in [0, 9, 968, 1000, 40_000, MIB, 8 * MIB] {
+            assert_eq!(views[c.class_for(v)].chunk, chunk(v), "value {v}");
+        }
     }
 
     #[test]
@@ -1044,12 +1121,14 @@ mod tests {
         Clear,
     }
 
-    /// The fingerprint of model key `k`. Keys below 64 share one home slot
-    /// in each of four shards, so their probe runs wrap the table and
-    /// deletes exercise the backward shift; the rest spread out.
+    /// The fingerprint of model key `k`. Keys below 64 fall in four shards,
+    /// two to each of the last eight home slots of a 64-slot table, so
+    /// their probe runs wrap the table and mix homes, and deletes exercise
+    /// every case of the backward shift. Keys `k` and `k + 32` share their
+    /// low 32 bits, the index's tag. The rest spread out.
     fn key(k: u64) -> u64 {
         if k < 64 {
-            ((k % 4) << 58) | (k << 16) | 0x3A
+            ((k % 4) << 58) | ((k / 32) << 40) | ((k % 32) << 16) | (56 + (k / 4) % 8)
         } else {
             fp(k)
         }
@@ -1119,6 +1198,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Sizing the index and prefetching its slots change nothing a
+        /// caller sees: a reserved store that is prefetched before every
+        /// op returns what a plain store returns, op for op.
+        #[test]
+        fn reserve_and_prefetch_are_unobservable(
+            ops in proptest::collection::vec(op_strategy(), 1..300),
+            reserved in 0u64..20_000,
+            cap_slabs in 2u64..40,
+        ) {
+            let new = || KeyedSlabCache::with_slab_bytes(cap_slabs * 64 * KIB, 64 * KIB);
+            let (mut plain, mut sized) = (new(), new());
+            sized.reserve(reserved);
+            for op in ops {
+                match op {
+                    Op::Get(k) => {
+                        sized.prefetch(key(k));
+                        prop_assert_eq!(plain.get(key(k)), sized.get(key(k)));
+                    }
+                    Op::Insert(k, v) => {
+                        sized.prefetch(key(k));
+                        prop_assert_eq!(plain.insert(key(k), v), sized.insert(key(k), v));
+                    }
+                    Op::Delete(k) => {
+                        prop_assert_eq!(plain.delete(key(k)), sized.delete(key(k)));
+                    }
+                    Op::EvictSlabs(n) => {
+                        prop_assert_eq!(plain.evict_slabs(n), sized.evict_slabs(n));
+                    }
+                    Op::EvictFraction(f) => {
+                        prop_assert_eq!(plain.evict_fraction(f), sized.evict_fraction(f));
+                    }
+                    Op::Clear => {
+                        prop_assert_eq!(plain.clear(), sized.clear());
+                    }
+                }
+                prop_assert_eq!(plain.class_views(), sized.class_views());
+                sized.check_invariants();
+            }
+            for k in 0..96 {
+                prop_assert_eq!(plain.contains(key(k)), sized.contains(key(k)));
+            }
+        }
+    }
+
+    #[test]
+    fn reserve_sizes_the_index_and_arena_for_a_fill() {
+        let items = 36_000;
+        let mut c = KeyedSlabCache::new(GIB);
+        c.reserve(items);
+        let slots: Vec<usize> = c.shards.iter().map(|s| s.slots.len()).collect();
+        let arena = c.entries.capacity();
+        assert!(arena >= items as usize);
+        for i in 0..items {
+            c.insert(fp(i), 100 + i % 2_000);
+        }
+        let after: Vec<usize> = c.shards.iter().map(|s| s.slots.len()).collect();
+        assert_eq!(after, slots, "no shard rehashed during the fill");
+        assert_eq!(c.entries.capacity(), arena, "the arena never regrew");
+        assert!(slots.iter().all(|&n| n == 1024), "{slots:?}");
+        c.check_invariants();
     }
 
     #[test]

@@ -6,15 +6,19 @@
 //! blobs to 1 MB media objects, and ~5 % negative lookups — plus burst /
 //! diurnal / hot-key-shift phase schedules layered on top.
 //!
-//! Everything is deterministic and seedable, and nothing is O(key-space):
+//! Everything is deterministic and seedable, and an op costs O(1) time
+//! and memory whatever the key space. (A run still makes one pass over
+//! the key space: the node sizing of DESIGN.md §15 walks every key's
+//! value size once.)
 //!
 //! - **Zipf sampling** uses rejection inversion (Hörmann & Derflinger's
 //!   ZRI scheme, the same algorithm behind Apache Commons'
 //!   `RejectionInversionZipfSampler`): O(1) per draw with no harmonic
 //!   table. A precomputed head table covers the first 1024 ranks — where
 //!   the overwhelming share of a skewed distribution's mass lives — so
-//!   the hot path replaces two `powf` calls with a binary search over
-//!   cached bin boundaries and an exact table-driven acceptance test.
+//!   the hot path replaces two `powf` calls with a guide-table lookup
+//!   of the cached bin boundaries (a walk of about one step from the
+//!   bin its bucket names) and an exact table-driven acceptance test.
 //! - **Keys are 64-bit fingerprints**, derived from the rank by a
 //!   SplitMix64-style mixer; negative lookups draw from a disjoint
 //!   salted namespace so they can never hit.
@@ -29,6 +33,10 @@ use serde::{Deserialize, Serialize};
 
 /// Ranks covered by the Zipf sampler's precomputed head table.
 const ZIPF_HEAD_RANKS: u64 = 1024;
+
+/// Buckets of the guide table that starts the head search, spread evenly
+/// over the head's `u` range.
+const ZIPF_GUIDE_BUCKETS: usize = 4096;
 
 /// Salt separating the negative-lookup fingerprint namespace.
 const NEGATIVE_SALT: u64 = 0xDEAD_BEEF_CAFE_F00D;
@@ -131,7 +139,10 @@ impl TraceWorkload {
     pub fn validate(&self) {
         assert!(self.key_space > 0, "key space must be positive");
         assert!(self.total_ops > 0, "trace must contain ops");
-        assert!(self.zipf_alpha > 0.0, "zipf alpha must be positive");
+        assert!(
+            self.zipf_alpha.is_finite() && self.zipf_alpha > 0.0,
+            "zipf alpha must be positive and finite"
+        );
         assert!(
             self.get_per_mille as u32 + self.set_per_mille as u32 <= 1000,
             "op mix exceeds 1000 per mille"
@@ -168,16 +179,26 @@ impl TraceWorkload {
     /// fingerprint implementing Snippet 3's four tiers: 40 % tiny
     /// metadata (16–100 B), 50 % typical objects (512 B–2 KiB), 9 %
     /// medium blobs (10–50 KiB), 1 % large media (500 KiB–1 MiB).
+    ///
+    /// The tier is drawn at those odds, so a branch on it would be
+    /// mispredicted about half the time. Instead every tier's size is
+    /// drawn, each modulo a constant, and masks select the drawn tier's.
     #[inline]
     pub fn value_bytes(&self, fp: u64) -> u64 {
         let h = mix64(fp ^ TIER_SALT);
-        let (lo, hi) = match h % 100 {
-            0..=39 => (16, 100),
-            40..=89 => (512, 2_048),
-            90..=98 => (10_240, 51_200),
-            _ => (512_000, 1_048_576),
-        };
-        lo + mix64(h) % (hi - lo + 1)
+        let pct = h % 100;
+        let m = mix64(h);
+        // All ones when `cond` holds, else zero.
+        let mask = |cond: bool| (cond as u64).wrapping_neg();
+        let tiny = 16 + m % (100 - 16 + 1);
+        let typical = 512 + m % (2_048 - 512 + 1);
+        let medium = 10_240 + m % (51_200 - 10_240 + 1);
+        let large = 512_000 + m % (1_048_576 - 512_000 + 1);
+        let mut v = tiny;
+        v ^= (v ^ typical) & mask(pct >= 40);
+        v ^= (v ^ medium) & mask(pct >= 90);
+        v ^= (v ^ large) & mask(pct >= 99);
+        v
     }
 
     /// The pace `(num, den)` for op `i`: per-op service cost is scaled by
@@ -225,9 +246,11 @@ impl TraceWorkload {
 /// Draws ranks in `1..=n` with P(k) ∝ k^(-α) in O(1) expected time and
 /// O(1) memory beyond a fixed 1024-entry head table. The head table
 /// caches the bin boundaries `H(k ± ½)` and densities `h(k)` for the
-/// hottest ranks, replacing the `powf`-heavy inversion with a binary
-/// search wherever the sample lands in the head — at α = 1.2 over a
-/// million keys that is ~85 % of all draws.
+/// hottest ranks, replacing the `powf`-heavy inversion with a table
+/// lookup wherever the sample lands in the head — at α = 1.2 over a
+/// million keys that is ~85 % of all draws. A 4096-bucket guide table
+/// over the head's range names the bin at each bucket's lower edge, so
+/// finding a draw's bin is a walk of about one step.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     n: u64,
@@ -245,13 +268,21 @@ pub struct ZipfSampler {
     head_h: Vec<f64>,
     /// `head_hk[k] = h(k) = k^-α` for `k = 0..=r` (index 0 unused).
     head_hk: Vec<f64>,
+    /// `guide[b]`: the bin holding the lower edge of bucket `b`, clamped
+    /// to `1..=r`.
+    guide: Vec<u16>,
+    /// Buckets per unit of `u`: `ZIPF_GUIDE_BUCKETS / (head_h[r] - head_h[0])`.
+    guide_scale: f64,
 }
 
 impl ZipfSampler {
     /// Builds a sampler over ranks `1..=n` with skew `alpha`.
     pub fn new(n: u64, alpha: f64) -> Self {
         assert!(n >= 1, "rank space must be non-empty");
-        assert!(alpha > 0.0, "alpha must be positive");
+        assert!(
+            alpha.is_finite() && alpha > 0.0,
+            "alpha must be positive and finite"
+        );
         let one_minus = 1.0 - alpha;
         let h = |x: f64| -> f64 {
             if alpha == 1.0 {
@@ -272,6 +303,13 @@ impl ZipfSampler {
         let head_hk: Vec<f64> = (0..=r)
             .map(|k| if k == 0 { 0.0 } else { (k as f64).powf(-alpha) })
             .collect();
+        let width = (head_h[r] - head_h[0]) / ZIPF_GUIDE_BUCKETS as f64;
+        let guide = (0..ZIPF_GUIDE_BUCKETS)
+            .map(|b| {
+                let edge = head_h[0] + b as f64 * width;
+                head_h.partition_point(|&e| e <= edge).clamp(1, r) as u16
+            })
+            .collect();
         ZipfSampler {
             n,
             alpha,
@@ -280,9 +318,32 @@ impl ZipfSampler {
             h_n: h(n as f64 + 0.5),
             s: 2.0 - h_inv(h(2.5) - (2.0f64).powf(-alpha)),
             r,
+            guide_scale: 1.0 / width,
             head_h,
             head_hk,
+            guide,
         }
+    }
+
+    /// The head bin of `u < head_h[r]`: the number of bin edges at or
+    /// below it, as `head_h.partition_point(|&b| b <= u)` counts them.
+    ///
+    /// The guide names the bin at the lower edge of `u`'s bucket. The walk
+    /// steps down while the edge below the bin exceeds `u` (when rounding
+    /// put `u` in the bucket above its own) and up while the bin's own
+    /// edge is at or below `u`. `head_h` is increasing, so it stops at the
+    /// one bin with `head_h[k - 1] <= u < head_h[k]`, wherever it starts.
+    #[inline]
+    fn head_bin(&self, u: f64) -> usize {
+        let bucket = ((u - self.head_h[0]) * self.guide_scale) as usize;
+        let mut k = self.guide[bucket.min(ZIPF_GUIDE_BUCKETS - 1)] as usize;
+        while k > 0 && self.head_h[k - 1] > u {
+            k -= 1;
+        }
+        while self.head_h[k] <= u {
+            k += 1;
+        }
+        k
     }
 
     #[inline]
@@ -312,9 +373,9 @@ impl ZipfSampler {
             // u spans (H(1.5) - h(1), H(n + 0.5)], covering all bins.
             let u = self.h_n + rng.gen_f64() * (self.h_x1 - self.h_n);
             if u < self.head_h[self.r] {
-                // Head: binary-search the cached bin boundaries, then
+                // Head: look the bin up in the cached boundaries, then
                 // run the exact acceptance test from the cached density.
-                let k = self.head_h.partition_point(|&b| b <= u);
+                let k = self.head_bin(u);
                 debug_assert!((1..=self.r).contains(&k));
                 if u >= self.head_h[k] - self.head_hk[k] {
                     return k as u64;
@@ -433,6 +494,140 @@ impl Iterator for TraceGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `value_bytes` as first written: branch on the drawn tier, then draw
+    /// modulo that tier's span.
+    fn tiered_value_bytes(fp: u64) -> u64 {
+        let h = mix64(fp ^ TIER_SALT);
+        let (lo, hi) = match h % 100 {
+            0..=39 => (16, 100),
+            40..=89 => (512, 2_048),
+            90..=98 => (10_240, 51_200),
+            _ => (512_000, 1_048_576),
+        };
+        lo + mix64(h) % (hi - lo + 1)
+    }
+
+    #[test]
+    fn value_bytes_equals_the_tiered_formula_on_every_production_key() {
+        for seed in [
+            TraceWorkload::production(TrafficPattern::Steady).seed,
+            1,
+            71,
+        ] {
+            let wl = TraceWorkload {
+                seed,
+                ..TraceWorkload::production(TrafficPattern::Steady)
+            };
+            for key in 0..wl.key_space {
+                let fp = wl.fp_of(key);
+                assert_eq!(wl.value_bytes(fp), tiered_value_bytes(fp), "key {key}");
+            }
+        }
+    }
+
+    /// The skews and rank spaces the head search is checked on: one rank,
+    /// two, a head smaller than, equal to and just past the table, and the
+    /// production scale.
+    const HEAD_CASES_N: [u64; 6] = [1, 2, 1000, 1024, 1025, 2_000_000];
+    const HEAD_CASES_ALPHA: [f64; 4] = [0.5, 1.0, 1.2, 3.0];
+
+    /// Checks the guided head search against the binary search it replaced.
+    fn assert_head_bin(z: &ZipfSampler, u: f64) {
+        assert_eq!(
+            z.head_bin(u),
+            z.head_h.partition_point(|&b| b <= u),
+            "n {} alpha {} u {u:e}",
+            z.n,
+            z.alpha
+        );
+    }
+
+    #[test]
+    fn head_search_equals_partition_point_at_every_edge() {
+        for n in HEAD_CASES_N {
+            for alpha in HEAD_CASES_ALPHA {
+                let z = ZipfSampler::new(n, alpha);
+                let top = z.head_h[z.r];
+                assert_head_bin(&z, z.head_h[0] - 1.0);
+                for &edge in &z.head_h {
+                    for u in [edge.next_down(), edge, edge.next_up()] {
+                        if u < top {
+                            assert_head_bin(&z, u);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn value_bytes_equals_the_tiered_formula(fp in any::<u64>()) {
+            let wl = TraceWorkload::smoke(TrafficPattern::Steady);
+            prop_assert_eq!(wl.value_bytes(fp), tiered_value_bytes(fp));
+        }
+    }
+
+    proptest! {
+        // Ten cases per (n, alpha) pair on average; the fixed case seeds
+        // reach all 24.
+        #![proptest_config(ProptestConfig::with_cases(240))]
+
+        /// Random `u` across the head's range, and the draws the sampler
+        /// itself makes, land in `partition_point`'s bin.
+        #[test]
+        fn head_search_equals_partition_point(
+            pair in 0usize..HEAD_CASES_N.len() * HEAD_CASES_ALPHA.len(),
+            fractions in proptest::collection::vec(0.0f64..1.0, 64..65),
+            seed in any::<u64>(),
+        ) {
+            let n = HEAD_CASES_N[pair / HEAD_CASES_ALPHA.len()];
+            let alpha = HEAD_CASES_ALPHA[pair % HEAD_CASES_ALPHA.len()];
+            let z = ZipfSampler::new(n, alpha);
+            let (bottom, top) = (z.head_h[0], z.head_h[z.r]);
+            for f in fractions {
+                let u = bottom + f * (top - bottom);
+                if u < top {
+                    assert_head_bin(&z, u);
+                }
+            }
+            let mut rng = SimRng::new(seed);
+            for _ in 0..64 {
+                let u = z.h_n + rng.gen_f64() * (z.h_x1 - z.h_n);
+                if u < top {
+                    assert_head_bin(&z, u);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf alpha must be positive and finite")]
+    fn infinite_zipf_alpha_is_rejected() {
+        TraceGen::new(TraceWorkload {
+            zipf_alpha: f64::INFINITY,
+            ..TraceWorkload::smoke(TrafficPattern::Steady)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf alpha must be positive and finite")]
+    fn nan_zipf_alpha_is_rejected() {
+        TraceGen::new(TraceWorkload {
+            zipf_alpha: f64::NAN,
+            ..TraceWorkload::smoke(TrafficPattern::Steady)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be positive and finite")]
+    fn zipf_sampler_rejects_an_infinite_alpha() {
+        ZipfSampler::new(10, f64::INFINITY);
+    }
 
     #[test]
     fn zipf_is_deterministic() {

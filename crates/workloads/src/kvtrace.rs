@@ -22,7 +22,8 @@
 
 use std::sync::Arc;
 
-use m3_cache::{KeyedSlabCache, TraceWorkload};
+use m3_cache::store::{chunk_bytes, SLAB_BYTES};
+use m3_cache::TraceWorkload;
 use m3_sim::clock::SimDuration;
 use m3_sim::trace::{EvictReason, TraceData};
 use serde::{Deserialize, Serialize};
@@ -144,12 +145,14 @@ impl CacheTraceOutcome {
 }
 
 /// Exact chunked bytes of the full key space: every key resident in its
-/// slab class at once. The sizing anchor for [`node_phys_bytes`].
+/// slab class at once, in the 1-MiB slabs of [`KeyedSlabCache::new`]. The
+/// sizing anchor for [`node_phys_bytes`], and a run's one pass over the
+/// key space.
+///
+/// [`KeyedSlabCache::new`]: m3_cache::KeyedSlabCache::new
 pub fn working_set_bytes(twl: &TraceWorkload) -> u64 {
-    // A probe store supplies the chunk-class geometry; nothing is inserted.
-    let probe = KeyedSlabCache::new(u64::MAX / 2);
     (0..twl.key_space)
-        .map(|key| probe.chunk_bytes_for(twl.value_bytes(twl.fp_of(key))))
+        .map(|key| chunk_bytes(twl.value_bytes(twl.fp_of(key)), SLAB_BYTES))
         .sum()
 }
 
@@ -314,6 +317,13 @@ mod tests {
         // 30k keys at a few KiB mean chunked size.
         assert!(ws > 30_000 * 128, "ws {ws}");
         assert!(ws < 30_000 * MIB, "ws {ws}");
+        // Every key's chunk, as a default store's class table holds it.
+        let store = m3_cache::KeyedSlabCache::new(GIB);
+        let views = store.class_views();
+        let by_class: u64 = (0..twl.key_space)
+            .map(|key| views[store.class_for(twl.value_bytes(twl.fp_of(key)))].chunk)
+            .sum();
+        assert_eq!(ws, by_class, "the walk uses the store's chunk rule");
         let phys = node_phys_bytes(&twl);
         assert!(phys < ws, "the working set must overhang physical memory");
         assert!(phys > ws / 4);

@@ -28,6 +28,11 @@ done
 # unit tests and their doctests. On a conformance failure the offending
 # trace JSON lands in target/conformance-artifacts/.
 cargo test -q --workspace
+# The cache crate's tests again in release, as its code ships: without
+# debug assertions and overflow checks, with the index's `unsafe` prefetch
+# and the branch-free value sizing optimized. Its all-keys equality tests
+# take seconds there.
+cargo test --release -q -p m3-cache
 # The vendored stand-ins under vendor/ are outside the workspace, so the
 # line above never runs their tests. serde_json is the only one with
 # tests: the JSON writer and reader every trace and payload goes through.
