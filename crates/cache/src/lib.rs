@@ -37,7 +37,7 @@ pub mod trace;
 pub mod workload;
 
 pub use kv::{KvApp, KvBackend, KvStats};
-pub use slab::SlabCache;
+pub use slab::{slabs_for_fraction, SlabCache};
 pub use store::{ClassEvict, ClassView, EvictOutcome, InsertOutcome, KeyedSlabCache};
 pub use trace::{TraceGen, TraceOp, TraceOpKind, TraceWorkload, TrafficPattern, ZipfSampler};
 pub use workload::KvWorkload;

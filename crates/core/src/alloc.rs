@@ -17,7 +17,9 @@
 //! (small epoch → rate recovers quickly) and lets the application with the
 //! higher demand grow more (more `alloc()` calls → more allowed calls).
 
+use m3_os::{Kernel, Pid};
 use m3_sim::clock::{SimDuration, SimTime};
+use m3_sim::trace::TraceData;
 use serde::{Deserialize, Serialize};
 
 /// How the allow rate recovers after a high signal.
@@ -64,21 +66,6 @@ impl RateCurve {
             }
         }
     }
-}
-
-/// A point-in-time view of the allocation gate, used by trace emission.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateSnapshot {
-    /// The allow rate at snapshot time.
-    pub rate: f64,
-    /// Milliseconds since the last high signal (zero if none).
-    pub elapsed_ms: u64,
-    /// The current epoch length in milliseconds.
-    pub epoch_ms: u64,
-    /// `NUM_epochs`.
-    pub num_epochs: u32,
-    /// The recovery curve's stable name.
-    pub curve: &'static str,
 }
 
 /// Protocol state for one application's top-most layer.
@@ -176,25 +163,6 @@ impl AdaptiveAllocator {
         self.curve.rate(elapsed / denom)
     }
 
-    /// True once the throttle has fully released (rate back to 100 %).
-    pub fn fully_recovered(&self, now: SimTime) -> bool {
-        self.allow_rate(now) >= 1.0
-    }
-
-    /// Everything a trace event needs to replay the gating decision made at
-    /// `now`: the computed rate and the formula's inputs (§4.2).
-    pub fn gate_snapshot(&self, now: SimTime) -> GateSnapshot {
-        GateSnapshot {
-            rate: self.allow_rate(now),
-            elapsed_ms: self
-                .last_signal
-                .map_or(0, |t0| now.saturating_since(t0).as_millis()),
-            epoch_ms: self.epoch_len.as_millis(),
-            num_epochs: self.num_epochs,
-            curve: self.curve.name(),
-        }
-    }
-
     /// Per-allocation gate: returns `true` if this `alloc()` call must be
     /// *delayed* (evict first), `false` if it proceeds as normal.
     ///
@@ -227,6 +195,53 @@ impl AdaptiveAllocator {
         self.batch_carry = exact - delayed as f64;
         delayed
     }
+
+    /// The traced per-allocation gate: [`AdaptiveAllocator::should_delay`]
+    /// for one `alloc()` call of process `pid`, recording the decision
+    /// (`alloc.admit` or `alloc.delay`) while the throttle is engaged, so
+    /// the oracle can replay the ⌊1/r⌋ pattern against the §4.2 formula.
+    /// Returns `true` if the call is delayed.
+    pub fn admit(&mut self, os: &mut Kernel, pid: Pid, now: SimTime) -> bool {
+        let rate = self.allow_rate(now);
+        let delayed = self.should_delay(now);
+        if rate < 1.0 {
+            os.record_trace_with(pid, || TraceData::AllocGate {
+                delayed,
+                rate,
+                elapsed_ms: self.elapsed_ms(now),
+                epoch_ms: self.epoch_len.as_millis(),
+                num_epochs: self.num_epochs,
+                curve: self.curve.name().to_string(),
+            });
+        }
+        delayed
+    }
+
+    /// The traced batched gate: [`AdaptiveAllocator::delayed_of`] for `n`
+    /// allocation attempts of process `pid`, recording one `alloc.batch`
+    /// event while the throttle is engaged. Returns how many are delayed.
+    pub fn admit_batch(&mut self, os: &mut Kernel, pid: Pid, n: u64, now: SimTime) -> u64 {
+        let rate = self.allow_rate(now);
+        let delayed = self.delayed_of(n, now);
+        if rate < 1.0 {
+            os.record_trace_with(pid, || TraceData::AllocBatch {
+                n,
+                delayed,
+                rate,
+                elapsed_ms: self.elapsed_ms(now),
+                epoch_ms: self.epoch_len.as_millis(),
+                num_epochs: self.num_epochs,
+                curve: self.curve.name().to_string(),
+            });
+        }
+        delayed
+    }
+
+    /// Milliseconds since the last high signal (zero if none).
+    fn elapsed_ms(&self, now: SimTime) -> u64 {
+        self.last_signal
+            .map_or(0, |t0| now.saturating_since(t0).as_millis())
+    }
 }
 
 #[cfg(test)]
@@ -241,7 +256,6 @@ mod tests {
     fn rate_is_full_without_signal() {
         let a = AdaptiveAllocator::new(1);
         assert_eq!(a.allow_rate(t(0)), 1.0);
-        assert!(a.fully_recovered(t(0)));
     }
 
     #[test]
@@ -261,8 +275,8 @@ mod tests {
         a.on_high_signal(t(0));
         a.on_reclaim_done(t(1000)); // epoch = 1 s, recovery = 5 s
         assert!((a.allow_rate(t(1000)) - 0.2).abs() < 1e-9);
-        assert!(!a.fully_recovered(t(4000)));
-        assert!(a.fully_recovered(t(5000)));
+        assert!(a.allow_rate(t(4000)) < 1.0);
+        assert_eq!(a.allow_rate(t(5000)), 1.0);
     }
 
     #[test]
@@ -270,7 +284,7 @@ mod tests {
         let mut a = AdaptiveAllocator::new(1);
         a.on_high_signal(t(0));
         a.on_reclaim_done(t(1000));
-        assert!(a.fully_recovered(t(1000)));
+        assert_eq!(a.allow_rate(t(1000)), 1.0);
         a.on_high_signal(t(5000));
         assert_eq!(a.allow_rate(t(5000)), 0.0);
     }
@@ -286,8 +300,8 @@ mod tests {
         slow.on_high_signal(t(0));
         slow.on_reclaim_done(t(4000)); // 4 s epoch
         assert!(fast.allow_rate(t(500)) > slow.allow_rate(t(500)));
-        assert!(fast.fully_recovered(t(500)));
-        assert!(!slow.fully_recovered(t(500)));
+        assert_eq!(fast.allow_rate(t(500)), 1.0);
+        assert!(slow.allow_rate(t(500)) < 1.0);
     }
 
     #[test]
@@ -343,7 +357,7 @@ mod tests {
         a.on_reclaim_done(t(100)); // instantaneous handler
         assert!(a.epoch_len() >= SimDuration::from_millis(1));
         // And the rate still recovers.
-        assert!(a.fully_recovered(t(101)));
+        assert_eq!(a.allow_rate(t(101)), 1.0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod scheduler;
 pub mod selection;
 pub mod thresholds;
 
-pub use alloc::{AdaptiveAllocator, GateSnapshot, RateCurve};
+pub use alloc::{AdaptiveAllocator, RateCurve};
 pub use config::{
     MonitorConfig, KILL_TIMEOUT, POLL_PERIOD, RATIO_TARGET, WATCHDOG_BACKOFF_MAX, WATCHDOG_POLLS,
     WINDOW,

@@ -31,18 +31,6 @@ impl HdfsInput {
     pub fn num_blocks(&self) -> u32 {
         self.bytes.div_ceil(self.block_size) as u32
     }
-
-    /// Size of the given block (the last block may be a remainder).
-    pub fn block_bytes(&self, index: u32) -> u64 {
-        let full = self.bytes / self.block_size;
-        if u64::from(index) < full {
-            self.block_size
-        } else if u64::from(index) == full {
-            self.bytes % self.block_size
-        } else {
-            0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -54,16 +42,11 @@ mod tests {
     fn block_count_rounds_up() {
         let h = HdfsInput::new(GIB + MIB, 128 * MIB);
         assert_eq!(h.num_blocks(), 9);
-        assert_eq!(h.block_bytes(0), 128 * MIB);
-        assert_eq!(h.block_bytes(8), MIB);
-        assert_eq!(h.block_bytes(9), 0);
     }
 
     #[test]
     fn exact_multiple_has_no_tail() {
         let h = HdfsInput::new(GIB, 128 * MIB);
         assert_eq!(h.num_blocks(), 8);
-        assert_eq!(h.block_bytes(7), 128 * MIB);
-        assert_eq!(h.block_bytes(8), 0);
     }
 }

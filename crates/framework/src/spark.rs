@@ -304,26 +304,13 @@ impl SparkApp {
         cost
     }
 
-    /// Runs one `alloc()` through the adaptive gate. The decision is traced
-    /// whenever the throttle is engaged (rate below 100 %) so the oracle can
-    /// replay the ⌊1/r⌋ admission pattern against the §4.2 formula.
+    /// Runs one `alloc()` through the adaptive gate (traced by the
+    /// allocator); returns `true` if it is delayed.
     fn gate_alloc(&mut self, os: &mut Kernel, now: SimTime) -> bool {
-        let Some(a) = self.allocator.as_mut() else {
-            return false;
-        };
-        let snap = a.gate_snapshot(now);
-        let delayed = a.should_delay(now);
-        if snap.rate < 1.0 {
-            os.record_trace_with(self.jvm.pid(), || TraceData::AllocGate {
-                delayed,
-                rate: snap.rate,
-                elapsed_ms: snap.elapsed_ms,
-                epoch_ms: snap.epoch_ms,
-                num_epochs: snap.num_epochs,
-                curve: snap.curve.to_string(),
-            });
-        }
-        delayed
+        let pid = self.jvm.pid();
+        self.allocator
+            .as_mut()
+            .is_some_and(|a| a.admit(os, pid, now))
     }
 
     /// Bytes of the cached representation of block `id` (uniform blocks;
@@ -347,18 +334,9 @@ impl SparkApp {
             // in place — usage does not grow.
             let needed = bytes.min(self.cache.used());
             if needed > 0 {
-                let before = self.cache.len();
-                let freed = self.cache.evict_bytes(needed);
-                let evicted_blocks = (before - self.cache.len()) as u64;
-                os.record_trace_with(self.jvm.pid(), || TraceData::EvictBlocks {
-                    before: before as u64,
-                    evicted: evicted_blocks,
-                    bytes: freed,
-                    reason: EvictReason::AdmissionDelay,
-                });
-                cost += SimDuration::from_millis(evicted_blocks * EVICT_MS_PER_BLOCK);
-                self.stats.spark_mm +=
-                    SimDuration::from_millis(evicted_blocks * EVICT_MS_PER_BLOCK);
+                let (freed, evict_cost) =
+                    self.evict_blocks(os, EvictReason::AdmissionDelay, |c| c.evict_bytes(needed));
+                cost += evict_cost;
                 match self.jvm.replace_pinned(os, freed, bytes) {
                     Ok(c) => cost += c.pause,
                     Err(RuntimeError::HeapExhausted) => {
@@ -374,7 +352,7 @@ impl SparkApp {
         // Stock capacity limit (a no-op under M3's unbounded cache).
         let need = self.cache.needed_for(bytes);
         if need > 0 {
-            cost += self.evict_blocks_for_cache(os, need);
+            cost += self.evict_blocks_for(os, need, true);
         }
         match self.jvm.alloc_pinned(os, bytes) {
             Ok(c) => cost += c.pause,
@@ -397,17 +375,10 @@ impl SparkApp {
 
     /// Evicts cache blocks totalling at least `need` bytes, marking the
     /// JVM data dead. `for_execution` distinguishes eviction forced by
-    /// transient allocation from block-replacement eviction.
+    /// transient allocation (or the stock capacity limit) from
+    /// block-replacement eviction.
     fn evict_blocks_for(&mut self, os: &mut Kernel, need: u64, for_execution: bool) -> SimDuration {
-        let before = self.cache.len();
-        let freed = self.cache.evict_bytes(need);
-        let evicted = (before - self.cache.len()) as u64;
-        os.record_trace_with(self.jvm.pid(), || TraceData::EvictBlocks {
-            before: before as u64,
-            evicted,
-            bytes: freed,
-            reason: EvictReason::Capacity,
-        });
+        let (freed, cost) = self.evict_blocks(os, EvictReason::Capacity, |c| c.evict_bytes(need));
         if !for_execution {
             // The replacement path reuses the space in place; only mark
             // dead what replace_pinned will not reuse.
@@ -415,26 +386,30 @@ impl SparkApp {
         } else {
             self.jvm.free_pinned(freed);
         }
-        let d = SimDuration::from_millis(evicted * EVICT_MS_PER_BLOCK);
-        self.stats.spark_mm += d;
-        d
+        cost
     }
 
-    /// Capacity-eviction path (stock): evicted data becomes JVM garbage.
-    fn evict_blocks_for_cache(&mut self, os: &mut Kernel, need: u64) -> SimDuration {
+    /// Runs one block eviction, `evict` returning the bytes it freed from
+    /// the cache: records `evict.blocks` and charges the per-block
+    /// bookkeeping to Spark MM. Returns `(freed, cost)`.
+    fn evict_blocks(
+        &mut self,
+        os: &mut Kernel,
+        reason: EvictReason,
+        evict: impl FnOnce(&mut BlockCache) -> u64,
+    ) -> (u64, SimDuration) {
         let before = self.cache.len();
-        let freed = self.cache.evict_bytes(need);
+        let freed = evict(&mut self.cache);
         let evicted = (before - self.cache.len()) as u64;
         os.record_trace_with(self.jvm.pid(), || TraceData::EvictBlocks {
             before: before as u64,
             evicted,
             bytes: freed,
-            reason: EvictReason::Capacity,
+            reason,
         });
-        self.jvm.free_pinned(freed);
-        let d = SimDuration::from_millis(evicted * EVICT_MS_PER_BLOCK);
-        self.stats.spark_mm += d;
-        d
+        let cost = SimDuration::from_millis(evicted * EVICT_MS_PER_BLOCK);
+        self.stats.spark_mm += cost;
+        (freed, cost)
     }
 
     /// Marks the job failed and releases its memory.
@@ -448,18 +423,10 @@ impl SparkApp {
     /// The High-signal eviction work packet: drops ⅛ of the cached blocks
     /// (Table 1) and marks their bytes dead in the JVM.
     fn evict_high_packet(&mut self, os: &mut Kernel) -> PacketOutcome {
-        let before = self.cache.len();
-        let freed = self.cache.evict_fraction(self.cfg.high_evict_fraction);
-        let evicted = (before - self.cache.len()) as u64;
-        os.record_trace_with(self.jvm.pid(), || TraceData::EvictBlocks {
-            before: before as u64,
-            evicted,
-            bytes: freed,
-            reason: EvictReason::HighSignal,
-        });
+        let fraction = self.cfg.high_evict_fraction;
+        let (freed, cost) =
+            self.evict_blocks(os, EvictReason::HighSignal, |c| c.evict_fraction(fraction));
         self.jvm.free_pinned(freed);
-        let cost = SimDuration::from_millis(evicted * EVICT_MS_PER_BLOCK);
-        self.stats.spark_mm += cost;
         PacketOutcome::freed(freed, cost)
     }
 }
@@ -664,9 +631,15 @@ mod tests {
             now += tick;
         }
         let blocks = app.cache.len();
+        let mm_before = app.stats.spark_mm;
         let out = app.handle_signal(ThresholdSignal::High, &mut os, now);
         let expected_evicted = (blocks as f64 / 8.0).ceil() as usize;
         assert_eq!(app.cache.len(), blocks - expected_evicted);
+        assert_eq!(
+            app.stats.spark_mm - mm_before,
+            SimDuration::from_millis(expected_evicted as u64 * EVICT_MS_PER_BLOCK),
+            "each evicted block's bookkeeping is Spark MM time"
+        );
         assert!(app.jvm.stats.mixed_count >= 1);
         assert!(
             out.returned_to_os > 0,

@@ -2115,25 +2115,14 @@ mod tests {
         let mut a = AdaptiveAllocator::new(1);
         a.on_high_signal(SimTime::from_millis(0));
         a.on_reclaim_done(SimTime::from_millis(10_000));
-        let mut log = TraceLog::new();
+        let mut os = Kernel::new(KernelConfig::with_total(GIB));
         let now = SimTime::from_millis(1500); // rate 15%
+        os.set_time(now);
         for _ in 0..50 {
-            let snap = a.gate_snapshot(now);
-            let delayed = a.should_delay(now);
-            log.record(
-                now,
-                4,
-                TraceData::AllocGate {
-                    delayed,
-                    rate: snap.rate,
-                    elapsed_ms: snap.elapsed_ms,
-                    epoch_ms: snap.epoch_ms,
-                    num_epochs: snap.num_epochs,
-                    curve: snap.curve.to_string(),
-                },
-            );
+            a.admit(&mut os, 4, now);
         }
-        assert!(Oracle::paper(None).check(&log).is_empty());
+        assert_eq!(os.trace.count("alloc."), 50);
+        assert!(Oracle::paper(None).check(&os.trace).is_empty());
     }
 
     #[test]
@@ -2180,29 +2169,14 @@ mod tests {
         let mut a = AdaptiveAllocator::new(5);
         a.on_high_signal(SimTime::from_millis(0));
         a.on_reclaim_done(SimTime::from_millis(700));
-        let mut log = TraceLog::new();
+        let mut os = Kernel::new(KernelConfig::with_total(GIB));
         for i in 0..40u64 {
             let now = SimTime::from_millis(800 + i * 13);
-            let snap = a.gate_snapshot(now);
-            let delayed = a.delayed_of(7, now);
-            if snap.rate < 1.0 {
-                log.record(
-                    now,
-                    9,
-                    TraceData::AllocBatch {
-                        n: 7,
-                        delayed,
-                        rate: snap.rate,
-                        elapsed_ms: snap.elapsed_ms,
-                        epoch_ms: snap.epoch_ms,
-                        num_epochs: snap.num_epochs,
-                        curve: snap.curve.to_string(),
-                    },
-                );
-            }
+            os.set_time(now);
+            a.admit_batch(&mut os, 9, 7, now);
         }
-        assert!(log.count("alloc.batch") > 0);
-        assert!(Oracle::paper(None).check(&log).is_empty());
+        assert!(os.trace.count("alloc.batch") > 0);
+        assert!(Oracle::paper(None).check(&os.trace).is_empty());
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen_f64() < p.clamp(0.0, 1.0)
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -202,15 +197,6 @@ mod tests {
         }
         let mean = sum / 10_000.0;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} should be near 0.5");
-    }
-
-    #[test]
-    fn gen_bool_extremes() {
-        let mut r = SimRng::new(23);
-        assert!(!(0..100).any(|_| r.gen_bool(0.0)));
-        assert!((0..100).all(|_| r.gen_bool(1.0)));
-        // Out-of-range probabilities are clamped rather than panicking.
-        assert!((0..100).all(|_| r.gen_bool(2.0)));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Byte-size units and pretty printing.
+//! Byte-size units.
 //!
 //! Sizes throughout the workspace are plain `u64` byte counts; this module
 //! provides the constants the paper speaks in (GB of heap, 4 KiB pages) plus
-//! helpers for rendering them in harness output.
+//! page and GiB conversions.
 
 /// One kibibyte.
 pub const KIB: u64 = 1024;
@@ -33,32 +33,6 @@ pub fn bytes_to_gib(bytes: u64) -> f64 {
     bytes as f64 / GIB as f64
 }
 
-/// Converts fractional GiB to a byte count (rounding to nearest byte).
-///
-/// # Panics
-///
-/// Panics if `gib` is negative or not finite.
-pub fn gib_to_bytes(gib: f64) -> u64 {
-    assert!(
-        gib.is_finite() && gib >= 0.0,
-        "size must be finite and non-negative"
-    );
-    (gib * GIB as f64).round() as u64
-}
-
-/// Formats a byte count with a human-readable suffix (e.g. `1.50 GiB`).
-pub fn fmt_bytes(bytes: u64) -> String {
-    if bytes >= GIB {
-        format!("{:.2} GiB", bytes as f64 / GIB as f64)
-    } else if bytes >= MIB {
-        format!("{:.2} MiB", bytes as f64 / MIB as f64)
-    } else if bytes >= KIB {
-        format!("{:.2} KiB", bytes as f64 / KIB as f64)
-    } else {
-        format!("{bytes} B")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,24 +56,8 @@ mod tests {
     }
 
     #[test]
-    fn gib_round_trip() {
-        assert_eq!(gib_to_bytes(2.0), 2 * GIB);
+    fn gib_conversion() {
         assert!((bytes_to_gib(3 * GIB) - 3.0).abs() < 1e-12);
-        let b = gib_to_bytes(1.25);
-        assert!((bytes_to_gib(b) - 1.25).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_gib_panics() {
-        gib_to_bytes(-1.0);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert_eq!(fmt_bytes(2 * KIB), "2.00 KiB");
-        assert_eq!(fmt_bytes(3 * MIB / 2), "1.50 MiB");
-        assert_eq!(fmt_bytes(5 * GIB), "5.00 GiB");
+        assert!((bytes_to_gib(5 * GIB / 4) - 1.25).abs() < 1e-12);
     }
 }

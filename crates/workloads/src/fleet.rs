@@ -58,9 +58,9 @@
 //!   admission is always decided by authoritative probes — and a job's
 //!   *final* admission attempt scans every node, so a job is never given
 //!   up on while a feasible node exists anywhere in the fleet.
-//! - **Batched pressure refresh.** Each rebalance check refreshes
-//!   `REFRESH_SHARDS` (1) range of `SHARD_SIZE` (64) nodes round-robin
-//!   rather than the whole fleet, and pre-warms the dirty nodes'
+//! - **Batched pressure refresh.** Each rebalance check refreshes one
+//!   range of `SHARD_SIZE` (64) nodes round-robin rather than the whole
+//!   fleet, and pre-warms the dirty nodes'
 //!   simulations on the worker pool ([`crate::parallel::parallel_map`]),
 //!   one node per distinct run, before reading them serially in node
 //!   order.
@@ -186,8 +186,8 @@ const QUARANTINE_AFTER: u32 = 2;
 const QUARANTINE_HEALTHY: u32 = 3;
 /// Migrations allowed per job (a migration restarts the job).
 const MAX_MIGRATIONS: u32 = 1;
-/// Nodes per rebalance range: each rebalance check refreshes
-/// [`REFRESH_SHARDS`] ranges of this many consecutive nodes, round-robin.
+/// Nodes per rebalance range: each rebalance check refreshes one range of
+/// this many consecutive nodes, round-robin.
 const SHARD_SIZE: usize = 64;
 /// Feasible candidates a bounded placement scan collects before picking
 /// (the scan's early-stop).
@@ -196,9 +196,6 @@ const PLACE_CANDIDATES: usize = 4;
 /// [`PLACE_CANDIDATES`]): the scan order is the least-estimated
 /// `PROBE_BUDGET` nodes by the candidate index.
 const PROBE_BUDGET: usize = 16;
-/// Ranges of [`SHARD_SIZE`] nodes that get a fresh pressure probe per
-/// rebalance check (round-robin across checks).
-const REFRESH_SHARDS: usize = 1;
 /// Seed of the deterministic node-loss backoff jitter.
 const BACKOFF_SEED: u64 = 0xF1EE7;
 
@@ -1398,18 +1395,11 @@ impl<'a> Fleet<'a> {
     }
 
     fn on_rebalance(&mut self, check: u32, t: SimTime) {
-        // Round-robin refresh: check k covers the `REFRESH_SHARDS` ranges
-        // of `SHARD_SIZE` nodes starting where check k-1 left off.
+        // Round-robin refresh: check k covers range k-1 of `SHARD_SIZE`
+        // nodes, wrapping around the fleet.
         let ranges = self.nodes.len().div_ceil(SHARD_SIZE);
-        let refresh = REFRESH_SHARDS.min(ranges);
-        let start = (check as usize - 1).wrapping_mul(refresh) % ranges;
-        let mut due_nodes: Vec<usize> = Vec::new();
-        for i in 0..refresh {
-            let lo = (start + i) % ranges * SHARD_SIZE;
-            due_nodes.extend(lo..(lo + SHARD_SIZE).min(self.nodes.len()));
-        }
-        due_nodes.sort_unstable();
-        due_nodes.dedup();
+        let lo = (check as usize - 1) % ranges * SHARD_SIZE;
+        let mut due_nodes: Vec<usize> = (lo..(lo + SHARD_SIZE).min(self.nodes.len())).collect();
         // Dead nodes are past probing; quarantined ones stay in the sweep —
         // the rebalance cadence is exactly the health-check cadence their
         // re-admission streak builds on.
@@ -1767,17 +1757,11 @@ fn finish(mut state: Fleet) -> FleetResult {
         let (node, runtime_ms, stall_ms, failure) = match state.assignment[job] {
             Some((node, slot)) => {
                 let app = &finals[node].as_ref().expect("assigned node ran").run.apps[slot];
-                let rt = (!app.killed && !app.failed)
-                    .then_some(app.finished)
-                    .flatten()
+                let failure = app.failure();
+                let rt = app
+                    .finished
+                    .filter(|_| failure.is_none())
                     .map(|f| f.saturating_since(arrival).as_millis());
-                let failure = if app.killed {
-                    Some(JobFailure::Killed)
-                } else if app.failed {
-                    Some(JobFailure::Crashed)
-                } else {
-                    None
-                };
                 (Some(node), rt, app.stall.as_millis(), failure)
             }
             None if state.orphaned[job] => (None, None, 0, Some(JobFailure::NodeLost)),

@@ -62,11 +62,9 @@ impl ScenarioOutcome {
             .apps
             .iter()
             .map(|a| {
-                if a.killed || a.failed {
-                    None
-                } else {
-                    a.runtime().map(|d| d.as_secs_f64())
-                }
+                a.runtime()
+                    .filter(|_| a.failure().is_none())
+                    .map(|d| d.as_secs_f64())
             })
             .collect()
     }

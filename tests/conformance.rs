@@ -329,6 +329,87 @@ fn golden_cache_trace() {
     assert_golden("cache_trace.outcomes.json", &text);
 }
 
+#[test]
+fn golden_analytic_cache_trace() {
+    // The analytic cache path: a Go-Cache and a jemalloc Memcached on one
+    // small M3 node, so both backends throttle (`alloc.batch`), evict on
+    // both signals and evict for delayed puts; then both servers stock,
+    // capped below their key space, where capacity eviction records no
+    // event and only the app outcomes pin it.
+    use m3::cache::KvWorkload;
+    use m3::runtime::{AllocatorKind, GoConfig};
+    let workload = KvWorkload {
+        key_space: 120_000,
+        total_requests: 300_000,
+        ..KvWorkload::paper_memtier()
+    };
+    let go = |go, max_bytes, m3_mode| {
+        let app = AppBlueprint::GoCache {
+            go,
+            workload,
+            max_bytes,
+            m3_mode,
+        };
+        ("go-cache", app)
+    };
+    let memcached = |allocator, max_bytes, m3_mode| {
+        let app = AppBlueprint::Memcached {
+            allocator,
+            workload,
+            max_bytes,
+            m3_mode,
+        };
+        ("memcached", app)
+    };
+    // The first server starts at 0 s, the second at 5 s.
+    let run = |m3_mode: bool, first: (&str, AppBlueprint), second: (&str, AppBlueprint)| {
+        let mut cfg = MachineConfig::scaled(GIB, m3_mode);
+        cfg.sample_period = None;
+        cfg.max_time = SimDuration::from_secs(40_000);
+        let schedule = [(first, 0), (second, 5)]
+            .map(|((name, app), at)| (name.into(), SimDuration::from_secs(at), app));
+        let res = Machine::new(cfg).run(schedule.into());
+        assert!(res.all_finished(), "every server finishes");
+        res
+    };
+    let m3 = run(
+        true,
+        go(GoConfig::m3(100), 0, true),
+        memcached(AllocatorKind::Jemalloc, 0, true),
+    );
+    assert_conformant("golden-analytic-cache-trace", &m3);
+    for pid in [1, 2] {
+        let of = |kind: &'static str| m3.trace.of_kind(kind).filter(move |e| e.pid == pid);
+        assert!(
+            of("alloc.batch")
+                .any(|e| matches!(e.data, TraceData::AllocBatch { delayed, .. } if delayed > 0)),
+            "pid {pid} delays puts"
+        );
+        for reason in [
+            EvictReason::LowSignal,
+            EvictReason::HighSignal,
+            EvictReason::AdmissionDelay,
+        ] {
+            assert!(
+                of("evict.slabs").any(
+                    |e| matches!(e.data, TraceData::EvictSlabs { reason: r, .. } if r == reason)
+                ),
+                "pid {pid} evicts slabs for {reason:?}"
+            );
+        }
+    }
+    assert_golden("analytic_cache.trace.jsonl", &trace_jsonl(&m3.trace));
+    let cap = 256 * MIB;
+    let stock = run(
+        false,
+        memcached(AllocatorKind::Malloc, cap, false),
+        go(GoConfig::stock(100), cap, false),
+    );
+    let mut text = serde_json::to_string_pretty(&stock.apps).expect("apps render");
+    text.push('\n');
+    assert_golden("analytic_cache.stock_apps.json", &text);
+}
+
 /// One payload per kind string, every field set away from its default, so a
 /// field that is dropped, renamed, reordered or tagged with the wrong kind
 /// changes the every-kind golden.
