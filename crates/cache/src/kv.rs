@@ -838,6 +838,12 @@ mod tests {
     }
 
     fn run(os: &mut Kernel, app: &mut KvApp) -> SimTime {
+        run_checking(os, app, |_| {})
+    }
+
+    /// [`run`], calling `check` after every tick that does not finish the
+    /// server (the finishing tick clears its store).
+    fn run_checking(os: &mut Kernel, app: &mut KvApp, mut check: impl FnMut(&KvApp)) -> SimTime {
         let mut now = SimTime::ZERO;
         let tick = SimDuration::from_millis(100);
         for _ in 0..10_000_000 {
@@ -846,6 +852,7 @@ mod tests {
             if out.finished {
                 return now;
             }
+            check(app);
         }
         panic!("benchmark did not finish");
     }
@@ -1002,12 +1009,19 @@ mod tests {
 
     #[test]
     fn stock_capacity_is_respected() {
-        let (mut os, mut app) = setup_go(false, app_bytes(0.3));
-        run(&mut os, &mut app);
-        assert!(
-            slabs(&app).resident_bytes() <= slabs(&app).max_bytes() + small_workload().slab_bytes,
-            "stock cache must stay at its static size"
-        );
+        let cap = app_bytes(0.3);
+        let slab = small_workload().slab_bytes;
+        let (mut os, mut app) = setup_go(false, cap);
+        let mut peak = 0;
+        run_checking(&mut os, &mut app, |app| {
+            let resident = slabs(app).resident_bytes();
+            assert!(
+                resident <= cap + slab,
+                "stock cache must stay at its static size: {resident} > {cap} + {slab}"
+            );
+            peak = peak.max(resident);
+        });
+        assert!(peak + slab > cap, "the cache fills to its cap");
         assert!(slabs(&app).evicted_slabs > 0);
     }
 

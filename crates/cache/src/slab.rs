@@ -83,16 +83,6 @@ impl SlabCache {
         self.resident.div_ceil(self.items_per_slab())
     }
 
-    /// The key space size.
-    pub fn key_space(&self) -> u64 {
-        self.key_space
-    }
-
-    /// The configured maximum resident bytes.
-    pub fn max_bytes(&self) -> u64 {
-        self.max_bytes
-    }
-
     /// Expected hit ratio for a uniform-random get, in `[0, 1]`.
     pub fn hit_ratio(&self) -> f64 {
         self.resident as f64 / self.key_space as f64

@@ -121,21 +121,6 @@ impl AdaptiveAllocator {
         }
     }
 
-    /// The configured recovery curve.
-    pub fn curve(&self) -> RateCurve {
-        self.curve
-    }
-
-    /// `NUM_epochs`.
-    pub fn num_epochs(&self) -> u32 {
-        self.num_epochs
-    }
-
-    /// The current epoch length (time spent handling the last high signal).
-    pub fn epoch_len(&self) -> SimDuration {
-        self.epoch_len
-    }
-
     /// Records receipt of a high-threshold signal: the allow rate resets to
     /// (nearly) zero and a new epoch measurement begins.
     pub fn on_high_signal(&mut self, now: SimTime) {
@@ -247,6 +232,8 @@ impl AdaptiveAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m3_os::KernelConfig;
+    use m3_sim::units::GIB;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -352,11 +339,25 @@ mod tests {
 
     #[test]
     fn epoch_has_floor() {
+        // An instantaneous handler still makes a 1-ms epoch: the gate is
+        // shut at 0 ms, records that epoch, and is open again 1 ms later.
+        let mut os = Kernel::new(KernelConfig::with_total(GIB));
+        let pid = os.spawn("app");
         let mut a = AdaptiveAllocator::new(1);
         a.on_high_signal(t(100));
         a.on_reclaim_done(t(100)); // instantaneous handler
-        assert!(a.epoch_len() >= SimDuration::from_millis(1));
-        // And the rate still recovers.
+        assert_eq!(a.allow_rate(t(100)), 0.0);
+        assert!(a.admit(&mut os, pid, t(100)), "a shut gate delays");
+        let epochs: Vec<u64> = os
+            .trace
+            .events()
+            .iter()
+            .filter_map(|e| match e.data {
+                TraceData::AllocGate { epoch_ms, .. } => Some(epoch_ms),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(epochs, vec![1]);
         assert_eq!(a.allow_rate(t(101)), 1.0);
     }
 
@@ -391,6 +392,11 @@ mod tests {
         let probe = t(3000); // 30% through recovery
         assert!(exp.allow_rate(probe) < lin.allow_rate(probe));
         assert_eq!(step.allow_rate(probe), 0.0);
-        assert_eq!(step.curve(), RateCurve::Step);
+        assert_eq!(
+            step.allow_rate(t(9_999)),
+            0.0,
+            "a step stays shut to the end"
+        );
+        assert_eq!(step.allow_rate(t(10_000)), 1.0);
     }
 }

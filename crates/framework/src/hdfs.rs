@@ -26,27 +26,4 @@ impl HdfsInput {
         assert!(block_size > 0, "block size must be positive");
         HdfsInput { bytes, block_size }
     }
-
-    /// Number of blocks (rounding up; the tail block is short).
-    pub fn num_blocks(&self) -> u32 {
-        self.bytes.div_ceil(self.block_size) as u32
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use m3_sim::units::{GIB, MIB};
-
-    #[test]
-    fn block_count_rounds_up() {
-        let h = HdfsInput::new(GIB + MIB, 128 * MIB);
-        assert_eq!(h.num_blocks(), 9);
-    }
-
-    #[test]
-    fn exact_multiple_has_no_tail() {
-        let h = HdfsInput::new(GIB, 128 * MIB);
-        assert_eq!(h.num_blocks(), 8);
-    }
 }

@@ -37,9 +37,11 @@
 //!   the run of its earlier schedule. A node run that misses the run
 //!   cache clones the checkpoint the fleet kept for that earlier
 //!   schedule, pushes the new entries, advances to the change and
-//!   finishes, instead of simulating from t = 0, and keeps a copy from
-//!   before the finish as its own schedule's checkpoint. The outcome is
-//!   byte-identical either way (DESIGN.md §9).
+//!   finishes, instead of simulating from t = 0. A checkpoint holds the
+//!   world at its schedule's change and the world where its run ended;
+//!   a later run starts from the end world when that run had ended by the
+//!   new change, so it does not simulate the earlier run again. The
+//!   outcome is byte-identical either way (DESIGN.md §9).
 //! - **Content-addressed node runs.** The per-node machine config carries
 //!   no node salt and the sub-scenario name carries no node index, so two
 //!   nodes with identical (size, schedule, faults) share one entry in the
@@ -303,24 +305,41 @@ fn sched_node_cfg(base: MachineConfig, phys_total: u64) -> MachineConfig {
     cfg
 }
 
-/// A probed node world with its whole schedule pushed, stopped before
-/// the schedule's latest change instant (DESIGN.md §13).
+/// A probed node world with its whole schedule pushed, kept twice: stopped
+/// before the schedule's latest change instant, and paused where its run
+/// ended unless the time cap ended it (DESIGN.md §13).
 struct Checkpoint {
-    /// The world, without its pressure timeline.
-    world: World,
-    /// The schedule's memoized probe outcome, whose first `samples`
-    /// timeline entries are the world's timeline.
+    /// The worlds, each without its pressure timeline and with the length
+    /// of the timeline prefix it had.
+    at_change: (World, usize),
+    at_end: Option<(World, usize)>,
+    /// The schedule's memoized probe outcome, whose timeline starts with
+    /// each world's prefix.
     outcome: Arc<ScenarioOutcome>,
-    samples: usize,
 }
 
 impl Checkpoint {
-    /// A copy of the world with its timeline prefix put back.
-    fn resume(&self) -> World {
-        let mut world = self.world.clone();
-        world.pressure_timeline = self.outcome.run.pressure_timeline[..self.samples].to_vec();
+    /// A copy of the latest kept world whose clock is at most `t`, with its
+    /// timeline prefix put back.
+    fn resume(&self, t: SimTime) -> World {
+        let (world, samples) = self
+            .at_end
+            .as_ref()
+            .filter(|(end, _)| end.now() <= t)
+            .unwrap_or(&self.at_change);
+        let mut world = world.clone();
+        world.pressure_timeline = self.outcome.run.pressure_timeline[..*samples].to_vec();
         world
     }
+}
+
+/// A copy of `world` without its pressure timeline, and the timeline's
+/// length: what a [`Checkpoint`] keeps of it.
+fn kept(world: &mut World) -> (World, usize) {
+    let prefix = std::mem::take(&mut world.pressure_timeline);
+    let copy = (world.clone(), prefix.len());
+    world.pressure_timeline = prefix;
+    copy
 }
 
 /// The first word of every fleet node key: a tag past the value tags 1–8
@@ -587,6 +606,9 @@ struct Fleet<'a> {
     /// partition the schedules alike ([`Fleet::check_key`]).
     #[cfg(test)]
     key_pairs: Mutex<[HashMap<u128, u128>; 2]>,
+    /// The clock of every checkpoint world a run resumed from, in order.
+    #[cfg(test)]
+    resumed_from: Mutex<Vec<SimTime>>,
 }
 
 impl<'a> Fleet<'a> {
@@ -661,6 +683,8 @@ impl<'a> Fleet<'a> {
             pin: None,
             #[cfg(test)]
             key_pairs: Mutex::default(),
+            #[cfg(test)]
+            resumed_from: Mutex::default(),
         }
     }
 
@@ -691,26 +715,30 @@ impl<'a> Fleet<'a> {
     /// node's incremental key) and returns the outcome. A miss builds the
     /// node's sub-scenario and config, resumes the node's world
     /// ([`Fleet::world_at_latest_change`]) instead of simulating from
-    /// t = 0, and keeps a copy of it from before it runs on as this
-    /// schedule's checkpoint. The outcome equals the run from t = 0 byte
-    /// for byte (DESIGN.md §9), which test builds check on every miss;
-    /// they check the key against the content key on every call.
+    /// t = 0, and keeps copies of it from before it runs on and from where
+    /// its run ends as this schedule's checkpoint. The outcome equals the
+    /// run from t = 0 byte for byte (DESIGN.md §9), which test builds check
+    /// on every miss; they check the key against the content key on every
+    /// call.
     fn simulate(&self, node: usize) -> Arc<ScenarioOutcome> {
         let state = &self.nodes[node];
         let key = state.key.run();
         #[cfg(test)]
         self.check_key(node, key);
-        let mut kept = None;
+        let mut worlds = None;
         let out = RUN_CACHE.get_or_compute_by_key(key, || {
             let scenario = self.scenario_of(&state.apps);
             let setting = Setting::m3(scenario.len());
             let cfg = sched_node_cfg(self.base_cfg, state.phys_total).with_setting(&setting);
             let mut world = self.world_at_latest_change(node, &scenario, &setting, cfg);
-            // The checkpoint is a copy without the timeline, whose prefix
-            // the memoized outcome keeps; the world itself runs on.
-            let prefix = std::mem::take(&mut world.pressure_timeline);
-            kept = Some((world.clone(), prefix.len()));
-            world.pressure_timeline = prefix;
+            // The checkpoint's copies leave out the timeline, whose prefix
+            // the memoized outcome keeps. A run the cap ended keeps no end
+            // world: every entry a later schedule could give it is due past
+            // the cap and never runs.
+            let at_change = kept(&mut world);
+            world.run_to_end();
+            let at_end = (!world.is_over()).then(|| kept(&mut world));
+            worlds = Some((at_change, at_end));
             let out = outcome(&scenario, &setting, world.finish());
             #[cfg(test)]
             assert_eq!(
@@ -726,11 +754,11 @@ impl<'a> Fleet<'a> {
             );
             out
         });
-        if let Some((world, samples)) = kept {
+        if let Some((at_change, at_end)) = worlds {
             let checkpoint = Checkpoint {
-                world,
+                at_change,
+                at_end,
                 outcome: Arc::clone(&out),
-                samples,
             };
             self.checkpoints
                 .lock()
@@ -745,8 +773,8 @@ impl<'a> Fleet<'a> {
     /// Every change to a node is due at the scheduler's current time, so
     /// the schedule is an earlier schedule plus the entries due at that
     /// instant: the world is a copy of the earlier schedule's checkpoint
-    /// given those entries (a fresh world without one), advanced to the
-    /// instant.
+    /// (its end world if that ended by the instant) given those entries,
+    /// or a fresh world without one, advanced to the instant.
     fn world_at_latest_change(
         &self,
         node: usize,
@@ -755,14 +783,20 @@ impl<'a> Fleet<'a> {
         cfg: MachineConfig,
     ) -> World {
         let (key, faults) = (&self.nodes[node].key, &self.nodes[node].faults);
+        let changed_at = SimTime::ZERO + key.changed_at;
         let checkpoint = (self.checkpoints.lock().expect("checkpoints poisoned"))
             .get(&key.resume())
-            .map(Checkpoint::resume);
+            .map(|c| c.resume(changed_at));
         let entry = |(i, &(kind, start)): (usize, &(AppKind, SimDuration))| {
             schedule_entry(setting, i, kind, start)
         };
         let mut world = match checkpoint {
             Some(mut world) => {
+                #[cfg(test)]
+                self.resumed_from
+                    .lock()
+                    .expect("resumes poisoned")
+                    .push(world.now());
                 let (k, m) = (key.earlier.napps as usize, key.earlier.ncrashes as usize);
                 for (i, app) in scenario.apps.iter().enumerate().skip(k) {
                     world.push_app(entry((i, app)), scenario.class_of(i));
@@ -777,7 +811,7 @@ impl<'a> Fleet<'a> {
                 World::new(cfg, schedule, faults.clone(), &scenario.classes, None)
             }
         };
-        world.advance_to(SimTime::ZERO + key.changed_at);
+        world.advance_to(changed_at);
         world
     }
 
@@ -2034,6 +2068,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One 64-GiB node given `apps` (k-means jobs at the given seconds)
+    /// under `cfg`, run to its final schedule's run. Returns the clock of
+    /// each checkpoint world a run resumed from and the final outcome.
+    fn resumes(
+        name: &str,
+        apps: &[u64],
+        cfg: MachineConfig,
+    ) -> (Vec<SimTime>, Arc<ScenarioOutcome>) {
+        let scenario = Scenario {
+            name: name.to_string(),
+            apps: apps
+                .iter()
+                .map(|&s| (AppKind::KMeans, SimDuration::from_secs(s)))
+                .collect(),
+            classes: Vec::new(),
+        };
+        let mut fleet = FleetConfig::homogeneous(1, 64 * GIB);
+        fleet.rebalance_checks = 0;
+        let mut state = Fleet::new(&scenario, cfg, &fleet, 1);
+        state.run_events();
+        assert_eq!(state.nodes[0].apps.len(), apps.len(), "every job is placed");
+        let out = state.simulate(0);
+        let resumed = state.resumed_from.lock().expect("resumes poisoned").clone();
+        (resumed, out)
+    }
+
+    #[test]
+    fn a_run_resumes_from_where_the_earlier_run_ended() {
+        // The second job arrives after the first has finished, so the
+        // second schedule's run resumes from the world paused where the
+        // first run ended, not from t = 0. The third arrives while the
+        // second runs, so the last run resumes from the second job's
+        // arrival. Names unique to this test keep every run a miss in the
+        // shared cache.
+        let (resumed, out) = resumes("end resume", &[0, 3_000, 3_001], quick_cfg());
+        let first_ended = out.run.apps[0].ended.expect("the first job ends");
+        assert_eq!(resumed, vec![first_ended, SimTime::from_secs(3_000)]);
+        // A run the time cap ended keeps no end world: the next run
+        // resumes from the earlier change instant.
+        let mut capped = quick_cfg();
+        capped.max_time = SimDuration::from_secs(30);
+        let (resumed, out) = resumes("capped resume", &[0, 60], capped);
+        assert_eq!(out.run.apps[0].ended, None, "the cap stops the first job");
+        assert_eq!(resumed, vec![SimTime::ZERO]);
     }
 
     #[test]

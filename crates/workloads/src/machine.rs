@@ -343,11 +343,12 @@ impl Machine {
 /// applications, queues and accumulators.
 ///
 /// [`Machine::run_with`] is `World::new(..).finish()`. The fleet scheduler
-/// also stops a world before an instant ([`World::advance_to`]) and clones
-/// it; a clone takes schedule entries and faults due at or after the
-/// instant ([`World::push_app`], [`World::push_fault`]) and runs on. The
-/// result is byte-identical to a run that had the entries from t = 0
-/// (DESIGN.md §9, "Determinism argument: resumable worlds").
+/// also stops a world before an instant ([`World::advance_to`]) or where
+/// its run ends ([`World::run_to_end`]) and clones it; a clone takes
+/// schedule entries and faults due at or after its clock
+/// ([`World::push_app`], [`World::push_fault`]) and runs on. The result is
+/// byte-identical to a run that had the entries from t = 0 (DESIGN.md §9,
+/// "Determinism argument: resumable worlds").
 #[derive(Clone)]
 pub(crate) struct World {
     cfg: MachineConfig,
@@ -528,9 +529,26 @@ impl World {
         self.degradation.faults_injected += 1;
     }
 
+    /// Runs the world to its end without folding it: to the time cap, or
+    /// to where everything has started and nothing is running. Like
+    /// [`World::advance_to`], the latter only pauses the world.
+    pub(crate) fn run_to_end(&mut self) {
+        self.run(None);
+    }
+
+    /// The instant of the world's next loop iteration.
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// True once the time cap has stopped the world for good.
+    pub(crate) fn is_over(&self) -> bool {
+        self.over
+    }
+
     /// Runs the world to its end and folds it into a [`RunResult`].
     pub(crate) fn finish(mut self) -> RunResult {
-        self.run(None);
+        self.run_to_end();
         self.result()
     }
 
@@ -1361,6 +1379,8 @@ mod tests {
         /// world that had the schedule so far from t = 0, and the whole
         /// schedule's run exactly like the ticking reference: under M3 and
         /// stock, with capture and the pressure timeline each on and off.
+        /// So does the previous instant's world run to its end, given the
+        /// same entries, whenever its clock is at most the instant.
         #[test]
         fn resuming_at_every_change_equals_the_run_from_zero(
             changes in proptest::collection::vec((gap_ms(), change()), 1..9),
@@ -1408,25 +1428,47 @@ mod tests {
             };
             let mut world = from_zero(0, 0);
             let (mut n, mut m) = (0, 0);
-            let mut fresh = json(&world.clone().finish());
+            let mut ended = world.clone();
+            ended.run_to_end();
+            let mut fresh = json(&ended.clone().finish());
             for (at, napps, nfaults) in instants {
-                for (entry, class) in &apps[n..napps] {
-                    world.push_app(entry.clone(), *class);
-                }
-                for ev in &faults[m..nfaults] {
-                    world.push_fault(ev.clone());
-                }
-                world.advance_to(SimTime::ZERO + at);
+                let t = SimTime::ZERO + at;
+                let extend = |w: &mut World| {
+                    for (entry, class) in &apps[n..napps] {
+                        w.push_app(entry.clone(), *class);
+                    }
+                    for ev in &faults[m..nfaults] {
+                        w.push_fault(ev.clone());
+                    }
+                    w.advance_to(t);
+                };
+                extend(&mut world);
+                let from_end = (ended.now() <= t).then(|| {
+                    extend(&mut ended);
+                    ended.finish()
+                });
                 (n, m) = (napps, nfaults);
                 fresh = json(&from_zero(n, m).finish());
+                ended = world.clone();
+                ended.run_to_end();
                 prop_assert_eq!(
-                    &json(&world.clone().finish()),
+                    &json(&ended.clone().finish()),
                     &fresh,
                     "resumed at {:?} with {} apps and {} faults",
                     at,
                     n,
                     m
                 );
+                if let Some(res) = from_end {
+                    prop_assert_eq!(
+                        &json(&res),
+                        &fresh,
+                        "resumed from the end before {:?} with {} apps and {} faults",
+                        at,
+                        n,
+                        m
+                    );
+                }
             }
             prop_assert_eq!(fresh, json(&ticking(from_zero(n, m))), "skip against ticking");
         }

@@ -243,15 +243,16 @@ proptest! {
         ops in proptest::collection::vec((0u8..2, 1u64..100_000), 1..100),
     ) {
         use m3::cache::SlabCache;
-        let mut c = SlabCache::new(1_000_000, 4 * KIB, MIB, 2 * GIB);
+        let (key_space, cap) = (1_000_000, 2 * GIB);
+        let mut c = SlabCache::new(key_space, 4 * KIB, MIB, cap);
         for (op, n) in ops {
             match op {
                 0 => { c.insert(n); }
                 _ => { c.evict_slabs(n / 256 + 1); }
             }
-            prop_assert!(c.resident_items() <= c.key_space());
+            prop_assert!(c.resident_items() <= key_space);
             prop_assert_eq!(c.resident_bytes() % MIB, 0, "whole slabs only");
-            prop_assert!(c.resident_bytes() <= c.max_bytes() + MIB);
+            prop_assert!(c.resident_bytes() <= cap + MIB);
             let h = c.hit_ratio();
             prop_assert!((0.0..=1.0).contains(&h));
         }
