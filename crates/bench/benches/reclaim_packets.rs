@@ -23,7 +23,8 @@
 //!   of host parallelism.
 //!
 //! `M3_RECLAIM_PACKETS_SALTS` shrinks the per-scenario salt spread for CI
-//! smoke runs; `M3_RECLAIM_PACKETS_REPS` sets the min-of-N timing repeats;
+//! smoke runs; `M3_RECLAIM_PACKETS_REPS` sets the min-of-N timing repeats
+//! per worker count (default 5; the two counts' repeats alternate);
 //! `M3_RECLAIM_PACKETS_BUDGET_S` asserts a total wall-clock budget.
 
 use std::collections::BTreeMap;
@@ -91,21 +92,24 @@ fn sweep(
     (started.elapsed().as_secs_f64(), outs)
 }
 
-/// Min-of-N wall clock for a sweep (the repeats simulate identical worlds —
-/// pinned by `tests/determinism.rs` — so the minimum is the noise floor).
-fn timed_sweep(
+/// Min-of-N wall clocks of the sweep on one worker and on eight, with the
+/// outcomes of each count's last sweep (the repeats simulate identical
+/// worlds — pinned by `tests/determinism.rs` — so the minimum is the noise
+/// floor). The two counts take turns, each repeat in the other order than
+/// the one before, so drift in the host's speed reaches both alike.
+fn timed_sweeps(
     jobs: &[(Scenario, Setting, MachineConfig)],
-    workers: usize,
     reps: usize,
-) -> (f64, Vec<Arc<ScenarioOutcome>>) {
-    let mut best = f64::INFINITY;
-    let mut outs = Vec::new();
-    for _ in 0..reps.max(1) {
-        let (wall, o) = sweep(jobs, workers);
-        best = best.min(wall);
-        outs = o;
+) -> [(f64, Vec<Arc<ScenarioOutcome>>); 2] {
+    const WORKERS: [usize; 2] = [1, 8];
+    let mut best = [(f64::INFINITY, Vec::new()), (f64::INFINITY, Vec::new())];
+    for rep in 0..reps.max(1) {
+        for i in [rep % 2, 1 - rep % 2] {
+            let (wall, outs) = sweep(jobs, WORKERS[i]);
+            best[i] = (best[i].0.min(wall), outs);
+        }
     }
-    (best, outs)
+    best
 }
 
 fn main() {
@@ -133,11 +137,9 @@ fn main() {
     // Untimed warmup so allocator and page-cache state do not bias
     // whichever timed sweep happens to run first.
     let _ = sweep(&jobs, 1);
-    let reps = env_usize("M3_RECLAIM_PACKETS_REPS").unwrap_or(3);
-    eprintln!("[reclaim_packets] 1-worker sweep ...");
-    let (wall_1, serial) = timed_sweep(&jobs, 1, reps);
-    eprintln!("[reclaim_packets] 8-worker sweep ...");
-    let (wall_8, parallel) = timed_sweep(&jobs, 8, reps);
+    let reps = env_usize("M3_RECLAIM_PACKETS_REPS").unwrap_or(5);
+    eprintln!("[reclaim_packets] 1- and 8-worker sweeps, {reps} each, alternated ...");
+    let [(wall_1, serial), (wall_8, parallel)] = timed_sweeps(&jobs, reps);
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Worker count must never leak into results.

@@ -56,7 +56,7 @@
 //!   finish before the handler ends (`reclaim.packet.orphan`). A drain
 //!   run in reverse bucket order is caught here.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use m3_core::alloc::RateCurve;
 use m3_core::config::{MonitorConfig, KILL_TIMEOUT};
@@ -164,13 +164,16 @@ pub struct FleetOracle {
     pub defer_interval_ms: u64,
 }
 
-/// A node's latest pressure snapshot as the fleet oracle replays it.
+/// A node's latest pressure snapshot as the fleet oracle replays it, and
+/// since when the node has been contiguously red (`None` while it is
+/// green or yellow, or once it is lost).
 #[derive(Debug, Clone, Copy)]
 struct NodeSnap {
     zone: TraceZone,
     used: u64,
     reserved: u64,
     top: u64,
+    red_since: Option<u64>,
 }
 
 impl FleetOracle {
@@ -213,10 +216,10 @@ impl FleetOracle {
     /// scheduler's full log can be passed as-is.
     pub fn check(&self, trace: &TraceLog) -> Vec<Violation> {
         let mut out = Vec::new();
-        // Latest pressure snapshot per node, plus since when each node has
-        // been contiguously red (absent while green/yellow).
-        let mut latest: BTreeMap<u64, NodeSnap> = BTreeMap::new();
-        let mut red_since: BTreeMap<u64, u64> = BTreeMap::new();
+        // Latest pressure snapshot and red streak per node, read and
+        // written once per probe. Node ids come from traces read from disk
+        // too, so the map keeps the default hasher.
+        let mut latest: HashMap<u64, NodeSnap> = HashMap::new();
         // Jobs with a defer not yet resolved by a place or a give-up:
         // job -> (deferred at, announced retry time).
         let mut pending_defer: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
@@ -266,23 +269,19 @@ impl FleetOracle {
                     top,
                     ..
                 } => {
-                    latest.insert(
-                        *node,
-                        NodeSnap {
-                            zone: *zone,
-                            used: *used,
-                            reserved: *reserved,
-                            top: *top,
-                        },
-                    );
-                    match zone {
-                        TraceZone::Red | TraceZone::AboveTop => {
-                            red_since.entry(*node).or_insert(at);
-                        }
-                        _ => {
-                            red_since.remove(node);
-                        }
-                    }
+                    let snap = NodeSnap {
+                        zone: *zone,
+                        used: *used,
+                        reserved: *reserved,
+                        top: *top,
+                        red_since: None,
+                    };
+                    let last = latest.entry(*node).or_insert(snap);
+                    let red_since = match zone {
+                        TraceZone::Red | TraceZone::AboveTop => last.red_since.or(Some(at)),
+                        _ => None,
+                    };
+                    *last = NodeSnap { red_since, ..snap };
                 }
                 TraceData::FleetPlace { job, node, .. } => {
                     match latest.get(node).map(|s| s.zone) {
@@ -331,7 +330,9 @@ impl FleetOracle {
                 }
                 TraceData::FleetMigrate { job, from, to, .. } => {
                     check_target(&mut out, &dead, &quarantined, *job, *to, at, e.pid);
-                    let streak = red_since.get(from).map(|since| at.saturating_sub(*since));
+                    let streak = (latest.get(from))
+                        .and_then(|s| s.red_since)
+                        .map(|since| at.saturating_sub(since));
                     match streak {
                         None => out.push(Violation {
                             invariant: "fleet.migrate.grace".into(),
@@ -363,12 +364,16 @@ impl FleetOracle {
                     if lost_jobs.contains(job) {
                         continue;
                     }
-                    let fits = latest.iter().find(|(node, s)| {
-                        !dead.contains(node)
-                            && !quarantined.contains(node)
-                            && matches!(s.zone, TraceZone::Green | TraceZone::Yellow)
-                            && s.used.max(s.reserved).saturating_add(*demand) <= s.top
-                    });
+                    // The lowest-index node that fits, so the report does
+                    // not depend on the map's order.
+                    let fits = (latest.iter())
+                        .filter(|(node, s)| {
+                            !dead.contains(node)
+                                && !quarantined.contains(node)
+                                && matches!(s.zone, TraceZone::Green | TraceZone::Yellow)
+                                && s.used.max(s.reserved).saturating_add(*demand) <= s.top
+                        })
+                        .min_by_key(|(node, _)| **node);
                     if let Some((node, s)) = fits {
                         out.push(Violation {
                             invariant: "fleet.giveup.starvation".into(),
@@ -386,7 +391,9 @@ impl FleetOracle {
                 }
                 TraceData::FleetNodeLost { node, .. } => {
                     dead.insert(*node);
-                    red_since.remove(node);
+                    if let Some(s) = latest.get_mut(node) {
+                        s.red_since = None;
+                    }
                 }
                 TraceData::FleetReschedule { job, requeued, .. } => {
                     lost_jobs.insert(*job);
@@ -2948,6 +2955,77 @@ mod tests {
             },
         );
         assert!(fleet_oracle().check(&log).is_empty());
+    }
+
+    #[test]
+    fn fleet_starvation_names_the_lowest_index_fitting_node() {
+        // Nodes 40 down to 1 report in descending order; the multiples of
+        // three are red, the rest fit the job. The report names node 1,
+        // the lowest-index fitting node, whatever order the replay keeps
+        // its nodes in.
+        let mut log = TraceLog::new();
+        for node in (1..=40).rev() {
+            let zone = match node % 3 {
+                0 => TraceZone::Red,
+                _ => TraceZone::Green,
+            };
+            log.record(
+                t(1),
+                0,
+                TraceData::FleetPressure {
+                    node,
+                    zone,
+                    used: node,
+                    reserved: 0,
+                    high: 80,
+                    top: 100,
+                    escalations: 0,
+                },
+            );
+        }
+        log.record(
+            t(2),
+            0,
+            TraceData::FleetGiveUp {
+                job: 3,
+                attempts: 5,
+                demand: 50,
+            },
+        );
+        let v = fleet_oracle().check(&log);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].invariant, "fleet.giveup.starvation");
+        assert_eq!(
+            v[0].message,
+            "job 3 (demand 50) given up on while node 1 is Green with effective load 1 of top 100"
+        );
+    }
+
+    #[test]
+    fn fleet_replay_of_the_largest_node_id_stays_bounded() {
+        // Node ids come from traces read from disk. The largest one is a
+        // key like any other: its snapshot and red streak replay, and the
+        // placement onto it after its loss is caught twice.
+        let node = u64::MAX;
+        let mut log = TraceLog::new();
+        log.record(t(1), 0, pressure(node, TraceZone::Red));
+        log.record(t(11), 0, pressure(node, TraceZone::Red));
+        log.record(
+            t(11),
+            0,
+            TraceData::FleetMigrate {
+                job: 0,
+                from: node,
+                to: 1,
+                red_for_ms: 10_000,
+            },
+        );
+        log.record(t(12), 0, node_lost(node));
+        log.record(t(13), 0, place(1, node));
+        let v = fleet_oracle().check(&log);
+        let invariants: Vec<&str> = v.iter().map(|v| v.invariant.as_str()).collect();
+        assert_eq!(invariants, ["fleet.place.red", "fleet.place.dead"], "{v:?}");
+        assert!(v[1].message.contains(&node.to_string()));
     }
 
     #[test]

@@ -766,6 +766,14 @@ impl TraceLog {
         matches!((ia, ib), (Some(x), Some(y)) if x < y)
     }
 
+    /// A copy of the first `len` events, enabled as this log is.
+    pub fn prefix(&self, len: usize) -> TraceLog {
+        TraceLog {
+            events: self.events[..len].to_vec(),
+            enabled: self.enabled,
+        }
+    }
+
     /// Discards all recorded events (keeps the enabled flag).
     pub fn clear(&mut self) {
         self.events.clear();

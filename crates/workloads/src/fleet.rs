@@ -28,8 +28,10 @@
 //!   and is cached on the node until the node's assignment set or fault
 //!   plan changes (the *dirty* rule: any mutation clears the cache).
 //!   Reading the node's state at time `t` is then a timeline lookup, not
-//!   a re-simulation. Idle nodes never simulate at all: a per-size
-//!   summary precomputed at fleet construction answers their probes. Every
+//!   a re-simulation, and the probe keeps the last view it answered, so a
+//!   second read at the same instant looks nothing up. Idle nodes never
+//!   simulate at all: the idle summary of their size, computed once at
+//!   fleet construction and kept on the node, answers their probes. Every
 //!   node run has one configuration, so a node's final run is the probe of
 //!   its final schedule.
 //! - **Resumed node runs.** Every change to a node is due at the
@@ -52,11 +54,13 @@
 //!   probe looks its run up without building or fingerprinting its
 //!   inputs; two nodes share a key exactly when they share the inputs'
 //!   content key (DESIGN.md §9).
-//! - **Ordered placement index.** One `BTreeSet` candidate index orders
-//!   the nodes by an *advisory* effective-load key. Placement probes the
+//! - **Ordered placement index.** One `BTreeSet<u128>` candidate index
+//!   orders the nodes by an *advisory* effective-load key, each entry the
+//!   key and the node index packed into one integer. Placement probes the
 //!   first `PROBE_BUDGET` (16) entries, the least-estimated nodes
 //!   (stopping early once `PLACE_CANDIDATES` (4) feasible candidates are
-//!   in hand), instead of probing all N. The index only orders the scan —
+//!   in hand), instead of probing all N; a full refresh sweep rebuilds the
+//!   set in one pass. The index only orders the scan —
 //!   admission is always decided by authoritative probes — and a job's
 //!   *final* admission attempt scans every node, so a job is never given
 //!   up on while a feasible node exists anywhere in the fleet.
@@ -72,8 +76,9 @@
 //! The scheduler is a pure function of `(scenario, setting, machine_cfg,
 //! fleet_cfg)`. There is no randomness and no wall clock anywhere:
 //!
-//! - Scheduler events live in a `BTreeMap` keyed `(time_ms, class, index)`,
-//!   so they pop in a total order.
+//! - Scheduler events pop in `(time_ms, class, index)` order, a total
+//!   order: the arrivals from a list sorted once, every other event from
+//!   a binary heap (`EventQueue`).
 //! - A node's pressure at time `t` is a pure function of its assignment
 //!   set and fault plan: the cached probe simulation is deterministic, and
 //!   the timeline read picks the last sample at or before `t`.
@@ -91,7 +96,7 @@
 //! its previous checkpoint.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use m3_core::config::MonitorConfig;
@@ -201,6 +206,12 @@ const PROBE_BUDGET: usize = 16;
 /// Seed of the deterministic node-loss backoff jitter.
 const BACKOFF_SEED: u64 = 0xF1EE7;
 
+/// A candidate-index entry: `key` in the high bits and the node index in
+/// the low 32, so entries order by key, ties to the lower node index.
+fn packed(key: u64, node: usize) -> u128 {
+    (key as u128) << 32 | node as u128
+}
+
 /// What happened to one submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JobOutcome {
@@ -309,37 +320,49 @@ fn sched_node_cfg(base: MachineConfig, phys_total: u64) -> MachineConfig {
 /// before the schedule's latest change instant, and paused where its run
 /// ended unless the time cap ended it (DESIGN.md §13).
 struct Checkpoint {
-    /// The worlds, each without its pressure timeline and with the length
-    /// of the timeline prefix it had.
-    at_change: (World, usize),
-    at_end: Option<(World, usize)>,
-    /// The schedule's memoized probe outcome, whose timeline starts with
-    /// each world's prefix.
+    at_change: Kept,
+    at_end: Option<Kept>,
+    /// The schedule's memoized probe outcome, whose pressure timeline and
+    /// node trace start with each world's prefixes.
     outcome: Arc<ScenarioOutcome>,
+}
+
+/// A world without its pressure timeline and node trace, and the lengths
+/// of the prefixes of both it had.
+struct Kept {
+    world: World,
+    samples: usize,
+    events: usize,
 }
 
 impl Checkpoint {
     /// A copy of the latest kept world whose clock is at most `t`, with its
-    /// timeline prefix put back.
+    /// timeline and trace prefixes put back.
     fn resume(&self, t: SimTime) -> World {
-        let (world, samples) = self
-            .at_end
-            .as_ref()
-            .filter(|(end, _)| end.now() <= t)
+        let kept = (self.at_end.as_ref())
+            .filter(|end| end.world.now() <= t)
             .unwrap_or(&self.at_change);
-        let mut world = world.clone();
-        world.pressure_timeline = self.outcome.run.pressure_timeline[..*samples].to_vec();
+        let mut world = kept.world.clone();
+        let run = &self.outcome.run;
+        world.pressure_timeline = run.pressure_timeline[..kept.samples].to_vec();
+        *world.trace_mut() = run.trace.prefix(kept.events);
         world
     }
 }
 
-/// A copy of `world` without its pressure timeline, and the timeline's
-/// length: what a [`Checkpoint`] keeps of it.
-fn kept(world: &mut World) -> (World, usize) {
-    let prefix = std::mem::take(&mut world.pressure_timeline);
-    let copy = (world.clone(), prefix.len());
-    world.pressure_timeline = prefix;
-    copy
+/// What a [`Checkpoint`] keeps of `world`: a copy without its pressure
+/// timeline and node trace.
+fn kept(world: &mut World) -> Kept {
+    let timeline = std::mem::take(&mut world.pressure_timeline);
+    let trace = std::mem::take(world.trace_mut());
+    let kept = Kept {
+        world: world.clone(),
+        samples: timeline.len(),
+        events: trace.len(),
+    };
+    world.pressure_timeline = timeline;
+    *world.trace_mut() = trace;
+    kept
 }
 
 /// The first word of every fleet node key: a tag past the value tags 1–8
@@ -471,7 +494,7 @@ const CLASS_RESTART: u8 = 1;
 const CLASS_PLACE: u8 = 2;
 const CLASS_REBALANCE: u8 = 3;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// Node `node` dies: every resident job is killed mid-run and
     /// re-queued (or orphaned once its retry budget is spent).
@@ -500,12 +523,15 @@ struct NodeState {
     key: NodeKey,
     /// When the node's probes turned contiguously red, ms.
     red_since: Option<u64>,
-    /// Memoized full-horizon probe simulation; `None` = dirty (the
-    /// assignment set or fault plan changed since it was computed). Every
-    /// mutation of `apps` or `faults` must clear this.
-    probe: Option<Arc<ScenarioOutcome>>,
-    /// The node's top of memory (from its scaled monitor config).
-    top: u64,
+    /// Memoized full-horizon probe simulation and the last view read from
+    /// it; `None` = dirty (the assignment set or fault plan changed since
+    /// it was computed). Every mutation of `apps` or `faults` must clear
+    /// this.
+    probe: Option<Probe>,
+    /// What a probe of the node answers while nothing is assigned to it,
+    /// precomputed per node size; its `top` is the node's top of memory
+    /// (from its scaled monitor config).
+    idle: PressureSummary,
     /// Advisory effective-load estimate backing the candidate index; healed to
     /// the authoritative value on every probe.
     index_effective: u64,
@@ -524,8 +550,37 @@ impl NodeState {
     /// The node's candidate-index key: its estimated load over its top in
     /// 2^20 fixed point. Advisory ordering only — admission never reads it.
     fn index_key(&self) -> u64 {
-        ((self.index_effective as u128 * (1u128 << 20)) / self.top.max(1) as u128)
+        ((self.index_effective as u128 * (1u128 << 20)) / self.idle.top.max(1) as u128)
             .min(u64::MAX as u128) as u64
+    }
+}
+
+/// A node's memoized probe simulation, with the view last read from it.
+/// Clearing the node's probe clears both: every change to what a view
+/// reads — the node's schedule, its faults, the assignment of a job to one
+/// of its slots — comes with a crash or an assignment on the node.
+struct Probe {
+    out: Arc<ScenarioOutcome>,
+    /// The last view read from `out`, and its instant in ms.
+    last: Option<(u64, NodeView)>,
+}
+
+impl Probe {
+    fn new(out: Arc<ScenarioOutcome>) -> Self {
+        Probe { out, last: None }
+    }
+}
+
+/// Keeps in `best` the less pressured of it and `v`: exact integer
+/// comparison of `effective/top` ratios (`eff_a * top_b` vs
+/// `eff_b * top_a`), ties to `best`, the view read first.
+fn keep_least(best: &mut Option<NodeView>, v: NodeView) {
+    let better = best.is_none_or(|b| {
+        v.effective() as u128 * (b.summary.top as u128)
+            < b.effective() as u128 * (v.summary.top as u128)
+    });
+    if better {
+        *best = Some(v);
     }
 }
 
@@ -582,13 +637,10 @@ struct Fleet<'a> {
     flaps: HashMap<usize, Vec<ProbeFlap>>,
     /// Running cost of the injected faults.
     degradation: FleetDegradationReport,
-    /// The candidate index: `(index_key, node)` for every available node
-    /// (alive and not quarantined), ascending = least estimated pressure
-    /// first, ties to the lower node index.
-    index: BTreeSet<(u64, u32)>,
-    /// Precomputed idle summary per distinct node size: what a probe of a
-    /// node with nothing assigned answers, without ever simulating.
-    idle: HashMap<u64, PressureSummary>,
+    /// The candidate index: every available node (alive and not
+    /// quarantined) as its [`packed`] `(index_key, node)`, ascending =
+    /// least estimated pressure first, ties to the lower node index.
+    index: BTreeSet<u128>,
     /// The placement time the candidate index was last bulk-refreshed at
     /// (the index decays as simulated time passes — see [`Fleet::refresh`]).
     index_fresh_ms: Option<u64>,
@@ -629,6 +681,10 @@ impl<'a> Fleet<'a> {
             }
         }
         // Per distinct node size: the idle summary and the node key header.
+        assert!(
+            fleet.nodes.len() <= u32::MAX as usize,
+            "the candidate index packs a node index into 32 bits"
+        );
         let name = format!("{}::sched", scenario.name);
         let mut sizes: HashMap<u64, (PressureSummary, u128)> = HashMap::new();
         let mut nodes = Vec::with_capacity(fleet.nodes.len());
@@ -650,7 +706,7 @@ impl<'a> Fleet<'a> {
                 key: NodeKey::new(header),
                 red_since: None,
                 probe: None,
-                top: summary.top,
+                idle: summary,
                 index_effective: 0,
                 dead: None,
                 quarantined: false,
@@ -658,8 +714,7 @@ impl<'a> Fleet<'a> {
                 healthy_streak: 0,
             });
         }
-        let index = (0..nodes.len() as u32).map(|n| (0u64, n)).collect();
-        let idle = sizes.into_iter().map(|(size, (s, _))| (size, s)).collect();
+        let index = (0..nodes.len()).map(|n| packed(0, n)).collect();
         Fleet {
             scenario,
             base_cfg,
@@ -675,7 +730,6 @@ impl<'a> Fleet<'a> {
             flaps,
             degradation,
             index,
-            idle,
             index_fresh_ms: None,
             workers: workers.max(1),
             checkpoints: Mutex::new(HashMap::new()),
@@ -876,19 +930,22 @@ impl<'a> Fleet<'a> {
             let outs =
                 crate::parallel::parallel_map(dirty.clone(), self.workers, |n| this.simulate(n));
             for (&n, out) in dirty.iter().zip(outs) {
-                self.nodes[n].probe = Some(out);
+                self.nodes[n].probe = Some(Probe::new(out));
             }
         }
     }
 
-    /// The node's probe simulation, computed only if the node is dirty.
-    fn probe_outcome(&mut self, node: usize) -> Arc<ScenarioOutcome> {
-        if let Some(out) = &self.nodes[node].probe {
-            return Arc::clone(out);
+    /// The node's probe, its simulation computed only if the node is
+    /// dirty.
+    fn probe_of(&mut self, node: usize) -> &mut Probe {
+        if self.nodes[node].probe.is_none() {
+            let out = self.simulate(node);
+            self.nodes[node].probe = Some(Probe::new(out));
         }
-        let out = self.simulate(node);
-        self.nodes[node].probe = Some(Arc::clone(&out));
-        out
+        self.nodes[node]
+            .probe
+            .as_mut()
+            .expect("probe just computed")
     }
 
     /// `(slot, job, kind)` of every job assigned to `node` and alive on it
@@ -897,8 +954,10 @@ impl<'a> Fleet<'a> {
         if self.nodes[node].apps.is_empty() {
             return Vec::new();
         }
-        let out = self.probe_outcome(node);
-        self.nodes[node]
+        self.probe_of(node);
+        let state = &self.nodes[node];
+        let out = &state.probe.as_ref().expect("probed").out;
+        state
             .apps
             .iter()
             .enumerate()
@@ -912,7 +971,8 @@ impl<'a> Fleet<'a> {
     /// Reads node `node`'s state at time `t` — the incremental-probe read.
     /// Idle nodes answer from the precomputed per-size summary; loaded
     /// nodes answer from the cached probe simulation's pressure timeline
-    /// (last sample at or before `t`).
+    /// (last sample at or before `t`). A loaded node's probe keeps the view
+    /// it last answered, so a second read at the same instant is free.
     ///
     /// Besides the monitor's summary, the view carries the node's *reserved*
     /// demand: the summed demand estimates of jobs assigned to it that are
@@ -920,30 +980,41 @@ impl<'a> Fleet<'a> {
     /// admission must rank against `max(used, reserved)` or simultaneous
     /// arrivals would all pile onto the same empty node.
     fn view(&mut self, node: usize, t: SimTime) -> NodeView {
-        let (summary, reserved) = if self.nodes[node].apps.is_empty() {
-            (self.idle[&self.nodes[node].phys_total], 0)
-        } else {
-            let t_ms = t.as_millis();
-            let out = self.probe_outcome(node);
-            let timeline = &out.run.pressure_timeline;
-            let summary = match timeline.partition_point(|&(at, _)| at <= t_ms) {
-                0 => self.idle[&self.nodes[node].phys_total],
-                i => timeline[i - 1].1,
+        let state = &self.nodes[node];
+        if state.apps.is_empty() {
+            return NodeView {
+                node,
+                summary: state.idle,
+                reserved: 0,
             };
-            let mut reserved = 0u64;
-            for (slot, &(job, kind, _)) in self.nodes[node].apps.iter().enumerate() {
-                let here = self.assignment[job] == Some((node, slot));
-                if here && out.run.apps[slot].alive_at(t_ms) {
-                    reserved = reserved.saturating_add(demand_estimate(kind));
-                }
+        }
+        let t_ms = t.as_millis();
+        if let Some((at, view)) = self.probe_of(node).last {
+            if at == t_ms {
+                return view;
             }
-            (summary, reserved)
+        }
+        let state = &self.nodes[node];
+        let out = &state.probe.as_ref().expect("probed").out;
+        let timeline = &out.run.pressure_timeline;
+        let summary = match timeline.partition_point(|&(at, _)| at <= t_ms) {
+            0 => state.idle,
+            i => timeline[i - 1].1,
         };
-        NodeView {
+        let mut reserved = 0u64;
+        for (slot, &(job, kind, _)) in state.apps.iter().enumerate() {
+            let here = self.assignment[job] == Some((node, slot));
+            if here && out.run.apps[slot].alive_at(t_ms) {
+                reserved = reserved.saturating_add(demand_estimate(kind));
+            }
+        }
+        let view = NodeView {
             node,
             summary,
             reserved,
-        }
+        };
+        self.nodes[node].probe.as_mut().expect("probed").last = Some((t_ms, view));
+        view
     }
 
     /// The flap window covering `t` on `node`, if any.
@@ -1078,18 +1149,21 @@ impl<'a> Fleet<'a> {
     /// estimate current without re-entering the index — only
     /// [`Fleet::set_indexed`] re-admits.
     fn update_index(&mut self, node: usize, effective: u64) {
+        if self.nodes[node].index_effective == effective {
+            return; // most probes confirm the estimate
+        }
         let old = self.nodes[node].index_key();
         self.nodes[node].index_effective = effective;
         let key = self.nodes[node].index_key();
         if key != old && self.available(node) {
-            self.index.remove(&(old, node as u32));
-            self.index.insert((key, node as u32));
+            self.index.remove(&packed(old, node));
+            self.index.insert(packed(key, node));
         }
     }
 
     /// Inserts `node` into the candidate index, or removes it.
     fn set_indexed(&mut self, node: usize, on: bool) {
-        let entry = (self.nodes[node].index_key(), node as u32);
+        let entry = packed(self.nodes[node].index_key(), node);
         if on {
             self.index.insert(entry);
         } else {
@@ -1097,55 +1171,79 @@ impl<'a> Fleet<'a> {
         }
     }
 
+    /// Rebuilds the candidate index from the available nodes' keys.
+    fn rebuild_index(&mut self) {
+        self.index = (0..self.nodes.len())
+            .filter(|&n| self.available(n))
+            .map(|n| packed(self.nodes[n].index_key(), n))
+            .collect();
+    }
+
     /// Asserts the candidate index's invariant: it holds exactly
-    /// `(index_key, node)` for the available nodes.
+    /// `(index_key, node)` for the available nodes, and its head, the
+    /// placement scan order, is the head of a fresh sort of them.
     #[cfg(test)]
     fn check_index(&self) {
-        let want: BTreeSet<(u64, u32)> = (0..self.nodes.len())
+        let mut want: Vec<(u64, usize)> = (0..self.nodes.len())
             .filter(|&n| self.available(n))
-            .map(|n| (self.nodes[n].index_key(), n as u32))
+            .map(|n| (self.nodes[n].index_key(), n))
             .collect();
-        assert_eq!(self.index, want, "the index disagrees with its nodes");
+        want.sort_unstable();
+        let have: Vec<(u64, usize)> = (self.index.iter())
+            .map(|&entry| ((entry >> 32) as u64, entry as u32 as usize))
+            .collect();
+        assert_eq!(have, want, "the index disagrees with its nodes");
+        let (head, len) = self.candidate_order();
+        let fresh: Vec<usize> = want.iter().take(PROBE_BUDGET).map(|&(_, n)| n).collect();
+        assert_eq!(
+            head[..len],
+            fresh[..],
+            "the scan order is not the index's head"
+        );
     }
 
     /// The bounded placement scan order: the least-estimated
     /// [`PROBE_BUDGET`] nodes, the head of the candidate index (never a walk
-    /// over all N nodes).
-    fn candidate_order(&self) -> Vec<usize> {
-        self.index
-            .iter()
-            .take(PROBE_BUDGET)
-            .map(|&(_, node)| node as usize)
-            .collect()
+    /// over all N nodes), and how many there are.
+    fn candidate_order(&self) -> ([usize; PROBE_BUDGET], usize) {
+        let mut head = [0; PROBE_BUDGET];
+        let mut len = 0;
+        for (slot, &entry) in head.iter_mut().zip(&self.index) {
+            *slot = entry as u32 as usize;
+            len += 1;
+        }
+        (head, len)
     }
 
     /// Heals the whole candidate index with silent cached view reads at
     /// time `t` (no trace events; clean nodes answer from their cached
-    /// probe timeline, idle nodes from the per-size summary). Returns the
-    /// views that would admit `demand` more bytes — so the defer fallback
-    /// gets its feasible set from the same sweep. Records the refresh
+    /// probe timeline, idle nodes from the per-size summary), rebuilding
+    /// it in one pass. Returns the least-pressured view that would admit
+    /// `demand` more bytes, ties to the lower node index — so the defer
+    /// fallback gets its pick from the same sweep. Records the refresh
     /// instant so at most one sweep runs per placement time.
-    fn refresh(&mut self, t: SimTime, demand: u64) -> Vec<NodeView> {
+    fn refresh(&mut self, t: SimTime, demand: u64) -> Option<NodeView> {
         self.index_fresh_ms = Some(t.as_millis());
-        let mut feasible: Vec<NodeView> = Vec::new();
+        let mut best = None;
         for node in 0..self.nodes.len() {
             if !self.available(node) {
                 continue;
             }
-            match self.endpoint(node, t) {
+            self.nodes[node].index_effective = match self.endpoint(node, t) {
                 ProbeRead::Fresh(v) | ProbeRead::Stale(v) => {
-                    self.update_index(node, v.effective());
                     if Self::admits(&v, demand) {
-                        feasible.push(v);
+                        keep_least(&mut best, v);
                     }
+                    v.effective()
                 }
                 // Bulk sweeps are health-neutral (they must not quarantine
                 // half the fleet in one pass); an unreachable node just
                 // takes the pessimal key until a real probe heals it.
-                ProbeRead::Unreachable => self.update_index(node, u64::MAX),
-            }
+                ProbeRead::Unreachable => u64::MAX,
+            };
         }
-        feasible
+        self.rebuild_index();
+        best
     }
 
     /// True if `demand` more bytes fit on this node without crossing its
@@ -1153,23 +1251,6 @@ impl<'a> Fleet<'a> {
     fn admits(view: &NodeView, demand: u64) -> bool {
         matches!(view.summary.zone, Zone::Green | Zone::Yellow)
             && view.effective().saturating_add(demand) <= view.summary.top
-    }
-
-    /// Picks the least-pressured node among `candidates`: exact integer
-    /// comparison of `effective/top` ratios (`eff_a * top_b` vs
-    /// `eff_b * top_a`), ties to the lower node index.
-    fn pick(&self, candidates: &[NodeView]) -> Option<usize> {
-        let mut best: Option<&NodeView> = None;
-        for v in candidates {
-            let better = best.is_none_or(|b| {
-                v.effective() as u128 * (b.summary.top as u128)
-                    < b.effective() as u128 * (v.summary.top as u128)
-            });
-            if better {
-                best = Some(v);
-            }
-        }
-        best.map(|v| v.node)
     }
 
     /// Assigns job `job` to `node` starting at `t` and records the
@@ -1324,16 +1405,23 @@ impl<'a> Fleet<'a> {
         if !exhaustive && self.index_fresh_ms != Some(t.as_millis()) {
             self.refresh(t, 0);
         }
-        let order: Vec<usize> = if exhaustive {
-            (0..self.nodes.len())
+        let all: Vec<usize>;
+        let head;
+        let order: &[usize] = if exhaustive {
+            all = (0..self.nodes.len())
                 .filter(|&n| self.available(n))
-                .collect()
+                .collect();
+            &all
         } else {
-            self.candidate_order()
+            head = self.candidate_order();
+            &head.0[..head.1]
         };
-        let mut probed: Vec<NodeView> = Vec::new();
-        let mut candidates: Vec<NodeView> = Vec::new();
-        for node in order {
+        // The choice is the view that backs the placement: the probe that
+        // found the node, or the re-probe of a node a sweep or a
+        // preemption found.
+        let mut choice = None;
+        let (mut probed, mut feasible) = (0, 0);
+        for &node in order {
             if !self.available(node) {
                 continue;
             }
@@ -1343,27 +1431,23 @@ impl<'a> Fleet<'a> {
                 // endpoint was unreachable): not a candidate.
                 continue;
             }
-            probed.push(v);
+            probed += 1;
             if Self::admits(&v, demand) {
-                candidates.push(v);
+                feasible += 1;
+                keep_least(&mut choice, v);
             }
-            if !exhaustive && (candidates.len() >= PLACE_CANDIDATES || probed.len() >= PROBE_BUDGET)
-            {
+            if !exhaustive && (feasible >= PLACE_CANDIDATES || probed >= PROBE_BUDGET) {
                 break;
             }
         }
         // The index is advisory and decays: before deferring, heal it with
         // a full silent sweep and retry the pick. Only a genuinely full
         // fleet defers, and the next scan's index is fresh.
-        let mut choice = self.pick(&candidates);
         if choice.is_none() && !exhaustive {
-            let feasible = self.refresh(t, demand);
-            if let Some(node) = self.pick(&feasible) {
+            if let Some(v) = self.refresh(t, demand) {
                 // Re-read through `probe` so the placement is backed by a
                 // traced pressure snapshot like every other admission.
-                let v = self.probe(node, t);
-                probed.push(v);
-                choice = Some(node);
+                choice = Some(self.probe(v.node, t));
             }
         }
         // Nothing admits the job outright: a latency-critical job may
@@ -1375,24 +1459,13 @@ impl<'a> Fleet<'a> {
         if choice.is_none() {
             if let Some(node) = self.try_preempt(job, demand, t, queue) {
                 let v = self.probe(node, t);
-                probed.push(v);
                 if Self::admits(&v, demand) {
-                    choice = Some(node);
+                    choice = Some(v);
                 }
             }
         }
         match choice {
-            Some(node) => {
-                // Most recent probe of the node: a preemption re-probe
-                // supersedes any earlier read this same placement took.
-                let summary = probed
-                    .iter()
-                    .rev()
-                    .find(|v| v.node == node)
-                    .expect("picked node was probed")
-                    .summary;
-                self.place(job, node, summary, demand, attempt, t);
-            }
+            Some(v) => self.place(job, v.node, v.summary, demand, attempt, t),
             None if attempt >= self.fleet.max_defers => {
                 self.deferrals[job] = attempt;
                 self.gave_up[job] = true;
@@ -1471,9 +1544,10 @@ impl<'a> Fleet<'a> {
             // found by the same bounded scan placement uses (views probed
             // this check are reused, not re-recorded).
             let demand = demand_estimate(kind);
-            let mut candidates: Vec<NodeView> = Vec::new();
-            let mut scanned = 0usize;
-            for cand in self.candidate_order() {
+            let mut best = None;
+            let (mut scanned, mut feasible) = (0, 0);
+            let (head, len) = self.candidate_order();
+            for &cand in &head[..len] {
                 if cand == node || !self.available(cand) {
                     continue;
                 }
@@ -1490,13 +1564,14 @@ impl<'a> Fleet<'a> {
                 }
                 scanned += 1;
                 if Self::admits(&v, demand) {
-                    candidates.push(v);
+                    feasible += 1;
+                    keep_least(&mut best, v);
                 }
-                if candidates.len() >= PLACE_CANDIDATES || scanned >= PROBE_BUDGET {
+                if feasible >= PLACE_CANDIDATES || scanned >= PROBE_BUDGET {
                     break;
                 }
             }
-            let Some(target) = self.pick(&candidates) else {
+            let Some(NodeView { node: target, .. }) = best else {
                 continue; // nowhere better to go: migrating would not help
             };
             self.crash(node, slot, t);
@@ -1634,14 +1709,13 @@ impl<'a> Fleet<'a> {
     /// maximal key until a real probe heals it.
     fn on_restart(&mut self, t: SimTime) {
         self.degradation.scheduler_restarts += 1;
-        self.index.clear();
         for node in 0..self.nodes.len() {
             self.nodes[node].red_since = None;
             if self.available(node) {
-                self.set_indexed(node, true);
                 self.degradation.index_rebuild_nodes += 1;
             }
         }
+        // The sweep rebuilds the index from its reads.
         self.refresh(t, 0);
         // The stamp dies with the old process too, so the next placement
         // still sweeps, and counts that sweep's stale and failed reads.
@@ -1651,7 +1725,6 @@ impl<'a> Fleet<'a> {
     /// Builds the event queue (arrivals + fault injections + rebalance
     /// checks) and drains it.
     fn run_events(&mut self) {
-        let mut queue: EventQueue = BTreeMap::new();
         let njobs = self.scenario.len();
         let mut delay_ms = vec![0u64; njobs];
         for d in &self.fleet.faults.placement_delays {
@@ -1661,7 +1734,9 @@ impl<'a> Fleet<'a> {
                 self.degradation.faults_unapplied += 1;
             }
         }
+        let mut arrivals = Vec::with_capacity(njobs);
         for (job, &(_, start)) in self.scenario.apps.iter().enumerate() {
+            let at = start.as_millis() + delay_ms[job];
             if delay_ms[job] > 0 {
                 self.degradation.placements_delayed += 1;
                 self.degradation.placement_delay_ms += delay_ms[job];
@@ -1672,7 +1747,7 @@ impl<'a> Fleet<'a> {
                 // (preempt, SLO report) for consistency against.
                 let class = self.scenario.class_of(job);
                 self.trace.record(
-                    SimTime::from_millis(start.as_millis() + delay_ms[job]),
+                    SimTime::from_millis(at),
                     job as u64,
                     TraceData::SchedClassAssign {
                         job: job as u64,
@@ -1681,11 +1756,9 @@ impl<'a> Fleet<'a> {
                     },
                 );
             }
-            queue.insert(
-                (start.as_millis() + delay_ms[job], CLASS_PLACE, job as u64),
-                Event::Place { job, attempt: 0 },
-            );
+            arrivals.push((at, job));
         }
+        let mut queue = EventQueue::new(arrivals);
         for (i, c) in self.fleet.faults.node_crashes.iter().enumerate() {
             if c.node < self.nodes.len() {
                 queue.insert(
@@ -1709,9 +1782,8 @@ impl<'a> Fleet<'a> {
                 Event::Rebalance { check: k },
             );
         }
-        while let Some((&key, _)) = queue.iter().next() {
-            let event = queue.remove(&key).expect("key just observed");
-            let t = SimTime::from_millis(key.0);
+        while let Some(((at_ms, _, _), event)) = queue.pop_first() {
+            let t = SimTime::from_millis(at_ms);
             match event {
                 Event::NodeCrash { node } => self.on_node_crash(node, t, &mut queue),
                 Event::Restart => self.on_restart(t),
@@ -1724,7 +1796,54 @@ impl<'a> Fleet<'a> {
     }
 }
 
-type EventQueue = BTreeMap<(u64, u8, u64), Event>;
+/// Where an event sorts: `(time_ms, class, index)`, the index being the
+/// job of a placement, the check number of a rebalance check and the
+/// position in the fault plan of a crash or restart. No two pending
+/// events share a key: a job has at most one placement pending.
+type EventKey = (u64, u8, u64);
+
+/// The scheduler's event queue: pops events in [`EventKey`] order. The
+/// arrivals are known before the run starts, so they are sorted once into
+/// a list; a binary heap holds the rest — the fault and rebalance events
+/// and every event made during the run (defers, requeues).
+struct EventQueue {
+    /// `(time_ms, job)` of every arrival, ascending.
+    arrivals: Vec<(u64, usize)>,
+    /// The first arrival not yet popped.
+    next: usize,
+    later: BinaryHeap<Reverse<(EventKey, Event)>>,
+}
+
+impl EventQueue {
+    /// A queue of the arrivals `(time_ms, job)`, in any order.
+    fn new(mut arrivals: Vec<(u64, usize)>) -> Self {
+        arrivals.sort_unstable();
+        EventQueue {
+            arrivals,
+            next: 0,
+            later: BinaryHeap::new(),
+        }
+    }
+
+    fn insert(&mut self, key: EventKey, event: Event) {
+        self.later.push(Reverse((key, event)));
+    }
+
+    /// Removes and returns the event with the least key.
+    fn pop_first(&mut self) -> Option<(EventKey, Event)> {
+        let arrival = (self.arrivals.get(self.next))
+            .map(|&(at, job)| (at, CLASS_PLACE, job as u64))
+            .filter(|&key| self.later.peek().is_none_or(|Reverse((k, _))| key < *k));
+        match arrival {
+            Some(key) => {
+                self.next += 1;
+                let job = key.2 as usize;
+                Some((key, Event::Place { job, attempt: 0 }))
+            }
+            None => self.later.pop().map(|Reverse(first)| first),
+        }
+    }
+}
 
 /// Runs `scenario` on the fleet described by `fleet`, under the fleet's
 /// fault plan ([`FleetConfig::faults`]).
@@ -1781,7 +1900,9 @@ fn finish(mut state: Fleet) -> FleetResult {
     state.warm(&nodes);
     let finals: Vec<Option<Arc<ScenarioOutcome>>> = nodes
         .into_iter()
-        .map(|node| (!state.nodes[node].apps.is_empty()).then(|| state.probe_outcome(node)))
+        .map(|node| {
+            (!state.nodes[node].apps.is_empty()).then(|| Arc::clone(&state.probe_of(node).out))
+        })
         .collect();
 
     let mut jobs = Vec::with_capacity(njobs);
@@ -1885,6 +2006,7 @@ mod tests {
     use super::*;
     use crate::scenario::fleet_canonical;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn quick_cfg() -> MachineConfig {
         let mut cfg = MachineConfig::stock_64gb();
@@ -2035,7 +2157,7 @@ mod tests {
             state.nodes[2].probe.is_none(),
             "idle probe must not allocate a scenario run"
         );
-        assert_eq!(v.summary, state.idle[&(64 * GIB)]);
+        assert_eq!(v.summary, state.nodes[2].idle);
         assert_eq!(v.reserved, 0);
         assert_eq!(v.summary.used, 0);
         assert!(matches!(v.summary.zone, Zone::Green));
@@ -2719,6 +2841,82 @@ mod tests {
                 res.degradation.jobs_lost,
                 res.degradation.jobs_rescheduled + res.degradation.jobs_orphaned
             );
+        }
+    }
+
+    // ---- event queue --------------------------------------------------
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The event queue pops what a `BTreeMap` keyed `(time, class,
+        /// index)` pops, for arrivals listed out of time order and events
+        /// pushed while it drains, as the scheduler pushes them: a popped
+        /// placement defers to a later instant or is placed, and a crash
+        /// requeues a placed job. Every instant is on a 60-s grid, so
+        /// retries and requeues land on arrivals' instants, and crashes,
+        /// restarts and rebalance checks share instants with placements
+        /// and with each other.
+        #[test]
+        fn event_queue_pops_in_key_order(
+            arrivals in proptest::collection::vec(0u64..6, 0..16),
+            faults in proptest::collection::vec((0u64..6, proptest::bool::ANY, 0usize..4), 0..6),
+            checks in 0u32..6,
+            pushes in proptest::collection::vec((0u64..4, any::<u8>()), 0..48),
+        ) {
+            const STEP: u64 = 60_000;
+            let mut queue = EventQueue::new(
+                (arrivals.iter().enumerate())
+                    .map(|(job, &at)| (at * STEP, job))
+                    .collect(),
+            );
+            let mut reference: BTreeMap<EventKey, Event> = BTreeMap::new();
+            for (job, &at) in arrivals.iter().enumerate() {
+                reference.insert((at * STEP, CLASS_PLACE, job as u64), Event::Place { job, attempt: 0 });
+            }
+            let mut both = |key: EventKey, event: Event| {
+                queue.insert(key, event);
+                reference.insert(key, event);
+            };
+            for (i, &(at, crash, node)) in faults.iter().enumerate() {
+                match crash {
+                    true => both((at * STEP, CLASS_CRASH, i as u64), Event::NodeCrash { node }),
+                    false => both((at * STEP, CLASS_RESTART, i as u64), Event::Restart),
+                }
+            }
+            for check in 1..=checks {
+                let at = u64::from(check) * STEP;
+                both((at, CLASS_REBALANCE, u64::from(check)), Event::Rebalance { check });
+            }
+            // Jobs popped and placed: a crash may requeue one.
+            let mut placed: Vec<usize> = Vec::new();
+            let mut pushes = pushes.into_iter();
+            loop {
+                let want = reference.pop_first();
+                prop_assert_eq!(queue.pop_first(), want);
+                let Some(((at, _, _), event)) = want else {
+                    break;
+                };
+                let Some((later, draw)) = pushes.next() else {
+                    continue;
+                };
+                let job = match event {
+                    Event::Place { job, .. } if draw % 2 == 0 => Some(job),
+                    Event::Place { job, .. } => {
+                        placed.push(job);
+                        None
+                    }
+                    Event::NodeCrash { .. } if !placed.is_empty() => {
+                        Some(placed.swap_remove(draw as usize % placed.len()))
+                    }
+                    _ => None,
+                };
+                if let Some(job) = job {
+                    let key = (at + (later + 1) * STEP, CLASS_PLACE, job as u64);
+                    queue.insert(key, Event::Place { job, attempt: 1 });
+                    reference.insert(key, Event::Place { job, attempt: 1 });
+                }
+            }
         }
     }
 

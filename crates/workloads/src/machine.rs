@@ -486,6 +486,13 @@ impl World {
         }
     }
 
+    /// The node trace recorded so far. The fleet keeps checkpoints without
+    /// it and puts the prefix back from the memoized outcome when it
+    /// resumes one.
+    pub(crate) fn trace_mut(&mut self) -> &mut TraceLog {
+        &mut self.kernel.trace
+    }
+
     /// Runs every loop iteration before `t` and stops the clock at the
     /// first iteration instant at or after it, or earlier where the run
     /// stops: at the time cap, or once everything has started and nothing
