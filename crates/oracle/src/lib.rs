@@ -106,7 +106,14 @@ impl Oracle {
 
     /// Replays `trace` and returns every divergence found (empty = conformant).
     pub fn check(&self, trace: &TraceLog) -> Vec<Violation> {
-        Checker::new(self).run(trace.events())
+        let mut checker = self.checker();
+        trace.for_each(|e| checker.observe(e));
+        checker.finish()
+    }
+
+    /// A checker that replays events as they are handed to it.
+    pub fn checker(&self) -> Checker<'_> {
+        Checker::new(self)
     }
 }
 
@@ -176,6 +183,31 @@ struct NodeSnap {
     red_since: Option<u64>,
 }
 
+/// What the fleet oracle knows of one node as the trace replays.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeState {
+    /// The latest pressure snapshot, if the node was probed.
+    snap: Option<NodeSnap>,
+    /// The node was lost.
+    dead: bool,
+    /// The node is in quarantine.
+    quarantined: bool,
+}
+
+impl NodeState {
+    /// The node's latest snapshot, when the node is alive, out of
+    /// quarantine, green or yellow, and has room for `demand`
+    /// (`max(used, reserved) + demand <= top`).
+    fn admits(&self, demand: u64) -> Option<&NodeSnap> {
+        (self.snap.as_ref()).filter(|s| {
+            !self.dead
+                && !self.quarantined
+                && matches!(s.zone, TraceZone::Green | TraceZone::Yellow)
+                && s.used.max(s.reserved).saturating_add(demand) <= s.top
+        })
+    }
+}
+
 impl FleetOracle {
     /// An oracle for a scheduler with the given grace window and defer
     /// interval.
@@ -186,342 +218,355 @@ impl FleetOracle {
         }
     }
 
-    /// `fleet.defer.latency`: resolving event for `job` at `at` ms against
-    /// the retry time its pending defer announced (if any).
-    fn check_defer_latency(
-        out: &mut Vec<Violation>,
-        pending: Option<(u64, u64)>,
-        job: u64,
-        at: u64,
-        pid: u64,
-    ) {
-        let Some((_, retry_at)) = pending else {
-            return;
-        };
-        if at > retry_at {
-            out.push(Violation {
-                invariant: "fleet.defer.latency".into(),
-                at_ms: at,
-                pid,
-                message: format!(
-                    "job {job} deferred with retry announced at {retry_at} ms \
-                     was next attempted only at {at} ms"
-                ),
-            });
-        }
-    }
-
     /// Replays the fleet events in `trace` and returns every divergence
     /// found (empty = conformant). Non-fleet events are ignored, so the
     /// scheduler's full log can be passed as-is.
     pub fn check(&self, trace: &TraceLog) -> Vec<Violation> {
-        let mut out = Vec::new();
-        // Latest pressure snapshot and red streak per node, read and
-        // written once per probe. Node ids come from traces read from disk
-        // too, so the map keeps the default hasher.
-        let mut latest: HashMap<u64, NodeSnap> = HashMap::new();
-        // Jobs with a defer not yet resolved by a place or a give-up:
-        // job -> (deferred at, announced retry time).
-        let mut pending_defer: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        // Nodes known dead / currently quarantined as the trace replays.
-        let mut dead: BTreeSet<u64> = BTreeSet::new();
-        let mut quarantined: BTreeSet<u64> = BTreeSet::new();
-        // Jobs that have ever been lost to node death, and the re-queued
-        // losses not yet resolved by a place or a give-up: job -> lost at.
-        let mut lost_jobs: BTreeSet<u64> = BTreeSet::new();
-        let mut pending_requeue: BTreeMap<u64, u64> = BTreeMap::new();
-        // Criticality class and SLO each job declared at submission.
-        let mut classes: BTreeMap<u64, (Criticality, u64)> = BTreeMap::new();
-        // A placement or migration target must be neither dead nor
-        // quarantined at decision time.
-        let check_target = |out: &mut Vec<Violation>,
-                            dead: &BTreeSet<u64>,
-                            quarantined: &BTreeSet<u64>,
-                            job: u64,
-                            node: u64,
-                            at: u64,
-                            pid: u64| {
-            if dead.contains(&node) {
-                out.push(Violation {
-                    invariant: "fleet.place.dead".into(),
-                    at_ms: at,
-                    pid,
-                    message: format!("job {job} placed on node {node}, which is dead"),
-                });
-            }
-            if quarantined.contains(&node) {
-                out.push(Violation {
-                    invariant: "fleet.place.quarantined".into(),
-                    at_ms: at,
-                    pid,
-                    message: format!("job {job} placed on node {node}, which is quarantined"),
-                });
-            }
+        let mut checker = self.checker();
+        trace.for_each(|e| checker.observe(e));
+        checker.finish()
+    }
+
+    /// A checker that replays fleet events as they are handed to it.
+    pub fn checker(&self) -> FleetChecker<'_> {
+        FleetChecker {
+            oracle: self,
+            out: Vec::new(),
+            nodes: HashMap::new(),
+            pending_defer: BTreeMap::new(),
+            lost_jobs: BTreeSet::new(),
+            pending_requeue: BTreeMap::new(),
+            classes: BTreeMap::new(),
+        }
+    }
+}
+
+/// The fleet oracle's replay state: [`FleetChecker::observe`] takes the
+/// events in record order, one at a time, and [`FleetChecker::finish`]
+/// returns the divergences found ([`FleetOracle::check`] drives one over
+/// a stored trace).
+pub struct FleetChecker<'a> {
+    oracle: &'a FleetOracle,
+    out: Vec<Violation>,
+    /// Latest pressure snapshot, red streak, loss and quarantine per node.
+    nodes: HashMap<u64, NodeState>,
+    /// Jobs with a defer not yet resolved by a place or a give-up:
+    /// job -> (deferred at, announced retry time).
+    pending_defer: BTreeMap<u64, (u64, u64)>,
+    /// Jobs that have ever been lost to node death, and the re-queued
+    /// losses not yet resolved by a place or a give-up: job -> lost at.
+    lost_jobs: BTreeSet<u64>,
+    pending_requeue: BTreeMap<u64, u64>,
+    /// Criticality class and SLO each job declared at submission.
+    classes: BTreeMap<u64, (Criticality, u64)>,
+}
+
+impl FleetChecker<'_> {
+    fn flag(&mut self, invariant: &str, at: u64, pid: u64, message: String) {
+        self.out.push(Violation {
+            invariant: invariant.into(),
+            at_ms: at,
+            pid,
+            message,
+        });
+    }
+
+    /// `fleet.defer.latency`: the event at `at` ms resolves `job`'s pending
+    /// defer (if any), which must not have announced an earlier retry.
+    fn resolve_defer(&mut self, job: u64, at: u64, pid: u64) {
+        let Some((_, retry_at)) = self.pending_defer.remove(&job) else {
+            return;
         };
-        for e in trace.events() {
-            let at = e.t.as_millis();
-            match &e.data {
-                TraceData::FleetPressure {
-                    node,
-                    zone,
-                    used,
-                    reserved,
-                    top,
-                    ..
-                } => {
-                    let snap = NodeSnap {
-                        zone: *zone,
-                        used: *used,
-                        reserved: *reserved,
-                        top: *top,
-                        red_since: None,
-                    };
-                    let last = latest.entry(*node).or_insert(snap);
-                    let red_since = match zone {
-                        TraceZone::Red | TraceZone::AboveTop => last.red_since.or(Some(at)),
-                        _ => None,
-                    };
-                    *last = NodeSnap { red_since, ..snap };
+        if at > retry_at {
+            self.flag(
+                "fleet.defer.latency",
+                at,
+                pid,
+                format!(
+                    "job {job} deferred with retry announced at {retry_at} ms \
+                     was next attempted only at {at} ms"
+                ),
+            );
+        }
+    }
+
+    /// A placement or migration target must be neither dead nor
+    /// quarantined at decision time.
+    fn check_target(&mut self, job: u64, node: u64, at: u64, pid: u64) {
+        let state = self.nodes.get(&node).copied().unwrap_or_default();
+        if state.dead {
+            self.flag(
+                "fleet.place.dead",
+                at,
+                pid,
+                format!("job {job} placed on node {node}, which is dead"),
+            );
+        }
+        if state.quarantined {
+            self.flag(
+                "fleet.place.quarantined",
+                at,
+                pid,
+                format!("job {job} placed on node {node}, which is quarantined"),
+            );
+        }
+    }
+
+    /// Replays the next event; non-fleet events are ignored.
+    #[allow(clippy::too_many_lines)]
+    pub fn observe(&mut self, e: &TraceEvent) {
+        let at = e.t.as_millis();
+        match &e.data {
+            TraceData::FleetPressure {
+                node,
+                zone,
+                used,
+                reserved,
+                top,
+                ..
+            } => {
+                let n = self.nodes.entry(*node).or_default();
+                let red_since = match zone {
+                    TraceZone::Red | TraceZone::AboveTop => {
+                        n.snap.and_then(|s| s.red_since).or(Some(at))
+                    }
+                    _ => None,
+                };
+                n.snap = Some(NodeSnap {
+                    zone: *zone,
+                    used: *used,
+                    reserved: *reserved,
+                    top: *top,
+                    red_since,
+                });
+            }
+            TraceData::FleetPlace { job, node, .. } => {
+                match self.nodes.get(node).and_then(|n| n.snap).map(|s| s.zone) {
+                    None => self.flag(
+                        "fleet.place.red",
+                        at,
+                        e.pid,
+                        format!("job {job} placed on node {node} without a pressure probe"),
+                    ),
+                    Some(z @ (TraceZone::Red | TraceZone::AboveTop)) => self.flag(
+                        "fleet.place.red",
+                        at,
+                        e.pid,
+                        format!(
+                            "job {job} placed on node {node} whose latest \
+                             pressure snapshot is {z:?}"
+                        ),
+                    ),
+                    Some(_) => {}
                 }
-                TraceData::FleetPlace { job, node, .. } => {
-                    match latest.get(node).map(|s| s.zone) {
-                        None => out.push(Violation {
-                            invariant: "fleet.place.red".into(),
-                            at_ms: at,
-                            pid: e.pid,
-                            message: format!(
-                                "job {job} placed on node {node} without a pressure probe"
-                            ),
-                        }),
-                        Some(z @ (TraceZone::Red | TraceZone::AboveTop)) => out.push(Violation {
-                            invariant: "fleet.place.red".into(),
-                            at_ms: at,
-                            pid: e.pid,
-                            message: format!(
-                                "job {job} placed on node {node} whose latest \
-                                     pressure snapshot is {z:?}"
-                            ),
-                        }),
-                        Some(_) => {}
-                    }
-                    check_target(&mut out, &dead, &quarantined, *job, *node, at, e.pid);
-                    pending_requeue.remove(job);
-                    Self::check_defer_latency(&mut out, pending_defer.remove(job), *job, at, e.pid);
+                self.check_target(*job, *node, at, e.pid);
+                self.pending_requeue.remove(job);
+                self.resolve_defer(*job, at, e.pid);
+            }
+            TraceData::FleetDefer {
+                job, retry_at_ms, ..
+            } => {
+                // A retry that itself defers resolves the previous
+                // pending defer (and must itself be on time).
+                self.resolve_defer(*job, at, e.pid);
+                let interval = self.oracle.defer_interval_ms;
+                if retry_at_ms.saturating_sub(at) > interval {
+                    self.flag(
+                        "fleet.defer.latency",
+                        at,
+                        e.pid,
+                        format!(
+                            "job {job} deferred at {at} ms announced retry at \
+                             {retry_at_ms} ms, beyond the {interval} ms defer interval"
+                        ),
+                    );
                 }
-                TraceData::FleetDefer {
-                    job, retry_at_ms, ..
-                } => {
-                    // A retry that itself defers resolves the previous
-                    // pending defer (and must itself be on time).
-                    Self::check_defer_latency(&mut out, pending_defer.remove(job), *job, at, e.pid);
-                    let interval = self.defer_interval_ms;
-                    if retry_at_ms.saturating_sub(at) > interval {
-                        out.push(Violation {
-                            invariant: "fleet.defer.latency".into(),
-                            at_ms: at,
-                            pid: e.pid,
-                            message: format!(
-                                "job {job} deferred at {at} ms announced retry at \
-                                 {retry_at_ms} ms, beyond the {interval} ms defer interval"
-                            ),
-                        });
-                    }
-                    pending_defer.insert(*job, (at, *retry_at_ms));
+                self.pending_defer.insert(*job, (at, *retry_at_ms));
+            }
+            TraceData::FleetMigrate { job, from, to, .. } => {
+                self.check_target(*job, *to, at, e.pid);
+                let streak = (self.nodes.get(from))
+                    .and_then(|n| n.snap?.red_since)
+                    .map(|since| at.saturating_sub(since));
+                let grace = self.oracle.grace_ms;
+                match streak {
+                    None => self.flag(
+                        "fleet.migrate.grace",
+                        at,
+                        e.pid,
+                        format!("job {job} migrated off node {from} that is not red"),
+                    ),
+                    Some(ms) if ms < grace => self.flag(
+                        "fleet.migrate.grace",
+                        at,
+                        e.pid,
+                        format!(
+                            "job {job} migrated off node {from} after only {ms} ms \
+                             red (grace window is {grace} ms)"
+                        ),
+                    ),
+                    Some(_) => {}
                 }
-                TraceData::FleetMigrate { job, from, to, .. } => {
-                    check_target(&mut out, &dead, &quarantined, *job, *to, at, e.pid);
-                    let streak = (latest.get(from))
-                        .and_then(|s| s.red_since)
-                        .map(|since| at.saturating_sub(since));
-                    match streak {
-                        None => out.push(Violation {
-                            invariant: "fleet.migrate.grace".into(),
-                            at_ms: at,
-                            pid: e.pid,
-                            message: format!("job {job} migrated off node {from} that is not red"),
-                        }),
-                        Some(ms) if ms < self.grace_ms => out.push(Violation {
-                            invariant: "fleet.migrate.grace".into(),
-                            at_ms: at,
-                            pid: e.pid,
-                            message: format!(
-                                "job {job} migrated off node {from} after only {ms} ms \
-                                 red (grace window is {} ms)",
-                                self.grace_ms
-                            ),
-                        }),
-                        Some(_) => {}
-                    }
+            }
+            TraceData::FleetGiveUp { job, demand, .. } => {
+                self.resolve_defer(*job, at, e.pid);
+                self.pending_requeue.remove(job);
+                // Giving up while some node visibly admits the job is
+                // starvation: the final attempt must have seen it. Jobs
+                // abandoned after node loss exhausted a retry budget, not
+                // the candidate set, so they are exempt — as are nodes
+                // the scheduler rightly refuses to target. The report
+                // names the lowest-index node that fits.
+                if self.lost_jobs.contains(job) {
+                    return;
                 }
-                TraceData::FleetGiveUp { job, demand, .. } => {
-                    Self::check_defer_latency(&mut out, pending_defer.remove(job), *job, at, e.pid);
-                    pending_requeue.remove(job);
-                    // Giving up while some node visibly admits the job is
-                    // starvation: the final attempt must have seen it. Jobs
-                    // abandoned after node loss exhausted a retry budget, not
-                    // the candidate set, so they are exempt — as are nodes
-                    // the scheduler rightly refuses to target.
-                    if lost_jobs.contains(job) {
-                        continue;
-                    }
-                    // The lowest-index node that fits, so the report does
-                    // not depend on the map's order.
-                    let fits = (latest.iter())
-                        .filter(|(node, s)| {
-                            !dead.contains(node)
-                                && !quarantined.contains(node)
-                                && matches!(s.zone, TraceZone::Green | TraceZone::Yellow)
-                                && s.used.max(s.reserved).saturating_add(*demand) <= s.top
-                        })
-                        .min_by_key(|(node, _)| **node);
-                    if let Some((node, s)) = fits {
-                        out.push(Violation {
-                            invariant: "fleet.giveup.starvation".into(),
-                            at_ms: at,
-                            pid: e.pid,
-                            message: format!(
-                                "job {job} (demand {demand}) given up on while node {node} \
-                                 is {:?} with effective load {} of top {}",
-                                s.zone,
-                                s.used.max(s.reserved),
-                                s.top
-                            ),
-                        });
-                    }
+                let fitting = (self.nodes.iter())
+                    .filter_map(|(node, n)| Some((*node, n.admits(*demand)?)))
+                    .min_by_key(|(node, _)| *node);
+                if let Some((node, s)) = fitting {
+                    let message = format!(
+                        "job {job} (demand {demand}) given up on while node {node} \
+                         is {:?} with effective load {} of top {}",
+                        s.zone,
+                        s.used.max(s.reserved),
+                        s.top
+                    );
+                    self.flag("fleet.giveup.starvation", at, e.pid, message);
                 }
-                TraceData::FleetNodeLost { node, .. } => {
-                    dead.insert(*node);
-                    if let Some(s) = latest.get_mut(node) {
-                        s.red_since = None;
-                    }
+            }
+            TraceData::FleetNodeLost { node, .. } => {
+                let n = self.nodes.entry(*node).or_default();
+                n.dead = true;
+                if let Some(s) = &mut n.snap {
+                    s.red_since = None;
                 }
-                TraceData::FleetReschedule { job, requeued, .. } => {
-                    lost_jobs.insert(*job);
-                    if *requeued {
-                        pending_requeue.insert(*job, at);
-                    }
+            }
+            TraceData::FleetReschedule { job, requeued, .. } => {
+                self.lost_jobs.insert(*job);
+                if *requeued {
+                    self.pending_requeue.insert(*job, at);
                 }
-                TraceData::FleetQuarantine { node, entered, .. } => {
-                    if *entered {
-                        quarantined.insert(*node);
-                    } else {
-                        quarantined.remove(node);
-                    }
+            }
+            TraceData::FleetQuarantine { node, entered, .. } => {
+                self.nodes.entry(*node).or_default().quarantined = *entered;
+            }
+            TraceData::SchedClassAssign { job, crit, slo_ms } => {
+                self.classes.insert(*job, (*crit, *slo_ms));
+            }
+            TraceData::SchedClassPreempt {
+                job,
+                crit,
+                victim,
+                victim_crit,
+                node,
+            } => {
+                if crit.expendability() >= victim_crit.expendability() {
+                    self.flag(
+                        "sched.class.preempt",
+                        at,
+                        e.pid,
+                        format!(
+                            "job {job} ({}) preempted job {victim} ({}) on node \
+                             {node}: a preemptor must be strictly less expendable \
+                             than its victim",
+                            crit.name(),
+                            victim_crit.name()
+                        ),
+                    );
                 }
-                TraceData::SchedClassAssign { job, crit, slo_ms } => {
-                    classes.insert(*job, (*crit, *slo_ms));
-                }
-                TraceData::SchedClassPreempt {
-                    job,
-                    crit,
-                    victim,
-                    victim_crit,
-                    node,
-                } => {
-                    if crit.expendability() >= victim_crit.expendability() {
-                        out.push(Violation {
-                            invariant: "sched.class.preempt".into(),
-                            at_ms: at,
-                            pid: e.pid,
-                            message: format!(
-                                "job {job} ({}) preempted job {victim} ({}) on node \
-                                 {node}: a preemptor must be strictly less expendable \
-                                 than its victim",
-                                crit.name(),
-                                victim_crit.name()
-                            ),
-                        });
-                    }
-                    for (who, recorded) in [(job, crit), (victim, victim_crit)] {
-                        if let Some((assigned, _)) = classes.get(who) {
-                            if assigned != recorded {
-                                out.push(Violation {
-                                    invariant: "sched.class.consistency".into(),
-                                    at_ms: at,
-                                    pid: e.pid,
-                                    message: format!(
-                                        "preempt records job {who} as {}, its assignment \
-                                         declared {}",
-                                        recorded.name(),
-                                        assigned.name()
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-                TraceData::SchedClassSlo {
-                    job,
-                    crit,
-                    slo_ms,
-                    runtime_ms,
-                    stall_ms,
-                    met,
-                } => {
-                    let want_met = *slo_ms == 0 || runtime_ms <= slo_ms;
-                    if *met != want_met {
-                        out.push(Violation {
-                            invariant: "sched.class.slo".into(),
-                            at_ms: at,
-                            pid: e.pid,
-                            message: format!(
-                                "job {job} recorded met={met} but runtime {runtime_ms} ms \
-                                 against SLO {slo_ms} ms implies met={want_met}"
-                            ),
-                        });
-                    }
-                    if stall_ms > runtime_ms {
-                        out.push(Violation {
-                            invariant: "sched.class.slo".into(),
-                            at_ms: at,
-                            pid: e.pid,
-                            message: format!(
-                                "job {job} stalled {stall_ms} ms, more than its whole \
-                                 {runtime_ms} ms runtime"
-                            ),
-                        });
-                    }
-                    if let Some((assigned, assigned_slo)) = classes.get(job) {
-                        if assigned != crit || assigned_slo != slo_ms {
-                            out.push(Violation {
-                                invariant: "sched.class.consistency".into(),
-                                at_ms: at,
-                                pid: e.pid,
-                                message: format!(
-                                    "job {job} SLO report says ({}, {slo_ms} ms), its \
-                                     assignment declared ({}, {assigned_slo} ms)",
-                                    crit.name(),
+                for (who, recorded) in [(job, crit), (victim, victim_crit)] {
+                    if let Some(&(assigned, _)) = self.classes.get(who) {
+                        if assigned != *recorded {
+                            self.flag(
+                                "sched.class.consistency",
+                                at,
+                                e.pid,
+                                format!(
+                                    "preempt records job {who} as {}, its assignment \
+                                     declared {}",
+                                    recorded.name(),
                                     assigned.name()
                                 ),
-                            });
+                            );
                         }
                     }
                 }
-                _ => {}
             }
+            TraceData::SchedClassSlo {
+                job,
+                crit,
+                slo_ms,
+                runtime_ms,
+                stall_ms,
+                met,
+            } => {
+                let want_met = *slo_ms == 0 || runtime_ms <= slo_ms;
+                if *met != want_met {
+                    self.flag(
+                        "sched.class.slo",
+                        at,
+                        e.pid,
+                        format!(
+                            "job {job} recorded met={met} but runtime {runtime_ms} ms \
+                             against SLO {slo_ms} ms implies met={want_met}"
+                        ),
+                    );
+                }
+                if stall_ms > runtime_ms {
+                    self.flag(
+                        "sched.class.slo",
+                        at,
+                        e.pid,
+                        format!(
+                            "job {job} stalled {stall_ms} ms, more than its whole \
+                             {runtime_ms} ms runtime"
+                        ),
+                    );
+                }
+                if let Some(&(assigned, assigned_slo)) = self.classes.get(job) {
+                    if assigned != *crit || assigned_slo != *slo_ms {
+                        self.flag(
+                            "sched.class.consistency",
+                            at,
+                            e.pid,
+                            format!(
+                                "job {job} SLO report says ({}, {slo_ms} ms), its \
+                                 assignment declared ({}, {assigned_slo} ms)",
+                                crit.name(),
+                                assigned.name()
+                            ),
+                        );
+                    }
+                }
+            }
+            _ => {}
         }
-        for (job, since) in pending_requeue {
-            out.push(Violation {
-                invariant: "fleet.lost.resolved".into(),
-                at_ms: since,
-                pid: job,
-                message: format!(
+    }
+
+    /// Ends the replay: flags the re-queued and deferred jobs the trace
+    /// never resolved and returns every divergence found (empty =
+    /// conformant).
+    pub fn finish(mut self) -> Vec<Violation> {
+        for (job, since) in std::mem::take(&mut self.pending_requeue) {
+            self.flag(
+                "fleet.lost.resolved",
+                since,
+                job,
+                format!(
                     "job {job} lost to node death at {since} ms was re-queued \
                      but never placed or given up on"
                 ),
-            });
+            );
         }
-        for (job, (since, _)) in pending_defer {
-            out.push(Violation {
-                invariant: "fleet.defer.progress".into(),
-                at_ms: since,
-                pid: job,
-                message: format!(
-                    "job {job} was deferred at {since} ms and never placed or given up on"
-                ),
-            });
+        for (job, (since, _)) in std::mem::take(&mut self.pending_defer) {
+            self.flag(
+                "fleet.defer.progress",
+                since,
+                job,
+                format!("job {job} was deferred at {since} ms and never placed or given up on"),
+            );
         }
-        out
+        self.out
     }
 }
 
@@ -601,9 +646,15 @@ struct PendingSelection {
     selected: Vec<u64>,
 }
 
-struct Checker<'a> {
+/// The node oracle's replay state: [`Checker::observe`] takes the events
+/// in record order, one at a time, and [`Checker::finish`] returns the
+/// divergences found ([`Oracle::check`] drives one over a stored trace).
+pub struct Checker<'a> {
     oracle: &'a Oracle,
     out: Vec<Violation>,
+    /// Events observed so far: the next event's index, which orders the
+    /// layers of a handler window.
+    seen: usize,
     /// Shadow copy of the adaptive-threshold state, fed the recorded polls.
     replica: Option<AdaptiveThresholds>,
     /// `threshold.adjust.*` events since the last poll (they precede their
@@ -639,6 +690,7 @@ impl<'a> Checker<'a> {
         Checker {
             oracle,
             out: Vec::new(),
+            seen: 0,
             replica: oracle.monitor.as_ref().map(AdaptiveThresholds::new),
             pending_adjusts: Vec::new(),
             pending_selection: None,
@@ -666,227 +718,233 @@ impl<'a> Checker<'a> {
         });
     }
 
-    fn run(mut self, events: &[TraceEvent]) -> Vec<Violation> {
-        for (i, e) in events.iter().enumerate() {
-            match &e.data {
-                TraceData::ThresholdAdjust { side, old, new } => {
-                    self.on_adjust(e, *side, *old, *new);
+    /// Replays the next event.
+    pub fn observe(&mut self, e: &TraceEvent) {
+        let i = self.seen;
+        self.seen += 1;
+        match &e.data {
+            TraceData::ThresholdAdjust { side, old, new } => {
+                self.on_adjust(e, *side, *old, *new);
+            }
+            TraceData::Selection {
+                order,
+                target,
+                all,
+                candidates,
+                selected,
+            } => self.on_selection(e, order, *target, *all, candidates, selected),
+            TraceData::WatchdogSkip => self.skipped.push(e.pid),
+            TraceData::SignalSent { sig }
+            | TraceData::SignalDropped { sig }
+            | TraceData::SignalDelayed { sig } => match sig {
+                SigKind::Low => self.window_low.push(e.pid),
+                SigKind::High => self.window_high.push(e.pid),
+                SigKind::Kill => {}
+            },
+            TraceData::MonitorKill { .. } => self.window_kills.push(e.pid),
+            TraceData::KillClass { crit, candidates } => {
+                self.on_kill_class(e, *crit, candidates);
+            }
+            TraceData::MonitorPoll { .. } => self.on_poll(e),
+            TraceData::AllocGate {
+                delayed,
+                rate,
+                elapsed_ms,
+                epoch_ms,
+                num_epochs,
+                curve,
+            } => self.on_gate(
+                e,
+                *delayed,
+                *rate,
+                *elapsed_ms,
+                *epoch_ms,
+                *num_epochs,
+                curve,
+            ),
+            TraceData::AllocBatch {
+                n,
+                delayed,
+                rate,
+                elapsed_ms,
+                epoch_ms,
+                num_epochs,
+                curve,
+            } => self.on_batch(
+                e,
+                *n,
+                *delayed,
+                *rate,
+                *elapsed_ms,
+                *epoch_ms,
+                *num_epochs,
+                curve,
+            ),
+            TraceData::EvictBlocks {
+                before,
+                evicted,
+                bytes,
+                reason,
+            } => {
+                if let Some(w) = self.handlers.get_mut(&e.pid) {
+                    w.agg_blocks += bytes;
                 }
-                TraceData::Selection {
-                    order,
-                    target,
-                    all,
-                    candidates,
-                    selected,
-                } => self.on_selection(e, order, *target, *all, candidates, selected),
-                TraceData::WatchdogSkip => self.skipped.push(e.pid),
-                TraceData::SignalSent { sig }
-                | TraceData::SignalDropped { sig }
-                | TraceData::SignalDelayed { sig } => match sig {
-                    SigKind::Low => self.window_low.push(e.pid),
-                    SigKind::High => self.window_high.push(e.pid),
-                    SigKind::Kill => {}
-                },
-                TraceData::MonitorKill { .. } => self.window_kills.push(e.pid),
-                TraceData::KillClass { crit, candidates } => {
-                    self.on_kill_class(e, *crit, candidates);
-                }
-                TraceData::MonitorPoll { .. } => self.on_poll(e),
-                TraceData::AllocGate {
-                    delayed,
-                    rate,
-                    elapsed_ms,
-                    epoch_ms,
-                    num_epochs,
-                    curve,
-                } => self.on_gate(
-                    e,
-                    *delayed,
-                    *rate,
-                    *elapsed_ms,
-                    *epoch_ms,
-                    *num_epochs,
-                    curve,
-                ),
-                TraceData::AllocBatch {
-                    n,
-                    delayed,
-                    rate,
-                    elapsed_ms,
-                    epoch_ms,
-                    num_epochs,
-                    curve,
-                } => self.on_batch(
-                    e,
-                    *n,
-                    *delayed,
-                    *rate,
-                    *elapsed_ms,
-                    *epoch_ms,
-                    *num_epochs,
-                    curve,
-                ),
-                TraceData::EvictBlocks {
-                    before,
-                    evicted,
-                    bytes,
-                    reason,
-                } => {
-                    if let Some(w) = self.handlers.get_mut(&e.pid) {
-                        w.agg_blocks += bytes;
-                    }
-                    if *reason == EvictReason::HighSignal {
-                        let want = expected_fraction(*before, BLOCK_HIGH_FRACTION);
-                        if *evicted != want {
-                            self.flag(
-                                "evict.blocks.magnitude",
-                                e,
-                                format!(
-                                    "high signal evicted {evicted} of {before} blocks, \
-                                     Table 1 expects {want}"
-                                ),
-                            );
-                        }
-                    }
-                    self.note_evict(e.pid, i);
-                }
-                TraceData::EvictSlabs {
-                    before,
-                    evicted,
-                    items,
-                    bytes,
-                    reason,
-                } => {
-                    if let Some(w) = self.handlers.get_mut(&e.pid) {
-                        w.agg_slabs += bytes;
-                    }
-                    let frac = match reason {
-                        EvictReason::LowSignal => Some(SLAB_LOW_FRACTION),
-                        EvictReason::HighSignal => Some(SLAB_HIGH_FRACTION),
-                        _ => None,
-                    };
-                    if let Some(frac) = frac {
-                        // The slab layer always evicts at least one slab
-                        // when non-empty, so tiny caches still respond.
-                        let want = expected_fraction(*before, frac).max(u64::from(*before > 0));
-                        if *evicted != want {
-                            self.flag(
-                                "evict.slabs.magnitude",
-                                e,
-                                format!(
-                                    "{reason:?} evicted {evicted} of {before} slabs, \
-                                     Table 1 expects {want}"
-                                ),
-                            );
-                        }
-                    }
-                    self.on_slab_aggregate(e, *evicted, *items, *bytes, *reason);
-                    self.note_evict(e.pid, i);
-                }
-                TraceData::EvictClass {
-                    chunk,
-                    before,
-                    evicted,
-                    items,
-                    bytes,
-                    reason,
-                } => {
-                    if evicted > before {
+                if *reason == EvictReason::HighSignal {
+                    let want = expected_fraction(*before, BLOCK_HIGH_FRACTION);
+                    if *evicted != want {
                         self.flag(
-                            "evict.class.bound",
+                            "evict.blocks.magnitude",
                             e,
                             format!(
-                                "class {chunk} evicted {evicted} slabs but held \
-                                 only {before}"
+                                "high signal evicted {evicted} of {before} blocks, \
+                                     Table 1 expects {want}"
                             ),
                         );
                     }
-                    if let Some(w) = self.handlers.get_mut(&e.pid) {
-                        w.agg_class += bytes;
-                    }
-                    self.pending_classes
-                        .entry(e.pid)
-                        .or_default()
-                        .push(PendingClassEvict {
-                            at_ms: e.t.as_millis(),
-                            chunk: *chunk,
-                            evicted: *evicted,
-                            items: *items,
-                            bytes: *bytes,
-                            reason: *reason,
-                        });
                 }
-                TraceData::CacheStats { .. } => self.on_cache_stats(e),
-                TraceData::Gc { reclaimed, .. } => {
-                    if let Some(w) = self.handlers.get_mut(&e.pid) {
-                        w.first_gc.get_or_insert(i);
-                        w.agg_gc += reclaimed;
-                    }
-                }
-                TraceData::Madvise { bytes } => {
-                    if let Some(w) = self.handlers.get_mut(&e.pid) {
-                        w.first_madvise.get_or_insert(i);
-                        w.agg_madvise += bytes;
-                    }
-                }
-                TraceData::HandlerStart { .. } => {
-                    self.handlers.insert(e.pid, HandlerWindow::default());
-                    // Packet ids are drain-local; a new handler means a new
-                    // scheduler, so the replay state starts fresh too.
-                    self.packets.remove(&e.pid);
-                }
-                TraceData::HandlerEnd { .. } => self.on_handler_end(e),
-                TraceData::ProcSpawn { .. }
-                | TraceData::ProcRespawn { .. }
-                | TraceData::ProcExit
-                | TraceData::ProcKill
-                | TraceData::OomKill => {
-                    // A pid's allocator (and any handler window) dies with
-                    // the process; a respawn starts from fresh state.
-                    self.alloc.remove(&e.pid);
-                    self.handlers.remove(&e.pid);
-                    self.pending_classes.remove(&e.pid);
-                    self.last_stats.remove(&e.pid);
-                    self.packets.remove(&e.pid);
-                }
-                TraceData::PacketEnqueue {
-                    packet,
-                    pkind,
-                    bucket,
-                    deps,
-                } => self.on_packet_enqueue(e, *packet, pkind, *bucket, deps),
-                TraceData::PacketStart { packet, bucket, .. } => {
-                    self.on_packet_start(e, *packet, *bucket);
-                }
-                TraceData::PacketFinish {
-                    packet,
-                    bucket,
-                    bytes,
-                    returned,
-                    ..
-                } => self.on_packet_finish(e, *packet, *bucket, *bytes, *returned),
-                TraceData::PacketStall {
-                    packet, waiting_on, ..
-                } => self.on_packet_stall(e, *packet, *waiting_on),
-                TraceData::ZoneChange { .. }
-                | TraceData::WatchdogEscalate { .. }
-                | TraceData::WatchdogResignal { .. } => {}
-                // Fleet events are cluster-level: they appear in the
-                // scheduler's placement log, never in a node trace, and are
-                // checked by [`FleetOracle`] instead.
-                TraceData::FleetPressure { .. }
-                | TraceData::FleetPlace { .. }
-                | TraceData::FleetDefer { .. }
-                | TraceData::FleetMigrate { .. }
-                | TraceData::FleetGiveUp { .. }
-                | TraceData::FleetNodeLost { .. }
-                | TraceData::FleetReschedule { .. }
-                | TraceData::FleetQuarantine { .. }
-                | TraceData::SchedClassAssign { .. }
-                | TraceData::SchedClassPreempt { .. }
-                | TraceData::SchedClassSlo { .. } => {}
+                self.note_evict(e.pid, i);
             }
+            TraceData::EvictSlabs {
+                before,
+                evicted,
+                items,
+                bytes,
+                reason,
+            } => {
+                if let Some(w) = self.handlers.get_mut(&e.pid) {
+                    w.agg_slabs += bytes;
+                }
+                let frac = match reason {
+                    EvictReason::LowSignal => Some(SLAB_LOW_FRACTION),
+                    EvictReason::HighSignal => Some(SLAB_HIGH_FRACTION),
+                    _ => None,
+                };
+                if let Some(frac) = frac {
+                    // The slab layer always evicts at least one slab
+                    // when non-empty, so tiny caches still respond.
+                    let want = expected_fraction(*before, frac).max(u64::from(*before > 0));
+                    if *evicted != want {
+                        self.flag(
+                            "evict.slabs.magnitude",
+                            e,
+                            format!(
+                                "{reason:?} evicted {evicted} of {before} slabs, \
+                                     Table 1 expects {want}"
+                            ),
+                        );
+                    }
+                }
+                self.on_slab_aggregate(e, *evicted, *items, *bytes, *reason);
+                self.note_evict(e.pid, i);
+            }
+            TraceData::EvictClass {
+                chunk,
+                before,
+                evicted,
+                items,
+                bytes,
+                reason,
+            } => {
+                if evicted > before {
+                    self.flag(
+                        "evict.class.bound",
+                        e,
+                        format!(
+                            "class {chunk} evicted {evicted} slabs but held \
+                                 only {before}"
+                        ),
+                    );
+                }
+                if let Some(w) = self.handlers.get_mut(&e.pid) {
+                    w.agg_class += bytes;
+                }
+                self.pending_classes
+                    .entry(e.pid)
+                    .or_default()
+                    .push(PendingClassEvict {
+                        at_ms: e.t.as_millis(),
+                        chunk: *chunk,
+                        evicted: *evicted,
+                        items: *items,
+                        bytes: *bytes,
+                        reason: *reason,
+                    });
+            }
+            TraceData::CacheStats { .. } => self.on_cache_stats(e),
+            TraceData::Gc { reclaimed, .. } => {
+                if let Some(w) = self.handlers.get_mut(&e.pid) {
+                    w.first_gc.get_or_insert(i);
+                    w.agg_gc += reclaimed;
+                }
+            }
+            TraceData::Madvise { bytes } => {
+                if let Some(w) = self.handlers.get_mut(&e.pid) {
+                    w.first_madvise.get_or_insert(i);
+                    w.agg_madvise += bytes;
+                }
+            }
+            TraceData::HandlerStart { .. } => {
+                self.handlers.insert(e.pid, HandlerWindow::default());
+                // Packet ids are drain-local; a new handler means a new
+                // scheduler, so the replay state starts fresh too.
+                self.packets.remove(&e.pid);
+            }
+            TraceData::HandlerEnd { .. } => self.on_handler_end(e),
+            TraceData::ProcSpawn { .. }
+            | TraceData::ProcRespawn { .. }
+            | TraceData::ProcExit
+            | TraceData::ProcKill
+            | TraceData::OomKill => {
+                // A pid's allocator (and any handler window) dies with
+                // the process; a respawn starts from fresh state.
+                self.alloc.remove(&e.pid);
+                self.handlers.remove(&e.pid);
+                self.pending_classes.remove(&e.pid);
+                self.last_stats.remove(&e.pid);
+                self.packets.remove(&e.pid);
+            }
+            TraceData::PacketEnqueue {
+                packet,
+                pkind,
+                bucket,
+                deps,
+            } => self.on_packet_enqueue(e, *packet, pkind, *bucket, deps),
+            TraceData::PacketStart { packet, bucket, .. } => {
+                self.on_packet_start(e, *packet, *bucket);
+            }
+            TraceData::PacketFinish {
+                packet,
+                bucket,
+                bytes,
+                returned,
+                ..
+            } => self.on_packet_finish(e, *packet, *bucket, *bytes, *returned),
+            TraceData::PacketStall {
+                packet, waiting_on, ..
+            } => self.on_packet_stall(e, *packet, *waiting_on),
+            TraceData::ZoneChange { .. }
+            | TraceData::WatchdogEscalate { .. }
+            | TraceData::WatchdogResignal { .. } => {}
+            // Fleet events are cluster-level: they appear in the
+            // scheduler's placement log, never in a node trace, and are
+            // checked by [`FleetOracle`] instead.
+            TraceData::FleetPressure { .. }
+            | TraceData::FleetPlace { .. }
+            | TraceData::FleetDefer { .. }
+            | TraceData::FleetMigrate { .. }
+            | TraceData::FleetGiveUp { .. }
+            | TraceData::FleetNodeLost { .. }
+            | TraceData::FleetReschedule { .. }
+            | TraceData::FleetQuarantine { .. }
+            | TraceData::SchedClassAssign { .. }
+            | TraceData::SchedClassPreempt { .. }
+            | TraceData::SchedClassSlo { .. } => {}
         }
+    }
+
+    /// Ends the replay: flags what the trace left unfinished and returns
+    /// every divergence found (empty = conformant).
+    pub fn finish(mut self) -> Vec<Violation> {
         for (pid, group) in std::mem::take(&mut self.pending_classes) {
             for c in group {
                 self.out.push(Violation {

@@ -14,6 +14,7 @@
 //!   evictions, ...) used by tests and the experiment harness.
 //! - [`tagged_enum!`]: declares an enum and its `"kind"`-tagged wire
 //!   format in one table (the trace's payloads, the workloads' faults).
+//! - [`pack`]: the packed byte form a trace log stores its events in.
 //! - [`units`]: byte-size constants and pretty-printing.
 //!
 //! The simulation style is *time-stepped co-simulation*: a world object owns
@@ -24,6 +25,7 @@
 
 pub mod clock;
 pub mod metrics;
+pub mod pack;
 pub mod queue;
 pub mod rng;
 mod tagged;
@@ -36,5 +38,5 @@ pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use trace::{
     CandidateInfo, EvictReason, GcLayer, PacketBucket, SigKind, ThresholdSide, TraceData,
-    TraceEvent, TraceLog, TraceZone,
+    TraceEvent, TraceLog, TraceMark, TraceZone,
 };

@@ -48,16 +48,6 @@ impl TimeSeries {
         }
     }
 
-    /// Creates an empty series with room for `capacity` samples, so a world
-    /// loop that knows its sampling horizon can avoid regrowth on the hot
-    /// path.
-    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
-        TimeSeries {
-            name: name.into(),
-            samples: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Appends a sample.
     ///
     /// # Panics
@@ -130,17 +120,6 @@ impl Profile {
             return &mut self.series[i];
         }
         self.series.push(TimeSeries::new(name));
-        self.series.last_mut().expect("just pushed")
-    }
-
-    /// Like [`Profile::series_mut`], but a series created by this call is
-    /// pre-sized for `capacity` samples (an existing series is returned
-    /// unchanged).
-    pub fn reserve_series(&mut self, name: &str, capacity: usize) -> &mut TimeSeries {
-        if let Some(i) = self.series.iter().position(|s| s.name == name) {
-            return &mut self.series[i];
-        }
-        self.series.push(TimeSeries::with_capacity(name, capacity));
         self.series.last_mut().expect("just pushed")
     }
 

@@ -10,8 +10,11 @@
 /// fields in declaration order) and [`serde::Deserialize`] (the inverse; an
 /// unknown kind, a missing field, or a kind its fields do not give is a
 /// [`serde::DeError`] naming it).
-/// Serializer and deserializer read one field list, so they cannot drift
-/// apart.
+/// It also implements [`PackTagged`](crate::pack::PackTagged), the packed
+/// byte form a trace log stores: the variant's index in the table as a tag
+/// byte, then its fields in declaration order, each through
+/// [`Pack`](crate::pack::Pack). Serializer, deserializer, packer and
+/// unpacker read one field list, so they cannot drift apart.
 ///
 /// A variant that encodes one of its fields in its kind lists every kind it
 /// parses from and picks one with an expression over its fields, which are
@@ -103,6 +106,46 @@ macro_rules! tagged_enum {
                 }
             }
         }
+
+        // The packed form (`$crate::pack`): the variant's index in the
+        // table as a tag byte, then its fields in the same order as above.
+        const _: () = {
+            #[repr(u8)]
+            #[derive(Clone, Copy)]
+            enum Tag {
+                $( $variant, )*
+            }
+            const TAGS: &[Tag] = &[$( Tag::$variant ),*];
+
+            impl $crate::pack::PackTagged for $name {
+                #[inline]
+                fn tag(&self) -> u8 {
+                    match self {
+                        $( Self::$variant { .. } => Tag::$variant as u8, )*
+                    }
+                }
+
+                #[inline]
+                #[allow(unused_variables)]
+                fn pack_fields(&self, out: &mut ::std::vec::Vec<u8>) {
+                    match self {
+                        $( Self::$variant $({ $($field),* })? => {
+                            $($( $crate::pack::Pack::pack($field, out); )*)?
+                        } )*
+                    }
+                }
+
+                #[inline]
+                #[allow(unused_variables)]
+                fn unpack_fields(tag: u8, r: &mut $crate::pack::Unpacker<'_>) -> Self {
+                    match TAGS[usize::from(tag)] {
+                        $( Tag::$variant => Self::$variant $({ $(
+                            $field: $crate::pack::Pack::unpack(r),
+                        )* })?, )*
+                    }
+                }
+            }
+        };
 
         impl ::serde::Deserialize for $name {
             fn deserialize(

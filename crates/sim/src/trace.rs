@@ -18,8 +18,18 @@
 //! flat map: `t`, `pid`, `kind`, then the payload's fields in declaration
 //! order. A trace written as JSON (the `M3_TRACE` dump, the JSONL goldens)
 //! reads back with `serde_json::from_str`.
+//!
+//! A [`TraceLog`] stores its events packed ([`crate::pack`]), about 15
+//! bytes an event where a [`TraceEvent`] takes 120.
+//! [`TraceLog::for_each`] and [`TraceLog::iter`] decode them one at a
+//! time; [`TraceLog::events`] decodes them all once for callers that want
+//! a slice.
+
+use std::fmt;
+use std::sync::OnceLock;
 
 use crate::clock::SimTime;
+use crate::pack::{pack_fieldless, put_varint, unzigzag, zigzag, Pack, PackTagged, Unpacker};
 use serde::{map_field, Content, DeError, Deserialize, Serialize};
 
 /// Monitor zone as recorded in a trace (mirrors `m3-core`'s `Zone` without
@@ -191,6 +201,36 @@ pub struct CandidateInfo {
     pub expected_reclaim: u64,
     /// The candidate's criticality class.
     pub crit: Criticality,
+}
+
+pack_fieldless! {
+    TraceZone { Green, Yellow, Red, AboveTop }
+    SigKind { Low, High, Kill }
+    ThresholdSide { Low, High }
+    EvictReason { LowSignal, HighSignal, Capacity, AdmissionDelay }
+    GcLayer { Young, Mixed, Full, Go }
+    PacketBucket { Prepare, Collect, Release }
+    Criticality { LatencyCritical, Standard, Batch }
+}
+
+impl Pack for CandidateInfo {
+    fn pack(&self, out: &mut Vec<u8>) {
+        self.pid.pack(out);
+        self.spawned_at_ms.pack(out);
+        self.rss.pack(out);
+        self.expected_reclaim.pack(out);
+        self.crit.pack(out);
+    }
+
+    fn unpack(r: &mut Unpacker<'_>) -> Self {
+        CandidateInfo {
+            pid: Pack::unpack(r),
+            spawned_at_ms: Pack::unpack(r),
+            rss: Pack::unpack(r),
+            expected_reclaim: Pack::unpack(r),
+            crit: Pack::unpack(r),
+        }
+    }
 }
 
 crate::tagged_enum! {
@@ -683,35 +723,50 @@ impl Deserialize for TraceEvent {
 }
 
 /// An append-only in-memory event log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Events are stored packed, one after another: the payload's tag byte,
+/// the time as a zigzag varint delta from the previous event's, the pid,
+/// then the payload's fields in declaration order ([`crate::pack`]).
+#[derive(Default)]
 pub struct TraceLog {
-    events: Vec<TraceEvent>,
+    bytes: Vec<u8>,
+    /// Events packed in `bytes`.
+    len: usize,
+    /// Time of the last event, ms: the base of the next event's delta.
+    last_ms: u64,
     enabled: bool,
+    /// What [`TraceLog::events`] decoded, until the next record.
+    decoded: OnceLock<Vec<TraceEvent>>,
+}
+
+/// A position in a [`TraceLog`], where [`TraceLog::prefix`] cuts it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceMark {
+    bytes: usize,
+    len: usize,
+    last_ms: u64,
 }
 
 impl TraceLog {
     /// Creates an enabled, empty log.
     pub fn new() -> Self {
         TraceLog {
-            events: Vec::new(),
             enabled: true,
+            ..TraceLog::default()
         }
     }
 
     /// Creates a disabled log that drops all events (for benchmark runs).
-    /// Its backing `Vec` never allocates: [`TraceLog::record`] and
+    /// Its byte store never allocates: [`TraceLog::record`] and
     /// [`TraceLog::record_with`] return before touching it.
     pub fn disabled() -> Self {
-        TraceLog {
-            events: Vec::new(),
-            enabled: false,
-        }
+        TraceLog::default()
     }
 
     /// Appends an event (no-op when disabled).
     pub fn record(&mut self, t: SimTime, pid: u64, data: TraceData) {
         if self.enabled {
-            self.events.push(TraceEvent { t, pid, data });
+            self.push(t, pid, &data);
         }
     }
 
@@ -719,24 +774,54 @@ impl TraceLog {
     /// enabled, so hot paths pay nothing for tracing when it is off.
     pub fn record_with(&mut self, t: SimTime, pid: u64, make: impl FnOnce() -> TraceData) {
         if self.enabled {
-            self.events.push(TraceEvent {
-                t,
-                pid,
-                data: make(),
-            });
+            self.push(t, pid, &make());
         }
     }
 
-    /// All events, in record order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    fn push(&mut self, t: SimTime, pid: u64, data: &TraceData) {
+        let out = &mut self.bytes;
+        out.push(data.tag());
+        let ms = t.as_millis();
+        put_varint(out, zigzag(ms.wrapping_sub(self.last_ms) as i64));
+        put_varint(out, pid);
+        data.pack_fields(out);
+        self.last_ms = ms;
+        self.len += 1;
+        self.decoded.take();
     }
 
-    /// Events whose kind starts with `prefix`.
-    pub fn of_kind<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events
-            .iter()
-            .filter(move |e| e.kind().starts_with(prefix))
+    /// The events in record order, each decoded as the iterator reaches it.
+    pub fn iter(&self) -> Events<'_> {
+        Events {
+            r: Unpacker::new(&self.bytes),
+            left: self.len,
+            last_ms: 0,
+        }
+    }
+
+    /// Hands each event to `f`, in record order, decoded where `f` reads
+    /// it: the streaming read for readers that borrow each event. (A
+    /// loop over [`TraceLog::iter`] moves each 120-byte event out of an
+    /// `Option` first, which took about a tenth of the node oracle's
+    /// replay.)
+    pub fn for_each(&self, mut f: impl FnMut(&TraceEvent)) {
+        let mut events = self.iter();
+        for _ in 0..self.len {
+            f(&events.decode());
+        }
+    }
+
+    /// All events, in record order. The first call after a record decodes
+    /// the whole log and keeps the copy until the next record; a reader
+    /// that walks the log once wants [`TraceLog::for_each`] or
+    /// [`TraceLog::iter`], as the queries below do.
+    pub fn events(&self) -> &[TraceEvent] {
+        self.decoded.get_or_init(|| self.iter().collect())
+    }
+
+    /// Events whose kind starts with `prefix`, decoded one at a time.
+    pub fn of_kind<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = TraceEvent> + 'a {
+        self.iter().filter(move |e| e.kind().starts_with(prefix))
     }
 
     /// Number of events whose kind starts with `prefix`.
@@ -745,50 +830,173 @@ impl TraceLog {
     }
 
     /// The first event of the given kind prefix, if any.
-    pub fn first(&self, prefix: &str) -> Option<&TraceEvent> {
-        self.events.iter().find(|e| e.kind().starts_with(prefix))
+    pub fn first(&self, prefix: &str) -> Option<TraceEvent> {
+        self.of_kind(prefix).next()
     }
 
     /// The last event of the given kind prefix, if any.
-    pub fn last(&self, prefix: &str) -> Option<&TraceEvent> {
-        self.events
-            .iter()
-            .rev()
-            .find(|e| e.kind().starts_with(prefix))
+    pub fn last(&self, prefix: &str) -> Option<TraceEvent> {
+        self.of_kind(prefix).last()
     }
 
     /// True if an event with kind-prefix `a` occurs before one with `b`.
     ///
     /// Returns `false` if either never occurs.
     pub fn happened_before(&self, a: &str, b: &str) -> bool {
-        let ia = self.events.iter().position(|e| e.kind().starts_with(a));
-        let ib = self.events.iter().position(|e| e.kind().starts_with(b));
-        matches!((ia, ib), (Some(x), Some(y)) if x < y)
+        let mut seen_a = false;
+        for e in self.iter() {
+            let kind = e.kind();
+            if kind.starts_with(b) {
+                return seen_a;
+            }
+            seen_a |= kind.starts_with(a);
+        }
+        false
     }
 
-    /// A copy of the first `len` events, enabled as this log is.
-    pub fn prefix(&self, len: usize) -> TraceLog {
+    /// Where the log ends now: [`TraceLog::prefix`] of this mark is a copy
+    /// of the log as it is.
+    pub fn mark(&self) -> TraceMark {
+        TraceMark {
+            bytes: self.bytes.len(),
+            len: self.len,
+            last_ms: self.last_ms,
+        }
+    }
+
+    /// A copy of the events before `mark`, enabled as this log is. The
+    /// mark must come from a log whose events this one starts with.
+    pub fn prefix(&self, mark: TraceMark) -> TraceLog {
         TraceLog {
-            events: self.events[..len].to_vec(),
+            bytes: self.bytes[..mark.bytes].to_vec(),
+            len: mark.len,
+            last_ms: mark.last_ms,
             enabled: self.enabled,
+            decoded: OnceLock::new(),
         }
     }
 
     /// Discards all recorded events (keeps the enabled flag).
     pub fn clear(&mut self) {
-        self.events.clear();
+        self.bytes.clear();
+        self.len = 0;
+        self.last_ms = 0;
+        self.decoded.take();
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.len
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len == 0
+    }
+
+    /// Bytes the packed events take.
+    pub fn packed_bytes(&self) -> usize {
+        self.bytes.len()
     }
 }
+
+/// A copy without the decoded events, which the copy makes again if asked.
+impl Clone for TraceLog {
+    fn clone(&self) -> Self {
+        TraceLog {
+            bytes: self.bytes.clone(),
+            len: self.len,
+            last_ms: self.last_ms,
+            enabled: self.enabled,
+            decoded: OnceLock::new(),
+        }
+    }
+}
+
+impl fmt::Debug for TraceLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceLog")
+            .field("events", &DebugEvents(self))
+            .field("enabled", &self.enabled)
+            .finish()
+    }
+}
+
+struct DebugEvents<'a>(&'a TraceLog);
+
+impl fmt::Debug for DebugEvents<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.iter()).finish()
+    }
+}
+
+/// The wire format is a map of the decoded events and the enabled flag.
+impl Serialize for TraceLog {
+    fn serialize(&self) -> Content {
+        Content::Map(vec![
+            (
+                "events".into(),
+                Content::Seq(self.iter().map(|e| e.serialize()).collect()),
+            ),
+            ("enabled".into(), Content::Bool(self.enabled)),
+        ])
+    }
+}
+
+impl Deserialize for TraceLog {
+    fn deserialize(c: &Content) -> Result<Self, DeError> {
+        let events: Vec<TraceEvent> = map_field(c, "events")?;
+        let mut log = TraceLog {
+            enabled: map_field(c, "enabled")?,
+            ..TraceLog::default()
+        };
+        for e in &events {
+            log.push(e.t, e.pid, &e.data);
+        }
+        Ok(log)
+    }
+}
+
+/// The events of a [`TraceLog`], decoded one at a time
+/// ([`TraceLog::iter`]).
+pub struct Events<'a> {
+    r: Unpacker<'a>,
+    left: usize,
+    last_ms: u64,
+}
+
+impl Iterator for Events<'_> {
+    type Item = TraceEvent;
+
+    fn next(&mut self) -> Option<TraceEvent> {
+        if self.left == 0 {
+            return None;
+        }
+        Some(self.decode())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl Events<'_> {
+    /// Decodes the next event; the caller knows one is left.
+    fn decode(&mut self) -> TraceEvent {
+        self.left -= 1;
+        let tag = self.r.byte();
+        self.last_ms = (self.last_ms).wrapping_add(unzigzag(self.r.varint()) as u64);
+        let pid = self.r.varint();
+        let data = TraceData::unpack_fields(tag, &mut self.r);
+        TraceEvent {
+            t: SimTime::from_millis(self.last_ms),
+            pid,
+            data,
+        }
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -842,6 +1050,11 @@ mod tests {
         assert!(!log.happened_before("gc", "evict"));
         assert!(!log.happened_before("gc", "never"));
         assert!(!log.happened_before("never", "gc"));
+        // An event is not before itself: the first `gc.mixed` is also the
+        // first `gc`.
+        assert!(!log.happened_before("gc", "gc.mixed"));
+        log.record(t(3), 1, gc(GcLayer::Mixed, 10));
+        assert!(!log.happened_before("gc", "gc.mixed"));
     }
 
     #[test]
@@ -850,7 +1063,7 @@ mod tests {
         log.record(t(1), 1, gc(GcLayer::Young, 0));
         log.record_with(t(2), 1, || unreachable!("closure must not run"));
         assert!(log.is_empty());
-        assert_eq!(log.events.capacity(), 0, "disabled log never allocates");
+        assert_eq!(log.bytes.capacity(), 0, "disabled log never allocates");
     }
 
     #[test]
@@ -1150,6 +1363,441 @@ mod tests {
             assert!(err.contains(&format!("`{tag}`")), "{err}");
             assert!(err.contains(&format!("`{given}`")), "{err}");
         }
+    }
+
+    /// Random field values for the codec property, edge cases often:
+    /// `u64::MAX`, NaNs with payloads, negative zero, empty lists and
+    /// multi-byte strings.
+    struct Gen<'a>(&'a mut proptest::TestRng);
+
+    impl Gen<'_> {
+        fn pick(&mut self, n: u64) -> u64 {
+            self.0.next_u64() % n
+        }
+        fn u64(&mut self) -> u64 {
+            match self.pick(4) {
+                0 => u64::MAX,
+                1 => self.pick(300),
+                2 => 1 << self.pick(64),
+                _ => self.0.next_u64(),
+            }
+        }
+        fn u32(&mut self) -> u32 {
+            match self.pick(3) {
+                0 => u32::MAX,
+                1 => self.pick(8) as u32,
+                _ => self.0.next_u64() as u32,
+            }
+        }
+        fn bool(&mut self) -> bool {
+            self.pick(2) == 1
+        }
+        fn rate(&mut self) -> f64 {
+            match self.pick(5) {
+                // A quiet NaN with a random payload, and any bit pattern.
+                0 => f64::from_bits(0x7ff8_0000_0000_0000 | (self.0.next_u64() >> 13)),
+                1 => f64::from_bits(self.0.next_u64()),
+                2 => -0.0,
+                3 => 1.0,
+                _ => self.0.next_f64(),
+            }
+        }
+        fn string(&mut self) -> String {
+            [
+                "",
+                "Linear",
+                "k-means 1",
+                "na\u{ef}ve \u{2013} \u{65e5}\u{672c} \u{2713}",
+                "\u{1f980}",
+            ][self.pick(5) as usize]
+                .to_string()
+        }
+        fn list(&mut self) -> Vec<u64> {
+            (0..self.pick(4)).map(|_| self.u64()).collect()
+        }
+        fn candidates(&mut self) -> Vec<CandidateInfo> {
+            (0..self.pick(3))
+                .map(|_| CandidateInfo {
+                    pid: self.u64(),
+                    spawned_at_ms: self.u64(),
+                    rss: self.u64(),
+                    expected_reclaim: self.u64(),
+                    crit: self.crit(),
+                })
+                .collect()
+        }
+        fn zone(&mut self) -> TraceZone {
+            [
+                TraceZone::Green,
+                TraceZone::Yellow,
+                TraceZone::Red,
+                TraceZone::AboveTop,
+            ][self.pick(4) as usize]
+        }
+        fn sig(&mut self) -> SigKind {
+            [SigKind::Low, SigKind::High, SigKind::Kill][self.pick(3) as usize]
+        }
+        fn side(&mut self) -> ThresholdSide {
+            [ThresholdSide::Low, ThresholdSide::High][self.pick(2) as usize]
+        }
+        fn reason(&mut self) -> EvictReason {
+            [
+                EvictReason::LowSignal,
+                EvictReason::HighSignal,
+                EvictReason::Capacity,
+                EvictReason::AdmissionDelay,
+            ][self.pick(4) as usize]
+        }
+        fn layer(&mut self) -> GcLayer {
+            [GcLayer::Young, GcLayer::Mixed, GcLayer::Full, GcLayer::Go][self.pick(4) as usize]
+        }
+        fn bucket(&mut self) -> PacketBucket {
+            PacketBucket::ALL[self.pick(3) as usize]
+        }
+        fn crit(&mut self) -> Criticality {
+            Criticality::ALL[self.pick(3) as usize]
+        }
+
+        /// A payload of `template`'s variant with every field drawn anew.
+        /// The match names every variant, so a new one must be added here.
+        fn like(&mut self, template: &TraceData) -> TraceData {
+            use TraceData as D;
+            match template {
+                D::ProcSpawn { .. } => D::ProcSpawn {
+                    name: self.string(),
+                },
+                D::ProcRespawn { .. } => D::ProcRespawn {
+                    name: self.string(),
+                },
+                D::ProcExit => D::ProcExit,
+                D::ProcKill => D::ProcKill,
+                D::OomKill => D::OomKill,
+                D::SignalSent { .. } => D::SignalSent { sig: self.sig() },
+                D::SignalDropped { .. } => D::SignalDropped { sig: self.sig() },
+                D::SignalDelayed { .. } => D::SignalDelayed { sig: self.sig() },
+                D::Madvise { .. } => D::Madvise { bytes: self.u64() },
+                D::MonitorPoll { .. } => D::MonitorPoll {
+                    zone: self.zone(),
+                    used: self.u64(),
+                    low: self.u64(),
+                    high: self.u64(),
+                    degraded: self.bool(),
+                    low_signalled: self.list(),
+                    high_signalled: self.list(),
+                    killed: self.list(),
+                },
+                D::ZoneChange { .. } => D::ZoneChange {
+                    from: self.zone(),
+                    to: self.zone(),
+                },
+                D::ThresholdAdjust { .. } => D::ThresholdAdjust {
+                    side: self.side(),
+                    old: self.u64(),
+                    new: self.u64(),
+                },
+                D::Selection { .. } => D::Selection {
+                    order: self.string(),
+                    target: self.u64(),
+                    all: self.bool(),
+                    candidates: self.candidates(),
+                    selected: self.list(),
+                },
+                D::WatchdogSkip => D::WatchdogSkip,
+                D::WatchdogEscalate { .. } => D::WatchdogEscalate {
+                    backoff: self.u64(),
+                },
+                D::WatchdogResignal { .. } => D::WatchdogResignal {
+                    backoff: self.u64(),
+                },
+                D::MonitorKill { .. } => D::MonitorKill { rss: self.u64() },
+                D::HandlerStart { .. } => D::HandlerStart { sig: self.sig() },
+                D::HandlerEnd { .. } => D::HandlerEnd {
+                    sig: self.sig(),
+                    duration_ms: self.u64(),
+                    returned: self.u64(),
+                },
+                D::EvictBlocks { .. } => D::EvictBlocks {
+                    before: self.u64(),
+                    evicted: self.u64(),
+                    bytes: self.u64(),
+                    reason: self.reason(),
+                },
+                D::EvictSlabs { .. } => D::EvictSlabs {
+                    before: self.u64(),
+                    evicted: self.u64(),
+                    items: self.u64(),
+                    bytes: self.u64(),
+                    reason: self.reason(),
+                },
+                D::EvictClass { .. } => D::EvictClass {
+                    chunk: self.u64(),
+                    before: self.u64(),
+                    evicted: self.u64(),
+                    items: self.u64(),
+                    bytes: self.u64(),
+                    reason: self.reason(),
+                },
+                D::CacheStats { .. } => D::CacheStats {
+                    requests: self.u64(),
+                    hits: self.u64(),
+                    misses: self.u64(),
+                    negative: self.u64(),
+                    sets: self.u64(),
+                    deletes: self.u64(),
+                    delayed: self.u64(),
+                    capacity_items: self.u64(),
+                    resident_bytes: self.u64(),
+                    live_items: self.u64(),
+                    serve_ms: self.u64(),
+                },
+                D::Gc { .. } => D::Gc {
+                    layer: self.layer(),
+                    reclaimed: self.u64(),
+                    returned: self.u64(),
+                    pause_ms: self.u64(),
+                },
+                D::AllocGate { .. } => D::AllocGate {
+                    delayed: self.bool(),
+                    rate: self.rate(),
+                    elapsed_ms: self.u64(),
+                    epoch_ms: self.u64(),
+                    num_epochs: self.u32(),
+                    curve: self.string(),
+                },
+                D::AllocBatch { .. } => D::AllocBatch {
+                    n: self.u64(),
+                    delayed: self.u64(),
+                    rate: self.rate(),
+                    elapsed_ms: self.u64(),
+                    epoch_ms: self.u64(),
+                    num_epochs: self.u32(),
+                    curve: self.string(),
+                },
+                D::FleetPressure { .. } => D::FleetPressure {
+                    node: self.u64(),
+                    zone: self.zone(),
+                    used: self.u64(),
+                    reserved: self.u64(),
+                    high: self.u64(),
+                    top: self.u64(),
+                    escalations: self.u64(),
+                },
+                D::FleetPlace { .. } => D::FleetPlace {
+                    job: self.u64(),
+                    node: self.u64(),
+                    used: self.u64(),
+                    demand: self.u64(),
+                    top: self.u64(),
+                },
+                D::FleetDefer { .. } => D::FleetDefer {
+                    job: self.u64(),
+                    attempt: self.u64(),
+                    retry_at_ms: self.u64(),
+                },
+                D::FleetMigrate { .. } => D::FleetMigrate {
+                    job: self.u64(),
+                    from: self.u64(),
+                    to: self.u64(),
+                    red_for_ms: self.u64(),
+                },
+                D::FleetGiveUp { .. } => D::FleetGiveUp {
+                    job: self.u64(),
+                    attempts: self.u64(),
+                    demand: self.u64(),
+                },
+                D::FleetNodeLost { .. } => D::FleetNodeLost {
+                    node: self.u64(),
+                    jobs_lost: self.u64(),
+                },
+                D::FleetReschedule { .. } => D::FleetReschedule {
+                    job: self.u64(),
+                    from: self.u64(),
+                    retries: self.u64(),
+                    retry_at_ms: self.u64(),
+                    requeued: self.bool(),
+                },
+                D::FleetQuarantine { .. } => D::FleetQuarantine {
+                    node: self.u64(),
+                    entered: self.bool(),
+                    streak: self.u64(),
+                },
+                D::SchedClassAssign { .. } => D::SchedClassAssign {
+                    job: self.u64(),
+                    crit: self.crit(),
+                    slo_ms: self.u64(),
+                },
+                D::SchedClassPreempt { .. } => D::SchedClassPreempt {
+                    job: self.u64(),
+                    crit: self.crit(),
+                    victim: self.u64(),
+                    victim_crit: self.crit(),
+                    node: self.u64(),
+                },
+                D::SchedClassSlo { .. } => D::SchedClassSlo {
+                    job: self.u64(),
+                    crit: self.crit(),
+                    slo_ms: self.u64(),
+                    runtime_ms: self.u64(),
+                    stall_ms: self.u64(),
+                    met: self.bool(),
+                },
+                D::KillClass { .. } => D::KillClass {
+                    crit: self.crit(),
+                    candidates: self.candidates(),
+                },
+                D::PacketEnqueue { .. } => D::PacketEnqueue {
+                    packet: self.u64(),
+                    pkind: self.string(),
+                    bucket: self.bucket(),
+                    deps: self.list(),
+                },
+                D::PacketStart { .. } => D::PacketStart {
+                    packet: self.u64(),
+                    bucket: self.bucket(),
+                    wave: self.u64(),
+                },
+                D::PacketFinish { .. } => D::PacketFinish {
+                    packet: self.u64(),
+                    bucket: self.bucket(),
+                    bytes: self.u64(),
+                    returned: self.u64(),
+                    duration_ms: self.u64(),
+                },
+                D::PacketStall { .. } => D::PacketStall {
+                    packet: self.u64(),
+                    waiting_on: self.u64(),
+                    wave: self.u64(),
+                },
+            }
+        }
+    }
+
+    /// One payload of every kind: the wire-format golden, which lists each
+    /// kind once.
+    fn every_kind() -> Vec<TraceData> {
+        include_str!("../../../tests/golden/every_kind.trace.jsonl")
+            .lines()
+            .map(|line| {
+                serde_json::from_str::<TraceEvent>(line)
+                    .expect("golden line")
+                    .data
+            })
+            .collect()
+    }
+
+    /// Traces that hold every kind at least once, in a rotated order, with
+    /// times that jump back and forth across the whole `u64` range.
+    struct ArbTrace(Vec<TraceData>);
+
+    impl proptest::StrategyCore for ArbTrace {
+        type Value = Vec<TraceEvent>;
+        fn generate(&self, rng: &mut proptest::TestRng) -> Vec<TraceEvent> {
+            let mut g = Gen(rng);
+            let n = self.0.len();
+            let (extra, rotate) = (g.pick(n as u64) as usize, g.pick(n as u64) as usize);
+            let mut t = g.u64();
+            (0..n + extra)
+                .map(|i| {
+                    t = match g.pick(4) {
+                        0 => t.wrapping_sub(g.pick(5_000)),
+                        1 => t.wrapping_add(g.pick(5_000)),
+                        _ => g.u64(),
+                    };
+                    TraceEvent {
+                        t: SimTime::from_millis(t),
+                        pid: g.u64(),
+                        data: g.like(&self.0[(i + rotate) % n]),
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// The event with its allow rate, if any, zeroed, and the rate's bits:
+    /// what two events must share to be equal bit for bit.
+    fn by_bits(e: &TraceEvent) -> (TraceEvent, Option<u64>) {
+        let mut e = e.clone();
+        let bits = match &mut e.data {
+            TraceData::AllocGate { rate, .. } | TraceData::AllocBatch { rate, .. } => {
+                Some(std::mem::replace(rate, 0.0).to_bits())
+            }
+            _ => None,
+        };
+        (e, bits)
+    }
+
+    fn log_of(events: &[TraceEvent]) -> TraceLog {
+        let mut log = TraceLog::new();
+        for e in events {
+            log.record(e.t, e.pid, e.data.clone());
+        }
+        log
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn packed_events_of_every_kind_come_back_bit_for_bit(
+            events in ArbTrace(every_kind()),
+        ) {
+            let log = log_of(&events);
+            let want: Vec<_> = events.iter().map(by_bits).collect();
+            proptest::prop_assert_eq!(log.len(), events.len());
+            let streamed: Vec<_> = log.iter().map(|e| by_bits(&e)).collect();
+            proptest::prop_assert!(streamed == want, "iter() differs from what was recorded");
+            let decoded: Vec<_> = log.events().iter().map(by_bits).collect();
+            proptest::prop_assert!(decoded == want, "events() differs from what was recorded");
+
+            // A prefix cut at a mark continues into the very same bytes.
+            let half = events.len() / 2;
+            let mut cut = log_of(&events[..half]).mark();
+            let mut resumed = log.prefix(cut);
+            proptest::prop_assert_eq!(resumed.len(), half);
+            for e in &events[half..] {
+                resumed.record(e.t, e.pid, e.data.clone());
+            }
+            proptest::prop_assert!(resumed.bytes == log.bytes, "a resumed prefix diverged");
+            cut = log.mark();
+            proptest::prop_assert!(log.prefix(cut).bytes == log.bytes);
+
+            // JSON has no NaN and reads `-0` back as zero: give those rates
+            // a finite value, then the text, the events and a re-render
+            // must all agree.
+            let finite: Vec<TraceEvent> = events
+                .iter()
+                .cloned()
+                .map(|mut e| {
+                    if let TraceData::AllocGate { rate, .. } | TraceData::AllocBatch { rate, .. } =
+                        &mut e.data
+                    {
+                        if !rate.is_finite() || *rate == 0.0 {
+                            *rate = 0.25;
+                        }
+                    }
+                    e
+                })
+                .collect();
+            let log = log_of(&finite);
+            let text = serde_json::to_string(&log).expect("renders");
+            let back: TraceLog = serde_json::from_str(&text).expect("parses back");
+            proptest::prop_assert!(back.events() == finite.as_slice(), "JSON changed an event");
+            proptest::prop_assert!(back.iter().eq(log.iter()), "JSON changed an event");
+            proptest::prop_assert_eq!(serde_json::to_string(&back).expect("re-renders"), text);
+        }
+    }
+
+    #[test]
+    fn events_are_decoded_again_after_a_record() {
+        let mut log = TraceLog::new();
+        log.record(t(1), 1, gc(GcLayer::Young, 5));
+        assert_eq!(log.events().len(), 1);
+        log.record(t(2), 2, TraceData::ProcExit);
+        assert_eq!(log.events().len(), 2);
+        assert_eq!(log.events()[1].pid, 2);
+        let copy = log.clone();
+        log.clear();
+        assert!(log.events().is_empty() && log.iter().next().is_none());
+        assert_eq!(copy.events(), log_of(copy.events()).events());
     }
 
     #[test]

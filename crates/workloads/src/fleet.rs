@@ -103,7 +103,7 @@ use m3_core::config::MonitorConfig;
 use m3_core::monitor::{Monitor, PressureSummary, Zone};
 use m3_oracle::{FleetOracle, Violation};
 use m3_sim::clock::{SimDuration, SimTime};
-use m3_sim::trace::{Criticality, TraceData, TraceLog, TraceZone};
+use m3_sim::trace::{Criticality, TraceData, TraceLog, TraceMark, TraceZone};
 use m3_sim::units::GIB;
 use m3_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -327,12 +327,12 @@ struct Checkpoint {
     outcome: Arc<ScenarioOutcome>,
 }
 
-/// A world without its pressure timeline and node trace, and the lengths
-/// of the prefixes of both it had.
+/// A world without its pressure timeline and node trace, and where the
+/// prefixes of both it had end.
 struct Kept {
     world: World,
     samples: usize,
-    events: usize,
+    trace: TraceMark,
 }
 
 impl Checkpoint {
@@ -345,7 +345,7 @@ impl Checkpoint {
         let mut world = kept.world.clone();
         let run = &self.outcome.run;
         world.pressure_timeline = run.pressure_timeline[..kept.samples].to_vec();
-        *world.trace_mut() = run.trace.prefix(kept.events);
+        *world.trace_mut() = run.trace.prefix(kept.trace);
         world
     }
 }
@@ -358,7 +358,7 @@ fn kept(world: &mut World) -> Kept {
     let kept = Kept {
         world: world.clone(),
         samples: timeline.len(),
-        events: trace.len(),
+        trace: trace.mark(),
     };
     world.pressure_timeline = timeline;
     *world.trace_mut() = trace;

@@ -238,45 +238,43 @@ pub fn run_cache_trace(twl: TraceWorkload, policy: CachePolicy) -> CacheTraceOut
             .map(|v| format!("{}: {}", v.invariant, v.message))
             .collect(),
     };
-    for e in res.trace.events() {
-        match &e.data {
-            TraceData::CacheStats {
-                requests,
-                hits,
-                misses,
-                negative,
-                sets,
-                deletes,
-                delayed,
-                capacity_items,
-                resident_bytes,
-                live_items,
-                serve_ms,
-            } => {
-                out.requests = *requests;
-                out.hits = *hits;
-                out.misses = *misses;
-                out.negative = *negative;
-                out.sets = *sets;
-                out.deletes = *deletes;
-                out.delayed = *delayed;
-                out.capacity_items = *capacity_items;
-                out.resident_bytes = *resident_bytes;
-                out.live_items = *live_items;
-                out.serve_ms = *serve_ms;
-            }
-            TraceData::EvictSlabs {
-                evicted, reason, ..
-            } => match reason {
-                EvictReason::LowSignal => out.evict_slabs_low += evicted,
-                EvictReason::HighSignal => out.evict_slabs_high += evicted,
-                EvictReason::AdmissionDelay => out.evict_slabs_admission += evicted,
-                _ => {}
-            },
-            TraceData::EvictClass { .. } => out.class_evictions += 1,
-            _ => {}
+    res.trace.for_each(|e| match e.data {
+        TraceData::CacheStats {
+            requests,
+            hits,
+            misses,
+            negative,
+            sets,
+            deletes,
+            delayed,
+            capacity_items,
+            resident_bytes,
+            live_items,
+            serve_ms,
+        } => {
+            out.requests = requests;
+            out.hits = hits;
+            out.misses = misses;
+            out.negative = negative;
+            out.sets = sets;
+            out.deletes = deletes;
+            out.delayed = delayed;
+            out.capacity_items = capacity_items;
+            out.resident_bytes = resident_bytes;
+            out.live_items = live_items;
+            out.serve_ms = serve_ms;
         }
-    }
+        TraceData::EvictSlabs {
+            evicted, reason, ..
+        } => match reason {
+            EvictReason::LowSignal => out.evict_slabs_low += evicted,
+            EvictReason::HighSignal => out.evict_slabs_high += evicted,
+            EvictReason::AdmissionDelay => out.evict_slabs_admission += evicted,
+            _ => {}
+        },
+        TraceData::EvictClass { .. } => out.class_evictions += 1,
+        _ => {}
+    });
     out
 }
 

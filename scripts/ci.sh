@@ -33,6 +33,12 @@ cargo test -q --workspace
 # and the branch-free value sizing optimized. Its all-keys equality tests
 # take seconds there.
 cargo test --release -q -p m3-cache
+# The trace codec's tests again in release, as it ships: varint shifts and
+# the word-at-a-time paths behave differently without overflow checks.
+cargo test --release -q -p m3-sim
+# The sampling profiler and RSS meter (scripts/profile.py) must at least
+# compile.
+python3 -m py_compile scripts/profile.py
 # The vendored stand-ins under vendor/ are outside the workspace, so the
 # line above never runs their tests. serde_json is the only one with
 # tests: the JSON writer and reader every trace and payload goes through.

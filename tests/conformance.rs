@@ -741,10 +741,23 @@ fn golden_every_trace_kind() {
 }
 
 #[test]
+fn packed_trace_of_a_real_run_averages_at_most_24_bytes_an_event() {
+    // A `TraceEvent` takes 120 bytes, sized by its largest payloads; the
+    // log packs an M3 run's events at about 15 bytes each.
+    let out = run_scenario(&Scenario::uniform("MMW", 180), &Setting::m3(3), machine());
+    let trace = &out.run.trace;
+    assert!(trace.len() > 1_000, "{} events", trace.len());
+    let per_event = trace.packed_bytes() as f64 / trace.len() as f64;
+    assert!(per_event <= 24.0, "{per_event:.2} packed bytes an event");
+}
+
+#[test]
 fn every_golden_line_re_renders_byte_for_byte() {
     // Every committed snapshot reads back: each line parses as an event and
     // renders to the identical line, so what a tool reads off disk is what
-    // the run wrote.
+    // the run wrote. Recorded into a log, every file (the every-kind
+    // golden too) renders back byte for byte through the packed store,
+    // whether the log is decoded whole or streamed.
     let mut files: Vec<PathBuf> = fs::read_dir(golden_dir())
         .expect("golden dir")
         .map(|e| e.expect("golden entry").path())
@@ -754,6 +767,7 @@ fn every_golden_line_re_renders_byte_for_byte() {
     assert!(files.len() >= 6, "expected every golden, found {files:?}");
     for path in files {
         let text = fs::read_to_string(&path).expect("read golden");
+        let mut log = TraceLog::new();
         for (i, line) in text.lines().enumerate() {
             let e: TraceEvent = serde_json::from_str(line).unwrap_or_else(|err| {
                 panic!("{}:{} does not parse: {err:?}", path.display(), i + 1)
@@ -766,7 +780,24 @@ fn every_golden_line_re_renders_byte_for_byte() {
                 path.display(),
                 i + 1
             );
+            log.record(e.t, e.pid, e.data);
         }
+        assert_eq!(log.len(), text.lines().count());
+        let mut streamed = String::new();
+        log.for_each(|e| {
+            streamed.push_str(&serde_json::to_string(e).expect("event renders"));
+            streamed.push('\n');
+        });
+        assert!(
+            streamed == text,
+            "{} streams back differently",
+            path.display()
+        );
+        assert!(
+            trace_jsonl(&log) == text,
+            "{} decodes back differently",
+            path.display()
+        );
     }
 }
 
