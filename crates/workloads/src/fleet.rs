@@ -24,9 +24,10 @@
 //! be shared when it can be:
 //!
 //! - **Incremental probes.** A node's probe simulation runs once over the
-//!   full horizon with a pressure timeline sampled at every monitor poll,
-//!   and is cached on the node until the node's assignment set or fault
-//!   plan changes (the *dirty* rule: any mutation clears the cache).
+//!   full horizon with a pressure timeline that keeps every monitor poll
+//!   whose summary changed, and is cached on the node until the node's
+//!   assignment set or fault plan changes (the *dirty* rule: any mutation
+//!   clears the cache).
 //!   Reading the node's state at time `t` is then a timeline lookup, not
 //!   a re-simulation, and the probe keeps the last view it answered, so a
 //!   second read at the same instant looks nothing up. Idle nodes never
@@ -97,6 +98,8 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use m3_core::config::MonitorConfig;
@@ -116,6 +119,8 @@ use crate::parallel::{worker_threads, CacheStats, Fingerprint, MemoCache, RUN_CA
 use crate::runner::{outcome, schedule_entry, ScenarioOutcome};
 use crate::scenario::{AppKind, JobClass, Scenario};
 use crate::settings::Setting;
+#[cfg(test)]
+use crate::timeline::PressureTimeline;
 
 /// One worker node of the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -295,8 +300,8 @@ pub fn demand_estimate(kind: AppKind) -> u64 {
 
 /// The configuration of every run of a node, its probes and so its final
 /// run: the base config at this node's size, with the base's trace
-/// capture, no profile (a fleet reports none), and the pressure summary at
-/// every monitor poll, so one simulation answers probes at every time. A
+/// capture, no profile (a fleet reports none), and the pressure timeline
+/// on, so one simulation answers probes at every time. A
 /// node whose size differs from the base keeps no stale monitor —
 /// [`MachineConfig::with_setting`] re-scales one to the node. No node
 /// salt: two nodes of the same size running the same schedule under the
@@ -337,14 +342,15 @@ struct Kept {
 
 impl Checkpoint {
     /// A copy of the latest kept world whose clock is at most `t`, with its
-    /// timeline and trace prefixes put back.
+    /// trace prefix copied back and its timeline prefix shared with the
+    /// outcome's.
     fn resume(&self, t: SimTime) -> World {
         let kept = (self.at_end.as_ref())
             .filter(|end| end.world.now() <= t)
             .unwrap_or(&self.at_change);
         let mut world = kept.world.clone();
         let run = &self.outcome.run;
-        world.pressure_timeline = run.pressure_timeline[..kept.samples].to_vec();
+        world.pressure_timeline = run.pressure_timeline.prefix(kept.samples);
         *world.trace_mut() = run.trace.prefix(kept.trace);
         world
     }
@@ -661,6 +667,9 @@ struct Fleet<'a> {
     /// The clock of every checkpoint world a run resumed from, in order.
     #[cfg(test)]
     resumed_from: Mutex<Vec<SimTime>>,
+    /// The timeline samples this fleet's node runs stored themselves.
+    #[cfg(test)]
+    stored_samples: AtomicUsize,
 }
 
 impl<'a> Fleet<'a> {
@@ -739,6 +748,8 @@ impl<'a> Fleet<'a> {
             key_pairs: Mutex::default(),
             #[cfg(test)]
             resumed_from: Mutex::default(),
+            #[cfg(test)]
+            stored_samples: Default::default(),
         }
     }
 
@@ -772,8 +783,8 @@ impl<'a> Fleet<'a> {
     /// t = 0, and keeps copies of it from before it runs on and from where
     /// its run ends as this schedule's checkpoint. The outcome equals the
     /// run from t = 0 byte for byte (DESIGN.md §9), which test builds check
-    /// on every miss; they check the key against the content key on every
-    /// call.
+    /// on every miss, with its timeline's sharing (`Fleet::check_timeline`);
+    /// they check the key against the content key on every call.
     fn simulate(&self, node: usize) -> Arc<ScenarioOutcome> {
         let state = &self.nodes[node];
         let key = state.key.run();
@@ -784,7 +795,8 @@ impl<'a> Fleet<'a> {
             let scenario = self.scenario_of(&state.apps);
             let setting = Setting::m3(scenario.len());
             let cfg = sched_node_cfg(self.base_cfg, state.phys_total).with_setting(&setting);
-            let mut world = self.world_at_latest_change(node, &scenario, &setting, cfg);
+            let (mut world, _resumed_at) =
+                self.world_at_latest_change(node, &scenario, &setting, cfg);
             // The checkpoint's copies leave out the timeline, whose prefix
             // the memoized outcome keeps. A run the cap ended keeps no end
             // world: every entry a later schedule could give it is due past
@@ -806,6 +818,8 @@ impl<'a> Fleet<'a> {
                 .expect("serialize"),
                 "node {node}: a resumed run must equal the run from t = 0"
             );
+            #[cfg(test)]
+            self.check_timeline(node, &out.run.pressure_timeline, _resumed_at);
             out
         });
         if let Some((at_change, at_end)) = worlds {
@@ -823,19 +837,20 @@ impl<'a> Fleet<'a> {
     }
 
     /// Node `node`'s world under `cfg`, with its whole schedule
-    /// (`scenario`) pushed and stopped before its latest change instant.
-    /// Every change to a node is due at the scheduler's current time, so
-    /// the schedule is an earlier schedule plus the entries due at that
-    /// instant: the world is a copy of the earlier schedule's checkpoint
-    /// (its end world if that ended by the instant) given those entries,
-    /// or a fresh world without one, advanced to the instant.
+    /// (`scenario`) pushed and stopped before its latest change instant,
+    /// and the clock it resumed from. Every change to a node is due at the
+    /// scheduler's current time, so the schedule is an earlier schedule
+    /// plus the entries due at that instant: the world is a copy of the
+    /// earlier schedule's checkpoint (its end world if that ended by the
+    /// instant) given those entries, or a fresh world without one, from
+    /// t = 0, advanced to the instant.
     fn world_at_latest_change(
         &self,
         node: usize,
         scenario: &Scenario,
         setting: &Setting,
         cfg: MachineConfig,
-    ) -> World {
+    ) -> (World, SimTime) {
         let (key, faults) = (&self.nodes[node].key, &self.nodes[node].faults);
         let changed_at = SimTime::ZERO + key.changed_at;
         let checkpoint = (self.checkpoints.lock().expect("checkpoints poisoned"))
@@ -865,8 +880,9 @@ impl<'a> Fleet<'a> {
                 World::new(cfg, schedule, faults.clone(), &scenario.classes, None)
             }
         };
+        let resumed_at = world.now();
         world.advance_to(changed_at);
-        world
+        (world, resumed_at)
     }
 
     /// The run cache's content key of the run of `apps` under `faults` on a
@@ -905,6 +921,25 @@ impl<'a> Fleet<'a> {
             key,
             "node {node}: one content key for two node keys"
         );
+    }
+
+    /// Asserts that no sample of node `node`'s run `timeline` repeats the
+    /// summary before it and that the run stores itself only samples at or
+    /// after `resumed_at`, the clock it resumed from; adds those samples to
+    /// `stored_samples`.
+    #[cfg(test)]
+    fn check_timeline(&self, node: usize, timeline: &PressureTimeline, resumed_at: SimTime) {
+        let samples: Vec<_> = timeline.iter().collect();
+        assert!(
+            samples.windows(2).all(|w| w[0].1 != w[1].1),
+            "node {node}: a timeline sample repeats the one before it"
+        );
+        assert!(
+            (timeline.own().iter()).all(|&(at, _)| at >= resumed_at.as_millis()),
+            "node {node}: a run resumed at {resumed_at:?} stores an earlier sample"
+        );
+        self.stored_samples
+            .fetch_add(timeline.own().len(), Ordering::Relaxed);
     }
 
     /// Pre-warms the probe simulations of the dirty nodes among `nodes` on
@@ -996,11 +1031,7 @@ impl<'a> Fleet<'a> {
         }
         let state = &self.nodes[node];
         let out = &state.probe.as_ref().expect("probed").out;
-        let timeline = &out.run.pressure_timeline;
-        let summary = match timeline.partition_point(|&(at, _)| at <= t_ms) {
-            0 => state.idle,
-            i => timeline[i - 1].1,
-        };
+        let summary = out.run.pressure_timeline.at(t_ms).unwrap_or(state.idle);
         let mut reserved = 0u64;
         for (slot, &(job, kind, _)) in state.apps.iter().enumerate() {
             let here = self.assignment[job] == Some((node, slot));
@@ -2004,7 +2035,7 @@ pub fn run_fleet_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::fleet_canonical;
+    use crate::scenario::{fleet_canonical, fleet_scale_scenario};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -2236,6 +2267,32 @@ mod tests {
         let (resumed, out) = resumes("capped resume", &[0, 60], capped);
         assert_eq!(out.run.apps[0].ended, None, "the cap stops the first job");
         assert_eq!(resumed, vec![SimTime::ZERO]);
+    }
+
+    #[test]
+    fn a_wave_fleet_stores_each_pressure_change_once() {
+        // The timeline samples a small wave fleet's node runs store
+        // themselves: each run keeps only the polls whose summary changed,
+        // and a resumed run shares the samples before its resume instant
+        // with the run it resumed from. With a sample at every poll and
+        // every resumed run copying its prefix, this fleet stored 772,120
+        // samples. Its scenario is unique to this test, so every node run
+        // is a miss in the shared cache.
+        let scenario = fleet_scale_scenario(64);
+        let mut fleet = FleetConfig::homogeneous(64, 64 * GIB);
+        for node in fleet.nodes.iter_mut().skip(3).step_by(4) {
+            node.phys_total = 32 * GIB;
+        }
+        let mut cfg = quick_cfg();
+        cfg.capture_trace = false;
+        let mut state = Fleet::new(&scenario, cfg, &fleet, 1);
+        state.run_events();
+        for node in 0..state.nodes.len() {
+            if !state.nodes[node].apps.is_empty() {
+                state.probe_of(node);
+            }
+        }
+        assert_eq!(state.stored_samples.load(Ordering::Relaxed), 36_406);
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //!   exported pressure summaries;
 //! - [`search`] — the bounded grid search standing in for the paper's
 //!   four-month, 3400-test configuration hunt;
+//! - [`timeline`] — a node run's pressure summaries, kept where they
+//!   change and shared with the runs resumed from it;
 //! - [`alternating`] — the Cassandra/Elasticsearch-style alternating-load
 //!   servers of Fig. 2.
 
@@ -45,6 +47,7 @@ pub mod runner;
 pub mod scenario;
 pub mod search;
 pub mod settings;
+pub mod timeline;
 
 pub use apps::{AnyApp, AppBlueprint};
 pub use faults::{
@@ -67,3 +70,4 @@ pub use parallel::{
 pub use runner::{app_name, run_scenario, run_scenario_with_faults, ScenarioOutcome};
 pub use scenario::{AppKind, Scenario};
 pub use settings::{AppConfig, Setting, SettingKind};
+pub use timeline::PressureTimeline;

@@ -19,7 +19,6 @@
 
 use std::sync::Arc;
 
-use m3_core::monitor::PressureSummary;
 use m3_core::{Monitor, MonitorConfig, Registry, ThresholdSignal, Zone, POLL_PERIOD};
 use m3_oracle::{Oracle, Violation};
 use m3_os::cgroup::{Cgroup, CgroupSet};
@@ -37,6 +36,7 @@ use crate::faults::{
 };
 use crate::scenario::JobClass;
 use crate::settings::Setting;
+use crate::timeline::PressureTimeline;
 
 /// One schedule entry: display name, start delay, and the blueprint built at
 /// start time. Names are `Arc<str>` so interned names are shared across the
@@ -69,10 +69,11 @@ pub struct MachineConfig {
     /// [`RunResult::violations`]). Off, the kernel's trace log is disabled
     /// and records nothing. Part of the memoization cache key.
     pub capture_trace: bool,
-    /// Records the monitor's pressure summary at every poll into
-    /// [`RunResult::pressure_timeline`]. The fleet scheduler sets this on
-    /// its probe runs so one full-horizon simulation answers pressure
-    /// queries at every instant. Part of the memoization cache key.
+    /// Records the monitor's pressure summary into
+    /// [`RunResult::pressure_timeline`] at every poll where it differs from
+    /// the last one recorded. The fleet scheduler sets this on its probe
+    /// runs so one full-horizon simulation answers pressure queries at
+    /// every instant. Part of the memoization cache key.
     pub pressure_timeline: bool,
 }
 
@@ -222,11 +223,14 @@ pub struct RunResult {
     pub profile: Profile,
     /// Monitor statistics, when a monitor ran.
     pub monitor_stats: Option<m3_core::monitor::MonitorStats>,
-    /// `(time ms, summary)` samples taken at every monitor poll, plus one at
-    /// the end of the run, when [`MachineConfig::pressure_timeline`] is set
-    /// (empty when it is not or no monitor ran). The fleet scheduler reads
-    /// a node's pressure at time `t` as the last sample at or before `t`.
-    pub pressure_timeline: Vec<(u64, PressureSummary)>,
+    /// The monitor's pressure summary at every poll and at the end of the
+    /// run, when [`MachineConfig::pressure_timeline`] is set (empty when it
+    /// is not or no monitor ran), kept only where it changes. The fleet
+    /// scheduler reads a node's pressure at time `t` as the last sample at
+    /// or before `t`, which a dropped repeat does not change. A run resumed
+    /// from another run's world shares that run's samples up to the resume
+    /// point instead of copying them.
+    pub pressure_timeline: PressureTimeline,
     /// When the last application terminated (or the cap was hit).
     pub end: SimTime,
     /// Time-weighted mean of total committed bytes (§7.3's effective
@@ -380,10 +384,11 @@ pub(crate) struct World {
     churn_bystanders: Vec<Pid>,
     next_poll: SimTime,
     next_sample: SimTime,
-    /// The pressure summary at every poll so far, when the config records
-    /// them. The fleet keeps checkpoints without it and puts the prefix
-    /// back from the memoized outcome when it resumes one.
-    pub(crate) pressure_timeline: Vec<(u64, PressureSummary)>,
+    /// The pressure summary at every poll so far where it changed, when
+    /// the config records them. The fleet keeps checkpoints without it and
+    /// gives a resumed world a prefix of the memoized outcome's timeline,
+    /// which shares that outcome's samples.
+    pub(crate) pressure_timeline: PressureTimeline,
     /// Mean-RSS integral as exact integers (`committed` summed per tick):
     /// integer addition is associative, so the idle skip accounts a whole
     /// gap of idle ticks in one multiplication, bit-identical to summing
@@ -480,7 +485,7 @@ impl World {
             pending_recoveries: Vec::new(),
             next_poll: SimTime::ZERO + POLL_PERIOD,
             next_sample: SimTime::ZERO,
-            pressure_timeline: Vec::new(),
+            pressure_timeline: PressureTimeline::default(),
             rss_area: 0,
             ticks: 0,
             boundary: false,
@@ -761,7 +766,7 @@ impl World {
                 self.next_poll += POLL_PERIOD;
                 if self.cfg.pressure_timeline {
                     self.pressure_timeline
-                        .push((now.as_millis(), m.pressure_summary(kernel.committed())));
+                        .record(now.as_millis(), m.pressure_summary(kernel.committed()));
                 }
                 match report.zone {
                     Zone::AboveTop => {
@@ -1012,9 +1017,10 @@ impl World {
         if self.cfg.pressure_timeline {
             if let Some(m) = &self.monitor {
                 let closing = m.pressure_summary(self.kernel.committed());
-                self.pressure_timeline.push((now.as_millis(), closing));
+                self.pressure_timeline.record(now.as_millis(), closing);
             }
         }
+        self.pressure_timeline.shrink_to_fit();
         RunResult {
             apps: self.results,
             profile: self.profile,

@@ -242,7 +242,7 @@ mod tests {
                 apps,
                 profile: Profile::new(),
                 monitor_stats: None,
-                pressure_timeline: Vec::new(),
+                pressure_timeline: Default::default(),
                 end: SimTime::ZERO,
                 mean_rss: 0.0,
                 degradation: Default::default(),
