@@ -11,8 +11,9 @@
 //! explicitly given up.
 //!
 //! Knobs: `M3_FLEET_CHAOS_NODES` sets the fleet size (default 512);
-//! `M3_FLEET_CHAOS_BUDGET_S` asserts a per-point wall-clock budget;
-//! `M3_JOBS` sets the worker count.
+//! `M3_FLEET_CHAOS_BUDGET_S` asserts a per-point wall-clock budget.
+//! A fleet run is serial and reads no worker count: each point's
+//! `workers` field only records `M3_JOBS`.
 
 use m3_bench::{fmt_runtime, render_table, BenchTimer};
 use m3_sim::clock::SimDuration;

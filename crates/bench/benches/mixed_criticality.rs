@@ -13,8 +13,9 @@
 //! preemption, on real traces with their classes relabelled.
 //!
 //! Knobs: `M3_MIXED_CRIT_MAX_BATCH` caps the sweep's batch load (default
-//! 8); `M3_MIXED_CRIT_BUDGET_S` asserts a per-point wall-clock budget;
-//! `M3_JOBS` sets the worker count.
+//! 8); `M3_MIXED_CRIT_BUDGET_S` asserts a per-point wall-clock budget.
+//! A fleet run is serial and reads no worker count: each point's
+//! `workers` field only records `M3_JOBS`.
 
 use m3_bench::{fmt_runtime, render_table, BenchTimer};
 use m3_sim::clock::SimDuration;

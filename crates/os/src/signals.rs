@@ -175,11 +175,6 @@ impl SignalBus {
         self.queues.remove(&pid).unwrap_or_default()
     }
 
-    /// Number of pending signals for `pid`.
-    pub fn pending_count(&self, pid: Pid) -> usize {
-        self.queues.get(&pid).map_or(0, Vec::len)
-    }
-
     /// Discards all state for an exited process — including deferred
     /// in-flight sends, so a later process reusing the pid cannot inherit
     /// the dead one's signals.
@@ -208,7 +203,7 @@ mod tests {
         bus.send(1, Signal::HighMemory);
         bus.send(1, Signal::HighMemory);
         bus.send(1, Signal::HighMemory);
-        assert_eq!(bus.pending_count(1), 1);
+        assert_eq!(bus.take(1), vec![Signal::HighMemory]);
     }
 
     #[test]
@@ -216,7 +211,7 @@ mod tests {
         let mut bus = SignalBus::new();
         bus.send(1, Signal::Kill);
         bus.send(1, Signal::Kill);
-        assert_eq!(bus.pending_count(1), 2);
+        assert_eq!(bus.take(1), vec![Signal::Kill, Signal::Kill]);
     }
 
     #[test]
@@ -235,8 +230,8 @@ mod tests {
         let _ = bus.take(1);
         bus.send(1, Signal::HighMemory);
         assert_eq!(
-            bus.pending_count(1),
-            1,
+            bus.take(1),
+            vec![Signal::HighMemory],
             "a new signal after drain must queue"
         );
     }
@@ -246,7 +241,7 @@ mod tests {
         let mut bus = SignalBus::new();
         bus.send(9, Signal::LowMemory);
         bus.forget(9);
-        assert_eq!(bus.pending_count(9), 0);
+        assert!(bus.take(9).is_empty());
     }
 
     #[test]
@@ -292,7 +287,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         assert_eq!(bus.send_at(1, Signal::HighMemory, t0), SendOutcome::Delayed);
         bus.deliver_due(t0 + SimDuration::from_secs(4));
-        assert_eq!(bus.pending_count(1), 0, "still in flight");
+        assert!(bus.take(1).is_empty(), "still in flight");
         bus.deliver_due(t0 + SimDuration::from_secs(5));
         assert_eq!(bus.take(1), vec![Signal::HighMemory]);
         assert_eq!(bus.fault_stats().delayed, 1);
@@ -309,6 +304,6 @@ mod tests {
         bus.send_at(4, Signal::HighMemory, SimTime::ZERO);
         bus.forget(4); // process died; a pid-reuser must not inherit this
         bus.deliver_due(SimTime::from_secs(10));
-        assert_eq!(bus.pending_count(4), 0);
+        assert!(bus.take(4).is_empty());
     }
 }

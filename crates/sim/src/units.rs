@@ -2,7 +2,7 @@
 //!
 //! Sizes throughout the workspace are plain `u64` byte counts; this module
 //! provides the constants the paper speaks in (GB of heap, 4 KiB pages) plus
-//! page and GiB conversions.
+//! a GiB conversion.
 
 /// One kibibyte.
 pub const KIB: u64 = 1024;
@@ -12,21 +12,6 @@ pub const MIB: u64 = 1024 * KIB;
 pub const GIB: u64 = 1024 * MIB;
 /// The simulated page size (4 KiB, matching Linux on x86-64).
 pub const PAGE_SIZE: u64 = 4 * KIB;
-
-/// Converts a byte count to whole pages, rounding up.
-pub const fn bytes_to_pages(bytes: u64) -> u64 {
-    bytes.div_ceil(PAGE_SIZE)
-}
-
-/// Converts a page count to bytes.
-pub const fn pages_to_bytes(pages: u64) -> u64 {
-    pages * PAGE_SIZE
-}
-
-/// Rounds a byte count up to a multiple of the page size.
-pub const fn page_align_up(bytes: u64) -> u64 {
-    bytes_to_pages(bytes) * PAGE_SIZE
-}
 
 /// Converts a byte count to fractional GiB for plotting.
 pub fn bytes_to_gib(bytes: u64) -> f64 {
@@ -42,17 +27,6 @@ mod tests {
         assert_eq!(MIB, 1024 * KIB);
         assert_eq!(GIB, 1024 * MIB);
         assert_eq!(PAGE_SIZE, 4096);
-    }
-
-    #[test]
-    fn page_conversions_round_up() {
-        assert_eq!(bytes_to_pages(0), 0);
-        assert_eq!(bytes_to_pages(1), 1);
-        assert_eq!(bytes_to_pages(PAGE_SIZE), 1);
-        assert_eq!(bytes_to_pages(PAGE_SIZE + 1), 2);
-        assert_eq!(pages_to_bytes(3), 3 * PAGE_SIZE);
-        assert_eq!(page_align_up(5000), 2 * PAGE_SIZE);
-        assert_eq!(page_align_up(4096), 4096);
     }
 
     #[test]

@@ -67,26 +67,22 @@
 //!   up on while a feasible node exists anywhere in the fleet.
 //! - **Batched pressure refresh.** Each rebalance check refreshes one
 //!   range of `SHARD_SIZE` (64) nodes round-robin rather than the whole
-//!   fleet, and pre-warms the dirty nodes'
-//!   simulations on the worker pool ([`crate::parallel::parallel_map`]),
-//!   one node per distinct run, before reading them serially in node
-//!   order.
+//!   fleet, probing them in node order.
 //!
 //! # Determinism
 //!
 //! The scheduler is a pure function of `(scenario, setting, machine_cfg,
 //! fleet_cfg)`. There is no randomness and no wall clock anywhere:
 //!
+//! - A fleet run is serial from start to finish: it reads no worker count
+//!   and spawns no thread, so its node runs fill the run cache and the
+//!   checkpoints in the order its decisions probe them.
 //! - Scheduler events pop in `(time_ms, class, index)` order, a total
 //!   order: the arrivals from a list sorted once, every other event from
 //!   a binary heap (`EventQueue`).
 //! - A node's pressure at time `t` is a pure function of its assignment
 //!   set and fault plan: the cached probe simulation is deterministic, and
 //!   the timeline read picks the last sample at or before `t`.
-//! - Parallel pre-warm only *populates* caches with values that are pure
-//!   functions of their keys; every decision reads them in index order, so
-//!   the result is bit-identical for any worker count (`M3_JOBS`). Which
-//!   checkpoints a worker finds changes only how long a node run takes.
 //! - Ties in the placement order are broken by node index; admission is an
 //!   exact integer comparison (no float ordering).
 //!
@@ -97,10 +93,8 @@
 //! its previous checkpoint.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
-#[cfg(test)]
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use m3_core::config::MonitorConfig;
 use m3_core::monitor::{Monitor, PressureSummary, Zone};
@@ -115,7 +109,7 @@ use crate::cluster::{ClusterMean, ClusterResult, JobFailure};
 use crate::faults::{FaultPlan, FleetDegradationReport, FleetFaultPlan, ProbeFlap};
 use crate::hibench;
 use crate::machine::{MachineConfig, World};
-use crate::parallel::{worker_threads, CacheStats, Fingerprint, MemoCache, RUN_CACHE};
+use crate::parallel::{CacheStats, Fingerprint, MemoCache, RUN_CACHE};
 use crate::runner::{outcome, schedule_entry, ScenarioOutcome};
 use crate::scenario::{AppKind, JobClass, Scenario};
 use crate::settings::Setting;
@@ -650,11 +644,9 @@ struct Fleet<'a> {
     /// The placement time the candidate index was last bulk-refreshed at
     /// (the index decays as simulated time passes — see [`Fleet::refresh`]).
     index_fresh_ms: Option<u64>,
-    /// Worker threads for pre-warming node runs.
-    workers: usize,
     /// Probed node worlds to resume from, by the run-cache key of the run
     /// of the schedule each holds.
-    checkpoints: Mutex<HashMap<u128, Checkpoint>>,
+    checkpoints: HashMap<u128, Checkpoint>,
     /// Test seam: places every arrival on this node without admission
     /// control, so the rebalance tests can co-locate jobs.
     #[cfg(test)]
@@ -663,22 +655,17 @@ struct Fleet<'a> {
     /// schedule's content key, and back: the two key families must
     /// partition the schedules alike ([`Fleet::check_key`]).
     #[cfg(test)]
-    key_pairs: Mutex<[HashMap<u128, u128>; 2]>,
+    key_pairs: [HashMap<u128, u128>; 2],
     /// The clock of every checkpoint world a run resumed from, in order.
     #[cfg(test)]
-    resumed_from: Mutex<Vec<SimTime>>,
+    resumed_from: Vec<SimTime>,
     /// The timeline samples this fleet's node runs stored themselves.
     #[cfg(test)]
-    stored_samples: AtomicUsize,
+    stored_samples: usize,
 }
 
 impl<'a> Fleet<'a> {
-    fn new(
-        scenario: &'a Scenario,
-        base_cfg: MachineConfig,
-        fleet: &'a FleetConfig,
-        workers: usize,
-    ) -> Fleet<'a> {
+    fn new(scenario: &'a Scenario, base_cfg: MachineConfig, fleet: &'a FleetConfig) -> Fleet<'a> {
         let njobs = scenario.len();
         let mut degradation = FleetDegradationReport::default();
         let mut flaps: HashMap<usize, Vec<ProbeFlap>> = HashMap::new();
@@ -740,16 +727,15 @@ impl<'a> Fleet<'a> {
             degradation,
             index,
             index_fresh_ms: None,
-            workers: workers.max(1),
-            checkpoints: Mutex::new(HashMap::new()),
+            checkpoints: HashMap::new(),
             #[cfg(test)]
             pin: None,
             #[cfg(test)]
-            key_pairs: Mutex::default(),
+            key_pairs: Default::default(),
             #[cfg(test)]
-            resumed_from: Mutex::default(),
+            resumed_from: Vec::new(),
             #[cfg(test)]
-            stored_samples: Default::default(),
+            stored_samples: 0,
         }
     }
 
@@ -785,17 +771,17 @@ impl<'a> Fleet<'a> {
     /// run from t = 0 byte for byte (DESIGN.md §9), which test builds check
     /// on every miss, with its timeline's sharing (`Fleet::check_timeline`);
     /// they check the key against the content key on every call.
-    fn simulate(&self, node: usize) -> Arc<ScenarioOutcome> {
-        let state = &self.nodes[node];
-        let key = state.key.run();
+    fn simulate(&mut self, node: usize) -> Arc<ScenarioOutcome> {
+        let key = self.nodes[node].key.run();
         #[cfg(test)]
         self.check_key(node, key);
-        let mut worlds = None;
+        let mut miss = None;
         let out = RUN_CACHE.get_or_compute_by_key(key, || {
+            let state = &self.nodes[node];
             let scenario = self.scenario_of(&state.apps);
             let setting = Setting::m3(scenario.len());
             let cfg = sched_node_cfg(self.base_cfg, state.phys_total).with_setting(&setting);
-            let (mut world, _resumed_at) =
+            let (mut world, resumed_from) =
                 self.world_at_latest_change(node, &scenario, &setting, cfg);
             // The checkpoint's copies leave out the timeline, whose prefix
             // the memoized outcome keeps. A run the cap ended keeps no end
@@ -804,7 +790,7 @@ impl<'a> Fleet<'a> {
             let at_change = kept(&mut world);
             world.run_to_end();
             let at_end = (!world.is_over()).then(|| kept(&mut world));
-            worlds = Some((at_change, at_end));
+            miss = Some((at_change, at_end, resumed_from));
             let out = outcome(&scenario, &setting, world.finish());
             #[cfg(test)]
             assert_eq!(
@@ -818,54 +804,50 @@ impl<'a> Fleet<'a> {
                 .expect("serialize"),
                 "node {node}: a resumed run must equal the run from t = 0"
             );
-            #[cfg(test)]
-            self.check_timeline(node, &out.run.pressure_timeline, _resumed_at);
             out
         });
-        if let Some((at_change, at_end)) = worlds {
+        if let Some((at_change, at_end, _resumed_from)) = miss {
+            #[cfg(test)]
+            {
+                self.resumed_from.extend(_resumed_from);
+                let resumed_at = _resumed_from.unwrap_or(SimTime::ZERO);
+                self.check_timeline(node, &out.run.pressure_timeline, resumed_at);
+            }
             let checkpoint = Checkpoint {
                 at_change,
                 at_end,
                 outcome: Arc::clone(&out),
             };
-            self.checkpoints
-                .lock()
-                .expect("checkpoints poisoned")
-                .insert(key, checkpoint);
+            self.checkpoints.insert(key, checkpoint);
         }
         out
     }
 
     /// Node `node`'s world under `cfg`, with its whole schedule
     /// (`scenario`) pushed and stopped before its latest change instant,
-    /// and the clock it resumed from. Every change to a node is due at the
-    /// scheduler's current time, so the schedule is an earlier schedule
-    /// plus the entries due at that instant: the world is a copy of the
-    /// earlier schedule's checkpoint (its end world if that ended by the
-    /// instant) given those entries, or a fresh world without one, from
-    /// t = 0, advanced to the instant.
+    /// and the clock of the checkpoint world it resumed from (`None` for a
+    /// fresh world). Every change to a node is due at the scheduler's
+    /// current time, so the schedule is an earlier schedule plus the
+    /// entries due at that instant: the world is a copy of the earlier
+    /// schedule's checkpoint (its end world if that ended by the instant)
+    /// given those entries, or a fresh world without one, from t = 0,
+    /// advanced to the instant.
     fn world_at_latest_change(
         &self,
         node: usize,
         scenario: &Scenario,
         setting: &Setting,
         cfg: MachineConfig,
-    ) -> (World, SimTime) {
+    ) -> (World, Option<SimTime>) {
         let (key, faults) = (&self.nodes[node].key, &self.nodes[node].faults);
         let changed_at = SimTime::ZERO + key.changed_at;
-        let checkpoint = (self.checkpoints.lock().expect("checkpoints poisoned"))
-            .get(&key.resume())
-            .map(|c| c.resume(changed_at));
+        let checkpoint = self.checkpoints.get(&key.resume());
         let entry = |(i, &(kind, start)): (usize, &(AppKind, SimDuration))| {
             schedule_entry(setting, i, kind, start)
         };
         let mut world = match checkpoint {
-            Some(mut world) => {
-                #[cfg(test)]
-                self.resumed_from
-                    .lock()
-                    .expect("resumes poisoned")
-                    .push(world.now());
+            Some(checkpoint) => {
+                let mut world = checkpoint.resume(changed_at);
                 let (k, m) = (key.earlier.napps as usize, key.earlier.ncrashes as usize);
                 for (i, app) in scenario.apps.iter().enumerate().skip(k) {
                     world.push_app(entry((i, app)), scenario.class_of(i));
@@ -880,9 +862,9 @@ impl<'a> Fleet<'a> {
                 World::new(cfg, schedule, faults.clone(), &scenario.classes, None)
             }
         };
-        let resumed_at = world.now();
+        let resumed_from = checkpoint.map(|_| world.now());
         world.advance_to(changed_at);
-        (world, resumed_at)
+        (world, resumed_from)
     }
 
     /// The run cache's content key of the run of `apps` under `faults` on a
@@ -906,11 +888,10 @@ impl<'a> Fleet<'a> {
     /// Asserts that `key`, node `node`'s key, and its schedule's content
     /// key map one to one, over every key this fleet run has looked up.
     #[cfg(test)]
-    fn check_key(&self, node: usize, key: u128) {
+    fn check_key(&mut self, node: usize, key: u128) {
         let n = &self.nodes[node];
         let content = self.content_key(n.phys_total, &n.apps, &n.faults);
-        let mut pairs = self.key_pairs.lock().expect("key pairs poisoned");
-        let [by_node, by_content] = &mut *pairs;
+        let [by_node, by_content] = &mut self.key_pairs;
         assert_eq!(
             *by_node.entry(key).or_insert(content),
             content,
@@ -928,7 +909,7 @@ impl<'a> Fleet<'a> {
     /// after `resumed_at`, the clock it resumed from; adds those samples to
     /// `stored_samples`.
     #[cfg(test)]
-    fn check_timeline(&self, node: usize, timeline: &PressureTimeline, resumed_at: SimTime) {
+    fn check_timeline(&mut self, node: usize, timeline: &PressureTimeline, resumed_at: SimTime) {
         let samples: Vec<_> = timeline.iter().collect();
         assert!(
             samples.windows(2).all(|w| w[0].1 != w[1].1),
@@ -938,36 +919,7 @@ impl<'a> Fleet<'a> {
             (timeline.own().iter()).all(|&(at, _)| at >= resumed_at.as_millis()),
             "node {node}: a run resumed at {resumed_at:?} stores an earlier sample"
         );
-        self.stored_samples
-            .fetch_add(timeline.own().len(), Ordering::Relaxed);
-    }
-
-    /// Pre-warms the probe simulations of the dirty nodes among `nodes` on
-    /// the worker pool. Sound under any worker count: each outcome is a
-    /// pure function of that node's own state, and callers read the warmed
-    /// caches serially in node order. Only the first dirty node of each
-    /// distinct run is warmed; its twins read that run from the run cache
-    /// when they are probed, so no two workers simulate one run and the
-    /// run cache counts what it counts at one worker.
-    fn warm(&mut self, nodes: &[usize]) {
-        if self.workers <= 1 {
-            return;
-        }
-        let mut runs = HashSet::new();
-        let dirty: Vec<usize> = nodes
-            .iter()
-            .copied()
-            .filter(|&n| !self.nodes[n].apps.is_empty() && self.nodes[n].probe.is_none())
-            .filter(|&n| runs.insert(self.nodes[n].key.run()))
-            .collect();
-        if dirty.len() > 1 {
-            let this: &Fleet = self;
-            let outs =
-                crate::parallel::parallel_map(dirty.clone(), self.workers, |n| this.simulate(n));
-            for (&n, out) in dirty.iter().zip(outs) {
-                self.nodes[n].probe = Some(Probe::new(out));
-            }
-        }
+        self.stored_samples += timeline.own().len();
     }
 
     /// The node's probe, its simulation computed only if the node is
@@ -1542,7 +1494,6 @@ impl<'a> Fleet<'a> {
         // the rebalance cadence is exactly the health-check cadence their
         // re-admission streak builds on.
         due_nodes.retain(|&n| self.nodes[n].dead.is_none());
-        self.warm(&due_nodes);
         let mut views: HashMap<usize, NodeView> = HashMap::new();
         for &node in &due_nodes {
             let v = self.probe(node, t);
@@ -1887,25 +1838,13 @@ impl EventQueue {
 /// captures one. Injected faults
 /// — node crashes, flapping probe endpoints, delayed placements, scheduler
 /// restarts — are accounted in [`FleetResult::degradation`], and
-/// [`FleetOracle`]'s recovery invariants run on every trace.
+/// [`FleetOracle`]'s recovery invariants run on every trace. The run is
+/// serial: it reads no worker count and spawns no thread.
 pub fn run_fleet(
     scenario: &Scenario,
     setting: &Setting,
     machine_cfg: MachineConfig,
     fleet: &FleetConfig,
-) -> FleetResult {
-    run_fleet_with_workers(scenario, setting, machine_cfg, fleet, worker_threads())
-}
-
-/// [`run_fleet`] with an explicit worker count. The result is bit-identical
-/// for every `workers` value (the worker-count proptest pins this down);
-/// the count only decides how many threads pre-warm node simulations.
-pub fn run_fleet_with_workers(
-    scenario: &Scenario,
-    setting: &Setting,
-    machine_cfg: MachineConfig,
-    fleet: &FleetConfig,
-    workers: usize,
 ) -> FleetResult {
     assert!(!fleet.nodes.is_empty(), "need at least one node");
     assert!(
@@ -1913,7 +1852,7 @@ pub fn run_fleet_with_workers(
         "the fleet scheduler places by monitor pressure; run static \
          baselines on replicated workers with `run_cluster`"
     );
-    let mut state = Fleet::new(scenario, machine_cfg, fleet, workers);
+    let mut state = Fleet::new(scenario, machine_cfg, fleet);
     state.run_events();
     finish(state)
 }
@@ -1925,12 +1864,10 @@ fn finish(mut state: Fleet) -> FleetResult {
     let scenario = state.scenario;
     let njobs = scenario.len();
 
-    // Warm the nodes whose final schedule no probe has read yet, then fold
-    // per-job outcomes out of each job's final node.
-    let nodes: Vec<usize> = (0..state.nodes.len()).collect();
-    state.warm(&nodes);
-    let finals: Vec<Option<Arc<ScenarioOutcome>>> = nodes
-        .into_iter()
+    // Each non-empty node's final run, simulated here when no probe has
+    // read its final schedule yet, then per-job outcomes out of each job's
+    // final node.
+    let finals: Vec<Option<Arc<ScenarioOutcome>>> = (0..state.nodes.len())
         .map(|node| {
             (!state.nodes[node].apps.is_empty()).then(|| Arc::clone(&state.probe_of(node).out))
         })
@@ -2069,7 +2006,7 @@ mod tests {
     /// control skipped (the [`Fleet::pin`] seam). Returns the fleet after
     /// its last event.
     fn pinned<'a>(scenario: &'a Scenario, fleet: &'a FleetConfig) -> Fleet<'a> {
-        let mut state = Fleet::new(scenario, static_cfg(), fleet, 1);
+        let mut state = Fleet::new(scenario, static_cfg(), fleet);
         state.pin = Some(0);
         state.run_events();
         state
@@ -2182,7 +2119,7 @@ mod tests {
         let scenario = Scenario::uniform("MM", 0);
         let fleet = small_fleet();
         let cfg = quick_cfg();
-        let mut state = Fleet::new(&scenario, cfg, &fleet, 1);
+        let mut state = Fleet::new(&scenario, cfg, &fleet);
         let v = state.probe(2, SimTime::from_millis(1_000));
         assert!(
             state.nodes[2].probe.is_none(),
@@ -2204,9 +2141,9 @@ mod tests {
         let scenario = fleet_canonical();
         let fleet = small_fleet();
         let cfg = quick_cfg();
-        let mut a = Fleet::new(&scenario, cfg, &fleet, 1);
+        let mut a = Fleet::new(&scenario, cfg, &fleet);
         a.run_events();
-        let mut b = Fleet::new(&scenario, cfg, &fleet, 1);
+        let mut b = Fleet::new(&scenario, cfg, &fleet);
         b.run_events();
         for node in 0..b.nodes.len() {
             b.nodes[node].probe = None; // whole-fleet re-probe
@@ -2241,12 +2178,11 @@ mod tests {
         };
         let mut fleet = FleetConfig::homogeneous(1, 64 * GIB);
         fleet.rebalance_checks = 0;
-        let mut state = Fleet::new(&scenario, cfg, &fleet, 1);
+        let mut state = Fleet::new(&scenario, cfg, &fleet);
         state.run_events();
         assert_eq!(state.nodes[0].apps.len(), apps.len(), "every job is placed");
         let out = state.simulate(0);
-        let resumed = state.resumed_from.lock().expect("resumes poisoned").clone();
-        (resumed, out)
+        (state.resumed_from, out)
     }
 
     #[test]
@@ -2285,14 +2221,14 @@ mod tests {
         }
         let mut cfg = quick_cfg();
         cfg.capture_trace = false;
-        let mut state = Fleet::new(&scenario, cfg, &fleet, 1);
+        let mut state = Fleet::new(&scenario, cfg, &fleet);
         state.run_events();
         for node in 0..state.nodes.len() {
             if !state.nodes[node].apps.is_empty() {
                 state.probe_of(node);
             }
         }
-        assert_eq!(state.stored_samples.load(Ordering::Relaxed), 36_406);
+        assert_eq!(state.stored_samples, 36_406);
     }
 
     #[test]
@@ -2382,21 +2318,6 @@ mod tests {
             "the migration waits out the grace window: {red_for:?}"
         );
         assert!(res.violations.is_empty(), "{:?}", res.violations);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_the_result() {
-        let scenario = fleet_canonical();
-        let fleet = small_fleet();
-        let cfg = quick_cfg();
-        let setting = Setting::m3(scenario.len());
-        let a = run_fleet_with_workers(&scenario, &setting, cfg, &fleet, 1);
-        let b = run_fleet_with_workers(&scenario, &setting, cfg, &fleet, 4);
-        assert_eq!(
-            serde_json::to_string(&a).expect("serialize"),
-            serde_json::to_string(&b).expect("serialize"),
-            "fleet results must be bit-identical for any worker count"
-        );
     }
 
     // ---- mixed criticality --------------------------------------------
@@ -2707,7 +2628,7 @@ mod tests {
         fleet.rebalance_checks = 0;
         fleet.faults =
             FleetFaultPlan::none().with_flap(0, SimDuration::ZERO, SimDuration::from_secs(1_000));
-        let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, 1);
+        let mut state = Fleet::new(&scenario, quick_cfg(), &fleet);
         state.run_events();
         let probed: Vec<u64> = (state.trace.events().iter())
             .filter_map(|e| match e.data {
@@ -2838,12 +2759,14 @@ mod tests {
             .with_flap(0, SimDuration::from_secs(60), SimDuration::from_secs(600))
             .with_placement_delay(2, SimDuration::from_secs(30))
             .with_scheduler_restart(SimDuration::from_secs(240));
-        let a = run_fleet_with_workers(&scenario, &setting, quick_cfg(), &fleet, 1);
-        let b = run_fleet_with_workers(&scenario, &setting, quick_cfg(), &fleet, 4);
+        // The repeat's node runs are all run-cache hits, so it replays the
+        // scheduler's decisions alone.
+        let a = run_fleet(&scenario, &setting, quick_cfg(), &fleet);
+        let b = run_fleet(&scenario, &setting, quick_cfg(), &fleet);
         assert_eq!(
             serde_json::to_string(&a).expect("serialize"),
             serde_json::to_string(&b).expect("serialize"),
-            "chaos results must be bit-identical for any worker count"
+            "a chaos run and its repeat must be bit-identical"
         );
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         assert_eq!(
@@ -2988,7 +2911,7 @@ mod tests {
         let scenario =
             Scenario::uniform("W", 0).with_classes(vec![JobClass::new(Criticality::Batch, 7)]);
         let fleet = FleetConfig::homogeneous(1, 64 * GIB);
-        let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, 1);
+        let mut state = Fleet::new(&scenario, quick_cfg(), &fleet);
         let t = SimTime::from_millis(60_500);
         state.assign(0, AppKind::NWeight, 0, t);
         state.crash(0, 0, t);
@@ -3075,7 +2998,7 @@ mod tests {
             for spec in &mut fleet.nodes[3..] {
                 spec.phys_total = 32 * GIB;
             }
-            let mut state = Fleet::new(&scenario, quick_cfg(), &fleet, 1);
+            let mut state = Fleet::new(&scenario, quick_cfg(), &fleet);
             let mut steps = steps;
             steps.sort_by_key(|&((at, ..), _)| at); // stable: an instant keeps its draw order
             let mut keys: Vec<(u128, u128)> = Vec::new();

@@ -119,13 +119,12 @@ PY
 }
 # shellcheck disable=SC2086 # one argument per payload name
 compare_payloads target/ci-results "" $payloads
-# A fleet's node runs must not depend on the worker count: each distinct
-# node run is simulated once however many workers warm the nodes, so the
-# fleet payloads regenerated at two workers equal the committed one-worker
-# files in every key but the wall clocks and the recorded worker count.
-# fleet_scale's node runs hold jobs only; fleet_chaos's crashes and
-# mixed_criticality's preemptions and classes fill the rest of a node
-# run's key.
+# The fleet payloads again at two workers. A fleet run is serial and
+# reads no worker count, so they must equal the committed one-worker
+# files in every key but the wall clocks and the recorded worker count,
+# which guards against fleet code that comes to read the count again.
+# fleet_scale's replicated baseline (`run_cluster`) still fans out over
+# the two workers.
 fleet_payloads="fleet_scale fleet_chaos mixed_criticality"
 for fig in $fleet_payloads; do
     M3_JOBS=2 M3_RESULTS_DIR=target/ci-results-2-workers \

@@ -60,8 +60,7 @@ pub mod prelude {
         PlacementDelay, ProbeFlap,
     };
     pub use m3_workloads::fleet::{
-        run_fleet, run_fleet_cached, run_fleet_with_workers, FleetConfig, FleetResult, JobOutcome,
-        NodeSpec,
+        run_fleet, run_fleet_cached, FleetConfig, FleetResult, JobOutcome, NodeSpec,
     };
     pub use m3_workloads::kvtrace::{
         run_cache_trace, run_cache_trace_cached, CachePolicy, CacheTraceOutcome,

