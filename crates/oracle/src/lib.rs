@@ -2,7 +2,10 @@
 //!
 //! [`Oracle::check`] walks a recorded [`TraceLog`] and re-derives every
 //! decision the M3 stack claims to have made, flagging a [`Violation`]
-//! wherever the recorded behaviour diverges from the paper's protocols:
+//! wherever the recorded behaviour diverges from the paper's protocols. A
+//! [`Checker`] does the same one event at a time: a captured run feeds it
+//! each event as it records it, so the run never reads its trace back.
+//! The invariants:
 //!
 //! - **Thresholds (§5.2)** — `low ≤ high ≤ top` at every poll, every move
 //!   bounded by the 2 %-of-top step, and a full replay of the adaptive
@@ -65,7 +68,7 @@ use m3_core::selection::{select_processes, Candidate, SortOrder};
 use m3_core::thresholds::AdaptiveThresholds;
 use m3_sim::trace::{
     CandidateInfo, Criticality, EvictReason, SigKind, ThresholdSide, TraceData, TraceEvent,
-    TraceLog, TraceZone,
+    TraceLog, TraceObserver, TraceZone,
 };
 use serde::{Deserialize, Serialize};
 
@@ -93,7 +96,7 @@ const SLAB_HIGH_FRACTION: f64 = 0.04;
 /// The conformance oracle: the paper's constants plus the monitor
 /// configuration the run declared (monitor invariants are skipped for
 /// monitor-less runs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Oracle {
     monitor: Option<MonitorConfig>,
 }
@@ -104,16 +107,19 @@ impl Oracle {
         Oracle { monitor }
     }
 
-    /// Replays `trace` and returns every divergence found (empty = conformant).
+    /// Replays `trace` and returns every divergence found (empty =
+    /// conformant): the check of a stored or loaded trace. A node run
+    /// checks its events as it records them (`Kernel::observe_with`).
     pub fn check(&self, trace: &TraceLog) -> Vec<Violation> {
         let mut checker = self.checker();
         trace.for_each(|e| checker.observe(e));
         checker.finish()
     }
 
-    /// A checker that replays events as they are handed to it.
-    pub fn checker(&self) -> Checker<'_> {
-        Checker::new(self)
+    /// A checker, with its own copy of this oracle, that replays events as
+    /// they are handed to it.
+    pub fn checker(&self) -> Checker {
+        Checker::new(*self)
     }
 }
 
@@ -162,7 +168,7 @@ impl Oracle {
 ///   stall time never exceeds the runtime.
 /// - **`sched.class.consistency`** — preempt and SLO events must agree
 ///   with the class and SLO the job declared in its `sched.class.assign`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct FleetOracle {
     /// Grace window a node must stay red before migration is allowed, ms.
     pub grace_ms: u64,
@@ -220,17 +226,21 @@ impl FleetOracle {
 
     /// Replays the fleet events in `trace` and returns every divergence
     /// found (empty = conformant). Non-fleet events are ignored, so the
-    /// scheduler's full log can be passed as-is.
+    /// scheduler's full log can be passed as-is. The fleet scheduler
+    /// checks its events as it records them; this is the check of a
+    /// stored or loaded log.
     pub fn check(&self, trace: &TraceLog) -> Vec<Violation> {
         let mut checker = self.checker();
         trace.for_each(|e| checker.observe(e));
         checker.finish()
     }
 
-    /// A checker that replays fleet events as they are handed to it.
-    pub fn checker(&self) -> FleetChecker<'_> {
+    /// A checker, with its own copy of this oracle, that replays fleet
+    /// events as they are handed to it.
+    pub fn checker(&self) -> FleetChecker {
         FleetChecker {
-            oracle: self,
+            oracle: *self,
+            seen: 0,
             out: Vec::new(),
             nodes: HashMap::new(),
             pending_defer: BTreeMap::new(),
@@ -245,8 +255,10 @@ impl FleetOracle {
 /// events in record order, one at a time, and [`FleetChecker::finish`]
 /// returns the divergences found ([`FleetOracle::check`] drives one over
 /// a stored trace).
-pub struct FleetChecker<'a> {
-    oracle: &'a FleetOracle,
+pub struct FleetChecker {
+    oracle: FleetOracle,
+    /// Events observed so far, fleet or not.
+    seen: usize,
     out: Vec<Violation>,
     /// Latest pressure snapshot, red streak, loss and quarantine per node.
     nodes: HashMap<u64, NodeState>,
@@ -261,7 +273,12 @@ pub struct FleetChecker<'a> {
     classes: BTreeMap<u64, (Criticality, u64)>,
 }
 
-impl FleetChecker<'_> {
+impl FleetChecker {
+    /// How many events this checker has observed.
+    pub fn observed(&self) -> usize {
+        self.seen
+    }
+
     fn flag(&mut self, invariant: &str, at: u64, pid: u64, message: String) {
         self.out.push(Violation {
             invariant: invariant.into(),
@@ -315,6 +332,7 @@ impl FleetChecker<'_> {
     /// Replays the next event; non-fleet events are ignored.
     #[allow(clippy::too_many_lines)]
     pub fn observe(&mut self, e: &TraceEvent) {
+        self.seen += 1;
         let at = e.t.as_millis();
         match &e.data {
             TraceData::FleetPressure {
@@ -571,7 +589,7 @@ impl FleetChecker<'_> {
 }
 
 /// Per-pid replay of the §4.2 allocation gate.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct AllocReplay {
     counter: u64,
     carry: f64,
@@ -580,7 +598,7 @@ struct AllocReplay {
 /// Reclamation events seen inside one open `handler.start`/`handler.end`
 /// window, by global event index, plus the byte totals the packet
 /// conservation check compares at `handler.end`.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct HandlerWindow {
     last_evict: Option<usize>,
     first_gc: Option<usize>,
@@ -640,6 +658,7 @@ struct StatsSnap {
 }
 
 /// The red-zone/above-top selection awaiting its `monitor.poll`.
+#[derive(Clone)]
 struct PendingSelection {
     target: u64,
     all: bool,
@@ -649,8 +668,9 @@ struct PendingSelection {
 /// The node oracle's replay state: [`Checker::observe`] takes the events
 /// in record order, one at a time, and [`Checker::finish`] returns the
 /// divergences found ([`Oracle::check`] drives one over a stored trace).
-pub struct Checker<'a> {
-    oracle: &'a Oracle,
+#[derive(Clone)]
+pub struct Checker {
+    oracle: Oracle,
     out: Vec<Violation>,
     /// Events observed so far: the next event's index, which orders the
     /// layers of a handler window.
@@ -685,8 +705,8 @@ pub struct Checker<'a> {
     packets: BTreeMap<u64, BTreeMap<u64, PacketState>>,
 }
 
-impl<'a> Checker<'a> {
-    fn new(oracle: &'a Oracle) -> Self {
+impl Checker {
+    fn new(oracle: Oracle) -> Self {
         Checker {
             oracle,
             out: Vec::new(),
@@ -716,6 +736,11 @@ impl<'a> Checker<'a> {
             pid: e.pid,
             message,
         });
+    }
+
+    /// How many events this checker has observed.
+    pub fn observed(&self) -> usize {
+        self.seen
     }
 
     /// Replays the next event.
@@ -1844,6 +1869,18 @@ impl<'a> Checker<'a> {
                 }
             }
         }
+    }
+}
+
+/// A node run's online check: the kernel hands the checker each event
+/// before its log packs it, so the run needs no replay.
+impl TraceObserver for Checker {
+    fn observe(&mut self, e: &TraceEvent) {
+        Checker::observe(self, e);
+    }
+
+    fn clone_box(&self) -> Box<dyn TraceObserver> {
+        Box::new(self.clone())
     }
 }
 

@@ -1,10 +1,9 @@
 //! The kernel facade: process table, memory accounting, signal delivery, OOM.
 
 use m3_sim::clock::SimTime;
-use m3_sim::trace::{SigKind, TraceData, TraceLog};
+use m3_sim::trace::{SigKind, TraceData, TraceEvent, TraceLog, TraceObserver};
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::meminfo::MemInfo;
@@ -66,12 +65,14 @@ impl std::error::Error for KernelError {}
 #[derive(Debug, Clone)]
 pub struct Kernel {
     config: KernelConfig,
-    procs: BTreeMap<Pid, Process>,
+    /// The process table, indexed by pid − 1: pids are handed out 1, 2,
+    /// 3 … and never freed, so the next pid is the length plus one, and
+    /// pid 0 (the system) and pids not yet handed out read as absent.
+    procs: Vec<Process>,
     /// Running total of `committed` over all processes (see
     /// [`Kernel::committed`]).
     committed: u64,
     signals: SignalBus,
-    next_pid: Pid,
     /// Lifetime spawn counter: stamps each process with a unique
     /// incarnation so pid reuse is detectable.
     spawn_seq: u64,
@@ -79,7 +80,19 @@ pub struct Kernel {
     /// Injected meminfo outage: while set, [`Kernel::try_meminfo`] fails.
     meminfo_down: bool,
     /// Structured event log (signals, kills, OOM) for tests and figures.
+    /// Record into it through [`Kernel::record_trace`] or
+    /// [`Kernel::record_trace_with`], which hand each event to the
+    /// observer first.
     pub trace: TraceLog,
+    /// Reads each event before `trace` stores it ([`Kernel::observe_with`]).
+    /// It sits beside the log, not in it, so a copy of the kernel keeps the
+    /// observer's state where its log is taken out and put back.
+    observer: Option<Box<dyn TraceObserver>>,
+}
+
+/// Where `pid` sits in the process table: pid − 1, and `None` for pid 0.
+fn slot(pid: Pid) -> Option<usize> {
+    usize::try_from(pid.checked_sub(1)?).ok()
 }
 
 impl Kernel {
@@ -87,14 +100,14 @@ impl Kernel {
     pub fn new(config: KernelConfig) -> Self {
         Kernel {
             config,
-            procs: BTreeMap::new(),
+            procs: Vec::new(),
             committed: 0,
             signals: SignalBus::new(),
-            next_pid: 1,
             spawn_seq: 0,
             now: SimTime::ZERO,
             meminfo_down: false,
             trace: TraceLog::new(),
+            observer: None,
         }
     }
 
@@ -118,16 +131,23 @@ impl Kernel {
 
     /// Creates a new process and returns its pid.
     pub fn spawn(&mut self, name: impl Into<String>) -> Pid {
-        let pid = self.next_pid;
-        self.next_pid += 1;
+        let pid = self.next_pid();
         self.spawn_seq += 1;
         let proc = Process::new(pid, name, self.now, self.spawn_seq);
-        self.trace
-            .record_with(self.now, pid, || TraceData::ProcSpawn {
-                name: proc.name.clone(),
-            });
-        self.procs.insert(pid, proc);
+        self.record_trace_with(pid, || TraceData::ProcSpawn {
+            name: proc.name.clone(),
+        });
+        self.procs.push(proc);
         pid
+    }
+
+    /// The pid [`Kernel::spawn`] hands out next.
+    fn next_pid(&self) -> Pid {
+        self.procs.len() as Pid + 1
+    }
+
+    fn proc_mut(&mut self, pid: Pid) -> Option<&mut Process> {
+        self.procs.get_mut(slot(pid)?)
     }
 
     /// Creates a new process *reusing* a dead process's pid (the PID-reuse
@@ -141,61 +161,57 @@ impl Kernel {
     /// Panics if `pid` is still alive (a real kernel never reuses a live
     /// pid) or was never allocated.
     pub fn spawn_reusing(&mut self, pid: Pid, name: impl Into<String>) -> Pid {
-        assert!(
-            pid < self.next_pid,
-            "cannot reuse a pid that was never allocated"
-        );
-        assert!(!self.is_alive(pid), "cannot reuse a live pid");
+        let old = self
+            .proc_mut(pid)
+            .expect("cannot reuse a pid that was never allocated");
+        assert!(!old.is_alive(), "cannot reuse a live pid");
         self.signals.forget(pid);
         self.spawn_seq += 1;
         let proc = Process::new(pid, name, self.now, self.spawn_seq);
-        self.trace
-            .record_with(self.now, pid, || TraceData::ProcRespawn {
-                name: proc.name.clone(),
-            });
-        self.procs.insert(pid, proc);
+        self.record_trace_with(pid, || TraceData::ProcRespawn {
+            name: proc.name.clone(),
+        });
+        *self.proc_mut(pid).expect("allocated") = proc;
         pid
     }
 
     /// Marks a process exited and releases all of its memory.
     pub fn exit(&mut self, pid: Pid) {
-        if let Some(p) = self.procs.get_mut(&pid) {
-            self.committed -= p.committed;
-            p.committed = 0;
+        if let Some(p) = self.proc_mut(pid) {
+            let freed = std::mem::take(&mut p.committed);
             p.state = ProcessState::Exited;
+            self.committed -= freed;
             self.signals.forget(pid);
-            self.trace.record(self.now, pid, TraceData::ProcExit);
+            self.record_trace(pid, TraceData::ProcExit);
         }
     }
 
     /// Kills a process (OOM killer / M3 kill escalation), releasing its
     /// memory and queueing a `Kill` signal so the world loop can observe it.
     pub fn kill(&mut self, pid: Pid) {
-        if let Some(p) = self.procs.get_mut(&pid) {
-            if p.state == ProcessState::Running {
-                self.committed -= p.committed;
-                p.committed = 0;
-                p.state = ProcessState::Killed;
-                self.signals.send(pid, Signal::Kill);
-                self.trace.record(self.now, pid, TraceData::ProcKill);
-            }
+        if let Some(p) = self.proc_mut(pid).filter(|p| p.is_alive()) {
+            let freed = std::mem::take(&mut p.committed);
+            p.state = ProcessState::Killed;
+            self.committed -= freed;
+            self.signals.send(pid, Signal::Kill);
+            self.record_trace(pid, TraceData::ProcKill);
         }
     }
 
     /// True if `pid` exists and is running.
     pub fn is_alive(&self, pid: Pid) -> bool {
-        self.procs.get(&pid).is_some_and(Process::is_alive)
+        self.process(pid).is_some_and(Process::is_alive)
     }
 
     /// The process table entry, if present.
     pub fn process(&self, pid: Pid) -> Option<&Process> {
-        self.procs.get(&pid)
+        self.procs.get(slot(pid)?)
     }
 
     /// Pids of all running processes, in pid order.
     pub fn running_pids(&self) -> Vec<Pid> {
         self.procs
-            .values()
+            .iter()
             .filter(|p| p.is_alive())
             .map(|p| p.pid)
             .collect()
@@ -214,8 +230,7 @@ impl Kernel {
     /// [`Kernel::check_oom`], which the world loop runs every tick.
     pub fn grow(&mut self, pid: Pid, bytes: u64) -> Result<(), KernelError> {
         let proc = self
-            .procs
-            .get_mut(&pid)
+            .proc_mut(pid)
             .filter(|p| p.is_alive())
             .ok_or(KernelError::NoSuchProcess(pid))?;
         proc.committed += bytes;
@@ -227,16 +242,14 @@ impl Kernel {
     /// saturating at the process's committed size.
     pub fn release(&mut self, pid: Pid, bytes: u64) -> Result<(), KernelError> {
         let proc = self
-            .procs
-            .get_mut(&pid)
+            .proc_mut(pid)
             .filter(|p| p.is_alive())
             .ok_or(KernelError::NoSuchProcess(pid))?;
         let released = bytes.min(proc.committed);
         proc.committed -= released;
         self.committed -= released;
         if released > 0 {
-            self.trace
-                .record(self.now, pid, TraceData::Madvise { bytes: released });
+            self.record_trace(pid, TraceData::Madvise { bytes: released });
         }
         Ok(())
     }
@@ -245,18 +258,41 @@ impl Kernel {
     /// above the kernel (monitor, runtimes, frameworks) emit their events
     /// through this so every component shares one clock and one log.
     pub fn record_trace(&mut self, pid: Pid, data: TraceData) {
-        self.trace.record(self.now, pid, data);
+        self.record_trace_with(pid, || data);
     }
 
     /// Lazy variant of [`Kernel::record_trace`]: the payload is built only
-    /// when tracing is enabled.
+    /// when tracing is enabled. The observer, if any, reads the event
+    /// before the log packs it.
     pub fn record_trace_with(&mut self, pid: Pid, make: impl FnOnce() -> TraceData) {
-        self.trace.record_with(self.now, pid, make);
+        match &mut self.observer {
+            Some(observer) => {
+                let e = TraceEvent {
+                    t: self.now,
+                    pid,
+                    data: make(),
+                };
+                observer.observe(&e);
+                self.trace.record(e.t, e.pid, e.data);
+            }
+            None => self.trace.record_with(self.now, pid, make),
+        }
+    }
+
+    /// Hands every event recorded from now on to `observer`, before the log
+    /// packs it.
+    pub fn observe_with(&mut self, observer: Box<dyn TraceObserver>) {
+        self.observer = Some(observer);
+    }
+
+    /// Takes the observer out: no later event reaches it.
+    pub fn take_observer(&mut self) -> Option<Box<dyn TraceObserver>> {
+        self.observer.take()
     }
 
     /// A process's committed (resident + swapped) bytes; zero if unknown.
     pub fn rss(&self, pid: Pid) -> u64 {
-        self.procs.get(&pid).map_or(0, |p| p.committed)
+        self.process(pid).map_or(0, |p| p.committed)
     }
 
     /// Sum of committed bytes over all running processes.
@@ -337,7 +373,7 @@ impl Kernel {
                 SendOutcome::Dropped => TraceData::SignalDropped { sig: kind },
                 SendOutcome::Delayed => TraceData::SignalDelayed { sig: kind },
             };
-            self.trace.record(self.now, pid, data);
+            self.record_trace(pid, data);
         }
     }
 
@@ -354,11 +390,11 @@ impl Kernel {
         }
         let victim = self
             .procs
-            .values()
+            .iter()
             .filter(|p| p.is_alive())
             .max_by_key(|p| (p.committed, p.pid))?
             .pid;
-        self.trace.record(self.now, victim, TraceData::OomKill);
+        self.record_trace(victim, TraceData::OomKill);
         self.kill(victim);
         Some(victim)
     }
@@ -367,8 +403,10 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m3_sim::clock::SimDuration;
     use m3_sim::units::{GIB, MIB, PAGE_SIZE};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn kernel(gib: u64) -> Kernel {
         Kernel::new(KernelConfig::with_total(gib * GIB))
@@ -542,6 +580,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot reuse a pid that was never allocated")]
+    fn spawn_reusing_rejects_the_system_pid() {
+        let mut k = kernel(1);
+        k.spawn("p");
+        k.spawn_reusing(0, "imposter");
+    }
+
+    #[test]
     fn meminfo_outage_fails_try_meminfo_only() {
         let mut k = kernel(4);
         let p = k.spawn("p");
@@ -594,8 +640,194 @@ mod tests {
         ]
     }
 
+    /// The process table as a map keyed by pid, with its own pid counter
+    /// and fault-free signal queues: the reference the pid-indexed table
+    /// is checked against.
+    struct Model {
+        procs: BTreeMap<Pid, Process>,
+        next_pid: Pid,
+        spawn_seq: u64,
+        now: SimTime,
+        signals: BTreeMap<Pid, Vec<Signal>>,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            Model {
+                procs: BTreeMap::new(),
+                next_pid: 1,
+                spawn_seq: 0,
+                now: SimTime::ZERO,
+                signals: BTreeMap::new(),
+            }
+        }
+
+        fn alive(&self, pid: Pid) -> bool {
+            self.procs.get(&pid).is_some_and(Process::is_alive)
+        }
+
+        fn committed(&self) -> u64 {
+            self.procs.values().map(|p| p.committed).sum()
+        }
+
+        fn spawn(&mut self, pid: Pid) {
+            self.spawn_seq += 1;
+            let proc = Process::new(pid, "p", self.now, self.spawn_seq);
+            self.procs.insert(pid, proc);
+        }
+
+        fn release_all(&mut self, pid: Pid, state: ProcessState) {
+            let p = self.procs.get_mut(&pid).expect("known pid");
+            p.committed = 0;
+            p.state = state;
+        }
+
+        fn send(&mut self, pid: Pid, sig: Signal) {
+            let q = self.signals.entry(pid).or_default();
+            if sig == Signal::Kill || !q.contains(&sig) {
+                q.push(sig);
+            }
+        }
+
+        fn kill(&mut self, pid: Pid) {
+            if self.alive(pid) {
+                self.release_all(pid, ProcessState::Killed);
+                self.send(pid, Signal::Kill);
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum TableOp {
+        Tick,
+        Spawn,
+        SpawnReusing(Pid),
+        Exit(Pid),
+        Kill(Pid),
+        Grow(Pid, u64),
+        Release(Pid, u64),
+        Send(Pid, Signal),
+        Take(Pid),
+        CheckOom,
+    }
+
+    fn table_op() -> impl Strategy<Value = TableOp> {
+        // Raw pids 0..24: pid 0, allocated pids and pids never allocated.
+        let pid = || 0u64..24;
+        let sig = prop_oneof![
+            Just(Signal::LowMemory),
+            Just(Signal::HighMemory),
+            Just(Signal::Kill)
+        ];
+        prop_oneof![
+            Just(TableOp::Tick),
+            Just(TableOp::Spawn),
+            Just(TableOp::Spawn),
+            pid().prop_map(TableOp::SpawnReusing),
+            pid().prop_map(TableOp::Exit),
+            pid().prop_map(TableOp::Kill),
+            (pid(), 0u64..(3 * 1024)).prop_map(|(p, mb)| TableOp::Grow(p, mb * MIB)),
+            (pid(), 0u64..(3 * 1024)).prop_map(|(p, mb)| TableOp::Release(p, mb * MIB)),
+            (pid(), sig).prop_map(|(p, s)| TableOp::Send(p, s)),
+            pid().prop_map(TableOp::Take),
+            Just(TableOp::CheckOom),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn pid_indexed_table_matches_a_map_keyed_by_pid(
+            ops in proptest::collection::vec(table_op(), 1..300),
+        ) {
+            let mut k = kernel(4); // swap = 1 GiB, so OOM kills happen
+            let mut m = Model::new();
+            for op in ops {
+                match op {
+                    TableOp::Tick => {
+                        m.now += SimDuration::from_secs(1);
+                        k.set_time(m.now);
+                    }
+                    TableOp::Spawn => {
+                        let pid = m.next_pid;
+                        m.next_pid += 1;
+                        m.spawn(pid);
+                        prop_assert_eq!(k.spawn("p"), pid);
+                    }
+                    TableOp::SpawnReusing(pid) => {
+                        if m.procs.contains_key(&pid) && !m.alive(pid) {
+                            m.signals.remove(&pid);
+                            m.spawn(pid);
+                            prop_assert_eq!(k.spawn_reusing(pid, "p"), pid);
+                        }
+                    }
+                    TableOp::Exit(pid) => {
+                        if m.procs.contains_key(&pid) {
+                            m.release_all(pid, ProcessState::Exited);
+                            m.signals.remove(&pid);
+                        }
+                        k.exit(pid);
+                    }
+                    TableOp::Kill(pid) => {
+                        m.kill(pid);
+                        k.kill(pid);
+                    }
+                    TableOp::Grow(pid, bytes) => {
+                        let alive = m.alive(pid);
+                        if alive {
+                            m.procs.get_mut(&pid).expect("alive").committed += bytes;
+                        }
+                        prop_assert_eq!(k.grow(pid, bytes).is_ok(), alive);
+                    }
+                    TableOp::Release(pid, bytes) => {
+                        let alive = m.alive(pid);
+                        if alive {
+                            let p = m.procs.get_mut(&pid).expect("alive");
+                            p.committed -= bytes.min(p.committed);
+                        }
+                        prop_assert_eq!(k.release(pid, bytes).is_ok(), alive);
+                    }
+                    TableOp::Send(pid, sig) => {
+                        if m.alive(pid) {
+                            m.send(pid, sig);
+                        }
+                        k.send_signal(pid, sig);
+                    }
+                    TableOp::Take(pid) => {
+                        let want = m.signals.remove(&pid).unwrap_or_default();
+                        prop_assert_eq!(k.take_signals(pid), want);
+                    }
+                    TableOp::CheckOom => {
+                        let total = k.config().total;
+                        let swapped = m.committed().saturating_sub(total);
+                        let victim = if k.config().swap.exhausted(swapped) {
+                            (m.procs.values().filter(|p| p.is_alive()))
+                                .max_by_key(|p| (p.committed, p.pid))
+                                .map(|p| p.pid)
+                        } else {
+                            None
+                        };
+                        if let Some(pid) = victim {
+                            m.kill(pid);
+                        }
+                        prop_assert_eq!(k.check_oom(), victim);
+                    }
+                }
+                prop_assert_eq!(k.committed(), m.committed());
+                let running: Vec<Pid> =
+                    (m.procs.values().filter(|p| p.is_alive())).map(|p| p.pid).collect();
+                prop_assert_eq!(k.running_pids(), running);
+                for pid in (0..=m.next_pid + 1).chain([u64::MAX]) {
+                    prop_assert_eq!(k.rss(pid), m.procs.get(&pid).map_or(0, |p| p.committed));
+                    prop_assert_eq!(k.is_alive(pid), m.alive(pid));
+                    prop_assert_eq!(
+                        format!("{:?}", k.process(pid)),
+                        format!("{:?}", m.procs.get(&pid))
+                    );
+                }
+            }
+        }
 
         #[test]
         fn running_ledger_matches_the_process_table(

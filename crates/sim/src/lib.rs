@@ -38,5 +38,5 @@ pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use trace::{
     CandidateInfo, EvictReason, GcLayer, PacketBucket, SigKind, ThresholdSide, TraceData,
-    TraceEvent, TraceLog, TraceMark, TraceZone,
+    TraceEvent, TraceLog, TraceMark, TraceObserver, TraceZone,
 };

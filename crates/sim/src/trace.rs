@@ -25,6 +25,7 @@
 //! time; [`TraceLog::events`] decodes them all once for callers that want
 //! a slice.
 
+use std::any::Any;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -719,6 +720,31 @@ impl Deserialize for TraceEvent {
             pid: map_field(c, "pid")?,
             data: TraceData::deserialize(c)?,
         })
+    }
+}
+
+/// Reads each event as it is recorded, before a [`TraceLog`] packs it: the
+/// conformance oracle's online checker (`m3_oracle::Checker`), which this
+/// crate sits below and cannot name. The kernel keeps one beside its log
+/// (`m3_os::Kernel::observe_with`), so a node run is checked without a
+/// second pass over its trace.
+pub trait TraceObserver: Any + Send + Sync {
+    /// Reads the next event.
+    fn observe(&mut self, e: &TraceEvent);
+
+    /// A boxed copy, so that what holds one can be cloned.
+    fn clone_box(&self) -> Box<dyn TraceObserver>;
+}
+
+impl Clone for Box<dyn TraceObserver> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
+impl fmt::Debug for dyn TraceObserver {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("TraceObserver")
     }
 }
 

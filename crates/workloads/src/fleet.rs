@@ -98,9 +98,9 @@ use std::sync::Arc;
 
 use m3_core::config::MonitorConfig;
 use m3_core::monitor::{Monitor, PressureSummary, Zone};
-use m3_oracle::{FleetOracle, Violation};
+use m3_oracle::{FleetChecker, FleetOracle, Violation};
 use m3_sim::clock::{SimDuration, SimTime};
-use m3_sim::trace::{Criticality, TraceData, TraceLog, TraceMark, TraceZone};
+use m3_sim::trace::{Criticality, TraceData, TraceEvent, TraceLog, TraceMark, TraceZone};
 use m3_sim::units::GIB;
 use m3_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -623,7 +623,10 @@ struct Fleet<'a> {
     base_cfg: MachineConfig,
     fleet: &'a FleetConfig,
     nodes: Vec<NodeState>,
+    /// The placement log, recorded through [`Fleet::record`].
     trace: TraceLog,
+    /// The fleet oracle, fed each event as [`Fleet::record`] stores it.
+    checker: FleetChecker,
     /// Final `(node, slot in that node's app list)` per job.
     assignment: Vec<Option<(usize, usize)>>,
     deferrals: Vec<u32>,
@@ -717,6 +720,7 @@ impl<'a> Fleet<'a> {
             fleet,
             nodes,
             trace: TraceLog::new(),
+            checker: FleetOracle::new(GRACE.as_millis(), DEFER_INTERVAL.as_millis()).checker(),
             assignment: vec![None; njobs],
             deferrals: vec![0; njobs],
             migrations: vec![0; njobs],
@@ -737,6 +741,14 @@ impl<'a> Fleet<'a> {
             #[cfg(test)]
             stored_samples: 0,
         }
+    }
+
+    /// Records a scheduler event: the fleet oracle observes it, then the
+    /// placement log stores it.
+    fn record(&mut self, t: SimTime, pid: u64, data: TraceData) {
+        let e = TraceEvent { t, pid, data };
+        self.checker.observe(&e);
+        self.trace.record(e.t, e.pid, e.data);
     }
 
     /// True if the node may be probed for placement and targeted: alive
@@ -1049,7 +1061,7 @@ impl<'a> Fleet<'a> {
             }
             self.nodes[node].quarantined = false;
             self.nodes[node].healthy_streak = 0;
-            self.trace.record(
+            self.record(
                 t,
                 node as u64,
                 TraceData::FleetQuarantine {
@@ -1070,7 +1082,7 @@ impl<'a> Fleet<'a> {
             }
             self.nodes[node].quarantined = true;
             self.degradation.quarantine_episodes += 1;
-            self.trace.record(
+            self.record(
                 t,
                 node as u64,
                 TraceData::FleetQuarantine {
@@ -1105,7 +1117,7 @@ impl<'a> Fleet<'a> {
         self.update_index(node, view.effective());
         let summary = view.summary;
         let zone: TraceZone = summary.zone.into();
-        self.trace.record(
+        self.record(
             t,
             node as u64,
             TraceData::FleetPressure {
@@ -1320,7 +1332,7 @@ impl<'a> Fleet<'a> {
             self.assignment[victim] = None;
             self.reschedules[victim] += 1;
             freed = freed.saturating_add(demand_estimate(kind));
-            self.trace.record(
+            self.record(
                 t,
                 victim as u64,
                 TraceData::SchedClassPreempt {
@@ -1349,7 +1361,7 @@ impl<'a> Fleet<'a> {
         attempt: u32,
         t: SimTime,
     ) {
-        self.trace.record(
+        self.record(
             t,
             job as u64,
             TraceData::FleetPlace {
@@ -1452,7 +1464,7 @@ impl<'a> Fleet<'a> {
             None if attempt >= self.fleet.max_defers => {
                 self.deferrals[job] = attempt;
                 self.gave_up[job] = true;
-                self.trace.record(
+                self.record(
                     t,
                     job as u64,
                     TraceData::FleetGiveUp {
@@ -1464,7 +1476,7 @@ impl<'a> Fleet<'a> {
             }
             None => {
                 let retry = SimTime::from_millis(t.as_millis() + DEFER_INTERVAL.as_millis());
-                self.trace.record(
+                self.record(
                     t,
                     job as u64,
                     TraceData::FleetDefer {
@@ -1560,7 +1572,7 @@ impl<'a> Fleet<'a> {
             let est = self.nodes[node].index_effective.saturating_sub(demand);
             self.update_index(node, est);
             self.migrations[job] += 1;
-            self.trace.record(
+            self.record(
                 t,
                 job as u64,
                 TraceData::FleetMigrate {
@@ -1591,7 +1603,7 @@ impl<'a> Fleet<'a> {
     fn requeue(&mut self, job: usize, from: usize, t: SimTime, queue: &mut EventQueue) {
         let retries = self.reschedules[job];
         let retry_at = t.as_millis() + self.backoff_ms(job, retries);
-        self.trace.record(
+        self.record(
             t,
             job as u64,
             TraceData::FleetReschedule {
@@ -1639,7 +1651,7 @@ impl<'a> Fleet<'a> {
         self.nodes[node].red_since = None;
         self.set_indexed(node, false);
         self.degradation.nodes_lost += 1;
-        self.trace.record(
+        self.record(
             t,
             node as u64,
             TraceData::FleetNodeLost {
@@ -1656,7 +1668,7 @@ impl<'a> Fleet<'a> {
             if retries > RETRY_BUDGET {
                 self.orphaned[job] = true;
                 self.degradation.jobs_orphaned += 1;
-                self.trace.record(
+                self.record(
                     t,
                     job as u64,
                     TraceData::FleetReschedule {
@@ -1667,7 +1679,7 @@ impl<'a> Fleet<'a> {
                         requeued: false,
                     },
                 );
-                self.trace.record(
+                self.record(
                     t,
                     job as u64,
                     TraceData::FleetGiveUp {
@@ -1728,7 +1740,7 @@ impl<'a> Fleet<'a> {
                 // anchor the oracle checks every later class event
                 // (preempt, SLO report) for consistency against.
                 let class = self.scenario.class_of(job);
-                self.trace.record(
+                self.record(
                     SimTime::from_millis(at),
                     job as u64,
                     TraceData::SchedClassAssign {
@@ -1859,7 +1871,8 @@ pub fn run_fleet(
 
 /// Folds a scheduled fleet into its result. Each non-empty node's final
 /// run is the probe of its final schedule, per-job outcomes come from
-/// those runs, and the fleet oracle checks the placement log.
+/// those runs, and the violations are what the fleet checker found as the
+/// placement log was recorded, then what each final run's checker found.
 fn finish(mut state: Fleet) -> FleetResult {
     let scenario = state.scenario;
     let njobs = scenario.len();
@@ -1899,7 +1912,7 @@ fn finish(mut state: Fleet) -> FleetResult {
             if let (Some(ms), Some(met)) = (runtime_ms, slo_met) {
                 // The job's SLO report, stamped at its completion instant;
                 // the oracle re-derives `met` and the stall bound from it.
-                state.trace.record(
+                state.record(
                     arrival + SimDuration::from_millis(ms),
                     job as u64,
                     TraceData::SchedClassSlo {
@@ -1928,8 +1941,13 @@ fn finish(mut state: Fleet) -> FleetResult {
         });
     }
 
-    let mut violations =
-        FleetOracle::new(GRACE.as_millis(), DEFER_INTERVAL.as_millis()).check(&state.trace);
+    #[cfg(test)]
+    assert_eq!(
+        state.checker.observed(),
+        state.trace.len(),
+        "a fleet event was recorded past the checker"
+    );
+    let mut violations = state.checker.finish();
     for out in finals.iter().flatten() {
         violations.extend(out.run.violations.iter().cloned());
     }
@@ -2519,6 +2537,41 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn online_checks_equal_replays_of_the_stored_logs() {
+        // A capturing fleet whose nodes die: the violations its checkers
+        // found as the events were recorded must be what replaying the
+        // stored logs finds, the fleet log first, then each final node
+        // run's trace in node order.
+        let scenario = fleet_canonical();
+        let mut fleet = small_fleet();
+        fleet.faults = FleetFaultPlan::none()
+            .with_node_crash(SimDuration::from_secs(120), 1)
+            .with_node_crash(SimDuration::from_secs(600), 0);
+        let cfg = quick_cfg();
+        assert!(cfg.capture_trace);
+        let mut state = Fleet::new(&scenario, cfg, &fleet);
+        state.run_events();
+        let mut finals: Vec<(u64, Arc<ScenarioOutcome>)> = Vec::new();
+        for node in 0..state.nodes.len() {
+            if !state.nodes[node].apps.is_empty() {
+                let out = Arc::clone(&state.probe_of(node).out);
+                finals.push((state.nodes[node].phys_total, out));
+            }
+        }
+        let res = finish(state);
+        assert_eq!(res.degradation.nodes_lost, 2);
+        let mut replayed = fleet_violations(&res.trace);
+        for (phys_total, out) in &finals {
+            assert!(!out.run.trace.is_empty(), "a node run captures its trace");
+            let monitor = sched_node_cfg(cfg, *phys_total)
+                .with_setting(&Setting::m3(1))
+                .monitor;
+            replayed.extend(m3_oracle::Oracle::paper(monitor).check(&out.run.trace));
+        }
+        assert_eq!(res.violations, replayed);
     }
 
     #[test]

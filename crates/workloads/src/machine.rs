@@ -17,10 +17,11 @@
 //! from their latest change this way, byte-identical to a run from t = 0
 //! (DESIGN.md §9).
 
+use std::any::Any;
 use std::sync::Arc;
 
 use m3_core::{Monitor, MonitorConfig, Registry, ThresholdSignal, Zone, POLL_PERIOD};
-use m3_oracle::{Oracle, Violation};
+use m3_oracle::{Checker, Oracle, Violation};
 use m3_os::cgroup::{Cgroup, CgroupSet};
 use m3_os::{DiskModel, Kernel, KernelConfig, Pid, Signal};
 use m3_sim::clock::{SimDuration, SimTime};
@@ -64,10 +65,11 @@ pub struct MachineConfig {
     /// Node salt: perturbs application-internal orderings so cluster nodes
     /// are not bit-identical (0 for single-node runs).
     pub node_salt: u64,
-    /// Captures a typed end-to-end event trace and runs the conformance
-    /// oracle over it after the run (see [`RunResult::trace`] and
-    /// [`RunResult::violations`]). Off, the kernel's trace log is disabled
-    /// and records nothing. Part of the memoization cache key.
+    /// Captures a typed end-to-end event trace and checks each event
+    /// against the paper's invariants as it is recorded (see
+    /// [`RunResult::trace`] and [`RunResult::violations`]). Off, the
+    /// kernel's trace log is disabled and records nothing, and nothing is
+    /// checked. Part of the memoization cache key.
     pub capture_trace: bool,
     /// Records the monitor's pressure summary into
     /// [`RunResult::pressure_timeline`] at every poll where it differs from
@@ -414,7 +416,9 @@ impl World {
         container_limits: Option<Vec<u64>>,
     ) -> World {
         let mut kernel = Kernel::new(KernelConfig::with_total(cfg.phys_total));
-        if !cfg.capture_trace {
+        if cfg.capture_trace {
+            kernel.observe_with(Box::new(Oracle::paper(cfg.monitor).checker()));
+        } else {
             kernel.trace = TraceLog::disabled();
         }
         let mut queue = m3_sim::EventQueue::new();
@@ -495,7 +499,8 @@ impl World {
 
     /// The node trace recorded so far. The fleet keeps checkpoints without
     /// it and puts the prefix back from the memoized outcome when it
-    /// resumes one.
+    /// resumes one; the kernel keeps the checker's state beside the trace,
+    /// so a copy of the world carries it.
     pub(crate) fn trace_mut(&mut self) -> &mut TraceLog {
         &mut self.kernel.trace
     }
@@ -1002,13 +1007,23 @@ impl World {
         self.degradation.signals_dropped = fault_stats.dropped;
         self.degradation.signals_delayed = fault_stats.delayed;
 
-        // Every traced run is checked against the paper's invariants on the
-        // way out; callers find divergences in `violations`.
+        // Every traced run was checked against the paper's invariants as it
+        // recorded; callers find divergences in `violations`.
         let trace = std::mem::take(&mut self.kernel.trace);
-        let violations = if trace.is_empty() {
-            Vec::new()
-        } else {
-            Oracle::paper(self.cfg.monitor).check(&trace)
+        let violations = match self.kernel.take_observer() {
+            Some(observer) => {
+                let any: Box<dyn Any> = observer;
+                let checker =
+                    (any.downcast::<Checker>()).expect("a world observes with its checker");
+                #[cfg(test)]
+                assert_eq!(
+                    checker.observed(),
+                    trace.len(),
+                    "an event was recorded past the checker"
+                );
+                checker.finish()
+            }
+            None => Vec::new(),
         };
 
         // Close the timeline with the end-of-run state: reads at any

@@ -176,6 +176,17 @@ fn run_cmd(args: &[String]) {
         out.run.mean_rss / GIB as f64,
         phys_gib
     );
+    // The run checked its trace as it recorded it: reporting costs nothing.
+    let violations = &out.run.violations;
+    let plural = if violations.len() == 1 { "" } else { "s" };
+    print!("  oracle: {} violation{plural}", violations.len());
+    if !violations.is_empty() {
+        let first: Vec<&str> = (violations.iter().take(3))
+            .map(|v| v.invariant.as_str())
+            .collect();
+        print!(", first: {}", first.join(", "));
+    }
+    println!();
     if show_profile {
         println!();
         print!("{}", out.run.profile.ascii(72, phys_gib as f64));

@@ -1,6 +1,7 @@
 //! The `m3run` command line, driven as a user drives it: bad input is
 //! refused before anything is simulated, `--profile` draws every series on
-//! one time axis, and an `M3_TRACE` dump reads back.
+//! one time axis, a run reports its oracle verdict, and an `M3_TRACE` dump
+//! reads back.
 
 use std::process::{Command, Output};
 
@@ -67,6 +68,17 @@ fn profile_rows_share_one_time_axis() {
     };
     assert!(row("C 2").ends_with(" |"), "{stdout}");
     assert!(!row("total").ends_with(" |"), "{stdout}");
+}
+
+#[test]
+fn run_reports_the_oracle_verdict() {
+    let out = m3run(&["run", "CCC0"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.lines().any(|l| l.trim() == "oracle: 0 violations"),
+        "{stdout}"
+    );
 }
 
 #[test]
